@@ -2,8 +2,9 @@
 //! `crossinvoc-telemetry-1`, written by a [`RegionServer`] snapshot pump,
 //! `bench-suite --telemetry`, or the simulator's
 //! `region_server_telemetry` mirror) as a `top`-style table: one row per
-//! region, a pool summary line, and a red-flag column for rows that
-//! faulted or degraded. See `docs/OBSERVABILITY.md`.
+//! region (followed by its non-zero counters, every entry of the runtime's
+//! `counters!` table by name), a pool summary line, and a red-flag column
+//! for rows that faulted or degraded. See `docs/OBSERVABILITY.md`.
 //!
 //! ```text
 //! server-stats [--follow] [--interval-ms N] <snapshots.jsonl>
@@ -20,6 +21,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use crossinvoc_bench::json::{self, Json};
+use crossinvoc_runtime::stats::COUNTERS;
 
 struct Args {
     follow: bool,
@@ -114,19 +116,8 @@ fn render(snap: &Json) -> String {
     }
     let _ = writeln!(
         out,
-        "{:>6}  {:<18} {:<8} {:>4}  {:>9}  {:>9}  {:>8}  {:>7}  {:>8}  {:>7}  {:>6}  {}",
-        "REGION",
-        "KIND",
-        "STATE",
-        "GANG",
-        "QWAIT",
-        "LATENCY",
-        "TASKS",
-        "ELIDED",
-        "MISSPEC%",
-        "DEGRADE",
-        "FAULTS",
-        "FLAG"
+        "{:>6}  {:<18} {:<8} {:>4}  {:>9}  {:>9}  {:>8}  {:>7}  {:>6}  FLAG",
+        "REGION", "KIND", "STATE", "GANG", "QWAIT", "LATENCY", "MISSPEC%", "DEGRADE", "FAULTS"
     );
     let empty = Vec::new();
     let regions = snap.get("regions").and_then(Json::as_arr).unwrap_or(&empty);
@@ -141,20 +132,29 @@ fn render(snap: &Json) -> String {
         };
         let _ = writeln!(
             out,
-            "{:>6}  {:<18} {:<8} {:>4}  {:>9}  {:>9}  {:>8}  {:>7}  {:>8.2}  {:>7}  {:>6}  {}",
+            "{:>6}  {:<18} {:<8} {:>4}  {:>9}  {:>9}  {:>8.2}  {:>7}  {:>6}  {}",
             num(r, "region_id") as u64,
             text(r, "kind"),
             state,
             num(r, "gang") as u64,
             dur(num(r, "queue_wait_ns")),
             dur(num(r, "latency_ns")),
-            num(r, "tasks") as u64,
-            num(r, "elided_admits") as u64,
             num(r, "misspec_rate") * 100.0,
             degrades,
             faults,
             flag,
         );
+        // Every counter of the runtime's `counters!` table, by its wire
+        // name; zeros are left out so the line stays readable.
+        let counters: Vec<String> = COUNTERS
+            .iter()
+            .map(|def| (def.name, num(r, def.name) as u64))
+            .filter(|&(_, v)| v > 0)
+            .map(|(name, v)| format!("{name}={v}"))
+            .collect();
+        if !counters.is_empty() {
+            let _ = writeln!(out, "{:>8}{}", "", counters.join(" "));
+        }
     }
     out
 }
@@ -214,6 +214,7 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
     use crossinvoc_runtime::metrics::MetricsSummary;
+    use crossinvoc_runtime::stats::StatsSummary;
     use crossinvoc_runtime::telemetry::{
         PoolSnapshot, RegionSnapshot, RegionState, RegistrySnapshot,
     };
@@ -228,7 +229,14 @@ mod tests {
             degrade_events: 0,
             faults,
             latency_ns: 45_600_000,
-            metrics: MetricsSummary::default(),
+            metrics: MetricsSummary {
+                stats: StatsSummary {
+                    tasks: 64,
+                    elided_admits: 7,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
         };
         RegistrySnapshot {
             t_ns: 1_234_000_000,
@@ -253,7 +261,11 @@ mod tests {
         let table = render(&snap);
         assert!(table.contains("slots 3/6 busy"), "{table}");
         assert!(table.contains("flight-dumps 1"), "{table}");
-        assert!(table.contains("ELIDED"), "{table}");
+        assert!(table.contains("tasks=64 elided_admits=7"), "{table}");
+        assert!(
+            !table.contains("epochs="),
+            "zero counters are omitted: {table}"
+        );
         let faulted = table.lines().find(|l| l.contains("faulted")).unwrap();
         assert!(faulted.trim_end().ends_with("!!"), "{faulted}");
         let done = table.lines().find(|l| l.contains("done")).unwrap();

@@ -8,7 +8,9 @@
 //! plans of the Fig. 5.6 case study, and small output helpers.
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod json;
+/// The workspace's JSON tree, reader and writer (lives in the runtime crate
+/// so [`crossinvoc_runtime::telemetry`] can build its exposition from it).
+pub use crossinvoc_runtime::json;
 
 use std::collections::HashMap;
 use std::fs;

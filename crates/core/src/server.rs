@@ -396,93 +396,13 @@ impl Drop for TelemetryPump {
 mod tests {
     use super::*;
     use crossinvoc_runtime::signature::RangeSignature;
-    use crossinvoc_runtime::ThreadId;
-    use crossinvoc_speccross::workload::AccessRecorder;
-    use std::sync::Mutex;
-
-    /// Conflict-free grid: task `t` of every epoch increments cell `t`.
-    struct IncGrid {
-        cells: Vec<Mutex<u64>>,
-        epochs: usize,
-    }
-
-    impl IncGrid {
-        fn new(tasks: usize, epochs: usize) -> Self {
-            Self {
-                cells: (0..tasks).map(|_| Mutex::new(0)).collect(),
-                epochs,
-            }
-        }
-    }
-
-    impl SpecWorkload for IncGrid {
-        type State = Vec<u64>;
-
-        fn num_epochs(&self) -> usize {
-            self.epochs
-        }
-
-        fn num_tasks(&self, _epoch: usize) -> usize {
-            self.cells.len()
-        }
-
-        fn execute_task(
-            &self,
-            _epoch: usize,
-            task: usize,
-            _tid: ThreadId,
-            recorder: &mut dyn AccessRecorder,
-        ) {
-            recorder.record(task, crossinvoc_runtime::signature::AccessKind::Write);
-            *self.cells[task].lock().unwrap() += 1;
-        }
-
-        fn snapshot(&self) -> Vec<u64> {
-            self.cells.iter().map(|c| *c.lock().unwrap()).collect()
-        }
-
-        fn restore(&self, state: &Vec<u64>) {
-            for (cell, v) in self.cells.iter().zip(state) {
-                *cell.lock().unwrap() = *v;
-            }
-        }
-    }
-
-    struct DomoreGrid {
-        cells: Vec<Mutex<u64>>,
-        invocations: usize,
-    }
-
-    impl DomoreWorkload for DomoreGrid {
-        fn num_invocations(&self) -> usize {
-            self.invocations
-        }
-
-        fn num_iterations(&self, _inv: usize) -> usize {
-            self.cells.len()
-        }
-
-        fn touched_addrs(&self, _inv: usize, iter: usize, out: &mut Vec<usize>) {
-            out.push(iter);
-        }
-
-        fn execute_iteration(&self, _inv: usize, iter: usize, _tid: ThreadId) {
-            *self.cells[iter].lock().unwrap() += 1;
-        }
-
-        fn address_space(&self) -> Option<usize> {
-            Some(self.cells.len())
-        }
-    }
+    use crossinvoc_workloads::synthetic::IncGrid;
 
     #[test]
     fn concurrent_spec_and_domore_regions_share_one_pool() {
         let server = RegionServer::new(6);
         let spec = Arc::new(IncGrid::new(2, 8));
-        let dom = Arc::new(DomoreGrid {
-            cells: (0..4).map(|_| Mutex::new(0)).collect(),
-            invocations: 5,
-        });
+        let dom = Arc::new(IncGrid::new(4, 5));
         let h1 = server.submit_spec::<RangeSignature, _>(
             1,
             SpecConfig::with_workers(2).checker_shards(1),
@@ -493,8 +413,8 @@ mod tests {
         let r2 = h2.join().expect("domore region");
         assert_eq!(r1.spec().unwrap().stats.misspeculations, 0);
         assert!(r2.domore().is_some());
-        assert!(spec.cells.iter().all(|c| *c.lock().unwrap() == 8));
-        assert!(dom.cells.iter().all(|c| *c.lock().unwrap() == 5));
+        assert_eq!(spec.cells(), spec.expected());
+        assert_eq!(dom.cells(), dom.expected());
     }
 
     #[test]
@@ -522,10 +442,7 @@ mod tests {
         let registry = ServerRegistry::new(6).with_recorder(FlightRecorder::new(256));
         let server = RegionServer::with_telemetry(6, registry);
         let spec = Arc::new(IncGrid::new(2, 8));
-        let dom = Arc::new(DomoreGrid {
-            cells: (0..4).map(|_| Mutex::new(0)).collect(),
-            invocations: 5,
-        });
+        let dom = Arc::new(IncGrid::new(4, 5));
         let h1 = server.submit_spec::<RangeSignature, _>(
             1,
             SpecConfig::with_workers(2).checker_shards(1),

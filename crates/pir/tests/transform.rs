@@ -6,6 +6,7 @@
 use crossinvoc_pir::interp::Memory;
 use crossinvoc_pir::ir::{CallEffect, Expr, Program, ProgramBuilder, StmtId};
 use crossinvoc_pir::transform::{DomorePlan, SpecCrossPlan, TransformError};
+use crossinvoc_runtime::FaultPlan;
 use crossinvoc_speccross::engine::SpecConfig;
 
 /// Builds the CG-style nest of Fig. 3.1: irregular inner bounds read from
@@ -249,7 +250,7 @@ fn speccross_plan_recovers_from_injected_misspeculation() {
             &mut mem,
             SpecConfig::with_workers(2)
                 .spec_distance(d)
-                .inject_conflict_at_epoch(Some(5)),
+                .fault_plan(FaultPlan::default().false_positive_at(5)),
         )
         .unwrap();
     assert_eq!(report.stats.misspeculations, 1);

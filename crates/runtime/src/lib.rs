@@ -42,6 +42,9 @@
 //! * [`fault`] — a deterministic fault-injection plan ([`fault::FaultPlan`])
 //!   both engines and the simulator consult at well-defined points, so
 //!   recovery and degradation paths can be exercised and replayed exactly.
+//! * [`json`] — the workspace's one JSON value tree, reader and writer:
+//!   gate reports and telemetry snapshots are built as [`json::Json`] trees,
+//!   so what the suite writes is well-formed by construction.
 //! * [`wait`] — adaptive spin-then-park waiting ([`wait::AdaptiveSpin`] +
 //!   [`wait::Parker`]): bounded spin, bounded yields, then timed parks, so
 //!   long waits stop burning a core while abort flags and watchdog deadlines
@@ -80,6 +83,7 @@ pub mod chrome;
 pub mod critpath;
 pub mod fault;
 pub mod hash;
+pub mod json;
 pub mod metrics;
 pub mod pool;
 pub mod shadow;

@@ -25,35 +25,117 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Thread-safe counters describing one parallel region's execution.
-#[derive(Debug, Default)]
-pub struct RegionStats {
-    tasks: AtomicU64,
-    epochs: AtomicU64,
-    check_requests: AtomicU64,
-    sync_conditions: AtomicU64,
-    misspeculations: AtomicU64,
-    checkpoints: AtomicU64,
-    stalls: AtomicU64,
-    checker_epoch_skips: AtomicU64,
-    schedule_cache_hits: AtomicU64,
-    elided_signatures: AtomicU64,
-    elided_admits: AtomicU64,
-    proven_accesses: AtomicU64,
+/// Static description of one [`RegionStats`] counter, generated from the
+/// `counters!` table: the wire name (the `StatsSummary` field and JSON
+/// key), the Prometheus family it is exposed as, and its help text.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CounterDef {
+    /// Field / JSON key name (`"tasks"`).
+    pub name: &'static str,
+    /// Prometheus family (`"crossinvoc_region_tasks_total"`).
+    pub family: &'static str,
+    /// One-line description (rustdoc and Prometheus `# HELP`).
+    pub help: &'static str,
 }
 
-macro_rules! counter {
-    ($(#[$doc:meta])* $inc:ident, $get:ident, $field:ident) => {
-        $(#[$doc])*
-        pub fn $inc(&self) {
-            self.$field.fetch_add(1, Ordering::Relaxed);
+/// The single declaration of the region counters. One line per counter —
+/// `field: unit|bulk adder, "help";` — generates the [`RegionStats`] atomic
+/// cell, its adder (`unit` adds one, `bulk` adds `n`) and getter, the
+/// [`StatsSummary`] field, [`RegionStats::summary`]/[`RegionStats::snapshot`],
+/// [`StatsSummary::fields`] and the [`COUNTERS`] metadata every exposition
+/// (telemetry JSON, Prometheus, `server-stats`) iterates. Adding a counter
+/// is adding a line here.
+macro_rules! counters {
+    ($($name:ident: $kind:ident $add:ident, $help:literal;)*) => {
+        /// Name, Prometheus family and help text of every counter, in
+        /// declaration order (the order [`StatsSummary::fields`] yields).
+        pub const COUNTERS: [CounterDef; [$(stringify!($name)),*].len()] = [$(CounterDef {
+            name: stringify!($name),
+            family: concat!("crossinvoc_region_", stringify!($name), "_total"),
+            help: $help,
+        }),*];
+
+        /// Thread-safe counters describing one parallel region's execution.
+        #[derive(Debug, Default)]
+        pub struct RegionStats {
+            $($name: AtomicU64,)*
         }
 
-        /// Current value of the corresponding counter.
-        pub fn $get(&self) -> u64 {
-            self.$field.load(Ordering::Relaxed)
+        impl RegionStats {
+            $(
+                counters!(@adder $kind $add $name $help);
+
+                #[doc = concat!("Current value (approximate mid-run). ", $help)]
+                pub fn $name(&self) -> u64 {
+                    self.$name.load(Ordering::Relaxed)
+                }
+            )*
+
+            /// Approximate mid-run view of all counters (Relaxed loads).
+            ///
+            /// Counters may be mutually inconsistent while writer threads
+            /// are still running; see the [module docs](self) for the
+            /// ordering contract. For final reporting, use
+            /// [`RegionStats::snapshot`] after join.
+            pub fn summary(&self) -> StatsSummary {
+                StatsSummary { $($name: self.$name.load(Ordering::Relaxed),)* }
+            }
+
+            /// Exact end-of-run snapshot.
+            ///
+            /// **Contract:** call only after every thread that increments
+            /// these counters has been joined (or otherwise quiesced through
+            /// a release-synchronizing operation). Under that contract the
+            /// returned values are exact and mutually consistent; the loads
+            /// use `Ordering::Acquire` to pair with non-join release edges.
+            /// See the [module docs](self).
+            pub fn snapshot(&self) -> StatsSummary {
+                StatsSummary { $($name: self.$name.load(Ordering::Acquire),)* }
+            }
+        }
+
+        /// Plain-value snapshot of [`RegionStats`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct StatsSummary {
+            $(#[doc = $help] pub $name: u64,)*
+        }
+
+        impl StatsSummary {
+            /// Every counter as `(name, value)`, in [`COUNTERS`] order.
+            pub fn fields(&self) -> [(&'static str, u64); COUNTERS.len()] {
+                [$((stringify!($name), self.$name)),*]
+            }
         }
     };
+    (@adder unit $add:ident $name:ident $help:literal) => {
+        #[doc = concat!("Adds one. ", $help)]
+        pub fn $add(&self) {
+            self.$name.fetch_add(1, Ordering::Relaxed);
+        }
+    };
+    // Bulk adders exist where the writer accumulates locally and folds in
+    // at a drain point (checker epoch skips) or once per task (accesses).
+    (@adder bulk $add:ident $name:ident $help:literal) => {
+        #[doc = concat!("Adds `n`. ", $help)]
+        pub fn $add(&self, n: u64) {
+            self.$name.fetch_add(n, Ordering::Relaxed);
+        }
+    };
+}
+
+counters! {
+    tasks: unit add_task, "Tasks (inner-loop iterations) executed.";
+    epochs: unit add_epoch, "Epochs (loop invocations) entered.";
+    check_requests: unit add_check_request, "Signature-checking requests sent to the checker.";
+    sync_conditions: unit add_sync_condition, "Synchronization conditions produced by the DOMORE scheduler.";
+    misspeculations: unit add_misspeculation, "Misspeculations detected (rollbacks).";
+    checkpoints: unit add_checkpoint, "Checkpoints taken.";
+    stalls: unit add_stall, "Worker stalls on a synchronization condition or gate.";
+    checker_epoch_skips: bulk add_checker_epoch_skips, "Whole-epoch checker log skips taken by the aggregate-signature fast path (SPECCROSS).";
+    schedule_cache_hits: unit add_schedule_cache_hit, "Invocations whose DOMORE schedule was replayed from the cross-invocation memo.";
+    elided_signatures: unit add_elided_signature, "Tasks whose signature generation was skipped under a static conflict-freedom proof (SPECCROSS elision).";
+    elided_admits: unit add_elided_admit, "Checker admissions skipped for statically-proven tasks (SPECCROSS elision).";
+    proven_accesses: bulk add_proven_accesses, "Speculative accesses executed under a static conflict-freedom proof (SPECCROSS elision).";
 }
 
 impl RegionStats {
@@ -61,157 +143,6 @@ impl RegionStats {
     pub fn new() -> Self {
         Self::default()
     }
-
-    counter!(
-        /// Records completion of one task (inner-loop iteration).
-        add_task, tasks, tasks
-    );
-    counter!(
-        /// Records entry into one epoch (loop invocation).
-        add_epoch, epochs, epochs
-    );
-    counter!(
-        /// Records one signature-checking request sent to the checker.
-        add_check_request, check_requests, check_requests
-    );
-    counter!(
-        /// Records one synchronization condition produced by the scheduler.
-        add_sync_condition, sync_conditions, sync_conditions
-    );
-    counter!(
-        /// Records one detected misspeculation (rollback).
-        add_misspeculation, misspeculations, misspeculations
-    );
-    counter!(
-        /// Records one checkpoint taken.
-        add_checkpoint, checkpoints, checkpoints
-    );
-    counter!(
-        /// Records one worker stall on a synchronization condition or gate.
-        add_stall, stalls, stalls
-    );
-    counter!(
-        /// Records one invocation whose schedule was replayed from the
-        /// cross-invocation memo instead of recomputed (DOMORE fast path).
-        add_schedule_cache_hit, schedule_cache_hits, schedule_cache_hits
-    );
-
-    counter!(
-        /// Records one task whose signature generation was skipped because
-        /// static analysis proved its footprint conflict-free (SPECCROSS
-        /// elision).
-        add_elided_signature, elided_signatures, elided_signatures
-    );
-    counter!(
-        /// Records one checker admission skipped for a statically-proven
-        /// task (SPECCROSS elision).
-        add_elided_admit, elided_admits, elided_admits
-    );
-
-    /// Records `n` speculative accesses executed under a static
-    /// conflict-freedom proof (SPECCROSS elision). Bulk because workers
-    /// count per task and fold in once.
-    pub fn add_proven_accesses(&self, n: u64) {
-        self.proven_accesses.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value of the proven-access counter.
-    pub fn proven_accesses(&self) -> u64 {
-        self.proven_accesses.load(Ordering::Relaxed)
-    }
-
-    /// Records `n` whole-epoch log skips taken by the checker's
-    /// aggregate-signature fast path (SPECCROSS). Bulk because the checker
-    /// accumulates skips locally and folds them in at drain points.
-    pub fn add_checker_epoch_skips(&self, n: u64) {
-        self.checker_epoch_skips.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value of the checker epoch-skip counter.
-    pub fn checker_epoch_skips(&self) -> u64 {
-        self.checker_epoch_skips.load(Ordering::Relaxed)
-    }
-
-    /// Approximate mid-run view of all counters (Relaxed loads).
-    ///
-    /// Counters may be mutually inconsistent while writer threads are still
-    /// running; see the [module docs](self) for the ordering contract. For
-    /// final reporting, use [`RegionStats::snapshot`] after join.
-    pub fn summary(&self) -> StatsSummary {
-        StatsSummary {
-            tasks: self.tasks(),
-            epochs: self.epochs(),
-            check_requests: self.check_requests(),
-            sync_conditions: self.sync_conditions(),
-            misspeculations: self.misspeculations(),
-            checkpoints: self.checkpoints(),
-            stalls: self.stalls(),
-            checker_epoch_skips: self.checker_epoch_skips(),
-            schedule_cache_hits: self.schedule_cache_hits(),
-            elided_signatures: self.elided_signatures(),
-            elided_admits: self.elided_admits(),
-            proven_accesses: self.proven_accesses(),
-        }
-    }
-
-    /// Exact end-of-run snapshot.
-    ///
-    /// **Contract:** call only after every thread that increments these
-    /// counters has been joined (or otherwise quiesced through a
-    /// release-synchronizing operation). Under that contract the returned
-    /// values are exact and mutually consistent; the loads use
-    /// `Ordering::Acquire` to pair with non-join release edges. See the
-    /// [module docs](self).
-    pub fn snapshot(&self) -> StatsSummary {
-        StatsSummary {
-            tasks: self.tasks.load(Ordering::Acquire),
-            epochs: self.epochs.load(Ordering::Acquire),
-            check_requests: self.check_requests.load(Ordering::Acquire),
-            sync_conditions: self.sync_conditions.load(Ordering::Acquire),
-            misspeculations: self.misspeculations.load(Ordering::Acquire),
-            checkpoints: self.checkpoints.load(Ordering::Acquire),
-            stalls: self.stalls.load(Ordering::Acquire),
-            checker_epoch_skips: self.checker_epoch_skips.load(Ordering::Acquire),
-            schedule_cache_hits: self.schedule_cache_hits.load(Ordering::Acquire),
-            elided_signatures: self.elided_signatures.load(Ordering::Acquire),
-            elided_admits: self.elided_admits.load(Ordering::Acquire),
-            proven_accesses: self.proven_accesses.load(Ordering::Acquire),
-        }
-    }
-}
-
-/// Plain-value snapshot of [`RegionStats`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StatsSummary {
-    /// Tasks (inner-loop iterations) executed.
-    pub tasks: u64,
-    /// Epochs (loop invocations) entered.
-    pub epochs: u64,
-    /// Checking requests sent to the checker thread.
-    pub check_requests: u64,
-    /// Synchronization conditions produced by the DOMORE scheduler.
-    pub sync_conditions: u64,
-    /// Misspeculations detected.
-    pub misspeculations: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Worker stalls.
-    pub stalls: u64,
-    /// Whole-epoch checker log skips taken by the aggregate-signature fast
-    /// path (SPECCROSS).
-    pub checker_epoch_skips: u64,
-    /// Invocations whose DOMORE schedule was replayed from the
-    /// cross-invocation memo instead of recomputed.
-    pub schedule_cache_hits: u64,
-    /// Tasks whose signature generation was skipped under a static
-    /// conflict-freedom proof (SPECCROSS elision).
-    pub elided_signatures: u64,
-    /// Checker admissions skipped for statically-proven tasks (SPECCROSS
-    /// elision).
-    pub elided_admits: u64,
-    /// Speculative accesses executed under a static conflict-freedom proof
-    /// (SPECCROSS elision).
-    pub proven_accesses: u64,
 }
 
 #[cfg(test)]
@@ -247,6 +178,21 @@ mod tests {
         assert_eq!(sum.elided_signatures, 1);
         assert_eq!(sum.elided_admits, 1);
         assert_eq!(sum.proven_accesses, 5);
+    }
+
+    #[test]
+    fn fields_follow_the_counter_table() {
+        let s = RegionStats::new();
+        s.add_task();
+        s.add_proven_accesses(5);
+        let fields = s.summary().fields();
+        assert_eq!(fields.len(), COUNTERS.len());
+        for ((name, _), def) in fields.iter().zip(&COUNTERS) {
+            assert_eq!(*name, def.name);
+            assert_eq!(def.family, format!("crossinvoc_region_{name}_total"));
+        }
+        assert_eq!(fields[0], ("tasks", 1));
+        assert_eq!(fields[COUNTERS.len() - 1], ("proven_accesses", 5));
     }
 
     #[test]

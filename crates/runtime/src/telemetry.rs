@@ -69,6 +69,8 @@ use std::time::{Duration, Instant};
 use crossbeam::utils::CachePadded;
 use parking_lot::Mutex;
 
+use crate::json::Json;
+use crate::json_obj;
 use crate::metrics::Histogram;
 use crate::metrics::{HistogramSummary, Metrics, MetricsSummary};
 use crate::trace::Trace;
@@ -675,244 +677,203 @@ pub struct RegistrySnapshot {
     pub flight_dumps: u64,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+fn hist_json(h: &HistogramSummary) -> Json {
+    json_obj! {
+        "count": h.count,
+        "sum_ns": h.sum_ns,
+        "mean_ns": Json::fixed(h.mean_ns(), 3),
+        "p50_ns": h.quantile_upper_bound(0.50),
+        "p95_ns": h.quantile_upper_bound(0.95),
+        "p99_ns": h.quantile_upper_bound(0.99),
+        "max_ns": h.max_ns,
     }
-    out
 }
 
-fn hist_json(h: &HistogramSummary) -> String {
-    format!(
-        "{{\"count\":{},\"sum_ns\":{},\"mean_ns\":{:.3},\"p50_ns\":{},\"p95_ns\":{},\"p99_ns\":{},\"max_ns\":{}}}",
-        h.count,
-        h.sum_ns,
-        h.mean_ns(),
-        h.quantile_upper_bound(0.50),
-        h.quantile_upper_bound(0.95),
-        h.quantile_upper_bound(0.99),
-        h.max_ns,
-    )
+impl RegionSnapshot {
+    /// One wire row: identity and lifecycle, then every
+    /// [`crate::stats::COUNTERS`] entry under its own name, then the two
+    /// wait histograms.
+    fn to_json(&self) -> Json {
+        let counters = self.metrics.stats.fields();
+        json_obj! {
+            "region_id": self.region_id,
+            "kind": self.kind.as_str(),
+            "gang": self.gang,
+            "state": self.state.as_str(),
+            "queue_wait_ns": self.queue_wait_ns,
+            "degrade_events": self.degrade_events,
+            "faults": self.faults,
+            "latency_ns": self.latency_ns,
+            "misspec_rate": Json::fixed(self.misspec_rate(), 6),
+        }
+        .merged(Json::Obj(
+            counters
+                .map(|(name, v)| (name.to_string(), v.into()))
+                .into(),
+        ))
+        .merged(json_obj! {
+            "barrier_wait": hist_json(&self.metrics.barrier_wait),
+            "stall_wait": hist_json(&self.metrics.stall_wait),
+        })
+    }
 }
 
 impl RegistrySnapshot {
     /// Serializes as one line of JSON, schema `crossinvoc-telemetry-1`
-    /// (parseable by `crossinvoc_bench::json`; the `server-stats` binary
-    /// and the bench validators consume this).
+    /// (the `server-stats` binary and the bench gates consume this). Built
+    /// as a [`Json`] tree; region rows carry every counter of
+    /// [`crate::stats::COUNTERS`].
     pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(512 + self.regions.len() * 512);
-        out.push_str(&format!(
-            "{{\"schema\":\"crossinvoc-telemetry-1\",\"t_ns\":{},\"flight_dumps\":{},",
-            self.t_ns, self.flight_dumps
-        ));
-        out.push_str(&format!(
-            "\"pool\":{{\"slots\":{},\"slots_busy\":{},\"in_flight\":{},\"admissions\":{},\"busy_ns\":{},\"utilization\":{:.6},\"queue_wait\":{},\"region_latency\":{}}},",
-            self.pool.slots,
-            self.pool.slots_busy,
-            self.pool.in_flight,
-            self.pool.admissions,
-            self.pool.busy_ns,
-            self.pool.utilization,
-            hist_json(&self.pool.queue_wait),
-            hist_json(&self.pool.region_latency),
-        ));
-        out.push_str("\"regions\":[");
-        for (i, r) in self.regions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let s = &r.metrics.stats;
-            out.push_str(&format!(
-                "{{\"region_id\":{},\"kind\":\"{}\",\"gang\":{},\"state\":\"{}\",\"queue_wait_ns\":{},\"degrade_events\":{},\"faults\":{},\"latency_ns\":{},\"misspec_rate\":{:.6},\"tasks\":{},\"epochs\":{},\"check_requests\":{},\"elided_admits\":{},\"sync_conditions\":{},\"misspeculations\":{},\"checkpoints\":{},\"stalls\":{},\"checker_epoch_skips\":{},\"schedule_cache_hits\":{},\"barrier_wait\":{},\"stall_wait\":{}}}",
-                r.region_id,
-                json_escape(&r.kind),
-                r.gang,
-                r.state.as_str(),
-                r.queue_wait_ns,
-                r.degrade_events,
-                r.faults,
-                r.latency_ns,
-                r.misspec_rate(),
-                s.tasks,
-                s.epochs,
-                s.check_requests,
-                s.elided_admits,
-                s.sync_conditions,
-                s.misspeculations,
-                s.checkpoints,
-                s.stalls,
-                s.checker_epoch_skips,
-                s.schedule_cache_hits,
-                hist_json(&r.metrics.barrier_wait),
-                hist_json(&r.metrics.stall_wait),
-            ));
+        json_obj! {
+            "schema": "crossinvoc-telemetry-1",
+            "t_ns": self.t_ns,
+            "flight_dumps": self.flight_dumps,
+            "pool": json_obj! {
+                "slots": self.pool.slots,
+                "slots_busy": self.pool.slots_busy,
+                "in_flight": self.pool.in_flight,
+                "admissions": self.pool.admissions,
+                "busy_ns": self.pool.busy_ns,
+                "utilization": Json::fixed(self.pool.utilization, 6),
+                "queue_wait": hist_json(&self.pool.queue_wait),
+                "region_latency": hist_json(&self.pool.region_latency),
+            },
+            "regions": self.regions.iter().map(RegionSnapshot::to_json).collect::<Vec<_>>(),
         }
-        out.push_str("]}");
-        out
+        .render()
     }
 
-    /// Serializes in Prometheus text exposition format 0.0.4.
+    /// Serializes in Prometheus text exposition format 0.0.4. Per-region
+    /// families: the lifecycle gauges below plus one `…_total` counter per
+    /// [`crate::stats::COUNTERS`] entry.
     pub fn to_prometheus(&self) -> String {
-        let mut out = String::with_capacity(1024 + self.regions.len() * 1024);
-        let gauge = |out: &mut String, name: &str, help: &str, v: &dyn fmt::Display| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} gauge\n{name} {v}\n"
-            ));
+        use std::fmt::Write as _;
+        let mut out = String::with_capacity(1024 + self.regions.len() * 2048);
+        let mut scalar = |kind: &str, name: &str, help: &str, v: &dyn fmt::Display| {
+            let _ = writeln!(
+                out,
+                "# HELP {name} {help}\n# TYPE {name} {kind}\n{name} {v}"
+            );
         };
-        let counter = |out: &mut String, name: &str, help: &str, v: u64| {
-            out.push_str(&format!(
-                "# HELP {name} {help}\n# TYPE {name} counter\n{name} {v}\n"
-            ));
-        };
-        let summary = |out: &mut String, name: &str, help: &str, h: &HistogramSummary| {
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} summary\n"));
-            for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
-                out.push_str(&format!(
-                    "{name}{{quantile=\"{label}\"}} {}\n",
-                    h.quantile_upper_bound(q)
-                ));
-            }
-            out.push_str(&format!(
-                "{name}_sum {}\n{name}_count {}\n",
-                h.sum_ns, h.count
-            ));
-        };
-        gauge(
-            &mut out,
+        let pool = &self.pool;
+        scalar(
+            "gauge",
             "crossinvoc_pool_slots",
             "Total worker slots in the pool.",
-            &self.pool.slots,
+            &pool.slots,
         );
-        gauge(
-            &mut out,
+        scalar(
+            "gauge",
             "crossinvoc_pool_slots_busy",
             "Slots currently admitted to gangs.",
-            &self.pool.slots_busy,
+            &pool.slots_busy,
         );
-        gauge(
-            &mut out,
+        scalar(
+            "gauge",
             "crossinvoc_pool_in_flight",
             "Regions currently running.",
-            &self.pool.in_flight,
+            &pool.in_flight,
         );
-        counter(
-            &mut out,
+        scalar(
+            "counter",
             "crossinvoc_pool_admissions_total",
             "Gangs admitted since start.",
-            self.pool.admissions,
+            &pool.admissions,
         );
-        counter(
-            &mut out,
+        scalar(
+            "counter",
             "crossinvoc_pool_busy_ns_total",
             "Nanoseconds pool threads spent running region work.",
-            self.pool.busy_ns,
+            &pool.busy_ns,
         );
-        gauge(
-            &mut out,
+        scalar(
+            "gauge",
             "crossinvoc_pool_utilization",
             "busy_ns / (slots x uptime), 0..1.",
-            &format_args!("{:.6}", self.pool.utilization),
+            &format_args!("{:.6}", pool.utilization),
         );
-        summary(
-            &mut out,
-            "crossinvoc_pool_queue_wait_ns",
-            "Gang-admission queue wait (ns).",
-            &self.pool.queue_wait,
-        );
-        summary(
-            &mut out,
-            "crossinvoc_region_latency_ns",
-            "End-to-end region latency (ns).",
-            &self.pool.region_latency,
-        );
-        counter(
-            &mut out,
+        scalar(
+            "counter",
             "crossinvoc_flight_dumps_total",
             "Flight-recorder dumps taken.",
-            self.flight_dumps,
+            &self.flight_dumps,
         );
-        type Family = (&'static str, &'static str, fn(&RegionSnapshot) -> u64);
-        let families: [Family; 10] = [
+        for (name, help, h) in [
             (
-                "crossinvoc_region_state",
-                "Region state code: 0 queued, 1 running, 2 done, 3 faulted.",
-                |r| r.state as u64,
-            ),
-            ("crossinvoc_region_tasks_total", "Tasks executed.", |r| {
-                r.metrics.stats.tasks
-            }),
-            ("crossinvoc_region_epochs_total", "Epochs entered.", |r| {
-                r.metrics.stats.epochs
-            }),
-            (
-                "crossinvoc_region_misspeculations_total",
-                "Misspeculations detected.",
-                |r| r.metrics.stats.misspeculations,
+                "crossinvoc_pool_queue_wait_ns",
+                "Gang-admission queue wait (ns).",
+                &pool.queue_wait,
             ),
             (
-                "crossinvoc_region_elided_admits_total",
-                "Checker admissions skipped by static elision.",
-                |r| r.metrics.stats.elided_admits,
+                "crossinvoc_region_latency_ns",
+                "End-to-end region latency (ns).",
+                &pool.region_latency,
             ),
-            ("crossinvoc_region_stalls_total", "Worker stalls.", |r| {
-                r.metrics.stats.stalls
-            }),
-            (
-                "crossinvoc_region_checkpoints_total",
-                "Checkpoints taken.",
-                |r| r.metrics.stats.checkpoints,
-            ),
-            (
-                "crossinvoc_region_degrade_events_total",
-                "Degradations to sequential re-execution.",
-                |r| r.degrade_events,
-            ),
-            (
-                "crossinvoc_region_faults_total",
-                "Faults (contained + hard).",
-                |r| r.faults,
-            ),
-            (
-                "crossinvoc_region_queue_wait_ns_total",
-                "Admission queue wait attributed to the region (ns).",
-                |r| r.queue_wait_ns,
-            ),
-        ];
-        for (name, help, get) in families {
-            if self.regions.is_empty() {
-                continue;
+        ] {
+            let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} summary");
+            for (q, label) in [(0.5, "0.5"), (0.95, "0.95"), (0.99, "0.99")] {
+                let _ = writeln!(
+                    out,
+                    "{name}{{quantile=\"{label}\"}} {}",
+                    h.quantile_upper_bound(q)
+                );
             }
-            let kind = if name.ends_with("_total") {
-                "counter"
-            } else {
-                "gauge"
-            };
-            out.push_str(&format!("# HELP {name} {help}\n# TYPE {name} {kind}\n"));
-            for r in &self.regions {
-                out.push_str(&format!(
-                    "{name}{{region=\"{}\",kind=\"{}\"}} {}\n",
-                    r.region_id,
-                    r.kind,
-                    get(r)
-                ));
-            }
+            let _ = writeln!(out, "{name}_sum {}\n{name}_count {}", h.sum_ns, h.count);
         }
-        if !self.regions.is_empty() {
-            out.push_str("# HELP crossinvoc_region_latency_seconds Region latency so far (s).\n# TYPE crossinvoc_region_latency_seconds gauge\n");
-            for r in &self.regions {
-                out.push_str(&format!(
-                    "crossinvoc_region_latency_seconds{{region=\"{}\",kind=\"{}\"}} {:.6}\n",
-                    r.region_id,
-                    r.kind,
-                    r.latency_ns as f64 / 1e9
-                ));
-            }
+        if self.regions.is_empty() {
+            return out;
+        }
+        let mut family =
+            |kind: &str, name: &str, help: &str, get: &dyn Fn(&RegionSnapshot) -> u64| {
+                let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {kind}");
+                for r in &self.regions {
+                    let _ = writeln!(
+                        out,
+                        "{name}{{region=\"{}\",kind=\"{}\"}} {}",
+                        r.region_id,
+                        r.kind,
+                        get(r)
+                    );
+                }
+            };
+        family(
+            "gauge",
+            "crossinvoc_region_state",
+            "Region state code: 0 queued, 1 running, 2 done, 3 faulted.",
+            &|r| r.state as u64,
+        );
+        for (i, def) in crate::stats::COUNTERS.iter().enumerate() {
+            family("counter", def.family, def.help, &|r| {
+                r.metrics.stats.fields()[i].1
+            });
+        }
+        family(
+            "counter",
+            "crossinvoc_region_degrade_events_total",
+            "Degradations to sequential re-execution.",
+            &|r| r.degrade_events,
+        );
+        family(
+            "counter",
+            "crossinvoc_region_faults_total",
+            "Faults (contained + hard).",
+            &|r| r.faults,
+        );
+        family(
+            "counter",
+            "crossinvoc_region_queue_wait_ns_total",
+            "Admission queue wait attributed to the region (ns).",
+            &|r| r.queue_wait_ns,
+        );
+        out.push_str("# HELP crossinvoc_region_latency_seconds Region latency so far (s).\n# TYPE crossinvoc_region_latency_seconds gauge\n");
+        for r in &self.regions {
+            let _ = writeln!(
+                out,
+                "crossinvoc_region_latency_seconds{{region=\"{}\",kind=\"{}\"}} {:.6}",
+                r.region_id,
+                r.kind,
+                r.latency_ns as f64 / 1e9
+            );
         }
         out
     }
@@ -1102,11 +1063,39 @@ mod tests {
         assert!(line.contains("\"state\":\"done\""));
         assert!(line.contains("\"tasks\":1"));
         assert!(!line.contains('\n'));
-        // Balanced braces/brackets — a cheap structural sanity check (the
-        // bench crate's real JSON parser covers the rest).
-        let opens = line.matches(['{', '[']).count();
-        let closes = line.matches(['}', ']']).count();
-        assert_eq!(opens, closes);
+        let parsed = crate::json::parse(&line).expect("the wire line parses");
+        assert_eq!(
+            parsed.at("pool.slots").and_then(Json::as_f64),
+            Some(2.0),
+            "{line}"
+        );
+    }
+
+    /// Every counter of the `counters!` table reaches both expositions
+    /// under its own name — a new counter cannot be forgotten in one.
+    #[test]
+    fn every_counter_appears_in_json_and_prometheus() {
+        let reg = Arc::new(ServerRegistry::new(2));
+        let cell = reg.register(1, "speccross", 2);
+        cell.mark_running();
+        cell.complete(0, false, None);
+        let snap = reg.snapshot();
+        let wire = crate::json::parse(&snap.to_json()).unwrap();
+        let row = &wire.get("regions").and_then(Json::as_arr).unwrap()[0];
+        let prom = snap.to_prometheus();
+        for (def, (name, value)) in crate::stats::COUNTERS
+            .iter()
+            .zip(snap.regions[0].metrics.stats.fields())
+        {
+            assert_eq!(
+                row.get(name).and_then(Json::as_f64),
+                Some(value as f64),
+                "JSON row lacks {name}"
+            );
+            let sample = format!("{}{{region=\"1\",kind=\"speccross\"}} {value}", def.family);
+            assert!(prom.contains(&sample), "Prometheus lacks {sample}");
+            assert!(prom.contains(&format!("# HELP {} {}", def.family, def.help)));
+        }
     }
 
     #[test]

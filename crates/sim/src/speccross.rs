@@ -1149,73 +1149,6 @@ mod tests {
         assert!(r.stats.stalls > 0, "the gate must have engaged");
     }
 
-    /// Epoch e's task t writes cell `e*tasks + t`: epochs touch disjoint
-    /// address clusters, so cross-epoch overlaps never conflict and every
-    /// bucket aggregate is disjoint from every probe — the epoch-summary
-    /// fast path's best case.
-    struct Clustered {
-        epochs: usize,
-        tasks: usize,
-    }
-    impl SimWorkload for Clustered {
-        fn num_invocations(&self) -> usize {
-            self.epochs
-        }
-        fn num_iterations(&self, _inv: usize) -> usize {
-            self.tasks
-        }
-        fn iteration_cost(&self, _inv: usize, iter: usize) -> u64 {
-            500 + (iter as u64 % 5) * 1_000
-        }
-        fn accesses(&self, inv: usize, iter: usize, out: &mut Vec<(usize, AccessKind)>) {
-            out.push((inv * self.tasks + iter, AccessKind::Write));
-        }
-        fn invocation_is_proven(&self, _inv: usize) -> bool {
-            true // disjoint per-epoch clusters: provably conflict-free
-        }
-        fn address_space(&self) -> Option<usize> {
-            Some(self.epochs * self.tasks)
-        }
-    }
-
-    #[test]
-    fn epoch_summaries_skip_disjoint_buckets_without_changing_verdicts() {
-        let w = Clustered {
-            epochs: 60,
-            tasks: 32,
-        };
-        let on = speccross(
-            &w,
-            &SpecSimParams::with_threads(32).trace(1 << 17),
-            &CostModel::default(),
-        );
-        let off = speccross(
-            &w,
-            &SpecSimParams::with_threads(32)
-                .trace(1 << 17)
-                .epoch_summaries(false),
-            &CostModel::default(),
-        );
-        assert_eq!(on.stats.misspeculations, 0);
-        assert_eq!(off.stats.misspeculations, 0);
-        assert_eq!(on.stats.tasks, off.stats.tasks);
-        assert!(on.stats.checker_epoch_skips > 0, "buckets must be skipped");
-        assert_eq!(off.stats.checker_epoch_skips, 0);
-        let comparisons = |r: &crate::result::SimResult| {
-            crossinvoc_runtime::trace::TraceReport::from_trace(r.trace.as_ref().unwrap())
-                .checker_comparisons
-        };
-        let (c_on, c_off) = (comparisons(&on), comparisons(&off));
-        assert!(
-            c_on * 5 <= c_off,
-            "aggregate tests must replace per-entry scans: {c_on} vs {c_off}"
-        );
-        assert!(
-            on.total_ns <= off.total_ns,
-            "a faster checker can only help"
-        );
-    }
-
     #[test]
     fn epoch_summaries_preserve_misspeculation_verdicts() {
         // A genuinely conflicting workload: the fast path must not change
@@ -1446,34 +1379,6 @@ mod tests {
     }
 
     #[test]
-    fn sharding_preserves_verdicts_on_clustered_epochs() {
-        // Disjoint per-epoch address clusters: no conflicts at any shard
-        // count, and splitting the admission work can only shorten the
-        // checker's critical path.
-        let w = Clustered {
-            epochs: 60,
-            tasks: 32,
-        };
-        let one = speccross(&w, &SpecSimParams::with_threads(32), &CostModel::default());
-        for shards in [2, 4, 8] {
-            let n = speccross(
-                &w,
-                &SpecSimParams::with_threads(32).checker_shards(shards),
-                &CostModel::default(),
-            );
-            assert_eq!(n.stats.misspeculations, 0);
-            assert_eq!(n.stats.tasks, one.stats.tasks);
-            assert_eq!(n.stats.check_requests, one.stats.check_requests);
-            assert!(
-                n.total_ns <= one.total_ns,
-                "sharding the checker can only help here: {} vs {}",
-                n.total_ns,
-                one.total_ns
-            );
-        }
-    }
-
-    #[test]
     fn sharded_conflicting_workload_still_misspeculates() {
         // Range-signature conflicts share an address, so the shard owning
         // it sees both sides: sharding must never lose a real conflict.
@@ -1526,38 +1431,6 @@ mod tests {
     #[should_panic(expected = "checker_shards")]
     fn zero_shards_panics() {
         let _ = SpecSimParams::with_threads(2).checker_shards(0);
-    }
-
-    #[test]
-    fn elision_skips_proven_invocations_without_changing_verdicts() {
-        let w = Clustered {
-            epochs: 60,
-            tasks: 32,
-        };
-        let off = speccross(
-            &w,
-            &SpecSimParams::with_threads(32).trace(1 << 17),
-            &CostModel::default(),
-        );
-        let on = speccross(
-            &w,
-            &SpecSimParams::with_threads(32).trace(1 << 17).elide(true),
-            &CostModel::default(),
-        );
-        assert_eq!(on.stats.misspeculations, off.stats.misspeculations);
-        assert_eq!(on.stats.tasks, off.stats.tasks);
-        assert_eq!(on.stats.check_requests, 0, "fully-proven region");
-        assert!(on.stats.elided_signatures > 0);
-        assert_eq!(on.stats.elided_admits, on.stats.elided_signatures);
-        assert!(on.stats.proven_accesses >= on.stats.elided_signatures);
-        assert_eq!(off.stats.elided_signatures, 0, "off by default");
-        assert!(
-            on.total_ns <= off.total_ns,
-            "a checker with no work can only help"
-        );
-        let report = crossinvoc_runtime::trace::TraceReport::from_trace(on.trace.as_ref().unwrap());
-        assert_eq!(report.elided_tasks, on.stats.elided_signatures);
-        assert_eq!(report.elided_accesses, on.stats.proven_accesses);
     }
 
     #[test]

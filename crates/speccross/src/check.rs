@@ -19,7 +19,11 @@
 //! requests arrive late).
 //!
 //! The structure is pure — no threads, no channels — so the threaded checker
-//! (`engine`), the profiler and the discrete-event simulator all share it.
+//! (`engine`), the sharded checker (`shard`) and the tests all drive the same
+//! code. The discrete-event simulator does *not*: `crossinvoc_sim::speccross`
+//! keeps its own mirror of this window (bucketed per epoch, where this one
+//! is bucketed per worker and epoch), held equal by proptests and the
+//! `sim-*` fuzz lanes.
 
 use std::collections::VecDeque;
 
@@ -284,12 +288,6 @@ impl<S: AccessSignature> CheckerState<S> {
             }
         }
     }
-
-    /// Alias for [`CheckerState::retire_before`], kept for the pre-bucketed
-    /// name.
-    pub fn prune_before_epoch(&mut self, epoch: u32) {
-        self.retire_before(epoch);
-    }
 }
 
 #[cfg(test)]
@@ -397,7 +395,7 @@ mod tests {
         c.admit(req(0, 1, 0, &[(1, 0), (0, 0)], &[5]));
         c.admit(req(0, 2, 0, &[(2, 0), (0, 0)], &[6]));
         assert_eq!(c.logged(), 2);
-        c.prune_before_epoch(2);
+        c.retire_before(2);
         assert_eq!(c.logged(), 1);
     }
 

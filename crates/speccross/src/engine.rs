@@ -117,10 +117,6 @@ pub struct SpecConfig {
     /// Speculative range in tasks, normally the profiled minimum dependence
     /// distance ([`ProfileReport::min_distance`]). `None` disables gating.
     pub spec_distance: Option<u64>,
-    /// Test/experiment hook: force a misspeculation the first time any task
-    /// of this epoch is admitted by the checker (used by the Fig. 5.3
-    /// recovery-cost experiment; the thesis triggers it "randomly").
-    pub inject_conflict_at_epoch: Option<u32>,
     /// Deterministic fault schedule exercised by the region (testing).
     pub fault_plan: Option<FaultPlan>,
     /// When set, switch to non-speculative execution once speculation
@@ -179,7 +175,6 @@ impl SpecConfig {
             num_workers,
             checkpoint_every: 1000,
             spec_distance: None,
-            inject_conflict_at_epoch: None,
             fault_plan: None,
             degrade: None,
             watchdog: None,
@@ -202,12 +197,6 @@ impl SpecConfig {
     /// Sets the speculative range (minimum dependence distance) in tasks.
     pub fn spec_distance(mut self, distance: Option<u64>) -> Self {
         self.spec_distance = distance;
-        self
-    }
-
-    /// Forces a conflict at the given epoch (testing / recovery studies).
-    pub fn inject_conflict_at_epoch(mut self, epoch: Option<u32>) -> Self {
-        self.inject_conflict_at_epoch = epoch;
         self
     }
 
@@ -1798,12 +1787,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                         Some(CheckFault::ForceConflict) => forced = true,
                         None => {}
                     }
-                    let injected = forced
-                        || self
-                            .config
-                            .inject_conflict_at_epoch
-                            .is_some_and(|e| req.pos.epoch == e);
-                    let conflict = if injected {
+                    let conflict = if forced {
                         Some(Conflict {
                             earlier: (req.tid, req.pos),
                             later: (req.tid, req.pos),

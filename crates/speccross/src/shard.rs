@@ -165,8 +165,9 @@ impl ShardSet {
 ///
 /// This is the *pure* sharded checker: no threads, no rings. The threaded
 /// engine gives each shard its own thread and SPSC rings and only shares
-/// the routing logic ([`ShardMap`]); this struct is what the unit tests,
-/// the proptests and the simulator reason about.
+/// the routing logic ([`ShardMap`]); this struct is what the unit tests
+/// and the proptests reason about. (The simulator imports only [`ShardMap`]
+/// and runs its own per-shard mirror of the admission scan.)
 #[derive(Debug)]
 pub struct ShardedChecker<S> {
     map: ShardMap,

@@ -3,7 +3,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crossinvoc_runtime::SharedSlice;
+use crossinvoc_runtime::{FaultPlan, SharedSlice};
 use crossinvoc_speccross::prelude::*;
 use crossinvoc_speccross::{SpecError, SpecWorkload};
 
@@ -167,7 +167,7 @@ fn injected_conflict_triggers_exactly_one_recovery() {
     let report = SpecCrossEngine::<crossinvoc_runtime::RangeSignature>::new(
         SpecConfig::with_workers(2)
             .spec_distance(d)
-            .inject_conflict_at_epoch(Some(4)),
+            .fault_plan(FaultPlan::default().false_positive_at(4)),
     )
     .execute(&w)
     .unwrap();
@@ -186,7 +186,7 @@ fn frequent_checkpoints_bound_reexecution() {
         SpecConfig::with_workers(2)
             .checkpoint_every(2)
             .spec_distance(d)
-            .inject_conflict_at_epoch(Some(10)),
+            .fault_plan(FaultPlan::default().false_positive_at(10)),
     )
     .execute(&w)
     .unwrap();
@@ -249,7 +249,7 @@ fn irreversible_epoch_is_never_reexecuted() {
     let report = SpecCrossEngine::<crossinvoc_runtime::RangeSignature>::new(
         SpecConfig::with_workers(2)
             .spec_distance(d)
-            .inject_conflict_at_epoch(Some(7)),
+            .fault_plan(FaultPlan::default().false_positive_at(7)),
     )
     .execute(&w)
     .unwrap();
@@ -377,12 +377,12 @@ fn sharded_injected_conflict_recovers_once() {
         SpecConfig::with_workers(2)
             .spec_distance(d)
             .checker_shards(4)
-            .inject_conflict_at_epoch(Some(4)),
+            .fault_plan(FaultPlan::default().false_positive_at(4)),
     )
     .execute(&w)
     .unwrap();
-    // The injected conflict may be seen by several shard threads of the same
-    // pass; first-wins must still report exactly one misspeculation.
+    // Whichever shard thread draws the planned false positive condemns the
+    // pass; the region must still report exactly one misspeculation.
     assert_eq!(report.stats.misspeculations, 1);
     assert_eq!(report.conflicts.len(), 1);
     assert_eq!(w.result(), PingPong::sequential(16, 9));
@@ -585,7 +585,7 @@ fn elision_composes_with_shards_and_recovery() {
         SpecConfig::with_workers(2)
             .elide(true)
             .checker_shards(3)
-            .inject_conflict_at_epoch(Some(8)),
+            .fault_plan(FaultPlan::default().false_positive_at(8)),
     )
     .execute(&w)
     .unwrap();

@@ -24,7 +24,9 @@
 //! 3. **Profiling** — the models feed the SPECCROSS dependence-distance
 //!    profiler to produce the Table 5.3 parameters.
 //!
-//! See [`mod@registry`] for the Table 5.1 index.
+//! See [`mod@registry`] for the Table 5.1 index. [`synthetic`] holds the
+//! non-benchmark shapes (conflict-free grids, clustered checker workloads)
+//! the gate harness and the tests share.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -43,6 +45,7 @@ pub mod loopdep;
 pub mod registry;
 pub mod scale;
 pub mod symm;
+pub mod synthetic;
 
 pub use kernel::AccessKernel;
 pub use registry::{registry, BenchmarkInfo, InnerPlan};

@@ -4,7 +4,7 @@
 //! logic, so their synchronization decisions must agree).
 
 use crossinvoc_domore::prelude::*;
-use crossinvoc_runtime::RangeSignature;
+use crossinvoc_runtime::{FaultPlan, RangeSignature};
 use crossinvoc_sim::prelude::*;
 use crossinvoc_speccross::prelude::*;
 use crossinvoc_speccross::SpecCrossEngine;
@@ -90,7 +90,7 @@ fn injected_misspeculation_recovers_on_benchmark_kernels() {
         SpecConfig::with_workers(2)
             .spec_distance(distance)
             .checkpoint_every(4)
-            .inject_conflict_at_epoch(Some(7)),
+            .fault_plan(FaultPlan::default().false_positive_at(7)),
     )
     .execute(&kernel)
     .unwrap();
@@ -140,6 +140,46 @@ fn automatic_driver_parallelizes_both_nest_families() {
     let mut expected = Memory::zeroed(&p);
     decision.execute_sequential(&mut expected);
     assert_eq!(mem.snapshot(), expected.snapshot());
+}
+
+/// The plan-time conflict-freedom proofs are *used*: a provable nest run
+/// through `AutoParallelizer` skips checker admissions (the driver turns
+/// `SpecConfig::elide` on for its SPECCROSS plans) and still leaves memory
+/// identical to the independent sequential oracle.
+#[test]
+fn automatic_driver_elides_checks_on_a_provable_nest() {
+    use crossinvoc::driver::{AutoParallelizer, Strategy};
+    use crossinvoc::pir::interp::Memory;
+    use crossinvoc::pir::ir::{Expr, ProgramBuilder};
+    use crossinvoc_fuzz::oracle::run_oracle;
+
+    // A[i] += t over a fixed range: task i of every epoch touches only
+    // cell i, the affine shape `pir::elide` proves for every epoch.
+    let mut b = ProgramBuilder::new();
+    let a = b.array("A", 48);
+    let t = b.var("t");
+    let i = b.var("i");
+    let x = b.var("x");
+    let outer = b.for_loop(t, Expr::Const(0), Expr::Const(12), |b| {
+        b.for_loop(i, Expr::Const(0), Expr::Const(48), |b| {
+            b.load(x, a, Expr::Var(i));
+            b.store(a, Expr::Var(i), Expr::add(Expr::Var(x), Expr::Var(t)));
+        });
+    });
+    let p = b.finish();
+    let decision = AutoParallelizer::new(3).plan(&p, outer).unwrap();
+    assert_eq!(decision.strategy(), Strategy::SpecCross);
+    let mut mem = Memory::zeroed(&p);
+    let report = decision.execute(&mut mem).unwrap();
+    assert!(
+        report.stats.elided_admits > 0,
+        "proven epochs must skip the checker: {:?}",
+        report.stats
+    );
+    assert_eq!(report.stats.misspeculations, 0);
+    assert!(!report.degraded);
+    let oracle = run_oracle(&p).expect("the oracle terminates");
+    assert_eq!(mem.snapshot(), oracle);
 }
 
 /// SPECCROSS beats the barrier plan on a barrier-bound workload in the

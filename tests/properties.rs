@@ -9,12 +9,14 @@ use proptest::prelude::*;
 
 use crossinvoc_domore::logic::SchedulerLogic;
 use crossinvoc_domore::prelude::*;
+use crossinvoc_runtime::json::{self, Json};
 use crossinvoc_runtime::signature::{AccessKind, AccessSignature, BloomSignature, RangeSignature};
 use crossinvoc_runtime::telemetry::{RegionState, ServerRegistry};
 use crossinvoc_runtime::trace::{Event, Trace, TraceSink};
 use crossinvoc_runtime::SharedSlice;
 use crossinvoc_sim::prelude::*;
 use crossinvoc_speccross::Position;
+use crossinvoc_workloads::synthetic::IncGrid;
 
 /// An access list: (address, is_write) pairs over a small address space.
 fn accesses() -> impl Strategy<Value = Vec<(usize, bool)>> {
@@ -135,60 +137,6 @@ proptest! {
     }
 }
 
-/// A fault-injection workload for the robustness property below: task `t`
-/// of every epoch increments cell `t`, so the sequential reference is
-/// simply `epochs` in every cell and a clean run never conflicts.
-struct FaultGrid {
-    data: SharedSlice<u64>,
-    epochs: usize,
-}
-
-impl FaultGrid {
-    fn new(n: usize, epochs: usize) -> Self {
-        Self {
-            data: SharedSlice::from_vec(vec![0; n]),
-            epochs,
-        }
-    }
-
-    fn cells(&self) -> Vec<u64> {
-        (0..self.data.len())
-            .map(|i| unsafe { self.data.read(i) })
-            .collect()
-    }
-}
-
-impl crossinvoc_speccross::SpecWorkload for FaultGrid {
-    type State = Vec<u64>;
-
-    fn num_epochs(&self) -> usize {
-        self.epochs
-    }
-    fn num_tasks(&self, _epoch: usize) -> usize {
-        self.data.len()
-    }
-    fn execute_task(
-        &self,
-        _epoch: usize,
-        task: usize,
-        _tid: usize,
-        rec: &mut dyn crossinvoc_speccross::AccessRecorder,
-    ) {
-        rec.write(task);
-        // SAFETY: same-epoch tasks write disjoint cells; cross-epoch
-        // revisits are ordered by the engine.
-        unsafe { self.data.update(task, |v| *v += 1) };
-    }
-    fn snapshot(&self) -> Self::State {
-        self.cells()
-    }
-    fn restore(&self, state: &Self::State) {
-        for (i, v) in state.iter().enumerate() {
-            unsafe { self.data.write(i, *v) };
-        }
-    }
-}
-
 proptest! {
     /// The robustness invariant: a run under *any* seeded fault plan ends,
     /// within the watchdog deadline, in either the sequential reference
@@ -200,7 +148,9 @@ proptest! {
 
         let (epochs, tasks, workers) = (6usize, 6usize, 2usize);
         let plan = FaultPlan::random(seed, epochs as u32, tasks as u64, workers);
-        let w = FaultGrid::new(tasks, epochs);
+        // Conflict-free grid: the sequential reference is `epochs` in
+        // every cell, and a clean run never conflicts.
+        let w = IncGrid::new(tasks, epochs);
         let result = SpecCrossEngine::<RangeSignature>::new(
             SpecConfig::with_workers(workers)
                 .checkpoint_every(2)
@@ -212,7 +162,7 @@ proptest! {
         match result {
             // Absorbed (possibly degraded): the state must be sequential.
             Ok(report) => {
-                prop_assert_eq!(w.cells(), vec![epochs as u64; tasks]);
+                prop_assert_eq!(w.cells(), w.expected());
                 prop_assert_eq!(report.stats.epochs >= epochs as u64, true);
             }
             // Not absorbable: a typed error is the contract; reaching this
@@ -1105,4 +1055,77 @@ fn registry_snapshots_stay_consistent_under_concurrent_mutation() {
     assert_eq!(row.degrade_events, EVENTS);
     assert_eq!(row.faults, 0);
     assert_eq!(row.state, RegionState::Done);
+}
+
+/// A random JSON tree from one seed: every scalar kind, strings drawing on
+/// the characters the writer must escape (quotes, backslashes, control
+/// characters) plus multi-byte UTF-8, integers up to the exact-`f64` limit,
+/// fractions and exponents, and nested containers including empty ones.
+fn json_tree(rng: &mut proptest::test_runner::TestRng, depth: u32) -> Json {
+    const ALPHABET: [char; 12] = [
+        'a', 'Z', '7', ' ', '"', '\\', '/', '\n', '\t', '\u{1}', 'µ', '😀',
+    ];
+    let string = |rng: &mut proptest::test_runner::TestRng| -> String {
+        (0..rng.next_u64() % 6)
+            .map(|_| ALPHABET[(rng.next_u64() % ALPHABET.len() as u64) as usize])
+            .collect()
+    };
+    let scalars = if depth == 0 { 6 } else { 8 };
+    match rng.next_u64() % scalars {
+        0 => Json::Null,
+        1 => Json::Bool(rng.next_u64() & 1 == 0),
+        // Integers across the whole exactly-representable range.
+        2 => Json::Num(
+            (rng.next_u64() >> 11) as f64 * if rng.next_u64() & 1 == 0 { 1.0 } else { -1.0 },
+        ),
+        // Fractions (what `Json::fixed` produces) …
+        3 => Json::fixed(
+            (rng.next_u64() % 2_000_000) as f64 / 1e6 - 1.0,
+            (rng.next_u64() % 7) as usize,
+        ),
+        // … and arbitrary finite doubles, exponents included.
+        4 => {
+            let x = f64::from_bits(rng.next_u64());
+            Json::Num(if x.is_finite() { x } else { 0.5 })
+        }
+        5 => Json::Str(string(rng)),
+        6 => Json::Arr(
+            (0..rng.next_u64() % 4)
+                .map(|_| json_tree(rng, depth - 1))
+                .collect(),
+        ),
+        _ => Json::Obj(
+            (0..rng.next_u64() % 4)
+                .map(|_| (string(rng), json_tree(rng, depth - 1)))
+                .collect(),
+        ),
+    }
+}
+
+proptest! {
+    /// `parse ∘ render` is the identity on JSON trees, for both renderings —
+    /// the contract that lets gate reports and telemetry snapshots be built
+    /// as data and still read back exactly. Integer *literals* at or above
+    /// 2^53 are the pinned exception: the parser rejects them rather than
+    /// round them (the writer emits such magnitudes in float notation, so
+    /// trees holding them still round-trip).
+    #[test]
+    fn json_parse_inverts_render(seed in any::<u64>()) {
+        let tree = json_tree(&mut proptest::test_runner::TestRng::new(seed), 3);
+        prop_assert_eq!(&json::parse(&tree.render()).unwrap(), &tree);
+        prop_assert_eq!(&json::parse(&tree.pretty()).unwrap(), &tree);
+        prop_assert!(!tree.render().contains('\n'), "the compact form is one line");
+    }
+}
+
+#[test]
+fn json_rejects_integer_literals_it_cannot_hold_exactly() {
+    assert!(json::parse("[9007199254740991]").is_ok());
+    assert!(json::parse("[9007199254740992]").is_err());
+    assert!(json::parse("{\"n\": -18446744073709551615}").is_err());
+    // The writer never emits such a literal: float notation round-trips.
+    for big in [Json::Num(2f64.powi(53)), Json::from(u64::MAX)] {
+        assert!(big.render().contains(['.', 'e']), "{}", big.render());
+        assert_eq!(json::parse(&big.render()).unwrap(), big);
+    }
 }

@@ -113,7 +113,7 @@ fn checker_pruning_is_safe_at_checkpoint_boundaries() {
         snapshot[tid] = (epoch, 0);
         assert!(state.admit(req(tid, epoch, 0, &snapshot, 5)).is_none());
     }
-    state.prune_before_epoch(8);
+    state.retire_before(8);
     // A new request racing with the epoch-8 leftover (worker 0's, observed
     // still in flight) must still be caught after pruning.
     let conflict = state.admit(req(1, 9, 1, &[(8, 0), (9, 1)], 5));
@@ -148,68 +148,13 @@ mod fault_matrix {
     use crossinvoc_domore::runtime::DomoreError;
     use crossinvoc_domore::DuplicatedScheduler;
     use crossinvoc_runtime::fault::FaultPlan;
-    use crossinvoc_runtime::{RangeSignature, SharedSlice, ThreadId};
+    use crossinvoc_runtime::{RangeSignature, ThreadId};
     use crossinvoc_speccross::prelude::*;
+    // The conflict-free grid (either runtime): a clean run never conflicts,
+    // so every misspeculation below is injected.
+    use crossinvoc_workloads::synthetic::IncGrid;
 
     const WATCHDOG: Duration = Duration::from_secs(30);
-
-    /// Task `t` of every epoch increments cell `t` (and records the write).
-    /// The same cell is always touched by the same worker, so a clean run
-    /// never conflicts — every misspeculation below is injected.
-    struct IncGrid {
-        data: SharedSlice<u64>,
-        epochs: usize,
-    }
-
-    impl IncGrid {
-        fn new(n: usize, epochs: usize) -> Self {
-            Self {
-                data: SharedSlice::from_vec(vec![0; n]),
-                epochs,
-            }
-        }
-
-        fn expected(&self) -> Vec<u64> {
-            vec![self.epochs as u64; self.data.len()]
-        }
-
-        fn cells(&self) -> Vec<u64> {
-            (0..self.data.len())
-                .map(|i| unsafe { self.data.read(i) })
-                .collect()
-        }
-    }
-
-    impl SpecWorkload for IncGrid {
-        type State = Vec<u64>;
-
-        fn num_epochs(&self) -> usize {
-            self.epochs
-        }
-        fn num_tasks(&self, _epoch: usize) -> usize {
-            self.data.len()
-        }
-        fn execute_task(
-            &self,
-            _epoch: usize,
-            task: usize,
-            _tid: ThreadId,
-            rec: &mut dyn AccessRecorder,
-        ) {
-            rec.write(task);
-            // SAFETY: same-epoch tasks write disjoint cells; the same cell
-            // is revisited only across epochs, which the engine orders.
-            unsafe { self.data.update(task, |v| *v += 1) };
-        }
-        fn snapshot(&self) -> Self::State {
-            self.cells()
-        }
-        fn restore(&self, state: &Self::State) {
-            for (i, v) in state.iter().enumerate() {
-                unsafe { self.data.write(i, *v) };
-            }
-        }
-    }
 
     fn engine(plan: FaultPlan) -> SpecCrossEngine {
         SpecCrossEngine::<RangeSignature>::new(
@@ -330,8 +275,7 @@ mod fault_matrix {
         let report = SpecCrossEngine::<RangeSignature>::new(
             SpecConfig::with_workers(2)
                 .checkpoint_every(2)
-                .inject_conflict_at_epoch(Some(3))
-                .fault_plan(FaultPlan::default().restore_failure())
+                .fault_plan(FaultPlan::default().false_positive_at(3).restore_failure())
                 .watchdog(WATCHDOG),
         )
         .execute(&w)
@@ -353,8 +297,12 @@ mod fault_matrix {
         let err = SpecCrossEngine::<RangeSignature>::new(
             SpecConfig::with_workers(2)
                 .checkpoint_every(2)
-                .inject_conflict_at_epoch(Some(3))
-                .fault_plan(FaultPlan::default().restore_failure().restore_failure())
+                .fault_plan(
+                    FaultPlan::default()
+                        .false_positive_at(3)
+                        .restore_failure()
+                        .restore_failure(),
+                )
                 .watchdog(WATCHDOG),
         )
         .execute(&w)
@@ -375,38 +323,9 @@ mod fault_matrix {
         assert_eq!(report.stats.misspeculations, 0);
     }
 
-    /// Iteration `i` of every invocation increments cell `i` through the
-    /// DOMORE shadow-memory scheduler.
-    struct DomoreGrid {
-        data: SharedSlice<u64>,
-        invocations: usize,
-    }
-
-    impl DomoreWorkload for DomoreGrid {
-        fn num_invocations(&self) -> usize {
-            self.invocations
-        }
-        fn num_iterations(&self, _inv: usize) -> usize {
-            self.data.len()
-        }
-        fn touched_addrs(&self, _inv: usize, iter: usize, out: &mut Vec<usize>) {
-            out.push(iter);
-        }
-        fn execute_iteration(&self, _inv: usize, iter: usize, _tid: ThreadId) {
-            // SAFETY: conflicting iterations are ordered by the runtime.
-            unsafe { self.data.update(iter, |v| *v += 1) };
-        }
-        fn address_space(&self) -> Option<usize> {
-            Some(self.data.len())
-        }
-    }
-
     #[test]
     fn domore_iteration_panic_is_a_typed_error_not_a_hang() {
-        let w = DomoreGrid {
-            data: SharedSlice::from_vec(vec![0; 8]),
-            invocations: 5,
-        };
+        let w = IncGrid::new(8, 5);
         let err = DomoreRuntime::new(
             DomoreConfig::with_workers(3)
                 .fault_plan(FaultPlan::default().worker_panic_at(1, 3))
@@ -427,7 +346,7 @@ mod fault_matrix {
         use std::sync::atomic::AtomicU64;
 
         struct Counting {
-            inner: DomoreGrid,
+            inner: IncGrid,
             executed: AtomicU64,
         }
         impl DomoreWorkload for Counting {
@@ -454,10 +373,7 @@ mod fault_matrix {
         const INVOCATIONS: usize = 50;
         const QUEUE: usize = 4;
         let w = Counting {
-            inner: DomoreGrid {
-                data: SharedSlice::from_vec(vec![0; CELLS]),
-                invocations: INVOCATIONS,
-            },
+            inner: IncGrid::new(CELLS, INVOCATIONS),
             executed: AtomicU64::new(0),
         };
         let err = DomoreRuntime::new(
@@ -488,10 +404,7 @@ mod fault_matrix {
     /// (abort) instead of spinning looking for a live thread.
     #[test]
     fn domore_all_workers_dead_terminates_with_the_panic_error() {
-        let w = DomoreGrid {
-            data: SharedSlice::from_vec(vec![0; 8]),
-            invocations: 50,
-        };
+        let w = IncGrid::new(8, 50);
         let err = DomoreRuntime::new(
             DomoreConfig::with_workers(1)
                 .fault_plan(FaultPlan::default().worker_panic_at(0, 2))
@@ -504,10 +417,7 @@ mod fault_matrix {
 
     #[test]
     fn domore_delay_changes_timing_not_results() {
-        let mut w = DomoreGrid {
-            data: SharedSlice::from_vec(vec![0; 8]),
-            invocations: 5,
-        };
+        let w = IncGrid::new(8, 5);
         DomoreRuntime::new(
             DomoreConfig::with_workers(3)
                 .fault_plan(FaultPlan::default().delay_at(2, 4, 200))
@@ -515,7 +425,7 @@ mod fault_matrix {
         )
         .execute(&w)
         .unwrap();
-        assert_eq!(w.data.snapshot(), vec![5; 8]);
+        assert_eq!(w.cells(), w.expected());
     }
 
     /// Region isolation: a faulting region served by a [`RegionServer`]
@@ -636,21 +546,12 @@ mod fault_matrix {
             assert_eq!(b, baseline, "A's rollback must not leak into B");
         }
 
-        fn dom_cells(g: &DomoreGrid) -> Vec<u64> {
-            (0..g.data.len())
-                .map(|i| unsafe { g.data.read(i) })
-                .collect()
-        }
-
         /// Cross-runtime case: a clean DOMORE region keeps its solo result
         /// while a SPECCROSS neighbour on the same pool panics and recovers.
         #[test]
         fn domore_neighbour_unaffected_by_speccross_panic() {
             // Solo DOMORE baseline.
-            let solo = DomoreGrid {
-                data: SharedSlice::from_vec(vec![0; 8]),
-                invocations: 6,
-            };
+            let solo = IncGrid::new(8, 6);
             let solo_report = DomoreRuntime::new(DomoreConfig::with_workers(2).watchdog(WATCHDOG))
                 .execute(&solo)
                 .unwrap();
@@ -658,16 +559,13 @@ mod fault_matrix {
                 "tasks={} sync={} cells={:?}",
                 solo_report.stats.tasks,
                 solo_report.stats.sync_conditions,
-                dom_cells(&solo)
+                solo.cells()
             );
 
             // 3 slots for the spec region + 2 for the DOMORE workers.
             let server = RegionServer::new(5);
             let a = Arc::new(IncGrid::new(8, 6));
-            let b = Arc::new(DomoreGrid {
-                data: SharedSlice::from_vec(vec![0; 8]),
-                invocations: 6,
-            });
+            let b = Arc::new(IncGrid::new(8, 6));
             let ha = server.submit_spec::<RangeSignature, _>(
                 1,
                 spec_config().fault_plan(FaultPlan::default().worker_panic_at(2, 3)),
@@ -685,7 +583,7 @@ mod fault_matrix {
                 "tasks={} sync={} cells={:?}",
                 report.stats.tasks,
                 report.stats.sync_conditions,
-                dom_cells(&b)
+                b.cells()
             );
             assert_eq!(got, baseline, "A's panic must not leak into DOMORE B");
         }
@@ -696,7 +594,7 @@ mod fault_matrix {
     #[test]
     fn duplicated_scheduler_contains_organic_panics() {
         struct Poisoned {
-            inner: DomoreGrid,
+            inner: IncGrid,
         }
         impl DomoreWorkload for Poisoned {
             fn num_invocations(&self) -> usize {
@@ -717,10 +615,7 @@ mod fault_matrix {
             }
         }
         let w = Poisoned {
-            inner: DomoreGrid {
-                data: SharedSlice::from_vec(vec![0; 8]),
-                invocations: 5,
-            },
+            inner: IncGrid::new(8, 5),
         };
         let err = DuplicatedScheduler::new(3).execute(&w).unwrap_err();
         assert_eq!(err, DomoreError::IterationPanicked { inv: 2, iter: 5 });

@@ -11,61 +11,14 @@ use crossinvoc_bench::json::{self, Json};
 use crossinvoc_runtime::critpath::what_if;
 use crossinvoc_runtime::fault::{FaultKind, FaultPlan};
 use crossinvoc_runtime::trace::{Event, Trace, TraceReport, TraceSink, WakeEdge};
-use crossinvoc_runtime::{RangeSignature, SharedSlice, ThreadId};
+use crossinvoc_runtime::RangeSignature;
 use crossinvoc_sim::prelude::*;
 use crossinvoc_speccross::prelude::*;
 use crossinvoc_speccross::SpecCrossEngine;
+// `IncGrid` never misspeculates on a clean run — any conflict below is
+// injected.
+use crossinvoc_workloads::synthetic::IncGrid;
 use crossinvoc_workloads::{registry, Scale};
-
-/// Task `t` of every epoch increments cell `t`: same-epoch tasks are
-/// disjoint and cross-epoch revisits are ordered by the engine, so a clean
-/// run never misspeculates — any conflict below is injected.
-struct IncGrid {
-    data: SharedSlice<u64>,
-    epochs: usize,
-}
-
-impl IncGrid {
-    fn new(n: usize, epochs: usize) -> Self {
-        Self {
-            data: SharedSlice::from_vec(vec![0; n]),
-            epochs,
-        }
-    }
-}
-
-impl SpecWorkload for IncGrid {
-    type State = Vec<u64>;
-
-    fn num_epochs(&self) -> usize {
-        self.epochs
-    }
-    fn num_tasks(&self, _epoch: usize) -> usize {
-        self.data.len()
-    }
-    fn execute_task(
-        &self,
-        _epoch: usize,
-        task: usize,
-        _tid: ThreadId,
-        rec: &mut dyn AccessRecorder,
-    ) {
-        rec.write(task);
-        // SAFETY: same-epoch tasks write disjoint cells; the same cell is
-        // revisited only across epochs, which the engine orders.
-        unsafe { self.data.update(task, |v| *v += 1) };
-    }
-    fn snapshot(&self) -> Self::State {
-        (0..self.data.len())
-            .map(|i| unsafe { self.data.read(i) })
-            .collect()
-    }
-    fn restore(&self, state: &Self::State) {
-        for (i, v) in state.iter().enumerate() {
-            unsafe { self.data.write(i, *v) };
-        }
-    }
-}
 
 fn traced_engine(plan: FaultPlan) -> SpecCrossEngine {
     SpecCrossEngine::<RangeSignature>::new(
