@@ -7,7 +7,7 @@
 //! before and after a barrier may overlap, resulting in better
 //! performance".
 
-use crossinvoc_bench::write_csv;
+use crossinvoc_bench::{Col, Table};
 use crossinvoc_runtime::signature::AccessKind;
 use crossinvoc_sim::prelude::*;
 
@@ -49,36 +49,25 @@ fn main() {
     let w = TwoLoop { n: 64, steps: 100 };
     let cost = CostModel::default();
     let seq = sequential(&w, &cost).total_ns;
-    println!(
-        "{:>7} {:>14} {:>12} {:>16} {:>12}",
-        "threads", "barrier spd", "idle %", "barrier-free spd", "idle %"
-    );
-    let mut rows = Vec::new();
+    let mut table = Table::new(&[
+        Col::text("threads", 7),
+        Col::num("barrier_speedup", 15, 2, 4),
+        Col::num("barrier_idle", 12, 3, 4),
+        Col::num("free_speedup", 12, 2, 4),
+        Col::num("free_idle", 9, 3, 4),
+    ]);
     for threads in [4, 8, 16, 24] {
         let with_barriers = barrier(&w, threads, &cost);
         let distance = crossinvoc_workloads::kernel::profile_distance(&w, 4).min_distance;
         let params = SpecSimParams::with_threads(threads).spec_distance(distance);
         let without = speccross(&w, &params, &cost);
-        println!(
-            "{:>7} {:>13.2}x {:>11.1}% {:>15.2}x {:>11.1}%",
-            threads,
-            with_barriers.speedup_over(seq),
-            100.0 * with_barriers.idle_fraction(),
-            without.speedup_over(seq),
-            100.0 * without.idle_fraction(),
-        );
-        rows.push(format!(
-            "{},{:.4},{:.4},{:.4},{:.4}",
-            threads,
-            with_barriers.speedup_over(seq),
-            with_barriers.idle_fraction(),
-            without.speedup_over(seq),
-            without.idle_fraction(),
-        ));
+        table.row(&[
+            &threads,
+            &with_barriers.speedup_over(seq),
+            &with_barriers.idle_fraction(),
+            &without.speedup_over(seq),
+            &without.idle_fraction(),
+        ]);
     }
-    write_csv(
-        "fig1_4",
-        "threads,barrier_speedup,barrier_idle,free_speedup,free_idle",
-        &rows,
-    );
+    table.finish("fig1_4");
 }

@@ -8,7 +8,7 @@
 //! classifier parallelizes the first and must refuse the second, and the
 //! speedup collapse mirrors the figure.
 
-use crossinvoc_bench::write_csv;
+use crossinvoc_bench::{Col, Table};
 use crossinvoc_pir::ir::{Expr, Program, ProgramBuilder, StmtId};
 use crossinvoc_pir::pdg::Pdg;
 use crossinvoc_pir::techniques::{classify_loop, Technique};
@@ -57,13 +57,13 @@ fn kernel(name: &str, indirect: bool) -> (Program, StmtId) {
 
 fn main() {
     println!("Fig. 2.2: performance sensitivity to memory analysis");
-    println!(
-        "{:<14} {:>16} {:>18}",
-        "kernel", "static arrays", "dynamic (indirect)"
-    );
+    let mut table = Table::new(&[
+        Col::text("kernel", 14),
+        Col::num("static_speedup", 16, 2, 4),
+        Col::num("dynamic_speedup", 18, 2, 4),
+    ]);
     let cost = CostModel::default();
     let threads = 8;
-    let mut rows = Vec::new();
     for name in ["2mm", "jacobi-2d", "covariance", "gramschmidt", "seidel"] {
         let mut speedups = Vec::new();
         for indirect in [false, true] {
@@ -81,8 +81,7 @@ fn main() {
             };
             speedups.push(speedup);
         }
-        println!("{:<14} {:>15.2}x {:>17.2}x", name, speedups[0], speedups[1]);
-        rows.push(format!("{},{:.4},{:.4}", name, speedups[0], speedups[1]));
+        table.row(&[&name, &speedups[0], &speedups[1]]);
     }
-    write_csv("fig2_2", "kernel,static_speedup,dynamic_speedup", &rows);
+    table.finish("fig2_2");
 }

@@ -6,27 +6,26 @@
 //! chain's critical path once per iteration, while DSWP's pipeline pays it
 //! only to fill — so DOACROSS degrades with latency and DSWP does not.
 
-use crossinvoc_bench::write_csv;
+use crossinvoc_bench::{Col, Table};
 use crossinvoc_sim::pipeline::{doacross, dswp, StagedLoop};
 
 fn main() {
     println!("Fig. 2.5: DOACROSS vs DSWP under communication latency");
-    println!(
-        "{:>12} {:>14} {:>10}",
-        "comm (ns)", "DOACROSS spd", "DSWP spd"
-    );
+    let mut table = Table::new(&[
+        Col::text("comm_ns", 12),
+        Col::num("doacross_speedup", 16, 2, 4),
+        Col::num("dswp_speedup", 12, 2, 4),
+    ]);
     // The Fig. 2.4 loop: a short pointer-chase stage feeding a heavy
     // work stage, split 2 ways.
     let staged = StagedLoop::new(20_000, vec![300, 700]);
     let seq = staged.sequential_ns();
-    let mut rows = Vec::new();
     let mut first_da = 0.0f64;
     let mut last_da = f64::MAX;
     for comm in [0u64, 100, 300, 700, 1_500, 3_000] {
         let da = doacross(&staged, 2, comm).speedup_over(seq);
         let ds = dswp(&staged, comm).speedup_over(seq);
-        println!("{comm:>12} {da:>13.2}x {ds:>9.2}x");
-        rows.push(format!("{comm},{da:.4},{ds:.4}"));
+        table.row(&[&comm, &da, &ds]);
         if comm == 0 {
             first_da = da;
         }
@@ -36,5 +35,5 @@ fn main() {
         last_da < first_da / 1.5,
         "DOACROSS must degrade with latency"
     );
-    write_csv("fig2_5", "comm_ns,doacross_speedup,dswp_speedup", &rows);
+    table.finish("fig2_5");
 }

@@ -5,19 +5,19 @@
 //! conventional plan. The thesis measures >30% for most programs at 24
 //! threads — an Amdahl ceiling of ≈3.3× that motivates barrier removal.
 
-use crossinvoc_bench::{trace_capacity, write_csv, write_trace, FIG4_3_THREADS};
+use crossinvoc_bench::{trace_capacity, write_trace, Col, Table, FIG4_3_THREADS};
 use crossinvoc_sim::prelude::*;
 use crossinvoc_workloads::{registry, Scale};
 
 fn main() {
     println!("Fig. 4.3: barrier overhead (% of parallel runtime)");
-    println!(
-        "{:<16} {:>10} {:>10}",
-        "Benchmark", "8 threads", "24 threads"
-    );
+    let mut table = Table::new(&[
+        Col::text("benchmark", 16),
+        Col::num("overhead_pct_8", 14, 1, 3),
+        Col::num("overhead_pct_24", 15, 1, 3),
+    ]);
     let cost = CostModel::default();
     let trace_cap = trace_capacity();
-    let mut rows = Vec::new();
     let mut grows = 0usize;
     let mut programs = 0usize;
     for info in registry().into_iter().filter(|b| b.speccross) {
@@ -34,17 +34,10 @@ fn main() {
                 write_trace(&format!("fig4_3.{}", info.name.to_lowercase()), &trace);
             }
         }
-        println!(
-            "{:<16} {:>9.1}% {:>9.1}%",
-            info.name, overheads[0], overheads[1]
-        );
-        rows.push(format!(
-            "{},{:.3},{:.3}",
-            info.name, overheads[0], overheads[1]
-        ));
+        table.row(&[&info.name, &overheads[0], &overheads[1]]);
         programs += 1;
         grows += usize::from(overheads[1] > overheads[0]);
     }
     println!("(overhead grows with thread count for {grows}/{programs} programs)");
-    write_csv("fig4_3", "benchmark,overhead_pct_8,overhead_pct_24", &rows);
+    table.finish("fig4_3");
 }

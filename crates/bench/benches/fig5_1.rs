@@ -5,30 +5,23 @@
 //! the barrier plan and over sequential execution at 24 threads (the thesis
 //! reports 2.1× and 3.2×).
 
-use crossinvoc_bench::{domore_pair, geomean, write_csv, THREADS};
+use crossinvoc_bench::{domore_pair, geomean, Col, Table, THREADS};
 use crossinvoc_workloads::{registry, Scale};
 
 fn main() {
     println!("Fig. 5.1: DOMORE vs pthread barrier (speedup over sequential)");
-    let mut rows = Vec::new();
+    let mut table = Table::new(&[
+        Col::text("benchmark", 16),
+        Col::text("threads", 7),
+        Col::num("barrier_speedup", 16, 2, 4),
+        Col::num("domore_speedup", 14, 2, 4),
+    ]);
     let mut at24_domore = Vec::new();
     let mut at24_barrier = Vec::new();
     for info in registry().into_iter().filter(|b| b.domore) {
-        println!("\n  ({})", info.name);
-        println!(
-            "{:>7} {:>16} {:>12}",
-            "threads", "pthread barrier", "DOMORE"
-        );
         for threads in THREADS {
             let pair = domore_pair(&info, Scale::Figure, threads);
-            println!(
-                "{:>7} {:>15.2}x {:>11.2}x",
-                threads, pair.barrier, pair.technique
-            );
-            rows.push(format!(
-                "{},{},{:.4},{:.4}",
-                info.name, threads, pair.barrier, pair.technique
-            ));
+            table.row(&[&info.name, &threads, &pair.barrier, &pair.technique]);
             if threads == 24 {
                 at24_domore.push(pair.technique);
                 at24_barrier.push(pair.barrier);
@@ -46,9 +39,5 @@ fn main() {
     println!("\nheadline (24 threads):");
     println!("  DOMORE geomean over sequential: {over_seq:.2}x (thesis: 3.2x)");
     println!("  DOMORE geomean over barrier plan: {over_barrier:.2}x (thesis: 2.1x)");
-    write_csv(
-        "fig5_1",
-        "benchmark,threads,barrier_speedup,domore_speedup",
-        &rows,
-    );
+    table.finish("fig5_1");
 }

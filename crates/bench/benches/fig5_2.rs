@@ -5,30 +5,23 @@
 //! geomean of 4.6× over sequential vs. 1.3× for the barrier plan at the
 //! whole-program level).
 
-use crossinvoc_bench::{geomean, speccross_pair, write_csv, THREADS};
+use crossinvoc_bench::{geomean, speccross_pair, Col, Table, THREADS};
 use crossinvoc_workloads::{registry, Scale};
 
 fn main() {
     println!("Fig. 5.2: SPECCROSS vs pthread barrier (speedup over sequential)");
-    let mut rows = Vec::new();
+    let mut table = Table::new(&[
+        Col::text("benchmark", 16),
+        Col::text("threads", 7),
+        Col::num("barrier_speedup", 16, 2, 4),
+        Col::num("speccross_speedup", 17, 2, 4),
+    ]);
     let mut at24_spec = Vec::new();
     let mut at24_barrier = Vec::new();
     for info in registry().into_iter().filter(|b| b.speccross) {
-        println!("\n  ({})", info.name);
-        println!(
-            "{:>7} {:>16} {:>12}",
-            "threads", "pthread barrier", "SPECCROSS"
-        );
         for threads in THREADS {
             let pair = speccross_pair(&info, Scale::Figure, threads);
-            println!(
-                "{:>7} {:>15.2}x {:>11.2}x",
-                threads, pair.barrier, pair.technique
-            );
-            rows.push(format!(
-                "{},{},{:.4},{:.4}",
-                info.name, threads, pair.barrier, pair.technique
-            ));
+            table.row(&[&info.name, &threads, &pair.barrier, &pair.technique]);
             if threads == 24 {
                 at24_spec.push(pair.technique);
                 at24_barrier.push(pair.barrier);
@@ -44,9 +37,5 @@ fn main() {
         "  barrier-plan geomean over sequential: {:.2}x (thesis: 1.3x whole-program)",
         geomean(&at24_barrier)
     );
-    write_csv(
-        "fig5_2",
-        "benchmark,threads,barrier_speedup,speccross_speedup",
-        &rows,
-    );
+    table.finish("fig5_2");
 }

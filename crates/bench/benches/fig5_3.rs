@@ -5,7 +5,7 @@
 //! re-execution window when it fails; the two curves cross, which is the
 //! figure's point. Geomean over the eight SPECCROSS benchmarks.
 
-use crossinvoc_bench::{geomean, spec_params, trace_capacity, write_csv, write_trace};
+use crossinvoc_bench::{geomean, spec_params, trace_capacity, write_trace, Col, Table};
 use crossinvoc_runtime::critpath::what_if;
 use crossinvoc_runtime::hash::SplitMix64;
 use crossinvoc_runtime::trace::WakeEdge;
@@ -14,13 +14,13 @@ use crossinvoc_workloads::{registry, Scale};
 
 fn main() {
     println!("Fig. 5.3: speedup vs checkpoint count (24 threads)");
-    println!(
-        "{:>12} {:>14} {:>16}",
-        "checkpoints", "no misspec", "with misspec"
-    );
+    let mut table = Table::new(&[
+        Col::text("checkpoints", 12),
+        Col::num("speedup_no_misspec", 18, 2, 4),
+        Col::num("speedup_with_misspec", 20, 2, 4),
+    ]);
     let cost = CostModel::default();
     let threads = 24;
-    let mut rows = Vec::new();
     let mut rng = SplitMix64::new(0x5EED);
     for checkpoints in [2usize, 5, 10, 25, 50, 100] {
         let mut clean = Vec::new();
@@ -38,15 +38,9 @@ fn main() {
             let params = params.inject_misspec_at_task(Some(inject));
             faulty.push(speccross(model.as_ref(), &params, &cost).speedup_over(seq));
         }
-        let (c, f) = (geomean(&clean), geomean(&faulty));
-        println!("{checkpoints:>12} {c:>13.2}x {f:>15.2}x");
-        rows.push(format!("{checkpoints},{c:.4},{f:.4}"));
+        table.row(&[&checkpoints, &geomean(&clean), &geomean(&faulty)]);
     }
-    write_csv(
-        "fig5_3",
-        "checkpoints,speedup_no_misspec,speedup_with_misspec",
-        &rows,
-    );
+    table.finish("fig5_3");
 
     // Companion table: per benchmark, the *measured* barrier-vs-SPECCROSS
     // ratio next to the ratio the what-if analysis *predicts* by replaying
@@ -54,7 +48,11 @@ fn main() {
     // docs/OBSERVABILITY.md). Test scale keeps every record in the ring, so
     // the replay sees the full DAG.
     println!("what-if: predicted vs measured barrier-removal speedup");
-    let mut rows = Vec::new();
+    let mut table = Table::new(&[
+        Col::text("benchmark", 16),
+        Col::num("measured_barrier_over_speccross", 31, 3, 4),
+        Col::num("whatif_predicted_barrier_removal", 32, 3, 4),
+    ]);
     for info in registry().into_iter().filter(|b| b.speccross) {
         let model = info.model(Scale::Test);
         let params = spec_params(&info, Scale::Test, threads);
@@ -63,17 +61,9 @@ fn main() {
         let measured = bar.total_ns as f64 / spec.total_ns.max(1) as f64;
         let trace = bar.trace.expect("tracing was requested");
         let predicted = what_if(&trace, &[WakeEdge::Barrier]).predicted_speedup();
-        println!(
-            "  {:<16} measured={measured:>6.3} predicted={predicted:>6.3}",
-            info.name
-        );
-        rows.push(format!("{},{measured:.4},{predicted:.4}", info.name));
+        table.row(&[&info.name, &measured, &predicted]);
     }
-    write_csv(
-        "fig5_3_whatif",
-        "benchmark,measured_barrier_over_speccross,whatif_predicted_barrier_removal",
-        &rows,
-    );
+    table.finish("fig5_3_whatif");
     if let Some(cap) = trace_capacity() {
         // One exemplar trace: the first SPECCROSS benchmark with a single
         // mid-region misspeculation, from which trace-report reconstructs

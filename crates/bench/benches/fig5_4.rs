@@ -6,16 +6,17 @@
 //! reproduction implements for the systems the thesis compares against
 //! (substitution S5 of DESIGN.md).
 
-use crossinvoc_bench::{domore_pair, speccross_pair, write_csv, THREADS};
+use crossinvoc_bench::{domore_pair, speccross_pair, Col, Table, THREADS};
 use crossinvoc_workloads::{registry, Scale};
 
 fn main() {
     println!("Fig. 5.4: best speedup, this work vs previous work");
-    println!(
-        "{:<16} {:>11} {:>14} {:>10}",
-        "Benchmark", "this work", "previous work", "technique"
-    );
-    let mut rows = Vec::new();
+    let mut table = Table::new(&[
+        Col::text("benchmark", 16),
+        Col::num("this_work_best", 14, 2, 4),
+        Col::num("previous_work_best", 18, 2, 4),
+        Col::text("technique", 10),
+    ]);
     for info in registry() {
         let mut best_ours = 0.0f64;
         let mut best_prev = 0.0f64;
@@ -38,18 +39,7 @@ fn main() {
                 }
             }
         }
-        println!(
-            "{:<16} {:>10.2}x {:>13.2}x {:>10}",
-            info.name, best_ours, best_prev, which
-        );
-        rows.push(format!(
-            "{},{:.4},{:.4},{}",
-            info.name, best_ours, best_prev, which
-        ));
+        table.row(&[&info.name, &best_ours, &best_prev, &which]);
     }
-    write_csv(
-        "fig5_4",
-        "benchmark,this_work_best,previous_work_best,technique",
-        &rows,
-    );
+    table.finish("fig5_4");
 }

@@ -14,7 +14,7 @@
 //! * DOMORE + SPECCROSS — the duplicated-scheduler composition (§3.4),
 //!   which the thesis finds best overall.
 
-use crossinvoc_bench::{doany_barrier, localwrite_factor_pct, write_csv, THREADS};
+use crossinvoc_bench::{doany_barrier, localwrite_factor_pct, Col, Table, THREADS};
 use crossinvoc_domore::policy::ModuloWrite;
 use crossinvoc_runtime::signature::AccessKind;
 use crossinvoc_sim::prelude::*;
@@ -89,16 +89,19 @@ impl SimWorkload for DuplicatedSchedulingCost {
 
 fn main() {
     println!("Fig. 5.6: FLUIDANIMATE under five parallelization plans");
-    println!(
-        "{:>7} {:>9} {:>10} {:>10} {:>10} {:>10}",
-        "threads", "MANUAL", "LW+Bar", "LW+Spec", "DM+Bar", "DM+Spec"
-    );
+    let mut table = Table::new(&[
+        Col::text("threads", 7),
+        Col::num("manual", 9, 2, 4),
+        Col::num("localwrite_barrier", 18, 2, 4),
+        Col::num("localwrite_speccross", 20, 2, 4),
+        Col::num("domore_barrier", 14, 2, 4),
+        Col::num("domore_speccross", 16, 2, 4),
+    ]);
     let model = Fluidanimate::new(Scale::Figure, 0xC0FFEE ^ 14);
     let cells = model.cells();
     let cost = CostModel::default();
     let seq = sequential(&model, &cost).total_ns;
     let distance = profile_distance(&model, 9).min_distance;
-    let mut rows = Vec::new();
     let mut dm_spec_best = 0.0f64;
     let mut others_best = 0.0f64;
     for threads in THREADS {
@@ -134,12 +137,7 @@ fn main() {
             workers,
         };
         let dm_spec = speccross(&dm_spec_model, &params, &cost).speedup_over(seq);
-        println!(
-            "{threads:>7} {manual:>8.2}x {lw_bar:>9.2}x {lw_spec:>9.2}x {dm_bar:>9.2}x {dm_spec:>9.2}x"
-        );
-        rows.push(format!(
-            "{threads},{manual:.4},{lw_bar:.4},{lw_spec:.4},{dm_bar:.4},{dm_spec:.4}"
-        ));
+        table.row(&[&threads, &manual, &lw_bar, &lw_spec, &dm_bar, &dm_spec]);
         dm_spec_best = dm_spec_best.max(dm_spec);
         others_best = others_best.max(manual).max(lw_bar).max(lw_spec).max(dm_bar);
     }
@@ -147,9 +145,5 @@ fn main() {
         "\nDOMORE+SPECCROSS best {dm_spec_best:.2}x vs best other plan {others_best:.2}x \
          (thesis: the combination wins)"
     );
-    write_csv(
-        "fig5_6",
-        "threads,manual,localwrite_barrier,localwrite_speccross,domore_barrier,domore_speccross",
-        &rows,
-    );
+    table.finish("fig5_6");
 }

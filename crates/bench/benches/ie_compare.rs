@@ -6,19 +6,21 @@
 //! the same address streams, the same per-iteration inspection cost, only
 //! the overlap discipline differs.
 
-use crossinvoc_bench::{domore_policy, write_csv};
+use crossinvoc_bench::{domore_policy, Col, Table};
 use crossinvoc_sim::inspector::inspector_executor;
 use crossinvoc_sim::prelude::*;
 use crossinvoc_workloads::{registry, Scale};
 
 fn main() {
     println!("Ablation: DOMORE vs Inspector-Executor (8 and 24 threads)");
-    println!(
-        "{:<16} {:>9} {:>9} {:>9} {:>9}",
-        "Benchmark", "IE@8", "DM@8", "IE@24", "DM@24"
-    );
+    let mut table = Table::new(&[
+        Col::text("benchmark", 16),
+        Col::num("ie_8", 9, 2, 4),
+        Col::num("domore_8", 9, 2, 4),
+        Col::num("ie_24", 9, 2, 4),
+        Col::num("domore_24", 9, 2, 4),
+    ]);
     let cost = CostModel::default();
-    let mut rows = Vec::new();
     let mut domore_wins = 0usize;
     let mut total = 0usize;
     for info in registry().into_iter().filter(|b| b.domore) {
@@ -37,21 +39,10 @@ fn main() {
             .speedup_over(seq);
             vals.push((ie, dm));
         }
-        println!(
-            "{:<16} {:>8.2}x {:>8.2}x {:>8.2}x {:>8.2}x",
-            info.name, vals[0].0, vals[0].1, vals[1].0, vals[1].1
-        );
-        rows.push(format!(
-            "{},{:.4},{:.4},{:.4},{:.4}",
-            info.name, vals[0].0, vals[0].1, vals[1].0, vals[1].1
-        ));
+        table.row(&[&info.name, &vals[0].0, &vals[0].1, &vals[1].0, &vals[1].1]);
         total += 1;
         domore_wins += usize::from(vals[1].1 > vals[1].0);
     }
     println!("(DOMORE beats IE at 24 threads on {domore_wins}/{total} programs)");
-    write_csv(
-        "ie_compare",
-        "benchmark,ie_8,domore_8,ie_24,domore_24",
-        &rows,
-    );
+    table.finish("ie_compare");
 }

@@ -8,7 +8,7 @@
 //! smaller distance under a scheme is a *false-positive-driven* tightening
 //! of the speculative range (extra gating, never unsoundness).
 
-use crossinvoc_bench::write_csv;
+use crossinvoc_bench::{Col, Table};
 use crossinvoc_runtime::signature::{AccessSignature, BloomSignature, RangeSignature};
 use crossinvoc_sim::SimWorkload;
 use crossinvoc_speccross::DistanceProfiler;
@@ -39,35 +39,18 @@ fn fmt(d: Option<u64>) -> String {
 
 fn main() {
     println!("Signature ablation: range vs Bloom (profiled conflicts)");
-    println!(
-        "{:<16} {:>9} {:>10} {:>9} {:>10}",
-        "Benchmark", "range d", "range #", "bloom d", "bloom #"
-    );
-    let mut rows = Vec::new();
+    let mut table = Table::new(&[
+        Col::text("benchmark", 16),
+        Col::text("range_distance", 14),
+        Col::text("range_conflicts", 15),
+        Col::text("bloom_distance", 14),
+        Col::text("bloom_conflicts", 15),
+    ]);
     for info in registry().into_iter().filter(|b| b.speccross) {
         let model = info.model(Scale::Test);
         let (rd, rc) = profile_with::<RangeSignature>(model.as_ref());
         let (bd, bc) = profile_with::<BloomSignature>(model.as_ref());
-        println!(
-            "{:<16} {:>9} {:>10} {:>9} {:>10}",
-            info.name,
-            fmt(rd),
-            rc,
-            fmt(bd),
-            bc
-        );
-        rows.push(format!(
-            "{},{},{},{},{}",
-            info.name,
-            fmt(rd),
-            rc,
-            fmt(bd),
-            bc
-        ));
+        table.row(&[&info.name, &fmt(rd), &rc, &fmt(bd), &bc]);
     }
-    write_csv(
-        "sig_ablate",
-        "benchmark,range_distance,range_conflicts,bloom_distance,bloom_conflicts",
-        &rows,
-    );
+    table.finish("sig_ablate");
 }

@@ -7,7 +7,7 @@
 //! large (ECLAT, FLUIDANIMATE) are exactly the ones whose DOMORE scaling
 //! saturates early in Fig. 5.1.
 
-use crossinvoc_bench::write_csv;
+use crossinvoc_bench::{Col, Table};
 use crossinvoc_workloads::{registry, Scale};
 
 /// Thesis-reported ratios for comparison.
@@ -25,8 +25,11 @@ fn paper_ratio(name: &str) -> Option<f64> {
 
 fn main() {
     println!("Table 5.2: Scheduler/worker ratio for benchmarks");
-    println!("{:<16} {:>12} {:>12}", "Benchmark", "measured %", "paper %");
-    let mut rows = Vec::new();
+    let mut table = Table::new(&[
+        Col::text("benchmark", 16),
+        Col::num("measured_pct", 12, 1, 2),
+        Col::text("paper_pct", 12),
+    ]);
     for info in registry().into_iter().filter(|b| b.domore) {
         let model = info.model(Scale::Figure);
         let mut sched = 0u64;
@@ -40,18 +43,11 @@ fn main() {
         }
         let measured = 100.0 * sched as f64 / worker as f64;
         let paper = paper_ratio(info.name);
-        println!(
-            "{:<16} {:>11.1}% {:>11}",
-            info.name,
-            measured,
-            paper.map_or("-".to_owned(), |p| format!("{p:.1}%")),
-        );
-        rows.push(format!(
-            "{},{:.2},{}",
-            info.name,
-            measured,
-            paper.map_or(String::new(), |p| p.to_string())
-        ));
+        table.row(&[
+            &info.name,
+            &measured,
+            &paper.map_or(String::new(), |p| p.to_string()),
+        ]);
     }
-    write_csv("table5_2", "benchmark,measured_pct,paper_pct", &rows);
+    table.finish("table5_2");
 }

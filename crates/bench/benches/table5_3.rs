@@ -6,7 +6,7 @@
 //! the one program whose train/ref inputs differ structurally, matching
 //! the thesis' 500 vs. 800.
 
-use crossinvoc_bench::{spec_params, write_csv};
+use crossinvoc_bench::{spec_params, Col, Table};
 use crossinvoc_sim::prelude::*;
 use crossinvoc_workloads::kernel::profile_distance;
 use crossinvoc_workloads::loopdep::Loopdep;
@@ -18,12 +18,15 @@ fn fmt_distance(d: Option<u64>) -> String {
 
 fn main() {
     println!("Table 5.3: Details of benchmark programs (24 threads)");
-    println!(
-        "{:<16} {:>9} {:>8} {:>10} {:>8} {:>8}",
-        "Benchmark", "#tasks", "#epochs", "#checks", "d(train)", "d(ref)"
-    );
+    let mut table = Table::new(&[
+        Col::text("benchmark", 16),
+        Col::text("tasks", 9),
+        Col::text("epochs", 8),
+        Col::text("check_requests", 10),
+        Col::text("min_distance_train", 8),
+        Col::text("min_distance_ref", 8),
+    ]);
     let cost = CostModel::default();
-    let mut rows = Vec::new();
     for info in registry().into_iter().filter(|b| b.speccross) {
         let model = info.model(Scale::Figure);
         let params = spec_params(&info, Scale::Figure, 24);
@@ -36,28 +39,14 @@ fn main() {
         } else {
             train
         };
-        println!(
-            "{:<16} {:>9} {:>8} {:>10} {:>8} {:>8}",
-            info.name,
-            result.stats.tasks,
-            result.stats.epochs,
-            result.stats.check_requests,
-            fmt_distance(train),
-            fmt_distance(reference),
-        );
-        rows.push(format!(
-            "{},{},{},{},{},{}",
-            info.name,
-            result.stats.tasks,
-            result.stats.epochs,
-            result.stats.check_requests,
-            fmt_distance(train),
-            fmt_distance(reference),
-        ));
+        table.row(&[
+            &info.name,
+            &result.stats.tasks,
+            &result.stats.epochs,
+            &result.stats.check_requests,
+            &fmt_distance(train),
+            &fmt_distance(reference),
+        ]);
     }
-    write_csv(
-        "table5_3",
-        "benchmark,tasks,epochs,check_requests,min_distance_train,min_distance_ref",
-        &rows,
-    );
+    table.finish("table5_3");
 }

@@ -1,7 +1,6 @@
 //! `server-stats` — renders telemetry snapshot JSONL (schema
-//! `crossinvoc-telemetry-1`, written by a [`RegionServer`] snapshot pump,
-//! `bench-suite --telemetry`, or the simulator's
-//! `region_server_telemetry` mirror) as a `top`-style table: one row per
+//! `crossinvoc-telemetry-1`, written by a [`RegionServer`] snapshot pump or
+//! `bench-suite --telemetry`) as a `top`-style table: one row per
 //! region (followed by its non-zero counters, every entry of the runtime's
 //! `counters!` table by name), a pool summary line, and a red-flag column
 //! for rows that faulted or degraded. See `docs/OBSERVABILITY.md`.

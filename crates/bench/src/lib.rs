@@ -58,6 +58,85 @@ pub fn write_csv(name: &str, header: &str, rows: &[String]) {
     println!("[wrote {}]", path.display());
 }
 
+/// One column of a figure [`Table`]: its CSV header (also its stdout
+/// title), its stdout width, and — for numeric columns — the decimals its
+/// cells get on stdout and in the CSV.
+#[derive(Debug, Clone, Copy)]
+pub struct Col(&'static str, usize, Option<(usize, usize)>);
+
+impl Col {
+    /// A column whose cells are rendered verbatim (labels, counts).
+    pub const fn text(name: &'static str, width: usize) -> Self {
+        Col(name, width, None)
+    }
+
+    /// A numeric column: `shown` decimals on stdout, `csv` in the file.
+    pub const fn num(name: &'static str, width: usize, shown: usize, csv: usize) -> Self {
+        Col(name, width, Some((shown, csv)))
+    }
+}
+
+/// A figure's rows, stated once: [`Table::row`] prints the aligned stdout
+/// line and records the CSV line, [`Table::finish`] writes the CSV.
+#[derive(Debug)]
+pub struct Table {
+    cols: Vec<Col>,
+    rows: Vec<String>,
+}
+
+impl Table {
+    /// Starts a table and prints its header line.
+    pub fn new(cols: &[Col]) -> Self {
+        let table = Table {
+            cols: cols.to_vec(),
+            rows: Vec::new(),
+        };
+        table.print(cols.iter().map(|c| c.0.to_owned()).collect());
+        table
+    }
+
+    /// First column left-aligned, the rest right-aligned.
+    fn print(&self, cells: Vec<String>) {
+        let line: Vec<String> = (self.cols.iter().zip(cells).enumerate())
+            .map(|(i, (col, cell))| {
+                let width = col.1.max(col.0.len());
+                if i == 0 {
+                    format!("{cell:<width$}")
+                } else {
+                    format!("{cell:>width$}")
+                }
+            })
+            .collect();
+        println!("{}", line.join(" "));
+    }
+
+    /// Prints one row and records it for the CSV.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cells` does not have one value per column.
+    pub fn row(&mut self, cells: &[&dyn std::fmt::Display]) {
+        assert_eq!(cells.len(), self.cols.len(), "one cell per column");
+        let render = |digits: fn((usize, usize)) -> usize| -> Vec<String> {
+            (self.cols.iter().zip(cells))
+                .map(|(col, cell)| match col.2 {
+                    Some(d) => format!("{cell:.*}", digits(d)),
+                    None => cell.to_string(),
+                })
+                .collect()
+        };
+        self.print(render(|d| d.0));
+        let csv = render(|d| d.1).join(",");
+        self.rows.push(csv);
+    }
+
+    /// Writes `target/figures/<name>.csv`.
+    pub fn finish(self, name: &str) {
+        let header: Vec<&str> = self.cols.iter().map(|c| c.0).collect();
+        write_csv(name, &header.join(","), &self.rows);
+    }
+}
+
 /// Per-thread trace-ring capacity requested via the `CROSSINVOC_TRACE`
 /// environment variable: unset, empty, or `0` disables tracing; `1` (or any
 /// non-numeric value such as `on`) enables it at the default capacity of
@@ -344,6 +423,18 @@ mod tests {
             assert!(pair.barrier > 0.0, "{}", info.name);
             assert!(pair.technique > 0.0, "{}", info.name);
         }
+    }
+
+    #[test]
+    fn table_rows_round_numbers_per_column_and_keep_text_verbatim() {
+        let mut t = Table::new(&[
+            Col::text("kernel", 8),
+            Col::num("speedup", 8, 2, 4),
+            Col::text("tasks", 5),
+        ]);
+        t.row(&[&"cg", &1.234_56, &7u64]);
+        t.row(&[&"symm", &10.0, &"*"]);
+        assert_eq!(t.rows, ["cg,1.2346,7", "symm,10.0000,*"]);
     }
 
     #[test]

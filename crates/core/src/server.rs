@@ -195,24 +195,40 @@ impl RegionServer {
         self.registry.as_ref()
     }
 
-    /// Registers a region cell and stamps the engine config, arming the
-    /// flight-recorder trace ring when the caller left tracing off.
-    fn register_spec(
+    /// The one submission body: registers the region with the telemetry
+    /// registry (arming the flight-recorder trace ring when the caller left
+    /// tracing off), then spawns the manager thread that runs `run` against
+    /// the shared pool.
+    fn spawn_region<C: RegionConfig>(
         &self,
         region_id: u64,
         kind: &'static str,
         gang: usize,
-        mut config: SpecConfig,
-    ) -> (SpecConfig, Option<Arc<RegionTelemetry>>) {
-        let Some(registry) = &self.registry else {
-            return (config, None);
-        };
-        if let Some(recorder) = registry.flight_recorder() {
-            config = config.trace_default(recorder.capacity());
+        mut config: C,
+        run: impl FnOnce(C, &WorkerPool) -> Result<RegionReport, RegionError> + Send + 'static,
+    ) -> RegionHandle {
+        let mut cell = None;
+        if let Some(registry) = &self.registry {
+            let registered = registry.register(region_id, kind, gang);
+            let ring = registry.flight_recorder().map(|r| r.capacity());
+            config = config.armed(ring, Arc::clone(&registered));
+            cell = Some(registered);
         }
-        let cell = registry.register(region_id, kind, gang);
-        config = config.telemetry(Arc::clone(&cell));
-        (config, Some(cell))
+        let pool = Arc::clone(&self.pool);
+        let thread = thread::Builder::new()
+            .name(format!("crossinvoc-region-{region_id}"))
+            .spawn(move || {
+                let result = run(config, &pool);
+                // Safety net for errors raised before the engine's own
+                // lifecycle calls (e.g. config validation); the first
+                // complete/fail wins, so this is a no-op on normal paths.
+                if let (Err(_), Some(cell)) = (&result, &cell) {
+                    cell.fail(None);
+                }
+                result
+            })
+            .expect("spawn region manager thread");
+        RegionHandle { region_id, thread }
     }
 
     /// Spawns a snapshot pump: a background thread that snapshots the
@@ -272,23 +288,12 @@ impl RegionServer {
         W: SpecWorkload + Send + Sync + 'static,
     {
         let gang = config.num_workers + config.checker_shards;
-        let (config, cell) = self.register_spec(region_id, "speccross", gang, config);
-        let pool = Arc::clone(&self.pool);
-        let thread = thread::Builder::new()
-            .name(format!("crossinvoc-region-{region_id}"))
-            .spawn(move || {
-                let engine = SpecCrossEngine::<S>::new(config.region(region_id));
-                let result = engine.execute_on(&*workload, &*pool);
-                // Safety net for errors raised before the engine's own
-                // lifecycle calls (e.g. config validation); the first
-                // complete/fail wins, so this is a no-op on normal paths.
-                if let (Err(_), Some(cell)) = (&result, &cell) {
-                    cell.fail(None);
-                }
-                result.map(RegionReport::Spec).map_err(RegionError::Spec)
-            })
-            .expect("spawn region manager thread");
-        RegionHandle { region_id, thread }
+        self.spawn_region(region_id, "speccross", gang, config, move |config, pool| {
+            SpecCrossEngine::<S>::new(config.region(region_id))
+                .execute_on(&*workload, pool)
+                .map(RegionReport::Spec)
+                .map_err(RegionError::Spec)
+        })
     }
 
     /// Submits a SPECCROSS region in non-speculative barrier mode.
@@ -303,20 +308,18 @@ impl RegionServer {
         W: SpecWorkload + Send + Sync + 'static,
     {
         let gang = config.num_workers;
-        let (config, cell) = self.register_spec(region_id, "speccross-barrier", gang, config);
-        let pool = Arc::clone(&self.pool);
-        let thread = thread::Builder::new()
-            .name(format!("crossinvoc-region-{region_id}"))
-            .spawn(move || {
-                let engine = SpecCrossEngine::<S>::new(config.region(region_id));
-                let result = engine.execute_with_barriers_on(&*workload, &*pool);
-                if let (Err(_), Some(cell)) = (&result, &cell) {
-                    cell.fail(None);
-                }
-                result.map(RegionReport::Spec).map_err(RegionError::Spec)
-            })
-            .expect("spawn region manager thread");
-        RegionHandle { region_id, thread }
+        self.spawn_region(
+            region_id,
+            "speccross-barrier",
+            gang,
+            config,
+            move |config, pool| {
+                SpecCrossEngine::<S>::new(config.region(region_id))
+                    .execute_with_barriers_on(&*workload, pool)
+                    .map(RegionReport::Spec)
+                    .map_err(RegionError::Spec)
+            },
+        )
     }
 
     /// Submits a DOMORE region. The manager thread doubles as the region's
@@ -330,32 +333,40 @@ impl RegionServer {
     where
         W: DomoreWorkload + Send + Sync + 'static,
     {
-        let (config, cell) = match &self.registry {
-            None => (config, None),
-            Some(registry) => {
-                let mut config = config;
-                if let Some(recorder) = registry.flight_recorder() {
-                    config = config.trace_default(recorder.capacity());
-                }
-                let cell = registry.register(region_id, "domore", config.num_workers());
-                (config.telemetry(Arc::clone(&cell)), Some(cell))
-            }
-        };
-        let pool = Arc::clone(&self.pool);
-        let thread = thread::Builder::new()
-            .name(format!("crossinvoc-region-{region_id}"))
-            .spawn(move || {
-                let mut runtime = DomoreRuntime::new(config.region(region_id));
-                let result = runtime.execute_on(&*workload, &*pool);
-                if let (Err(_), Some(cell)) = (&result, &cell) {
-                    cell.fail(None);
-                }
-                result
-                    .map(RegionReport::Domore)
-                    .map_err(RegionError::Domore)
-            })
-            .expect("spawn region manager thread");
-        RegionHandle { region_id, thread }
+        let gang = config.num_workers();
+        self.spawn_region(region_id, "domore", gang, config, move |config, pool| {
+            DomoreRuntime::new(config.region(region_id))
+                .execute_on(&*workload, pool)
+                .map(RegionReport::Domore)
+                .map_err(RegionError::Domore)
+        })
+    }
+}
+
+/// What [`RegionServer`] stamps onto either engine's configuration: the
+/// telemetry cell, and flight-recorder trace rings of `ring` records when
+/// the caller left tracing off.
+trait RegionConfig: Send + 'static {
+    fn armed(self, ring: Option<usize>, cell: Arc<RegionTelemetry>) -> Self;
+}
+
+impl RegionConfig for SpecConfig {
+    fn armed(self, ring: Option<usize>, cell: Arc<RegionTelemetry>) -> Self {
+        match ring {
+            Some(capacity) => self.trace_default(capacity),
+            None => self,
+        }
+        .telemetry(cell)
+    }
+}
+
+impl RegionConfig for DomoreConfig {
+    fn armed(self, ring: Option<usize>, cell: Arc<RegionTelemetry>) -> Self {
+        match ring {
+            Some(capacity) => self.trace_default(capacity),
+            None => self,
+        }
+        .telemetry(cell)
     }
 }
 

@@ -20,9 +20,9 @@ use std::time::Instant;
 use crossinvoc_runtime::metrics::Metrics;
 use parking_lot::Mutex;
 
-use crate::logic::SchedulerLogic;
 use crate::policy::{Policy, RoundRobin};
 use crate::runtime::{DomoreError, ExecutionReport, ProgressBoard};
+use crate::schedule::ScheduleCore;
 use crate::workload::DomoreWorkload;
 
 /// DOMORE execution without a dedicated scheduler thread.
@@ -119,10 +119,7 @@ impl DuplicatedScheduler {
         std::thread::scope(|scope| {
             for tid in 0..self.num_workers {
                 let mut policy = self.policy_factory.0.replicate();
-                let mut logic = match workload.address_space() {
-                    Some(n) => SchedulerLogic::with_dense_shadow(n),
-                    None => SchedulerLogic::with_sparse_shadow(),
-                };
+                let mut core = ScheduleCore::new(workload.address_space());
                 let board = &board;
                 let metrics = &metrics;
                 let (abort, fail) = (&abort, &fail);
@@ -133,62 +130,57 @@ impl DuplicatedScheduler {
                     // prologue or oracle must not tear down the scope while
                     // peers spin on this worker's conditions.
                     let body = catch_unwind(AssertUnwindSafe(|| {
-                        let mut writes = Vec::new();
-                        let mut reads = Vec::new();
-                        let mut addrs = Vec::new();
-                        let mut conds = Vec::new();
                         for inv in 0..workload.num_invocations() {
                             workload.prologue(inv);
                             if tid == 0 {
                                 stats.add_epoch();
                             }
-                            for iter in 0..workload.num_iterations(inv) {
-                                writes.clear();
-                                reads.clear();
-                                workload.touched(inv, iter, &mut writes, &mut reads);
-                                addrs.clear();
-                                addrs.extend_from_slice(&writes);
-                                addrs.extend_from_slice(&reads);
-                                let preview = logic.next_iter_num();
-                                let assigned = policy.assign(preview, &addrs, num_workers);
-                                conds.clear();
-                                let iter_num =
-                                    logic.schedule_rw(assigned, &writes, &reads, &mut conds);
-                                if assigned != tid {
-                                    continue;
-                                }
-                                // Only the owning worker waits and executes;
-                                // the replicas merely keep their shadow state
-                                // warm. Under abort the replay continues but
-                                // execution is skipped — every owned
-                                // iteration is still published so peers
-                                // blocked on it are released.
-                                if !abort.load(Ordering::Acquire) {
-                                    for &cond in &conds {
-                                        stats.add_sync_condition();
-                                        if !board.satisfied(cond) {
-                                            stats.add_stall();
-                                            let entered = Instant::now();
-                                            board.await_condition_bounded(tid, cond, abort, None);
-                                            metrics.record_stall_wait(
-                                                entered.elapsed().as_nanos() as u64
-                                            );
+                            // Replicas never memoize: each pays the full
+                            // scheduling stream, as §3.4 describes.
+                            core.run_invocation(
+                                workload.num_iterations(inv),
+                                false,
+                                |iter, writes, reads| workload.touched(inv, iter, writes, reads),
+                                |iter_num, addrs| Some(policy.assign(iter_num, addrs, num_workers)),
+                                |iter, assigned, iter_num, conds, _replayed| {
+                                    if assigned != tid {
+                                        return;
+                                    }
+                                    // Only the owning worker waits and executes;
+                                    // the replicas merely keep their shadow state
+                                    // warm. Under abort the replay continues but
+                                    // execution is skipped — every owned
+                                    // iteration is still published so peers
+                                    // blocked on it are released.
+                                    if !abort.load(Ordering::Acquire) {
+                                        for &cond in conds {
+                                            stats.add_sync_condition();
+                                            if !board.satisfied(cond) {
+                                                stats.add_stall();
+                                                let entered = Instant::now();
+                                                board.await_condition_bounded(
+                                                    tid, cond, abort, None,
+                                                );
+                                                metrics.record_stall_wait(
+                                                    entered.elapsed().as_nanos() as u64,
+                                                );
+                                            }
                                         }
                                     }
-                                }
-                                if !abort.load(Ordering::Acquire) {
-                                    let run = catch_unwind(AssertUnwindSafe(|| {
-                                        workload.execute_iteration(inv, iter, tid);
-                                    }));
-                                    match run {
-                                        Ok(()) => stats.add_task(),
-                                        Err(_) => {
-                                            fail(DomoreError::IterationPanicked { inv, iter })
+                                    if !abort.load(Ordering::Acquire) {
+                                        let run = catch_unwind(AssertUnwindSafe(|| {
+                                            workload.execute_iteration(inv, iter, tid);
+                                        }));
+                                        match run {
+                                            Ok(()) => stats.add_task(),
+                                            Err(_) => {
+                                                fail(DomoreError::IterationPanicked { inv, iter })
+                                            }
                                         }
                                     }
-                                }
-                                board.publish(tid, iter_num);
-                            }
+                                    board.publish(tid, iter_num);
+                                },
+                            );
                         }
                     }));
                     if body.is_err() {

@@ -11,11 +11,16 @@
 //! consecutive invocations overlap freely whenever they are dynamically
 //! independent.
 //!
-//! The crate is split so that the decision logic is reusable outside real
-//! threads (the discrete-event simulator consumes it too):
+//! The crate is split so that the scheduling protocol is reusable outside
+//! real threads (the discrete-event simulator drives the same step):
 //!
+//! * [`schedule`] — the one scheduling step every scheduler-role agent
+//!   drives ([`ScheduleCore`]): oracle → policy → conflict detection →
+//!   emit, with memo replay, verification and divergence fallback inside.
 //! * [`logic`] — the pure scheduler algorithm (Alg. 1 of the thesis):
 //!   shadow-memory lookups and synchronization-condition generation.
+//! * [`memo`] — cross-invocation schedule memoization, used only through
+//!   the core.
 //! * [`policy`] — iteration-to-thread assignment (§3.3.3): round-robin,
 //!   LOCALWRITE-style memory partitioning, and locality-aware adaptive
 //!   dispatch ([`policy::Adaptive`], selectable via [`policy::Dispatch`]).
@@ -71,13 +76,15 @@ pub mod logic;
 pub mod memo;
 pub mod policy;
 pub mod runtime;
+pub mod schedule;
 pub mod workload;
 
 pub use duplicated::DuplicatedScheduler;
 pub use logic::{SchedulerLogic, SyncCondition};
-pub use memo::{ReplayStep, ScheduleMemo};
+pub use memo::ScheduleMemo;
 pub use policy::{Adaptive, Chunked, Dispatch, LocalWrite, ModuloWrite, Policy, RoundRobin};
 pub use runtime::{DomoreConfig, DomoreError, DomoreRuntime, ExecutionReport};
+pub use schedule::ScheduleCore;
 pub use workload::DomoreWorkload;
 
 /// Convenient glob-import surface.

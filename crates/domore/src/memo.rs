@@ -45,8 +45,8 @@
 //! condition generation. The conditions of a replayed *prefix* depend only
 //! on the start-of-invocation shadow and the verified prefix of the
 //! stream, so they remain correct even when a later iteration diverges;
-//! the caller then rebuilds the shadow for the dispatched prefix (see
-//! [`ScheduleMemo::recorded_tid`]) and falls back to full scheduling. Any
+//! [`crate::schedule::ScheduleCore`] then rebuilds the shadow for the
+//! dispatched prefix and falls back to full scheduling. Any
 //! divergence invalidates the whole period: replay only ever resumes after
 //! the pattern has re-established itself over two fresh periods.
 //!
@@ -156,33 +156,14 @@ enum Mode {
     Fallback,
 }
 
-/// Outcome of one replayed iteration.
-#[derive(Debug)]
-pub enum ReplayStep<'a> {
-    /// The stream still matches: dispatch to `tid` as combined iteration
-    /// `iter_num`, preceded by `conds` (absolute iteration numbers).
-    Match {
-        /// Worker the recorded schedule assigned (verified against the
-        /// policy's live decision).
-        tid: ThreadId,
-        /// Combined iteration number of this iteration.
-        iter_num: IterNum,
-        /// Synchronization conditions, shifted to the current invocation.
-        conds: &'a [SyncCondition],
-    },
-    /// The stream or assignment diverged from the recording. The caller
-    /// must rebuild the shadow for the already-dispatched prefix (using
-    /// [`ScheduleMemo::recorded_tid`]) and schedule the rest normally.
-    Diverged,
-}
-
 /// Detects steady-state (possibly periodic) invocation patterns and
 /// replays their cached schedules.
 ///
-/// Driven identically by the threaded runtime and the simulator; all
-/// scheduling *decisions* flow through here or through
-/// [`SchedulerLogic`], so replayed and recomputed invocations are
-/// byte-identical (a property the suite's proptests pin down).
+/// Driven only by [`crate::schedule::ScheduleCore`], which the threaded
+/// runtime and the simulator share; all scheduling *decisions* flow through
+/// here or through [`SchedulerLogic`], so replayed and recomputed
+/// invocations are byte-identical (a property the suite's proptests pin
+/// down).
 #[derive(Debug)]
 pub struct ScheduleMemo {
     /// Fingerprints of recently completed invocations, newest last.
@@ -241,7 +222,7 @@ impl ScheduleMemo {
     /// invocation cannot be memoized or replayed (dead-worker rerouting in
     /// play, memoization disabled): the memo invalidates and stays out of
     /// the way.
-    pub fn begin_invocation(&mut self, iters: usize, base: IterNum, usable: bool) -> bool {
+    pub(crate) fn begin_invocation(&mut self, iters: usize, base: IterNum, usable: bool) -> bool {
         self.base = base;
         self.iters = iters;
         if !usable {
@@ -266,7 +247,7 @@ impl ScheduleMemo {
 
     /// Feeds one normally-scheduled iteration into the candidate recording.
     /// No-op outside recording mode.
-    pub fn record_step(
+    pub(crate) fn record_step(
         &mut self,
         writes: &[usize],
         reads: &[usize],
@@ -291,23 +272,26 @@ impl ScheduleMemo {
         });
     }
 
-    /// Verifies and replays iteration `iter`. `assigned` is the policy's
-    /// live decision (after any dead-worker rerouting); a mismatch with the
-    /// recording — of assignment or of access stream — reports
-    /// [`ReplayStep::Diverged`] and switches the memo to fallback.
-    pub fn replay_step(
+    /// Verifies and replays iteration `iter`: the recorded conditions,
+    /// shifted to the current invocation. `assigned` is the policy's live
+    /// decision (after any dead-worker rerouting); a mismatch with the
+    /// recording — of assignment or of access stream — returns `None` and
+    /// switches the memo to fallback: the caller must rebuild the shadow
+    /// for the already-dispatched prefix (using
+    /// [`ScheduleMemo::recorded_tid`]) and schedule the rest normally.
+    pub(crate) fn replay_step(
         &mut self,
         iter: usize,
         writes: &[usize],
         reads: &[usize],
         assigned: ThreadId,
-    ) -> ReplayStep<'_> {
+    ) -> Option<&[SyncCondition]> {
         debug_assert_eq!(self.mode, Mode::Replaying);
         let r = self.replay.as_ref().expect("replaying without a memo");
         let rec = &r.slots[r.next].iters[iter];
         if rec.tid != assigned || rec.fingerprint != iter_fingerprint(writes, reads, assigned) {
             self.mode = Mode::Fallback;
-            return ReplayStep::Diverged;
+            return None;
         }
         let base = self.base as i64;
         self.resolved.clear();
@@ -316,11 +300,7 @@ impl ScheduleMemo {
                 dep_tid,
                 dep_iter: (base + off) as u64,
             }));
-        ReplayStep::Match {
-            tid: assigned,
-            iter_num: self.base + iter as u64,
-            conds: &self.resolved,
-        }
+        Some(&self.resolved)
     }
 
     /// Worker the recording assigned to iteration `iter` — the catch-up
@@ -328,7 +308,7 @@ impl ScheduleMemo {
     /// [`SchedulerLogic::schedule_rw`] for the dispatched prefix with these
     /// assignments (discarding the conditions, which were already emitted
     /// correctly) to bring the shadow up to date.
-    pub fn recorded_tid(&self, iter: usize) -> ThreadId {
+    pub(crate) fn recorded_tid(&self, iter: usize) -> ThreadId {
         let r = self.replay.as_ref().expect("no recorded schedule");
         r.slots[r.next].iters[iter].tid
     }
@@ -342,7 +322,7 @@ impl ScheduleMemo {
     /// history shows two full repetitions and every condition stays within
     /// one period of history (see the module docs for why both gates are
     /// required).
-    pub fn end_invocation(&mut self, logic: &mut SchedulerLogic) -> bool {
+    pub(crate) fn end_invocation(&mut self, logic: &mut SchedulerLogic) -> bool {
         let mode = std::mem::replace(&mut self.mode, Mode::Idle);
         match mode {
             Mode::Replaying => {
@@ -442,53 +422,38 @@ impl ScheduleMemo {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::ScheduleCore;
 
-    /// Drives `memo` + `logic` through one invocation of `stream`
-    /// (per-iteration `(tid, writes, reads)`), collecting the dispatched
-    /// `(tid, iter_num, conds)` tuples exactly as the runtime would.
-    fn run_invocation(
-        memo: &mut ScheduleMemo,
-        logic: &mut SchedulerLogic,
+    /// Schedules one invocation of `stream` (per-iteration `(tid, writes,
+    /// reads)`) through the production core, collecting the emitted
+    /// `(tid, iter_num, conds)` tuples and the cache-hit verdict.
+    fn drive_with(
+        core: &mut ScheduleCore,
+        stream: &[(ThreadId, Vec<usize>, Vec<usize>)],
+        usable: bool,
+    ) -> (Vec<(ThreadId, IterNum, Vec<SyncCondition>)>, bool) {
+        let base = core.next_iter_num();
+        let mut out = Vec::new();
+        let hit = core
+            .run_invocation(
+                stream.len(),
+                usable,
+                |iter, writes, reads| {
+                    writes.extend_from_slice(&stream[iter].1);
+                    reads.extend_from_slice(&stream[iter].2);
+                },
+                |iter_num, _| Some(stream[(iter_num - base) as usize].0),
+                |_, tid, iter_num, conds, _| out.push((tid, iter_num, conds.to_vec())),
+            )
+            .expect("every iteration is assigned");
+        (out, hit)
+    }
+
+    fn drive(
+        core: &mut ScheduleCore,
         stream: &[(ThreadId, Vec<usize>, Vec<usize>)],
     ) -> (Vec<(ThreadId, IterNum, Vec<SyncCondition>)>, bool) {
-        let base = logic.next_iter_num();
-        let mut out = Vec::new();
-        let replaying = memo.begin_invocation(stream.len(), base, true);
-        let mut iter = 0;
-        if replaying {
-            while iter < stream.len() {
-                let (tid, ref writes, ref reads) = stream[iter];
-                match memo.replay_step(iter, writes, reads, tid) {
-                    ReplayStep::Match {
-                        tid,
-                        iter_num,
-                        conds,
-                    } => {
-                        out.push((tid, iter_num, conds.to_vec()));
-                        iter += 1;
-                    }
-                    ReplayStep::Diverged => {
-                        let mut scratch = Vec::new();
-                        for (k, (rt, w, r)) in stream.iter().enumerate().take(iter) {
-                            debug_assert_eq!(*rt, memo.recorded_tid(k));
-                            scratch.clear();
-                            let _ = logic.schedule_rw(memo.recorded_tid(k), w, r, &mut scratch);
-                        }
-                        break;
-                    }
-                }
-            }
-        }
-        while iter < stream.len() {
-            let (tid, ref writes, ref reads) = stream[iter];
-            let mut conds = Vec::new();
-            let iter_num = logic.schedule_rw(tid, writes, reads, &mut conds);
-            memo.record_step(writes, reads, tid, &conds);
-            out.push((tid, iter_num, conds));
-            iter += 1;
-        }
-        let hit = memo.end_invocation(logic);
-        (out, hit)
+        drive_with(core, stream, true)
     }
 
     /// The reference: the same stream scheduled with a plain
@@ -522,17 +487,16 @@ mod tests {
     #[test]
     fn replay_is_byte_identical_to_recomputation() {
         let stream = stencil_stream(12, 3);
-        let mut memo = ScheduleMemo::new();
-        let mut logic = SchedulerLogic::with_dense_shadow(12);
+        let mut core = ScheduleCore::new(Some(12));
         let mut reference = SchedulerLogic::with_dense_shadow(12);
         for inv in 0..6 {
-            let (got, hit) = run_invocation(&mut memo, &mut logic, &stream);
+            let (got, hit) = drive(&mut core, &stream);
             let want = run_reference(&mut reference, &stream);
             assert_eq!(got, want, "invocation {inv} diverged");
             // Invocation 0 seeds, 1 records a matching candidate, 2.. replay.
             assert_eq!(hit, inv >= 2, "invocation {inv}");
         }
-        assert_eq!(memo.hits(), 4);
+        assert_eq!(core.memo().hits(), 4);
     }
 
     #[test]
@@ -540,22 +504,21 @@ mod tests {
         let steady = stencil_stream(8, 2);
         let mut changed = steady.clone();
         changed[5].1 = vec![0]; // different write set mid-invocation
-        let mut memo = ScheduleMemo::new();
-        let mut logic = SchedulerLogic::with_dense_shadow(8);
+        let mut core = ScheduleCore::new(Some(8));
         let mut reference = SchedulerLogic::with_dense_shadow(8);
         let script = [
             &steady, &steady, &steady, &changed, &steady, &steady, &steady,
         ];
         let mut hits = 0;
         for stream in script {
-            let (got, hit) = run_invocation(&mut memo, &mut logic, stream);
+            let (got, hit) = drive(&mut core, stream);
             let want = run_reference(&mut reference, stream);
             assert_eq!(got, want);
             hits += u64::from(hit);
         }
         // Replays: invocation 2 and (after re-warming on 4 and 5) 6.
         assert_eq!(hits, 2);
-        assert_eq!(memo.hits(), hits);
+        assert_eq!(core.memo().hits(), hits);
     }
 
     #[test]
@@ -564,15 +527,14 @@ mod tests {
         // every invocation, so the fingerprint sequence alternates A B A B
         // and the memo promotes the two-invocation period after seeing it
         // twice (end of invocation 3); invocations 4.. replay.
-        let mut memo = ScheduleMemo::new();
-        let mut logic = SchedulerLogic::with_dense_shadow(8);
+        let mut core = ScheduleCore::new(Some(8));
         let mut reference = SchedulerLogic::with_dense_shadow(8);
         let mut hits = 0u64;
         for inv in 0..8u64 {
             let stream: Vec<_> = (0..5)
                 .map(|i| (((inv * 5 + i) % 2) as usize, vec![i as usize], vec![]))
                 .collect();
-            let (got, hit) = run_invocation(&mut memo, &mut logic, &stream);
+            let (got, hit) = drive(&mut core, &stream);
             assert_eq!(got, run_reference(&mut reference, &stream));
             assert_eq!(hit, inv >= 4, "invocation {inv}");
             hits += u64::from(hit);
@@ -594,13 +556,12 @@ mod tests {
                 })
                 .collect()
         };
-        let mut memo = ScheduleMemo::new();
-        let mut logic = SchedulerLogic::with_dense_shadow(12);
+        let mut core = ScheduleCore::new(Some(12));
         let mut reference = SchedulerLogic::with_dense_shadow(12);
         let mut hits = 0u64;
         for inv in 0..12usize {
             let stream = phase(inv % 3);
-            let (got, hit) = run_invocation(&mut memo, &mut logic, &stream);
+            let (got, hit) = drive(&mut core, &stream);
             assert_eq!(
                 got,
                 run_reference(&mut reference, &stream),
@@ -609,7 +570,7 @@ mod tests {
             assert_eq!(hit, inv >= 6, "invocation {inv}");
             hits += u64::from(hit);
         }
-        assert_eq!(memo.hits(), hits);
+        assert_eq!(core.memo().hits(), hits);
         assert_eq!(hits, 6);
     }
 
@@ -618,8 +579,7 @@ mod tests {
         // Iteration 0 of invocation k additionally reads cell k, so every
         // invocation fingerprints differently: the history never shows a
         // repetition, no finals are ever exported, and nothing promotes.
-        let mut memo = ScheduleMemo::new();
-        let mut logic = SchedulerLogic::with_dense_shadow(64);
+        let mut core = ScheduleCore::new(Some(64));
         let mut reference = SchedulerLogic::with_dense_shadow(64);
         for inv in 0..12usize {
             let stream: Vec<(ThreadId, Vec<usize>, Vec<usize>)> = (0..5)
@@ -628,11 +588,11 @@ mod tests {
                     (i % 2, vec![i], reads)
                 })
                 .collect();
-            let (got, hit) = run_invocation(&mut memo, &mut logic, &stream);
+            let (got, hit) = drive(&mut core, &stream);
             assert_eq!(got, run_reference(&mut reference, &stream));
             assert!(!hit);
         }
-        assert!(!memo.is_replayable());
+        assert!(!core.memo().is_replayable());
     }
 
     #[test]
@@ -640,18 +600,17 @@ mod tests {
         // Iteration i of invocation k writes cell (i + k) % 37: the
         // fingerprint period is 37 > MAX_PERIOD, so the memo never
         // promotes no matter how long the run.
-        let mut memo = ScheduleMemo::new();
-        let mut logic = SchedulerLogic::with_dense_shadow(37);
+        let mut core = ScheduleCore::new(Some(37));
         let mut reference = SchedulerLogic::with_dense_shadow(37);
         for inv in 0..(2 * MAX_PERIOD + 8) {
             let stream: Vec<(ThreadId, Vec<usize>, Vec<usize>)> = (0..5)
                 .map(|i| (i % 2, vec![(i + inv) % 37], vec![]))
                 .collect();
-            let (got, hit) = run_invocation(&mut memo, &mut logic, &stream);
+            let (got, hit) = drive(&mut core, &stream);
             assert_eq!(got, run_reference(&mut reference, &stream), "inv {inv}");
             assert!(!hit);
         }
-        assert!(!memo.is_replayable());
+        assert!(!core.memo().is_replayable());
     }
 
     #[test]
@@ -660,17 +619,16 @@ mod tests {
         // steady-state invocation emits a condition on that never-shifting
         // write, which must disqualify replay (shifting it would name an
         // iteration that never retires).
-        let mut memo = ScheduleMemo::new();
-        let mut logic = SchedulerLogic::with_dense_shadow(8);
+        let mut core = ScheduleCore::new(Some(8));
         let mut reference = SchedulerLogic::with_dense_shadow(8);
         let warmup: Vec<(ThreadId, Vec<usize>, Vec<usize>)> =
             vec![(0, vec![7], vec![]), (1, vec![3], vec![])];
         let steady: Vec<(ThreadId, Vec<usize>, Vec<usize>)> =
             vec![(0, vec![0], vec![7]), (1, vec![1], vec![7])];
-        let (got, _) = run_invocation(&mut memo, &mut logic, &warmup);
+        let (got, _) = drive(&mut core, &warmup);
         assert_eq!(got, run_reference(&mut reference, &warmup));
         for _ in 0..5 {
-            let (got, hit) = run_invocation(&mut memo, &mut logic, &steady);
+            let (got, hit) = drive(&mut core, &steady);
             assert_eq!(got, run_reference(&mut reference, &steady));
             assert!(!hit, "stale-dep schedule must never replay");
         }
@@ -679,43 +637,38 @@ mod tests {
     #[test]
     fn unusable_invocation_invalidates() {
         let stream = stencil_stream(6, 2);
-        let mut memo = ScheduleMemo::new();
-        let mut logic = SchedulerLogic::with_dense_shadow(6);
+        let mut core = ScheduleCore::new(Some(6));
         for _ in 0..3 {
-            run_invocation(&mut memo, &mut logic, &stream);
+            drive(&mut core, &stream);
         }
-        assert!(memo.is_replayable());
+        assert!(core.memo().is_replayable());
         // A dead-worker invocation: scheduled normally, memo told to stand
         // down.
-        let base = logic.next_iter_num();
-        assert!(!memo.begin_invocation(stream.len(), base, false));
-        for (tid, writes, reads) in &stream {
-            let mut conds = Vec::new();
-            let _ = logic.schedule_rw(*tid, writes, reads, &mut conds);
-            memo.record_step(writes, reads, *tid, &conds); // must be a no-op
-        }
-        assert!(!memo.end_invocation(&mut logic));
-        assert!(!memo.is_replayable(), "unusable invocation invalidates");
+        let (_, hit) = drive_with(&mut core, &stream, false);
+        assert!(!hit);
+        assert!(
+            !core.memo().is_replayable(),
+            "unusable invocation invalidates"
+        );
         // Two further clean invocations re-warm it.
-        run_invocation(&mut memo, &mut logic, &stream);
-        run_invocation(&mut memo, &mut logic, &stream);
-        let (_, hit) = run_invocation(&mut memo, &mut logic, &stream);
+        drive(&mut core, &stream);
+        drive(&mut core, &stream);
+        let (_, hit) = drive(&mut core, &stream);
         assert!(hit);
     }
 
-    /// Warms `memo` until `stream` replays, mirroring every invocation
+    /// Warms `core` until `stream` replays, mirroring every invocation
     /// into `reference`.
     fn warm(
-        memo: &mut ScheduleMemo,
-        logic: &mut SchedulerLogic,
+        core: &mut ScheduleCore,
         reference: &mut SchedulerLogic,
         stream: &[(ThreadId, Vec<usize>, Vec<usize>)],
     ) {
         for _ in 0..3 {
-            let (got, _) = run_invocation(memo, logic, stream);
+            let (got, _) = drive(core, stream);
             assert_eq!(got, run_reference(reference, stream));
         }
-        assert!(memo.is_replayable());
+        assert!(core.memo().is_replayable());
     }
 
     #[test]
@@ -724,16 +677,18 @@ mod tests {
         // dispatched prefix to catch up): the fallback must still schedule
         // the whole invocation byte-identically to the reference.
         let steady = stencil_stream(8, 2);
-        let mut memo = ScheduleMemo::new();
-        let mut logic = SchedulerLogic::with_dense_shadow(8);
+        let mut core = ScheduleCore::new(Some(8));
         let mut reference = SchedulerLogic::with_dense_shadow(8);
-        warm(&mut memo, &mut logic, &mut reference, &steady);
+        warm(&mut core, &mut reference, &steady);
         let mut changed = steady.clone();
         changed[0].2 = vec![5]; // different read set at iteration 0
-        let (got, hit) = run_invocation(&mut memo, &mut logic, &changed);
+        let (got, hit) = drive(&mut core, &changed);
         assert_eq!(got, run_reference(&mut reference, &changed));
         assert!(!hit, "a diverged invocation is not a cache hit");
-        assert!(!memo.is_replayable(), "divergence invalidates the memo");
+        assert!(
+            !core.memo().is_replayable(),
+            "divergence invalidates the memo"
+        );
     }
 
     #[test]
@@ -743,20 +698,19 @@ mod tests {
         // the shadow must end bit-identical to plain scheduling —
         // observable through the *next* invocation's conditions.
         let steady = stencil_stream(8, 2);
-        let mut memo = ScheduleMemo::new();
-        let mut logic = SchedulerLogic::with_dense_shadow(8);
+        let mut core = ScheduleCore::new(Some(8));
         let mut reference = SchedulerLogic::with_dense_shadow(8);
-        warm(&mut memo, &mut logic, &mut reference, &steady);
+        warm(&mut core, &mut reference, &steady);
         let mut changed = steady.clone();
         let last = changed.len() - 1;
         changed[last].1 = vec![2]; // write set differs only at the end
-        let (got, hit) = run_invocation(&mut memo, &mut logic, &changed);
+        let (got, hit) = drive(&mut core, &changed);
         assert_eq!(got, run_reference(&mut reference, &changed));
         assert!(!hit);
         // The shadow state after fallback must drive identical sync
         // conditions on the following invocations.
         for inv in 0..3 {
-            let (got, _) = run_invocation(&mut memo, &mut logic, &steady);
+            let (got, _) = drive(&mut core, &steady);
             assert_eq!(
                 got,
                 run_reference(&mut reference, &steady),
@@ -771,35 +725,33 @@ mod tests {
         // rerouting): `replay_step` must treat the tid mismatch exactly
         // like a fingerprint mismatch.
         let steady = stencil_stream(8, 2);
-        let mut memo = ScheduleMemo::new();
-        let mut logic = SchedulerLogic::with_dense_shadow(8);
+        let mut core = ScheduleCore::new(Some(8));
         let mut reference = SchedulerLogic::with_dense_shadow(8);
-        warm(&mut memo, &mut logic, &mut reference, &steady);
+        warm(&mut core, &mut reference, &steady);
         let mut rerouted = steady.clone();
         rerouted[3].0 = (rerouted[3].0 + 1) % 2;
-        let (got, hit) = run_invocation(&mut memo, &mut logic, &rerouted);
+        let (got, hit) = drive(&mut core, &rerouted);
         assert_eq!(got, run_reference(&mut reference, &rerouted));
         assert!(!hit);
-        assert!(!memo.is_replayable());
+        assert!(!core.memo().is_replayable());
         // Re-warms and replays again afterwards.
-        warm(&mut memo, &mut logic, &mut reference, &steady);
-        let (_, hit) = run_invocation(&mut memo, &mut logic, &steady);
+        warm(&mut core, &mut reference, &steady);
+        let (_, hit) = drive(&mut core, &steady);
         assert!(hit);
     }
 
     #[test]
     fn changed_iteration_count_is_not_replayed() {
         let stream = stencil_stream(6, 2);
-        let mut memo = ScheduleMemo::new();
-        let mut logic = SchedulerLogic::with_dense_shadow(6);
+        let mut core = ScheduleCore::new(Some(6));
         let mut reference = SchedulerLogic::with_dense_shadow(6);
         for _ in 0..3 {
-            run_invocation(&mut memo, &mut logic, &stream);
+            drive(&mut core, &stream);
             run_reference(&mut reference, &stream);
         }
-        assert!(memo.is_replayable());
+        assert!(core.memo().is_replayable());
         let short: Vec<_> = stream[..4].to_vec();
-        let (got, hit) = run_invocation(&mut memo, &mut logic, &short);
+        let (got, hit) = drive(&mut core, &short);
         assert_eq!(got, run_reference(&mut reference, &short));
         assert!(!hit);
     }

@@ -46,20 +46,20 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crossbeam::utils::CachePadded;
-use crossinvoc_runtime::fault::{FaultKind, FaultPlan, TaskFault};
+use crossinvoc_runtime::fault::{FaultPlan, TaskFault};
 use crossinvoc_runtime::metrics::{Metrics, MetricsSummary};
 use crossinvoc_runtime::pool::{RegionExecutor, Role, ScopedExecutor};
 use crossinvoc_runtime::spsc::{Producer, Queue};
-use crossinvoc_runtime::stats::{RegionStats, StatsSummary};
+use crossinvoc_runtime::stats::StatsSummary;
 use crossinvoc_runtime::telemetry::RegionTelemetry;
-use crossinvoc_runtime::trace::{Event, Trace, TraceCollector, TraceSink, WakeEdge, MANAGER_TID};
+use crossinvoc_runtime::trace::{Event, Trace, TraceCollector, WakeEdge, MANAGER_TID};
 use crossinvoc_runtime::wait::{AdaptiveSpin, Parker, PARK_SLICE};
 use crossinvoc_runtime::{IterNum, ThreadId};
 use parking_lot::Mutex;
 
-use crate::logic::{SchedulerLogic, SyncCondition};
-use crate::memo::{ReplayStep, ScheduleMemo};
+use crate::logic::SyncCondition;
 use crate::policy::{Dispatch, Policy, RoundRobin};
+use crate::schedule::ScheduleCore;
 use crate::workload::DomoreWorkload;
 
 /// Messages the scheduler buffers per worker before flushing them to the
@@ -425,11 +425,7 @@ impl DomoreRuntime {
         let fault = self.config.fault_plan.clone().unwrap_or_default();
         let deadline = self.config.watchdog.map(|w| Instant::now() + w);
 
-        let mut logic = match workload.address_space() {
-            Some(n) => SchedulerLogic::with_dense_shadow(n),
-            None => SchedulerLogic::with_sparse_shadow(),
-        };
-        let mut memo = ScheduleMemo::new();
+        let mut core = ScheduleCore::new(workload.address_space());
         let board = ProgressBoard::new(num_workers);
         let telemetry = self.config.telemetry.as_deref();
         if let Some(cell) = telemetry {
@@ -533,27 +529,18 @@ impl DomoreRuntime {
                             } => {
                                 let mut executed = false;
                                 if !draining && !abort.load(Ordering::Acquire) {
-                                    let inject =
-                                        match fault.task_start(inv as u32, iter as u64, tid) {
-                                            Some(TaskFault::Delay(d)) => {
-                                                sink.emit(Event::FaultInjected {
-                                                    kind: FaultKind::Delay(d.as_micros() as u64),
-                                                    epoch: inv as u32,
-                                                    task: iter as u64,
-                                                });
-                                                std::thread::sleep(d);
-                                                false
-                                            }
-                                            Some(TaskFault::Panic) => {
-                                                sink.emit(Event::FaultInjected {
-                                                    kind: FaultKind::WorkerPanic,
-                                                    epoch: inv as u32,
-                                                    task: iter as u64,
-                                                });
-                                                true
-                                            }
-                                            None => false,
-                                        };
+                                    let injected = fault.task_start(inv as u32, iter as u64, tid);
+                                    if let Some(f) = injected {
+                                        sink.emit(Event::FaultInjected {
+                                            kind: f.kind(),
+                                            epoch: inv as u32,
+                                            task: iter as u64,
+                                        });
+                                    }
+                                    if let Some(TaskFault::Delay(d)) = injected {
+                                        std::thread::sleep(d);
+                                    }
+                                    let inject = injected == Some(TaskFault::Panic);
                                     // SPSC produce → consume: the scheduler's
                                     // enqueue is what this dispatch picks up.
                                     sink.emit(Event::Wake {
@@ -616,10 +603,6 @@ impl DomoreRuntime {
                 let mut sched_sink = collector.sink(MANAGER_TID);
                 let stats = metrics.stats();
                 let sched = catch_unwind(AssertUnwindSafe(|| {
-                    let mut writes = Vec::new();
-                    let mut reads = Vec::new();
-                    let mut addrs = Vec::new();
-                    let mut conds = Vec::new();
                     // Per-worker message buffers, flushed with one batched
                     // enqueue (single tail publication each). Invariant: before
                     // a `Sync` naming `dep_tid` is buffered anywhere, pending
@@ -630,191 +613,74 @@ impl DomoreRuntime {
                     let mut pending: Vec<Vec<Msg>> = (0..num_workers)
                         .map(|_| Vec::with_capacity(SCHED_BATCH))
                         .collect();
-                    // Buffers `conds` then the `Run` for one iteration,
-                    // preserving the flush-before-`Sync` invariant above. Both
-                    // the replayed and the recomputed path dispatch through
-                    // here, so the two are message-for-message identical.
-                    #[allow(clippy::too_many_arguments)]
-                    fn dispatch(
-                        stats: &RegionStats,
-                        sink: &mut TraceSink,
-                        pending: &mut [Vec<Msg>],
-                        producers: &[Producer<Msg>],
-                        tid: ThreadId,
-                        inv: usize,
-                        iter: usize,
-                        iter_num: IterNum,
-                        conds: &[SyncCondition],
-                    ) {
-                        sink.emit(Event::TaskAssign {
-                            epoch: inv as u32,
-                            task: iter as u64,
-                            worker: tid,
-                        });
-                        for &cond in conds {
-                            stats.add_sync_condition();
-                            if cond.dep_tid != tid && !pending[cond.dep_tid].is_empty() {
-                                producers[cond.dep_tid].produce_batch(&mut pending[cond.dep_tid]);
-                            }
-                            pending[tid].push(Msg::Sync {
-                                cond,
-                                inv: inv as u32,
-                            });
-                        }
-                        pending[tid].push(Msg::Run {
-                            inv,
-                            iter,
-                            iter_num,
-                        });
-                        if pending[tid].len() >= SCHED_BATCH {
-                            producers[tid].produce_batch(&mut pending[tid]);
-                        }
-                    }
-                    'invocations: for inv in 0..workload.num_invocations() {
+                    for inv in 0..workload.num_invocations() {
                         if abort.load(Ordering::Acquire) {
                             break;
                         }
                         workload.prologue(inv);
                         stats.add_epoch();
                         sched_sink.emit(Event::EpochBegin { epoch: inv as u32 });
-                        let iters = workload.num_iterations(inv);
-                        let base = logic.next_iter_num();
                         // Memoization stands down while any worker is dead:
                         // rerouted assignments depend on *when* workers died,
                         // which the fingerprint cannot see.
                         let usable =
                             schedule_memo && !dead.iter().any(|d| d.load(Ordering::Acquire));
-                        let mut iter = 0;
-                        // Worker already assigned (policy consulted, reroute
-                        // applied) to the iteration a replay diverged on; the
-                        // recompute loop below must not consult the policy
-                        // again for it.
-                        let mut carried_tid = None;
-                        if memo.begin_invocation(iters, base, usable) {
-                            while iter < iters {
+                        let scheduled = core.run_invocation(
+                            workload.num_iterations(inv),
+                            usable,
+                            |iter, writes, reads| workload.touched(inv, iter, writes, reads),
+                            |iter_num, addrs| {
                                 if abort.load(Ordering::Acquire) {
-                                    break 'invocations;
+                                    return None;
                                 }
-                                writes.clear();
-                                reads.clear();
-                                workload.touched(inv, iter, &mut writes, &mut reads);
-                                addrs.clear();
-                                addrs.extend_from_slice(&writes);
-                                addrs.extend_from_slice(&reads);
-                                // The policy is consulted (and kept in step)
-                                // during replay; `logic` is not, so its counter
-                                // has not advanced — the preview is derived.
-                                let mut tid =
-                                    policy.assign(base + iter as u64, &addrs, num_workers);
-                                if dead[tid].load(Ordering::Acquire) {
-                                    match (1..num_workers)
-                                        .map(|k| (tid + k) % num_workers)
-                                        .find(|&t| !dead[t].load(Ordering::Acquire))
-                                    {
-                                        Some(live) => tid = live,
-                                        None => {
-                                            abort.store(true, Ordering::Release);
-                                            break 'invocations;
-                                        }
-                                    }
+                                let tid = policy.assign(iter_num, addrs, num_workers);
+                                if !dead[tid].load(Ordering::Acquire) {
+                                    return Some(tid);
                                 }
-                                match memo.replay_step(iter, &writes, &reads, tid) {
-                                    ReplayStep::Match {
-                                        tid,
-                                        iter_num,
-                                        conds,
-                                    } => {
-                                        dispatch(
-                                            stats,
-                                            &mut sched_sink,
-                                            &mut pending,
-                                            &producers,
-                                            tid,
-                                            inv,
-                                            iter,
-                                            iter_num,
-                                            conds,
-                                        );
-                                        iter += 1;
-                                    }
-                                    ReplayStep::Diverged => {
-                                        // Bring the shadow up to date for the
-                                        // already-dispatched prefix. Its
-                                        // conditions were emitted correctly
-                                        // during replay (they depend only on
-                                        // the start-of-invocation shadow and
-                                        // the verified prefix), so they are
-                                        // discarded here.
-                                        for k in 0..iter {
-                                            writes.clear();
-                                            reads.clear();
-                                            workload.touched(inv, k, &mut writes, &mut reads);
-                                            conds.clear();
-                                            let _ = logic.schedule_rw(
-                                                memo.recorded_tid(k),
-                                                &writes,
-                                                &reads,
-                                                &mut conds,
-                                            );
-                                        }
-                                        carried_tid = Some(tid);
-                                        break;
-                                    }
-                                }
-                            }
-                        }
-                        while iter < iters {
-                            if abort.load(Ordering::Acquire) {
-                                break 'invocations;
-                            }
-                            writes.clear();
-                            reads.clear();
-                            workload.touched(inv, iter, &mut writes, &mut reads);
-                            addrs.clear();
-                            addrs.extend_from_slice(&writes);
-                            addrs.extend_from_slice(&reads);
-                            let preview = logic.next_iter_num();
-                            let mut tid = match carried_tid.take() {
-                                Some(t) => t,
-                                None => policy.assign(preview, &addrs, num_workers),
-                            };
-                            // Route around dead workers: next live thread in id
-                            // order. Rerouting happens *before* the scheduling
-                            // logic runs, so every synchronization condition
-                            // names the worker that will actually execute.
-                            if dead[tid].load(Ordering::Acquire) {
-                                match (1..num_workers)
+                                // Route around dead workers: next live thread
+                                // in id order. With every worker dead, condemn
+                                // the region (the first panic is already
+                                // recorded) and stop scheduling.
+                                let live = (1..num_workers)
                                     .map(|k| (tid + k) % num_workers)
-                                    .find(|&t| !dead[t].load(Ordering::Acquire))
-                                {
-                                    Some(live) => tid = live,
-                                    None => {
-                                        // Every worker is dead: condemn the
-                                        // region (the first panic is already
-                                        // recorded) and stop scheduling.
-                                        abort.store(true, Ordering::Release);
-                                        break 'invocations;
-                                    }
+                                    .find(|&t| !dead[t].load(Ordering::Acquire));
+                                if live.is_none() {
+                                    abort.store(true, Ordering::Release);
                                 }
-                            }
-                            conds.clear();
-                            let iter_num = logic.schedule_rw(tid, &writes, &reads, &mut conds);
-                            debug_assert_eq!(iter_num, preview);
-                            memo.record_step(&writes, &reads, tid, &conds);
-                            dispatch(
-                                stats,
-                                &mut sched_sink,
-                                &mut pending,
-                                &producers,
-                                tid,
-                                inv,
-                                iter,
-                                iter_num,
-                                &conds,
-                            );
-                            iter += 1;
-                        }
-                        if memo.end_invocation(&mut logic) {
+                                live
+                            },
+                            // Buffers `conds` then the `Run` for one iteration,
+                            // preserving the flush-before-`Sync` invariant above.
+                            |iter, tid, iter_num, conds, _replayed| {
+                                sched_sink.emit(Event::TaskAssign {
+                                    epoch: inv as u32,
+                                    task: iter as u64,
+                                    worker: tid,
+                                });
+                                for &cond in conds {
+                                    stats.add_sync_condition();
+                                    if cond.dep_tid != tid && !pending[cond.dep_tid].is_empty() {
+                                        producers[cond.dep_tid]
+                                            .produce_batch(&mut pending[cond.dep_tid]);
+                                    }
+                                    pending[tid].push(Msg::Sync {
+                                        cond,
+                                        inv: inv as u32,
+                                    });
+                                }
+                                pending[tid].push(Msg::Run {
+                                    inv,
+                                    iter,
+                                    iter_num,
+                                });
+                                if pending[tid].len() >= SCHED_BATCH {
+                                    producers[tid].produce_batch(&mut pending[tid]);
+                                }
+                            },
+                        );
+                        // `None`: aborted, or no live worker left.
+                        let Some(hit) = scheduled else { break };
+                        if hit {
                             stats.add_schedule_cache_hit();
                             sched_sink.emit(Event::ScheduleCacheHit { epoch: inv as u32 });
                         }

@@ -141,6 +141,17 @@ pub enum TaskFault {
     Delay(Duration),
 }
 
+impl TaskFault {
+    /// The kind this action is reported as in `fault_injected` trace
+    /// events (delays in whole microseconds, the unit plans are written in).
+    pub fn kind(self) -> FaultKind {
+        match self {
+            TaskFault::Panic => FaultKind::WorkerPanic,
+            TaskFault::Delay(d) => FaultKind::Delay(d.as_micros() as u64),
+        }
+    }
+}
+
 /// Action the checker takes at a check injection point.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckFault {
@@ -150,6 +161,18 @@ pub enum CheckFault {
     Stall(Duration),
     /// Panic (checker loss).
     Die,
+}
+
+impl CheckFault {
+    /// The kind this action is reported as in `fault_injected` trace
+    /// events (stalls in whole milliseconds, the unit plans are written in).
+    pub fn kind(self) -> FaultKind {
+        match self {
+            CheckFault::ForceConflict => FaultKind::FalsePositive,
+            CheckFault::Stall(d) => FaultKind::CheckerStall(d.as_millis() as u64),
+            CheckFault::Die => FaultKind::CheckerDeath,
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -564,6 +587,23 @@ mod tests {
             max_hits: 1,
         }]);
         assert_eq!(p.barrier_delay(2, 0), Some(Duration::from_micros(10)));
+    }
+
+    #[test]
+    fn actions_report_the_kind_that_scheduled_them() {
+        // Plans are written in µs (delays) and ms (stalls); the actions
+        // carry `Duration`s; `kind()` converts back to the plan's units.
+        assert_eq!(TaskFault::Panic.kind(), FaultKind::WorkerPanic);
+        assert_eq!(
+            TaskFault::Delay(Duration::from_micros(1_500)).kind(),
+            FaultKind::Delay(1_500)
+        );
+        assert_eq!(CheckFault::ForceConflict.kind(), FaultKind::FalsePositive);
+        assert_eq!(
+            CheckFault::Stall(Duration::from_millis(7)).kind(),
+            FaultKind::CheckerStall(7)
+        );
+        assert_eq!(CheckFault::Die.kind(), FaultKind::CheckerDeath);
     }
 
     #[test]

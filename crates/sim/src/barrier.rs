@@ -42,89 +42,26 @@ pub fn barrier_traced<W: SimWorkload + ?Sized>(
     cost: &CostModel,
     trace_capacity: Option<usize>,
 ) -> SimResult {
-    barrier_in_region(workload, threads, cost, trace_capacity, 0)
-}
-
-/// [`barrier_traced`] with the trace attributed to a region-server
-/// submission id (`region_id = 0` keeps the solo wire format; see
-/// `docs/OBSERVABILITY.md`).
-///
-/// # Panics
-///
-/// Panics if `threads` is zero.
-pub fn barrier_in_region<W: SimWorkload + ?Sized>(
-    workload: &W,
-    threads: usize,
-    cost: &CostModel,
-    trace_capacity: Option<usize>,
-    region_id: u64,
-) -> SimResult {
     assert!(threads > 0, "at least one thread is required");
     let stats = RegionStats::new();
-    let mut sinks = SimSinks::new(threads, 0, trace_capacity.unwrap_or(0)).region(region_id);
+    let mut sinks = SimSinks::new(threads, 0, trace_capacity.unwrap_or(0));
     let mut clocks = vec![0u64; threads];
     let mut busy = vec![0u64; threads];
     let mut idle = vec![0u64; threads];
 
     for inv in 0..workload.num_invocations() {
-        stats.add_epoch();
-        let prologue = workload.prologue_cost(inv);
-        for (clock, b) in clocks.iter_mut().zip(busy.iter_mut()) {
-            *clock += prologue;
-            *b += prologue;
-        }
-        sinks.workers[0].emit_at(clocks[0], Event::EpochBegin { epoch: inv as u32 });
-        let iterations = workload.num_iterations(inv);
-        for iter in 0..iterations {
-            let tid = iter % threads;
-            let work = workload.iteration_cost(inv, iter);
-            sinks.workers[tid].emit_at(
-                clocks[tid],
-                Event::TaskDispatch {
-                    epoch: inv as u32,
-                    task: iter as u64,
-                },
-            );
-            clocks[tid] += work;
-            busy[tid] += work;
-            sinks.workers[tid].emit_at(
-                clocks[tid],
-                Event::TaskRetire {
-                    epoch: inv as u32,
-                    task: iter as u64,
-                },
-            );
-            stats.add_task();
-        }
-        // Global synchronization: everyone waits for the slowest, then pays
-        // the barrier release cost.
-        let slowest = *clocks.iter().max().expect("threads > 0");
-        // The slowest arrival (smallest tid on ties, deterministically) is
-        // the release's causal source.
-        let releaser = clocks.iter().position(|&c| c == slowest).expect("nonempty");
-        for (tid, (clock, i)) in clocks.iter_mut().zip(idle.iter_mut()).enumerate() {
-            let wait = slowest - *clock;
-            sinks.workers[tid].emit_at(*clock, Event::BarrierEnter { epoch: inv as u32 });
-            *i += wait;
-            *clock = slowest + cost.barrier_ns(threads);
-            sinks.workers[tid].emit_at(
-                *clock,
-                Event::BarrierLeave {
-                    epoch: inv as u32,
-                    wait_ns: wait,
-                },
-            );
-            if wait > 0 {
-                sinks.workers[tid].emit_at(
-                    *clock,
-                    Event::Wake {
-                        edge: WakeEdge::Barrier,
-                        src_tid: releaser,
-                        seq: inv as u64,
-                    },
-                );
-            }
-        }
+        // The sequential prologue is executed redundantly by every worker.
+        bill_all(&mut clocks, &mut busy, workload.prologue_cost(inv));
+        barrier_epoch(
+            workload,
+            cost,
+            inv,
+            &mut clocks,
+            &mut busy,
+            &mut idle,
+            &stats,
+            &mut sinks,
+        );
         sinks.workers[0].emit_at(clocks[0], Event::EpochEnd { epoch: inv as u32 });
     }
 
@@ -135,6 +72,85 @@ pub fn barrier_in_region<W: SimWorkload + ?Sized>(
         stats: stats.summary(),
         degraded: false,
         trace: sinks.finish(),
+    }
+}
+
+/// Adds `ns` of work every thread executes redundantly to all clocks.
+pub(crate) fn bill_all(clocks: &mut [u64], busy: &mut [u64], ns: u64) {
+    for (clock, b) in clocks.iter_mut().zip(busy.iter_mut()) {
+        *clock += ns;
+        *b += ns;
+    }
+}
+
+/// One epoch under a non-speculative barrier, on `clocks.len()` threads:
+/// iterations round-robin, then everyone waits for the slowest and pays the
+/// barrier release cost. Shared by the barrier baseline above and by
+/// SPECCROSS's non-speculative re-execution after a rollback (which has no
+/// prologue cost or epoch-end event of its own).
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn barrier_epoch<W: SimWorkload + ?Sized>(
+    workload: &W,
+    cost: &CostModel,
+    inv: usize,
+    clocks: &mut [u64],
+    busy: &mut [u64],
+    idle: &mut [u64],
+    stats: &RegionStats,
+    sinks: &mut SimSinks,
+) {
+    let threads = clocks.len();
+    stats.add_epoch();
+    sinks.workers[0].emit_at(clocks[0], Event::EpochBegin { epoch: inv as u32 });
+    for iter in 0..workload.num_iterations(inv) {
+        let tid = iter % threads;
+        let work = workload.iteration_cost(inv, iter);
+        sinks.workers[tid].emit_at(
+            clocks[tid],
+            Event::TaskDispatch {
+                epoch: inv as u32,
+                task: iter as u64,
+            },
+        );
+        clocks[tid] += work;
+        busy[tid] += work;
+        sinks.workers[tid].emit_at(
+            clocks[tid],
+            Event::TaskRetire {
+                epoch: inv as u32,
+                task: iter as u64,
+            },
+        );
+        stats.add_task();
+    }
+    // Global synchronization: everyone waits for the slowest, then pays
+    // the barrier release cost.
+    let slowest = *clocks.iter().max().expect("threads > 0");
+    // The slowest arrival (smallest tid on ties, deterministically) is
+    // the release's causal source.
+    let releaser = clocks.iter().position(|&c| c == slowest).expect("nonempty");
+    for (tid, (clock, i)) in clocks.iter_mut().zip(idle.iter_mut()).enumerate() {
+        let wait = slowest - *clock;
+        sinks.workers[tid].emit_at(*clock, Event::BarrierEnter { epoch: inv as u32 });
+        *i += wait;
+        *clock = slowest + cost.barrier_ns(threads);
+        sinks.workers[tid].emit_at(
+            *clock,
+            Event::BarrierLeave {
+                epoch: inv as u32,
+                wait_ns: wait,
+            },
+        );
+        if wait > 0 {
+            sinks.workers[tid].emit_at(
+                *clock,
+                Event::Wake {
+                    edge: WakeEdge::Barrier,
+                    src_tid: releaser,
+                    seq: inv as u64,
+                },
+            );
+        }
     }
 }
 

@@ -1,55 +1,42 @@
 //! Simulated DOMORE execution (Fig. 3.2(b)/(c), §3.4).
 //!
-//! The scheduler timeline runs the *real* shadow-memory logic
-//! ([`crossinvoc_domore::SchedulerLogic`]) and the real assignment policy
-//! over the workload's actual address streams, so the synchronization
-//! conditions — and therefore who waits on whom — are exactly what the
-//! threaded runtime would produce. The simulator adds time: prologue and
-//! per-iteration scheduling cost on the scheduler's clock, queue latency on
-//! dispatch, kernel cost on the assigned worker's clock, and dependence
-//! stalls whenever a synchronization condition's source has not yet
-//! finished.
+//! The scheduler timeline drives the *same* scheduling core as the threaded
+//! runtime ([`crossinvoc_domore::ScheduleCore`]: shadow-memory logic, memo
+//! replay and fallback) with the real assignment policy over the workload's
+//! actual address streams, so the synchronization conditions — and
+//! therefore who waits on whom — are exactly what the threaded runtime
+//! would produce. The simulator only adds time; the three public plans
+//! (separate scheduler, barriered, duplicated scheduler) are one loop that
+//! differs in who is billed the scheduling cost, whether a barrier is
+//! restored per invocation, and whether the memo is usable.
 
-use crossinvoc_domore::logic::{SchedulerLogic, SyncCondition};
-use crossinvoc_domore::memo::{ReplayStep, ScheduleMemo};
 use crossinvoc_domore::policy::Policy;
+use crossinvoc_domore::ScheduleCore;
+use crossinvoc_runtime::signature::AccessKind;
 use crossinvoc_runtime::stats::RegionStats;
 use crossinvoc_runtime::trace::{Event, WakeEdge, MANAGER_TID};
 
+use crate::barrier::bill_all;
 use crate::cost::CostModel;
 use crate::result::SimResult;
 use crate::tracing::SimSinks;
 use crate::workload::SimWorkload;
 
-fn make_logic<W: SimWorkload + ?Sized>(workload: &W) -> SchedulerLogic {
-    match workload.address_space() {
-        Some(n) => SchedulerLogic::with_dense_shadow(n),
-        None => SchedulerLogic::with_sparse_shadow(),
-    }
-}
-
-/// Flattens an access list into the address vector handed to the policy
-/// and the shadow logic — writes first, because LOCALWRITE-style policies
-/// assign ownership by the first address and owner-computes means the
-/// *written* cell's owner.
-fn split_accesses(
-    pairs: &[(usize, crossinvoc_runtime::signature::AccessKind)],
-    writes: &mut Vec<usize>,
-    reads: &mut Vec<usize>,
-    addrs: &mut Vec<usize>,
-) {
-    use crossinvoc_runtime::signature::AccessKind;
-    writes.clear();
-    reads.clear();
-    for &(a, k) in pairs {
-        match k {
-            AccessKind::Write => writes.push(a),
-            AccessKind::Read => reads.push(a),
-        }
-    }
-    addrs.clear();
-    addrs.extend_from_slice(writes);
-    addrs.extend_from_slice(reads);
+/// The DOMORE plans the one virtual-clock loop models. They differ only in
+/// who is billed the scheduling cost, whether a barrier is restored per
+/// invocation, and whether the schedule memo is usable.
+#[derive(Clone, Copy, PartialEq)]
+enum Plan {
+    /// A dedicated scheduler clock pays prologue and scheduling cost and
+    /// dispatches over a queue; invocations overlap freely.
+    Separate { memo: bool },
+    /// [`Plan::Separate`] without the memo, plus a global barrier at every
+    /// invocation boundary.
+    Barriered,
+    /// Every worker runs the scheduling loop itself (§3.4): prologue and
+    /// scheduling cost are billed to all worker clocks, no queue hop, no
+    /// memo.
+    Duplicated,
 }
 
 /// Simulates DOMORE with a dedicated scheduler thread and `workers` worker
@@ -69,116 +56,14 @@ pub fn domore<W: SimWorkload + ?Sized>(
 
 /// Like [`domore`], but optionally records a virtual-time execution trace
 /// (the shared JSONL schema of `docs/OBSERVABILITY.md`) with
-/// `trace_capacity` records per simulated thread. Scheduler events carry
+/// `trace_capacity` records per simulated thread — scheduler events carry
 /// the manager pseudo thread-id; worker condition waits appear as
-/// barrier-enter/leave pairs, exactly as in the threaded runtime.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-pub fn domore_traced<W: SimWorkload + ?Sized>(
-    workload: &W,
-    workers: usize,
-    policy: &mut dyn Policy,
-    cost: &CostModel,
-    trace_capacity: Option<usize>,
-) -> SimResult {
-    domore_configured(workload, workers, policy, cost, trace_capacity, true)
-}
-
-/// Models the delivery of one scheduled iteration: the condition stalls,
-/// the queue hand-off and the kernel itself, on the assigned worker's
-/// clock. Both the memo-replayed and the recomputed scheduling path
-/// deliver through here, so the two timelines differ only in scheduler
-/// cost — never in who waits on whom.
-#[allow(clippy::too_many_arguments)]
-fn deliver(
-    stats: &RegionStats,
-    sinks: &mut SimSinks,
-    clocks: &mut [u64],
-    busy: &mut [u64],
-    idle: &mut [u64],
-    finish_times: &mut Vec<u64>,
-    arrival: u64,
-    work: u64,
-    tid: usize,
-    inv: usize,
-    iter: usize,
-    iter_num: u64,
-    conds: &[SyncCondition],
-) {
-    let wait_from = arrival.max(clocks[tid]);
-    let mut release = wait_from;
-    // The condition whose source finished last binds the wait — the
-    // source of the release causality edge.
-    let mut binding: Option<&SyncCondition> = None;
-    for cond in conds {
-        stats.add_sync_condition();
-        let dep_finish = finish_times[cond.dep_iter as usize];
-        if dep_finish > release {
-            stats.add_stall();
-            release = dep_finish;
-            binding = Some(cond);
-        }
-    }
-    if release > wait_from {
-        // A synchronization-condition wait: the threaded worker's
-        // barrier-enter/leave pair around `await_condition`.
-        sinks.workers[tid].emit_at(wait_from, Event::BarrierEnter { epoch: inv as u32 });
-        sinks.workers[tid].emit_at(
-            release,
-            Event::BarrierLeave {
-                epoch: inv as u32,
-                wait_ns: release - wait_from,
-            },
-        );
-        if let Some(cond) = binding {
-            sinks.workers[tid].emit_at(
-                release,
-                Event::Wake {
-                    edge: WakeEdge::Barrier,
-                    src_tid: cond.dep_tid,
-                    seq: cond.dep_iter,
-                },
-            );
-        }
-    }
-    idle[tid] += release - clocks[tid].min(release);
-    busy[tid] += work;
-    // SPSC produce → consume: the worker picks the scheduler's
-    // message up at dispatch.
-    sinks.workers[tid].emit_at(
-        release,
-        Event::Wake {
-            edge: WakeEdge::Queue,
-            src_tid: MANAGER_TID,
-            seq: iter_num,
-        },
-    );
-    sinks.workers[tid].emit_at(
-        release,
-        Event::TaskDispatch {
-            epoch: inv as u32,
-            task: iter as u64,
-        },
-    );
-    clocks[tid] = release + work;
-    sinks.workers[tid].emit_at(
-        clocks[tid],
-        Event::TaskRetire {
-            epoch: inv as u32,
-            task: iter as u64,
-        },
-    );
-    finish_times.push(clocks[tid]);
-    stats.add_task();
-}
-
-/// [`domore_traced`] with the cross-invocation schedule memo switchable
-/// (`schedule_memo = false` is the recompute-every-invocation baseline).
-/// Replayed invocations skip the shadow walk — the scheduler pays only the
-/// `computeAddr`/verification half of its per-iteration cost — and emit
-/// one [`Event::ScheduleCacheHit`]; decisions are identical either way.
+/// barrier-enter/leave pairs, exactly as in the threaded runtime — and with
+/// the cross-invocation schedule memo switchable (`schedule_memo = false`
+/// is the recompute-every-invocation baseline). Replayed invocations skip
+/// the shadow walk — the scheduler pays only the `computeAddr`/verification
+/// half of its per-iteration cost — and emit one
+/// [`Event::ScheduleCacheHit`]; decisions are identical either way.
 ///
 /// # Panics
 ///
@@ -191,187 +76,10 @@ pub fn domore_configured<W: SimWorkload + ?Sized>(
     trace_capacity: Option<usize>,
     schedule_memo: bool,
 ) -> SimResult {
-    domore_in_region(
-        workload,
-        workers,
-        policy,
-        cost,
-        trace_capacity,
-        schedule_memo,
-        0,
-    )
-}
-
-/// [`domore_configured`] with the trace attributed to a region-server
-/// submission id, mirroring the threaded runtime's `DomoreConfig::region`:
-/// `region_id = 0` (solo) emits the exact pre-region JSONL bytes, any other
-/// id stamps `region_id` on every record — so simulated and threaded
-/// regions of the same id are schema-identical.
-///
-/// # Panics
-///
-/// Panics if `workers` is zero.
-#[allow(clippy::too_many_arguments)]
-pub fn domore_in_region<W: SimWorkload + ?Sized>(
-    workload: &W,
-    workers: usize,
-    policy: &mut dyn Policy,
-    cost: &CostModel,
-    trace_capacity: Option<usize>,
-    schedule_memo: bool,
-    region_id: u64,
-) -> SimResult {
-    assert!(workers > 0, "at least one worker is required");
-    let stats = RegionStats::new();
-    let mut sinks = SimSinks::new(workers, 0, trace_capacity.unwrap_or(0)).region(region_id);
-    let mut logic = make_logic(workload);
-    let mut memo = ScheduleMemo::new();
-    let mut sched_clock = 0u64;
-    let mut clocks = vec![0u64; workers];
-    let mut busy = vec![0u64; workers];
-    let mut idle = vec![0u64; workers];
-    let mut finish_times: Vec<u64> = Vec::new();
-    let mut writes = Vec::new();
-    let mut reads = Vec::new();
-    let mut addrs = Vec::new();
-    let mut pairs = Vec::new();
-    let mut conds = Vec::new();
-
-    for inv in 0..workload.num_invocations() {
-        stats.add_epoch();
-        sched_clock += workload.prologue_cost(inv);
-        sinks
-            .manager
-            .emit_at(sched_clock, Event::EpochBegin { epoch: inv as u32 });
-        let iters = workload.num_iterations(inv);
-        let base = logic.next_iter_num();
-        let mut iter = 0;
-        // Worker already assigned to the iteration a replay diverged on
-        // (the policy has advanced past it; see the threaded runtime).
-        let mut carried_tid = None;
-        if memo.begin_invocation(iters, base, schedule_memo) {
-            while iter < iters {
-                pairs.clear();
-                workload.accesses(inv, iter, &mut pairs);
-                split_accesses(&pairs, &mut writes, &mut reads, &mut addrs);
-                let tid = policy.assign(base + iter as u64, &addrs, workers);
-                match memo.replay_step(iter, &writes, &reads, tid) {
-                    ReplayStep::Match {
-                        tid,
-                        iter_num,
-                        conds,
-                    } => {
-                        // The shadow walk is skipped; `computeAddr` and the
-                        // fingerprint verification still run.
-                        sched_clock += workload.sched_cost(inv, iter) / 2 + cost.queue_ns;
-                        sinks.manager.emit_at(
-                            sched_clock,
-                            Event::TaskAssign {
-                                epoch: inv as u32,
-                                task: iter as u64,
-                                worker: tid,
-                            },
-                        );
-                        let work = cost.task_overhead_ns + workload.iteration_cost(inv, iter);
-                        deliver(
-                            &stats,
-                            &mut sinks,
-                            &mut clocks,
-                            &mut busy,
-                            &mut idle,
-                            &mut finish_times,
-                            sched_clock + cost.queue_ns,
-                            work,
-                            tid,
-                            inv,
-                            iter,
-                            iter_num,
-                            conds,
-                        );
-                        iter += 1;
-                    }
-                    ReplayStep::Diverged => {
-                        // Rebuild the shadow for the dispatched prefix; its
-                        // conditions were already delivered correctly.
-                        for k in 0..iter {
-                            pairs.clear();
-                            workload.accesses(inv, k, &mut pairs);
-                            split_accesses(&pairs, &mut writes, &mut reads, &mut addrs);
-                            conds.clear();
-                            let _ = logic.schedule_rw(
-                                memo.recorded_tid(k),
-                                &writes,
-                                &reads,
-                                &mut conds,
-                            );
-                        }
-                        carried_tid = Some(tid);
-                        break;
-                    }
-                }
-            }
-        }
-        while iter < iters {
-            // computeAddr + conflict detection + the produce() call.
-            sched_clock += workload.sched_cost(inv, iter) + cost.queue_ns;
-            pairs.clear();
-            workload.accesses(inv, iter, &mut pairs);
-            split_accesses(&pairs, &mut writes, &mut reads, &mut addrs);
-            let preview = logic.next_iter_num();
-            let tid = match carried_tid.take() {
-                Some(t) => t,
-                None => policy.assign(preview, &addrs, workers),
-            };
-            sinks.manager.emit_at(
-                sched_clock,
-                Event::TaskAssign {
-                    epoch: inv as u32,
-                    task: iter as u64,
-                    worker: tid,
-                },
-            );
-            conds.clear();
-            let iter_num = logic.schedule_rw(tid, &writes, &reads, &mut conds);
-            debug_assert_eq!(iter_num, preview);
-            memo.record_step(&writes, &reads, tid, &conds);
-            let work = cost.task_overhead_ns + workload.iteration_cost(inv, iter);
-            deliver(
-                &stats,
-                &mut sinks,
-                &mut clocks,
-                &mut busy,
-                &mut idle,
-                &mut finish_times,
-                sched_clock + cost.queue_ns,
-                work,
-                tid,
-                inv,
-                iter,
-                iter_num,
-                &conds,
-            );
-            iter += 1;
-        }
-        if memo.end_invocation(&mut logic) {
-            stats.add_schedule_cache_hit();
-            sinks
-                .manager
-                .emit_at(sched_clock, Event::ScheduleCacheHit { epoch: inv as u32 });
-        }
-        sinks
-            .manager
-            .emit_at(sched_clock, Event::EpochEnd { epoch: inv as u32 });
-    }
-
-    let total = clocks.iter().copied().max().unwrap_or(0).max(sched_clock);
-    SimResult {
-        total_ns: total,
-        busy_ns: busy,
-        idle_ns: idle,
-        stats: stats.summary(),
-        degraded: false,
-        trace: sinks.finish(),
-    }
+    let plan = Plan::Separate {
+        memo: schedule_memo,
+    };
+    simulate(workload, workers, policy, cost, trace_capacity, plan)
 }
 
 /// Simulates DOMORE applied *within* invocations only: the scheduler
@@ -388,63 +96,7 @@ pub fn domore_barriered<W: SimWorkload + ?Sized>(
     policy: &mut dyn Policy,
     cost: &CostModel,
 ) -> SimResult {
-    assert!(workers > 0, "at least one worker is required");
-    let stats = RegionStats::new();
-    let mut logic = make_logic(workload);
-    let mut sched_clock = 0u64;
-    let mut clocks = vec![0u64; workers];
-    let mut busy = vec![0u64; workers];
-    let mut idle = vec![0u64; workers];
-    let mut finish_times: Vec<u64> = Vec::new();
-    let mut writes = Vec::new();
-    let mut reads = Vec::new();
-    let mut addrs = Vec::new();
-    let mut pairs = Vec::new();
-    let mut conds = Vec::new();
-
-    for inv in 0..workload.num_invocations() {
-        stats.add_epoch();
-        sched_clock += workload.prologue_cost(inv);
-        for iter in 0..workload.num_iterations(inv) {
-            // computeAddr + conflict detection + the produce() call.
-            sched_clock += workload.sched_cost(inv, iter) + cost.queue_ns;
-            pairs.clear();
-            workload.accesses(inv, iter, &mut pairs);
-            split_accesses(&pairs, &mut writes, &mut reads, &mut addrs);
-            let preview = logic.next_iter_num();
-            let tid = policy.assign(preview, &addrs, workers);
-            conds.clear();
-            logic.schedule_rw(tid, &writes, &reads, &mut conds);
-            let arrival = sched_clock + cost.queue_ns;
-            let mut release = arrival.max(clocks[tid]);
-            for cond in &conds {
-                stats.add_sync_condition();
-                release = release.max(finish_times[cond.dep_iter as usize]);
-            }
-            idle[tid] += release - clocks[tid].min(release);
-            let work = cost.task_overhead_ns + workload.iteration_cost(inv, iter);
-            busy[tid] += work;
-            clocks[tid] = release + work;
-            finish_times.push(clocks[tid]);
-            stats.add_task();
-        }
-        // The restored barrier: everyone (the scheduler included) waits.
-        let slowest = clocks.iter().copied().max().unwrap_or(0).max(sched_clock);
-        for (clock, i) in clocks.iter_mut().zip(idle.iter_mut()) {
-            *i += slowest - *clock;
-            *clock = slowest + cost.barrier_ns(workers + 1);
-        }
-        sched_clock = slowest + cost.barrier_ns(workers + 1);
-    }
-
-    SimResult {
-        total_ns: clocks.iter().copied().max().unwrap_or(0).max(sched_clock),
-        busy_ns: busy,
-        idle_ns: idle,
-        stats: stats.summary(),
-        degraded: false,
-        trace: None,
-    }
+    simulate(workload, workers, policy, cost, None, Plan::Barriered)
 }
 
 /// Simulates the duplicated-scheduler variant (§3.4): every worker replays
@@ -460,65 +112,183 @@ pub fn domore_duplicated<W: SimWorkload + ?Sized>(
     policy: &mut dyn Policy,
     cost: &CostModel,
 ) -> SimResult {
+    simulate(workload, workers, policy, cost, None, Plan::Duplicated)
+}
+
+/// The virtual-clock loop around the shared scheduling core. The core makes
+/// every decision — worker, combined iteration number, synchronization
+/// conditions, replay or recompute — exactly as it does for the threaded
+/// runtime; this loop only adds time: prologue and per-iteration scheduling
+/// cost on whoever `plan` says schedules, queue latency on dispatch, kernel
+/// cost on the assigned worker's clock, and a dependence stall whenever a
+/// condition's source has not yet finished.
+fn simulate<W: SimWorkload + ?Sized>(
+    workload: &W,
+    workers: usize,
+    policy: &mut dyn Policy,
+    cost: &CostModel,
+    trace_capacity: Option<usize>,
+    plan: Plan,
+) -> SimResult {
     assert!(workers > 0, "at least one worker is required");
     let stats = RegionStats::new();
-    let mut logic = make_logic(workload);
+    let mut sinks = SimSinks::new(workers, 0, trace_capacity.unwrap_or(0));
+    let mut core = ScheduleCore::new(workload.address_space());
+    let replicated = plan == Plan::Duplicated;
+    // Stays zero under a replicated scheduler.
+    let mut sched_clock = 0u64;
     let mut clocks = vec![0u64; workers];
     let mut busy = vec![0u64; workers];
     let mut idle = vec![0u64; workers];
+    // Finish time per combined iteration number.
     let mut finish_times: Vec<u64> = Vec::new();
-    let mut writes = Vec::new();
-    let mut reads = Vec::new();
-    let mut addrs = Vec::new();
     let mut pairs = Vec::new();
-    let mut conds = Vec::new();
 
     for inv in 0..workload.num_invocations() {
         stats.add_epoch();
         let prologue = workload.prologue_cost(inv);
-        for (clock, b) in clocks.iter_mut().zip(busy.iter_mut()) {
-            *clock += prologue;
-            *b += prologue;
+        if replicated {
+            bill_all(&mut clocks, &mut busy, prologue);
+        } else {
+            sched_clock += prologue;
         }
-        for iter in 0..workload.num_iterations(inv) {
-            let sched = workload.sched_cost(inv, iter);
-            for (clock, b) in clocks.iter_mut().zip(busy.iter_mut()) {
-                *clock += sched;
-                *b += sched;
+        sinks
+            .manager
+            .emit_at(sched_clock, Event::EpochBegin { epoch: inv as u32 });
+        let hit = core
+            .run_invocation(
+                workload.num_iterations(inv),
+                plan == Plan::Separate { memo: true },
+                |iter, writes, reads| {
+                    pairs.clear();
+                    workload.accesses(inv, iter, &mut pairs);
+                    for &(addr, kind) in &pairs {
+                        match kind {
+                            AccessKind::Write => writes.push(addr),
+                            AccessKind::Read => reads.push(addr),
+                        }
+                    }
+                },
+                |iter_num, addrs| Some(policy.assign(iter_num, addrs, workers)),
+                |iter, tid, iter_num, conds, replayed| {
+                    // computeAddr + conflict detection; a replayed iteration
+                    // skips the shadow walk but still runs `computeAddr` and
+                    // the fingerprint verification.
+                    let sched = workload.sched_cost(inv, iter) / if replayed { 2 } else { 1 };
+                    let arrival = if replicated {
+                        bill_all(&mut clocks, &mut busy, sched);
+                        // The worker dispatches to itself: no queue hop.
+                        clocks[tid]
+                    } else {
+                        // ... + the produce() call, then the queue latency.
+                        sched_clock += sched + cost.queue_ns;
+                        sched_clock + cost.queue_ns
+                    };
+                    sinks.manager.emit_at(
+                        sched_clock,
+                        Event::TaskAssign {
+                            epoch: inv as u32,
+                            task: iter as u64,
+                            worker: tid,
+                        },
+                    );
+                    let sink = &mut sinks.workers[tid];
+                    let wait_from = arrival.max(clocks[tid]);
+                    let mut release = wait_from;
+                    // The condition whose source finished last binds the
+                    // wait — the source of the release causality edge.
+                    let mut binding = None;
+                    for cond in conds {
+                        stats.add_sync_condition();
+                        let dep_finish = finish_times[cond.dep_iter as usize];
+                        if dep_finish > release {
+                            stats.add_stall();
+                            release = dep_finish;
+                            binding = Some(cond);
+                        }
+                    }
+                    if let Some(cond) = binding {
+                        // A synchronization-condition wait: the threaded
+                        // worker's barrier-enter/leave pair around
+                        // `await_condition`.
+                        sink.emit_at(wait_from, Event::BarrierEnter { epoch: inv as u32 });
+                        sink.emit_at(
+                            release,
+                            Event::BarrierLeave {
+                                epoch: inv as u32,
+                                wait_ns: release - wait_from,
+                            },
+                        );
+                        sink.emit_at(
+                            release,
+                            Event::Wake {
+                                edge: WakeEdge::Barrier,
+                                src_tid: cond.dep_tid,
+                                seq: cond.dep_iter,
+                            },
+                        );
+                    }
+                    let work = cost.task_overhead_ns + workload.iteration_cost(inv, iter);
+                    idle[tid] += release - clocks[tid];
+                    busy[tid] += work;
+                    // SPSC produce → consume: the worker picks the
+                    // scheduler's message up at dispatch.
+                    sink.emit_at(
+                        release,
+                        Event::Wake {
+                            edge: WakeEdge::Queue,
+                            src_tid: MANAGER_TID,
+                            seq: iter_num,
+                        },
+                    );
+                    sink.emit_at(
+                        release,
+                        Event::TaskDispatch {
+                            epoch: inv as u32,
+                            task: iter as u64,
+                        },
+                    );
+                    clocks[tid] = release + work;
+                    sink.emit_at(
+                        clocks[tid],
+                        Event::TaskRetire {
+                            epoch: inv as u32,
+                            task: iter as u64,
+                        },
+                    );
+                    finish_times.push(clocks[tid]);
+                    stats.add_task();
+                },
+            )
+            .expect("simulated workers never die");
+        if hit {
+            stats.add_schedule_cache_hit();
+            sinks
+                .manager
+                .emit_at(sched_clock, Event::ScheduleCacheHit { epoch: inv as u32 });
+        }
+        sinks
+            .manager
+            .emit_at(sched_clock, Event::EpochEnd { epoch: inv as u32 });
+        if plan == Plan::Barriered {
+            // The restored barrier: everyone (the scheduler included) waits.
+            let slowest = clocks.iter().copied().max().unwrap_or(0).max(sched_clock);
+            let resume = slowest + cost.barrier_ns(workers + 1);
+            for (clock, i) in clocks.iter_mut().zip(idle.iter_mut()) {
+                *i += slowest - *clock;
+                *clock = resume;
             }
-            pairs.clear();
-            workload.accesses(inv, iter, &mut pairs);
-            split_accesses(&pairs, &mut writes, &mut reads, &mut addrs);
-            let preview = logic.next_iter_num();
-            let tid = policy.assign(preview, &addrs, workers);
-            conds.clear();
-            logic.schedule_rw(tid, &writes, &reads, &mut conds);
-
-            let mut release = clocks[tid];
-            for cond in &conds {
-                stats.add_sync_condition();
-                let dep_finish = finish_times[cond.dep_iter as usize];
-                if dep_finish > release {
-                    stats.add_stall();
-                    release = dep_finish;
-                }
-            }
-            idle[tid] += release - clocks[tid];
-            let work = cost.task_overhead_ns + workload.iteration_cost(inv, iter);
-            busy[tid] += work;
-            clocks[tid] = release + work;
-            finish_times.push(clocks[tid]);
-            stats.add_task();
+            sched_clock = resume;
         }
     }
 
     SimResult {
-        total_ns: clocks.iter().copied().max().unwrap_or(0),
+        total_ns: clocks.iter().copied().max().unwrap_or(0).max(sched_clock),
         busy_ns: busy,
         idle_ns: idle,
         stats: stats.summary(),
         degraded: false,
-        trace: None,
+        trace: sinks.finish(),
     }
 }
 
@@ -620,7 +390,8 @@ mod tests {
     fn traced_run_emits_dispatches_and_condition_waits() {
         use crossinvoc_runtime::trace::{Event, Trace, TraceReport};
         let w = UniformWorkload::rotating(50, 16, 3_000);
-        let r = domore_traced(&w, 4, &mut RoundRobin, &CostModel::default(), Some(1 << 14));
+        let cost = CostModel::default();
+        let r = domore_configured(&w, 4, &mut RoundRobin, &cost, Some(1 << 14), true);
         let trace = r.trace.expect("tracing was requested");
         let parsed = Trace::from_jsonl(&trace.to_jsonl()).expect("valid JSONL");
         assert_eq!(parsed, trace);
@@ -646,8 +417,9 @@ mod tests {
         // count divisible by the worker count: invocation 0 seeds the
         // fingerprint, 1 records, 2.. replay at half the scheduling cost.
         let w = UniformWorkload::same_cell(50, 16, 1_000).with_sched_cost(900);
-        let on = domore_traced(&w, 8, &mut RoundRobin, &CostModel::default(), Some(1 << 15));
-        let off = domore_configured(&w, 8, &mut RoundRobin, &CostModel::default(), None, false);
+        let cost = CostModel::default();
+        let on = domore_configured(&w, 8, &mut RoundRobin, &cost, Some(1 << 15), true);
+        let off = domore_configured(&w, 8, &mut RoundRobin, &cost, None, false);
         assert_eq!(on.stats.schedule_cache_hits, 48);
         assert_eq!(off.stats.schedule_cache_hits, 0);
         assert_eq!(on.stats.tasks, off.stats.tasks);

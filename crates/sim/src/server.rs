@@ -22,9 +22,6 @@
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use crossinvoc_runtime::metrics::{Histogram, MetricsSummary};
-use crossinvoc_runtime::telemetry::{PoolSnapshot, RegionSnapshot, RegionState, RegistrySnapshot};
-
 /// One region submitted to the simulated server.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegionSpec {
@@ -109,106 +106,6 @@ pub fn region_server(pool_slots: usize, regions: &[RegionSpec]) -> ServerSimResu
     }
 }
 
-/// Replays [`region_server`] and emits one [`RegistrySnapshot`] per virtual
-/// event time (t = 0, every admission, every completion), mirroring what the
-/// threaded server's live registry would report at those instants — same
-/// struct, same `to_json()` wire schema (`crossinvoc-telemetry-1`), so
-/// `server-stats` renders simulated and real runs identically.
-///
-/// All regions are submitted at t = 0, matching the model's assumption, so a
-/// region's queue wait equals its admission time and its end-to-end latency
-/// equals its finish time. Engine-level fields the model does not simulate
-/// (metrics, faults, degradations, flight dumps) are zero.
-///
-/// # Panics
-///
-/// Panics under the same conditions as [`region_server`].
-pub fn region_server_telemetry(pool_slots: usize, regions: &[RegionSpec]) -> Vec<RegistrySnapshot> {
-    let result = region_server(pool_slots, regions);
-    let mut times: Vec<u64> = std::iter::once(0)
-        .chain(result.timeline.iter().flat_map(|&(s, f)| [s, f]))
-        .collect();
-    times.sort_unstable();
-    times.dedup();
-
-    times
-        .iter()
-        .map(|&t| {
-            let queue_wait = Histogram::new();
-            let region_latency = Histogram::new();
-            let mut slots_busy = 0usize;
-            let mut in_flight = 0usize;
-            let mut admissions = 0u64;
-            let mut busy_ns = 0u64;
-            let rows = regions
-                .iter()
-                .zip(&result.timeline)
-                .enumerate()
-                .map(|(i, (region, &(start, finish)))| {
-                    let state = if t < start {
-                        RegionState::Queued
-                    } else if t < finish {
-                        RegionState::Running
-                    } else {
-                        RegionState::Done
-                    };
-                    if state != RegionState::Queued {
-                        admissions += 1;
-                        queue_wait.record(start);
-                        busy_ns += region.gang as u64 * (t.min(finish) - start);
-                    }
-                    if state == RegionState::Running {
-                        slots_busy += region.gang;
-                        in_flight += 1;
-                    }
-                    if state == RegionState::Done {
-                        region_latency.record(finish);
-                    }
-                    RegionSnapshot {
-                        region_id: i as u64 + 1,
-                        kind: "sim".to_string(),
-                        gang: region.gang,
-                        state,
-                        queue_wait_ns: if state == RegionState::Queued {
-                            0
-                        } else {
-                            start
-                        },
-                        degrade_events: 0,
-                        faults: 0,
-                        latency_ns: match state {
-                            RegionState::Queued => 0,
-                            RegionState::Running => t,
-                            _ => finish,
-                        },
-                        metrics: MetricsSummary::default(),
-                    }
-                })
-                .collect();
-            let utilization = if t == 0 {
-                0.0
-            } else {
-                (busy_ns as f64 / (pool_slots as f64 * t as f64)).clamp(0.0, 1.0)
-            };
-            RegistrySnapshot {
-                t_ns: t,
-                pool: PoolSnapshot {
-                    slots: pool_slots,
-                    slots_busy,
-                    in_flight,
-                    admissions,
-                    busy_ns,
-                    utilization,
-                    queue_wait: queue_wait.snapshot(),
-                    region_latency: region_latency.snapshot(),
-                },
-                regions: rows,
-                flight_dumps: 0,
-            }
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -249,46 +146,5 @@ mod tests {
     #[should_panic(expected = "gang of 5")]
     fn oversized_gang_panics() {
         region_server(4, &[spec(5, 1)]);
-    }
-
-    #[test]
-    fn telemetry_mirror_tracks_admissions_and_completion() {
-        // Two waves on 4 slots: regions 1+2 run at t=0, 3+4 at t=100.
-        let snaps =
-            region_server_telemetry(4, &[spec(2, 100), spec(2, 100), spec(2, 100), spec(2, 100)]);
-        // Event times: 0 (admit 1+2), 100 (finish 1+2, admit 3+4), 200.
-        assert_eq!(snaps.len(), 3);
-
-        let t0 = &snaps[0];
-        assert_eq!(t0.t_ns, 0);
-        assert_eq!(t0.pool.slots_busy, 4);
-        assert_eq!(t0.pool.in_flight, 2);
-        assert_eq!(t0.pool.admissions, 2);
-        assert_eq!(t0.regions[2].state, RegionState::Queued);
-
-        let t1 = &snaps[1];
-        assert_eq!(t1.t_ns, 100);
-        assert_eq!(t1.pool.admissions, 4);
-        assert_eq!(t1.pool.in_flight, 2);
-        assert_eq!(t1.regions[0].state, RegionState::Done);
-        assert_eq!(t1.regions[0].latency_ns, 100);
-        // Wave-two regions waited one wave in the admission queue.
-        assert_eq!(t1.regions[2].queue_wait_ns, 100);
-
-        let t2 = &snaps[2];
-        assert_eq!(t2.pool.in_flight, 0);
-        assert_eq!(t2.pool.slots_busy, 0);
-        // Full pool busy for the whole makespan: utilization 1.0.
-        assert!((t2.pool.utilization - 1.0).abs() < 1e-12);
-        assert_eq!(t2.pool.region_latency.count, 4);
-    }
-
-    #[test]
-    fn telemetry_mirror_speaks_the_live_wire_schema() {
-        let snaps = region_server_telemetry(2, &[spec(2, 50), spec(2, 70)]);
-        let last = snaps.last().unwrap().to_json();
-        assert!(last.starts_with("{\"schema\":\"crossinvoc-telemetry-1\""));
-        assert!(last.contains("\"kind\":\"sim\""));
-        assert!(!last.contains('\n'));
     }
 }

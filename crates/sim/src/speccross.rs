@@ -25,6 +25,7 @@ use crossinvoc_runtime::stats::RegionStats;
 use crossinvoc_runtime::trace::{checker_shard_tid, Event, WakeEdge};
 use crossinvoc_speccross::ShardMap;
 
+use crate::barrier::barrier_epoch;
 use crate::cost::CostModel;
 use crate::result::SimResult;
 use crate::tracing::SimSinks;
@@ -333,18 +334,20 @@ pub fn speccross<W: SimWorkload + ?Sized>(
                 } else {
                     resume_epoch
                 };
-                now = barrier_range(
-                    workload,
-                    params.threads,
-                    cost,
-                    checkpoint_epoch,
-                    to,
-                    now,
-                    &stats,
-                    &mut busy,
-                    &mut idle,
-                    &mut sinks,
-                );
+                let mut clocks = vec![now; params.threads];
+                for epoch in checkpoint_epoch..to {
+                    barrier_epoch(
+                        workload,
+                        cost,
+                        epoch,
+                        &mut clocks,
+                        &mut busy,
+                        &mut idle,
+                        &stats,
+                        &mut sinks,
+                    );
+                }
+                now = clocks.into_iter().max().unwrap_or(now);
                 start_epoch = to;
             }
         }
@@ -358,85 +361,6 @@ pub fn speccross<W: SimWorkload + ?Sized>(
         degraded,
         trace: sinks.finish(),
     }
-}
-
-/// Simulates epochs `[from, to)` with barriers, starting at `t0`; returns
-/// the completion time.
-#[allow(clippy::too_many_arguments)]
-fn barrier_range<W: SimWorkload + ?Sized>(
-    workload: &W,
-    threads: usize,
-    cost: &CostModel,
-    from: usize,
-    to: usize,
-    t0: u64,
-    stats: &RegionStats,
-    busy: &mut [u64],
-    idle: &mut [u64],
-    sinks: &mut SimSinks,
-) -> u64 {
-    let mut clocks = vec![t0; threads];
-    for epoch in from..to {
-        stats.add_epoch();
-        sinks.workers[0].emit_at(
-            clocks[0],
-            Event::EpochBegin {
-                epoch: epoch as u32,
-            },
-        );
-        for iter in 0..workload.num_iterations(epoch) {
-            let tid = iter % threads;
-            let work = workload.iteration_cost(epoch, iter);
-            sinks.workers[tid].emit_at(
-                clocks[tid],
-                Event::TaskDispatch {
-                    epoch: epoch as u32,
-                    task: iter as u64,
-                },
-            );
-            clocks[tid] += work;
-            busy[tid] += work;
-            sinks.workers[tid].emit_at(
-                clocks[tid],
-                Event::TaskRetire {
-                    epoch: epoch as u32,
-                    task: iter as u64,
-                },
-            );
-            stats.add_task();
-        }
-        let slowest = *clocks.iter().max().expect("threads > 0");
-        let releaser = clocks.iter().position(|&c| c == slowest).expect("nonempty");
-        for (tid, (clock, i)) in clocks.iter_mut().zip(idle.iter_mut()).enumerate() {
-            let wait = slowest - *clock;
-            sinks.workers[tid].emit_at(
-                *clock,
-                Event::BarrierEnter {
-                    epoch: epoch as u32,
-                },
-            );
-            *i += wait;
-            *clock = slowest + cost.barrier_ns(threads);
-            sinks.workers[tid].emit_at(
-                *clock,
-                Event::BarrierLeave {
-                    epoch: epoch as u32,
-                    wait_ns: wait,
-                },
-            );
-            if wait > 0 {
-                sinks.workers[tid].emit_at(
-                    *clock,
-                    Event::Wake {
-                        edge: WakeEdge::Barrier,
-                        src_tid: releaser,
-                        seq: epoch as u64,
-                    },
-                );
-            }
-        }
-    }
-    clocks.into_iter().max().unwrap_or(t0)
 }
 
 /// Simulates one speculative pass from `start_epoch` beginning at `t0`.
@@ -674,30 +598,25 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                     }
                 }
             }
-            match fault.task_start(epoch as u32, task as u64, tid) {
+            let task_fault = fault.task_start(epoch as u32, task as u64, tid);
+            if let Some(f) = task_fault {
+                sinks.workers[tid].emit_at(
+                    release,
+                    Event::FaultInjected {
+                        kind: f.kind(),
+                        epoch: epoch as u32,
+                        task: task as u64,
+                    },
+                );
+            }
+            match task_fault {
                 Some(TaskFault::Delay(d)) => {
                     stats.add_stall();
-                    sinks.workers[tid].emit_at(
-                        release,
-                        Event::FaultInjected {
-                            kind: FaultKind::Delay(d.as_micros() as u64),
-                            epoch: epoch as u32,
-                            task: task as u64,
-                        },
-                    );
                     release += d.as_nanos() as u64;
                 }
                 Some(TaskFault::Panic) => {
                     // The panic is contained at the task boundary; the pass
                     // aborts immediately and rolls back to the checkpoint.
-                    sinks.workers[tid].emit_at(
-                        release,
-                        Event::FaultInjected {
-                            kind: FaultKind::WorkerPanic,
-                            epoch: epoch as u32,
-                            task: task as u64,
-                        },
-                    );
                     idle[tid] += release - clocks[tid];
                     clocks[tid] = release;
                     flush_summary!(epoch);
@@ -843,38 +762,20 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                     if i > 0 {
                         continue;
                     }
+                    if let Some(f) = check_fault {
+                        sinks.checkers[k].emit_at(
+                            checker_clocks[k],
+                            Event::FaultInjected {
+                                kind: f.kind(),
+                                epoch: epoch as u32,
+                                task: task as u64,
+                            },
+                        );
+                    }
                     match check_fault {
-                        Some(CheckFault::ForceConflict) => {
-                            sinks.checkers[k].emit_at(
-                                checker_clocks[k],
-                                Event::FaultInjected {
-                                    kind: FaultKind::FalsePositive,
-                                    epoch: epoch as u32,
-                                    task: task as u64,
-                                },
-                            );
-                            conflicted = true;
-                        }
-                        Some(CheckFault::Stall(d)) => {
-                            sinks.checkers[k].emit_at(
-                                checker_clocks[k],
-                                Event::FaultInjected {
-                                    kind: FaultKind::CheckerStall(d.as_millis() as u64),
-                                    epoch: epoch as u32,
-                                    task: task as u64,
-                                },
-                            );
-                            checker_clocks[k] += d.as_nanos() as u64;
-                        }
+                        Some(CheckFault::ForceConflict) => conflicted = true,
+                        Some(CheckFault::Stall(d)) => checker_clocks[k] += d.as_nanos() as u64,
                         Some(CheckFault::Die) => {
-                            sinks.checkers[k].emit_at(
-                                checker_clocks[k],
-                                Event::FaultInjected {
-                                    kind: FaultKind::CheckerDeath,
-                                    epoch: epoch as u32,
-                                    task: task as u64,
-                                },
-                            );
                             flush_summary!(epoch);
                             emit_census!();
                             return (

@@ -21,9 +21,11 @@
 //! The structure is pure — no threads, no channels — so the threaded checker
 //! (`engine`), the sharded checker (`shard`) and the tests all drive the same
 //! code. The discrete-event simulator does *not*: `crossinvoc_sim::speccross`
-//! keeps its own mirror of this window (bucketed per epoch, where this one
-//! is bucketed per worker and epoch), held equal by proptests and the
-//! `sim-*` fuzz lanes.
+//! keeps its own mirror of this window, and nothing holds the two equal —
+//! the sim proptests and the `sim-*` fuzz lanes compare the simulator with
+//! itself. The mirror pairs tasks by interval overlap, which is weaker than
+//! rule 3 above, so it misses inversions this checker flags
+//! (`crates/sim/tests/inversion.rs`; EXPERIMENTS.md, BENCH_5 caveat).
 
 use std::collections::VecDeque;
 

@@ -1219,26 +1219,18 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         recorder: &mut dyn crate::workload::AccessRecorder,
         sink: &mut TraceSink,
     ) -> bool {
-        let inject = match shared.fault.task_start(epoch as u32, task as u64, tid) {
-            Some(TaskFault::Delay(d)) => {
-                sink.emit(Event::FaultInjected {
-                    kind: FaultKind::Delay(d.as_micros() as u64),
-                    epoch: epoch as u32,
-                    task: task as u64,
-                });
-                std::thread::sleep(d);
-                false
-            }
-            Some(TaskFault::Panic) => {
-                sink.emit(Event::FaultInjected {
-                    kind: FaultKind::WorkerPanic,
-                    epoch: epoch as u32,
-                    task: task as u64,
-                });
-                true
-            }
-            None => false,
-        };
+        let fault = shared.fault.task_start(epoch as u32, task as u64, tid);
+        if let Some(f) = fault {
+            sink.emit(Event::FaultInjected {
+                kind: f.kind(),
+                epoch: epoch as u32,
+                task: task as u64,
+            });
+        }
+        if let Some(TaskFault::Delay(d)) = fault {
+            std::thread::sleep(d);
+        }
+        let inject = fault == Some(TaskFault::Panic);
         let outcome = catch_unwind(AssertUnwindSafe(|| {
             if inject {
                 panic!("injected fault: worker panic at epoch {epoch}, task {task}");
@@ -1746,13 +1738,8 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                             .fault
                             .check(req.pos.epoch, req.pos.task as u64, req.tid);
                     if let Some(f) = check_fault {
-                        let kind = match f {
-                            CheckFault::ForceConflict => FaultKind::FalsePositive,
-                            CheckFault::Stall(d) => FaultKind::CheckerStall(d.as_millis() as u64),
-                            CheckFault::Die => FaultKind::CheckerDeath,
-                        };
                         sink.emit(Event::FaultInjected {
-                            kind,
+                            kind: f.kind(),
                             epoch: req.pos.epoch,
                             task: req.pos.task as u64,
                         });
@@ -1915,26 +1902,18 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                                 collector.absorb(sink);
                                 return;
                             }
-                            let inject = match fault.task_start(epoch as u32, task as u64, tid) {
-                                Some(TaskFault::Delay(d)) => {
-                                    sink.emit(Event::FaultInjected {
-                                        kind: FaultKind::Delay(d.as_micros() as u64),
-                                        epoch: epoch as u32,
-                                        task: task as u64,
-                                    });
-                                    std::thread::sleep(d);
-                                    false
-                                }
-                                Some(TaskFault::Panic) => {
-                                    sink.emit(Event::FaultInjected {
-                                        kind: FaultKind::WorkerPanic,
-                                        epoch: epoch as u32,
-                                        task: task as u64,
-                                    });
-                                    true
-                                }
-                                None => false,
-                            };
+                            let injected = fault.task_start(epoch as u32, task as u64, tid);
+                            if let Some(f) = injected {
+                                sink.emit(Event::FaultInjected {
+                                    kind: f.kind(),
+                                    epoch: epoch as u32,
+                                    task: task as u64,
+                                });
+                            }
+                            if let Some(TaskFault::Delay(d)) = injected {
+                                std::thread::sleep(d);
+                            }
+                            let inject = injected == Some(TaskFault::Panic);
                             sink.emit(Event::TaskDispatch {
                                 epoch: epoch as u32,
                                 task: task as u64,

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # CI entry point: `scripts/ci.sh [STAGE]`, STAGE one of
 #
-#   build-test   release build + tier-1 and workspace tests
+#   build-test   release build + tier-1 and workspace tests, then the frozen
+#                benchmark/ crate built and tested against this tree
 #   lint         fmt, clippy, rustdoc
 #   docs-check   docs <-> CLI flag / gate consistency
 #   gates        every bench-suite gate at smoke scale, then --validate
@@ -45,6 +46,11 @@ stage_build_test() {
   run "$BUILD_TIMEOUT" cargo build --release --workspace
   run "$TEST_TIMEOUT" cargo test -q
   run "$TEST_TIMEOUT" cargo test -q --workspace
+  # benchmark/ is its own workspace that only the benchmark driver builds;
+  # it consumes the crates' public API and must never be edited to follow
+  # it, so a break has to fail here rather than in the benchmark run.
+  run "$BUILD_TIMEOUT" cargo build --release --manifest-path benchmark/Cargo.toml
+  run "$TEST_TIMEOUT" cargo test --manifest-path benchmark/Cargo.toml
 }
 
 stage_lint() {

@@ -683,82 +683,101 @@ proptest! {
     }
 }
 
-/// Drives `memo` + `logic` through one invocation of `stream`
-/// (per-iteration `(tid, writes, reads)`), collecting the dispatched
-/// `(tid, iter_num, conds)` tuples exactly as the runtime would: replay
-/// when the memo offers it, verified per iteration, with shadow catch-up on
-/// divergence.
-#[allow(clippy::type_complexity)]
-fn run_memoized(
-    memo: &mut crossinvoc_domore::ScheduleMemo,
-    logic: &mut SchedulerLogic,
-    stream: &[(usize, Vec<usize>, Vec<usize>)],
-) -> (Vec<(usize, u64, Vec<SyncCondition>)>, bool) {
-    use crossinvoc_domore::ReplayStep;
-    let base = logic.next_iter_num();
+/// One invocation's per-iteration `(policy tid, writes, reads)`.
+type Stream = Vec<(usize, Vec<usize>, Vec<usize>)>;
+/// The `(tid, iter_num, conditions)` a scheduler emitted, per iteration.
+type Emitted = Vec<(usize, u64, Vec<SyncCondition>)>;
+
+/// Schedules one invocation of `stream` through the production core
+/// ([`crossinvoc_domore::ScheduleCore`] — the step the threaded runtime, the
+/// duplicated scheduler and the simulator all drive), collecting what it
+/// emits. `reroute(iter, policy_tid)` is the post-policy stage of `assign`
+/// (identity, or a dead-worker reroute). Returns the emitted decisions,
+/// which of them were replayed, and the cache-hit verdict.
+fn schedule_through_core(
+    core: &mut crossinvoc_domore::ScheduleCore,
+    stream: &Stream,
+    memo_usable: bool,
+    mut reroute: impl FnMut(usize, usize) -> usize,
+) -> (Emitted, Vec<bool>, bool) {
+    let base = core.next_iter_num();
     let mut out = Vec::new();
-    let mut iter = 0;
-    if memo.begin_invocation(stream.len(), base, true) {
-        while iter < stream.len() {
-            let (tid, ref writes, ref reads) = stream[iter];
-            match memo.replay_step(iter, writes, reads, tid) {
-                ReplayStep::Match {
-                    tid,
-                    iter_num,
-                    conds,
-                } => {
-                    out.push((tid, iter_num, conds.to_vec()));
-                    iter += 1;
-                }
-                ReplayStep::Diverged => {
-                    // Catch the shadow up over the already-dispatched
-                    // prefix, discarding its (already-correct) conditions.
-                    let mut scratch = Vec::new();
-                    for (k, (_, w, r)) in stream.iter().enumerate().take(iter) {
-                        scratch.clear();
-                        let _ = logic.schedule_rw(memo.recorded_tid(k), w, r, &mut scratch);
-                    }
-                    break;
-                }
-            }
-        }
-    }
-    while iter < stream.len() {
-        let (tid, ref writes, ref reads) = stream[iter];
-        let mut conds = Vec::new();
-        let iter_num = logic.schedule_rw(tid, writes, reads, &mut conds);
-        memo.record_step(writes, reads, tid, &conds);
-        out.push((tid, iter_num, conds));
-        iter += 1;
-    }
-    let hit = memo.end_invocation(logic);
-    (out, hit)
+    let mut replayed = Vec::new();
+    let hit = core
+        .run_invocation(
+            stream.len(),
+            memo_usable,
+            |iter, writes, reads| {
+                writes.extend_from_slice(&stream[iter].1);
+                reads.extend_from_slice(&stream[iter].2);
+            },
+            |iter_num, _| {
+                let iter = (iter_num - base) as usize;
+                Some(reroute(iter, stream[iter].0))
+            },
+            |_, tid, iter_num, conds, was_replayed| {
+                out.push((tid, iter_num, conds.to_vec()));
+                replayed.push(was_replayed);
+            },
+        )
+        .expect("every iteration is assigned");
+    (out, replayed, hit)
+}
+
+/// The reference: `stream` scheduled by a plain [`SchedulerLogic`] that
+/// never memoizes, with worker `tid_of(iter, policy_tid)`.
+fn schedule_plainly(
+    reference: &mut SchedulerLogic,
+    stream: &Stream,
+    tid_of: impl Fn(usize, usize) -> usize,
+) -> Emitted {
+    stream
+        .iter()
+        .enumerate()
+        .map(|(iter, (policy_tid, writes, reads))| {
+            let tid = tid_of(iter, *policy_tid);
+            let mut conds = Vec::new();
+            let n = reference.schedule_rw(tid, writes, reads, &mut conds);
+            (tid, n, conds)
+        })
+        .collect()
+}
+
+/// A random invocation over a 16-cell address space; the raw placement is
+/// folded onto the worker count by [`place`].
+fn raw_stream() -> impl Strategy<Value = Vec<(u64, Vec<usize>, Vec<usize>)>> {
+    prop::collection::vec(
+        (
+            any::<u64>(),
+            prop::collection::vec(0usize..16, 0..3),
+            prop::collection::vec(0usize..16, 0..3),
+        ),
+        2..24,
+    )
+}
+
+fn place(raw: Vec<(u64, Vec<usize>, Vec<usize>)>, workers: usize) -> Stream {
+    raw.into_iter()
+        .map(|(t, w, r)| ((t % workers as u64) as usize, w, r))
+        .collect()
 }
 
 proptest! {
     /// Cross-invocation schedule memoization is *transparent*: over any
     /// randomized steady stream — arbitrary per-iteration read/write sets
     /// and worker placements, repeated across invocations with one randomly
-    /// perturbed invocation in the middle — the memo-driven scheduler emits
+    /// perturbed invocation in the middle — the scheduling core emits
     /// byte-identical `(tid, iter_num, conditions)` streams to a plain
     /// [`SchedulerLogic`] that never memoizes, through warm-up, replay,
     /// mid-replay divergence and re-warming alike.
     #[test]
     fn memoized_schedule_is_byte_identical_to_recomputation(
         workers in 1usize..4,
-        raw in prop::collection::vec(
-            (any::<u64>(),
-             prop::collection::vec(0usize..16, 0..3),
-             prop::collection::vec(0usize..16, 0..3)),
-            2..24),
+        raw in raw_stream(),
         divergence in any::<u64>(),
     ) {
-        let stream: Vec<(usize, Vec<usize>, Vec<usize>)> = raw
-            .into_iter()
-            .map(|(t, w, r)| ((t % workers as u64) as usize, w, r))
-            .collect();
-        let mut memo = crossinvoc_domore::ScheduleMemo::new();
-        let mut logic = SchedulerLogic::with_dense_shadow(16);
+        let stream = place(raw, workers);
+        let mut core = crossinvoc_domore::ScheduleCore::new(Some(16));
         let mut reference = SchedulerLogic::with_dense_shadow(16);
         let mut hits = 0u64;
         for inv in 0..7usize {
@@ -769,19 +788,72 @@ proptest! {
                 let k = (divergence >> 8) as usize % s.len();
                 s[k].1 = vec![(divergence >> 16) as usize % 16];
             }
-            let (got, hit) = run_memoized(&mut memo, &mut logic, &s);
-            let want: Vec<(usize, u64, Vec<SyncCondition>)> = s
-                .iter()
-                .map(|(tid, writes, reads)| {
-                    let mut conds = Vec::new();
-                    let n = reference.schedule_rw(*tid, writes, reads, &mut conds);
-                    (*tid, n, conds)
-                })
-                .collect();
+            let (got, _, hit) = schedule_through_core(&mut core, &s, true, |_, tid| tid);
+            let want = schedule_plainly(&mut reference, &s, |_, tid| tid);
             prop_assert_eq!(got, want, "invocation {} diverged", inv);
             hits += u64::from(hit);
         }
-        prop_assert_eq!(memo.hits(), hits);
+        prop_assert_eq!(core.memo().hits(), hits);
+    }
+
+    /// A worker dies at a random iteration of a random invocation of a
+    /// steady (hence replaying) stream — the path only racy stress tests
+    /// reach on real threads. From that point `assign` reroutes the dead
+    /// worker's iterations to its successor, and from the next invocation
+    /// the memo is declared unusable, exactly as the threaded scheduler
+    /// does. The emitted stream must equal a plain [`SchedulerLogic`]
+    /// driven with the same rerouted workers — so nothing is assigned to
+    /// the worker after its death and every condition names the worker its
+    /// dependence was really dispatched to — and the policy is consulted
+    /// exactly once per iteration, including the one a replay diverged on.
+    #[test]
+    fn dead_worker_reroute_matches_plain_scheduling(
+        workers in 2usize..5,
+        raw in raw_stream(),
+        death in any::<u64>(),
+    ) {
+        let stream = place(raw, workers);
+        let dead = death as usize % workers;
+        let death_inv = (death >> 8) as usize % 7;
+        let death_iter = (death >> 16) as usize % stream.len();
+        let live_tid = |inv: usize, iter: usize, tid: usize| {
+            if tid == dead && (inv, iter) >= (death_inv, death_iter) {
+                (tid + 1) % workers
+            } else {
+                tid
+            }
+        };
+        let mut core = crossinvoc_domore::ScheduleCore::new(Some(16));
+        let mut reference = SchedulerLogic::with_dense_shadow(16);
+        for inv in 0..7usize {
+            let mut consulted = vec![0u32; stream.len()];
+            let (got, replayed, hit) =
+                schedule_through_core(&mut core, &stream, inv <= death_inv, |iter, tid| {
+                    consulted[iter] += 1;
+                    live_tid(inv, iter, tid)
+                });
+            let want = schedule_plainly(&mut reference, &stream, |iter, tid| live_tid(inv, iter, tid));
+            prop_assert_eq!(&got, &want, "invocation {} diverged", inv);
+            prop_assert!(
+                consulted.iter().all(|&n| n == 1),
+                "invocation {}: policy consultations per iteration {:?}",
+                inv,
+                consulted
+            );
+            for (iter, (tid, _, _)) in got.iter().enumerate() {
+                prop_assert!(
+                    *tid != dead || (inv, iter) < (death_inv, death_iter),
+                    "iteration {} of invocation {} went to the dead worker",
+                    iter,
+                    inv
+                );
+            }
+            // A replay never resumes once it diverged, and only a fully
+            // replayed invocation counts as a hit.
+            prop_assert!(replayed.windows(2).all(|w| w[0] || !w[1]));
+            prop_assert_eq!(hit, replayed.iter().all(|&r| r));
+            prop_assert!(!hit || inv <= death_inv);
+        }
     }
 }
 
