@@ -180,11 +180,19 @@ pub fn generate(seed: u64, params: &GenParams) -> FuzzCase {
     let mut elision = Rng(SplitMix64::new(seed ^ 0x6C2E_A417_B99D_E255));
 
     let workers = knobs.range(1, params.max_workers) as usize;
-    let checker_shards = if shards.chance(25) {
+    let mut checker_shards = if shards.chance(25) {
         1
     } else {
         [2, 3, 4, 8][shards.below(4) as usize]
     };
+    // A later draw of the same sub-stream widens one region in seven up to
+    // the 64-shard maximum (most of those shards never hear from some
+    // worker, which is the checker log's checkpoint-backstop case); drawn
+    // after the choice above so that choice stays what each seed always
+    // gave.
+    if shards.chance(15) {
+        checker_shards = [16, 32, 64][shards.below(3) as usize];
+    }
     let checkpoint_every = knobs.range(1, 4) as usize;
     let signature = if knobs.chance(25) {
         SigKind::Bloom

@@ -46,6 +46,10 @@ impl<T> std::ops::Deref for Aligned<T> {
 struct Ring<T> {
     buf: Box<[MaybeUninit<Cell<Option<T>>>]>,
     capacity: usize,
+    /// `capacity - 1` when the capacity is a power of two (both engines'
+    /// rings are): slot lookup is then a mask instead of a division by a
+    /// runtime value.
+    mask: Option<usize>,
     head: Aligned<AtomicUsize>,
     tail: Aligned<AtomicUsize>,
     /// Where the consumer sleeps when the ring stays empty; the producer
@@ -64,10 +68,28 @@ unsafe impl<T: Send> Send for Ring<T> {}
 unsafe impl<T: Send> Sync for Ring<T> {}
 
 impl<T> Ring<T> {
+    fn new(capacity: usize) -> Self {
+        Ring {
+            buf: (0..capacity)
+                .map(|_| MaybeUninit::new(Cell::new(None)))
+                .collect(),
+            capacity,
+            mask: capacity.is_power_of_two().then(|| capacity - 1),
+            head: Aligned(AtomicUsize::new(0)),
+            tail: Aligned(AtomicUsize::new(0)),
+            consumer_parker: Aligned(Parker::new()),
+            producer_parker: Aligned(Parker::new()),
+        }
+    }
+
     fn slot(&self, index: usize) -> *mut Option<T> {
+        let wrapped = match self.mask {
+            Some(mask) => index & mask,
+            None => index % self.capacity,
+        };
         // Each slot is logically owned by exactly one side at a time; see the
         // Send/Sync justification above.
-        self.buf[index % self.capacity].as_ptr() as *mut Option<T>
+        self.buf[wrapped].as_ptr() as *mut Option<T>
     }
 }
 
@@ -100,18 +122,7 @@ impl<T: Send> Queue<T> {
     /// Panics if `capacity` is zero.
     pub fn with_capacity(capacity: usize) -> (Producer<T>, Consumer<T>) {
         assert!(capacity > 0, "queue capacity must be positive");
-        let mut buf = Vec::with_capacity(capacity);
-        for _ in 0..capacity {
-            buf.push(MaybeUninit::new(Cell::new(None)));
-        }
-        let ring = Arc::new(Ring {
-            buf: buf.into_boxed_slice(),
-            capacity,
-            head: Aligned(AtomicUsize::new(0)),
-            tail: Aligned(AtomicUsize::new(0)),
-            consumer_parker: Aligned(Parker::new()),
-            producer_parker: Aligned(Parker::new()),
-        });
+        let ring = Arc::new(Ring::new(capacity));
         (
             Producer {
                 ring: Arc::clone(&ring),
@@ -436,6 +447,44 @@ mod tests {
         assert_eq!(tx.try_produce_batch(&mut batch), 0); // nothing to move
     }
 
+    /// Batches that straddle the end of the buffer many times over, through
+    /// the mask path (`capacity` a power of two) or the modulo path.
+    fn batches_wrap_the_ring(capacity: usize) {
+        let (tx, rx) = Queue::with_capacity(capacity);
+        let (mut next, mut expected) = (0u32, 0u32);
+        let mut out = Vec::new();
+        // A batch one short of the capacity starts one slot earlier on every
+        // lap, so the wrap point lands on every offset of a batch. (The
+        // producer's cached head is conservative, so one batch may take
+        // several publishes.)
+        for _ in 0..capacity * 3 {
+            let mut batch: Vec<u32> = (next..next + capacity as u32 - 1).collect();
+            next += batch.len() as u32;
+            while !batch.is_empty() {
+                assert!(tx.try_produce_batch(&mut batch) > 0, "ring never full");
+                out.clear();
+                rx.consume_batch(&mut out, capacity);
+                for v in &out {
+                    assert_eq!(*v, expected);
+                    expected += 1;
+                }
+            }
+        }
+        assert_eq!(expected, next);
+    }
+
+    #[test]
+    fn batches_wrap_a_power_of_two_ring() {
+        batches_wrap_the_ring(8);
+        batches_wrap_the_ring(2);
+    }
+
+    #[test]
+    fn batches_wrap_a_non_power_of_two_ring() {
+        batches_wrap_the_ring(3);
+        batches_wrap_the_ring(6);
+    }
+
     #[test]
     fn consume_batch_respects_max() {
         let (tx, rx) = Queue::with_capacity(8);
@@ -499,14 +548,7 @@ mod tests {
     fn hot_fields_live_on_distinct_cache_lines() {
         assert_eq!(std::mem::align_of::<Aligned<AtomicUsize>>(), 64);
         assert_eq!(std::mem::align_of::<Aligned<Parker>>(), 64);
-        let r = Ring::<u64> {
-            buf: Box::new([]),
-            capacity: 1,
-            head: Aligned(AtomicUsize::new(0)),
-            tail: Aligned(AtomicUsize::new(0)),
-            consumer_parker: Aligned(Parker::new()),
-            producer_parker: Aligned(Parker::new()),
-        };
+        let r = Ring::<u64>::new(1);
         let mut offsets = [
             std::ptr::addr_of!(r.head) as usize,
             std::ptr::addr_of!(r.tail) as usize,
@@ -520,6 +562,5 @@ mod tests {
                 "cross-thread fields must not share a 64-byte line: {offsets:?}"
             );
         }
-        std::mem::forget(r); // `buf` is an empty fake; skip the drop scan
     }
 }

@@ -39,14 +39,16 @@ pub struct CounterDef {
 }
 
 /// The single declaration of the region counters. One line per counter —
-/// `field: unit|bulk adder, "help";` — generates the [`RegionStats`] atomic
-/// cell, its adder (`unit` adds one, `bulk` adds `n`) and getter, the
+/// `field: unit|bulk adder [unit|bulk adder], "help";` — generates the
+/// [`RegionStats`] atomic cell, its adders (`unit` adds one, `bulk` adds `n`;
+/// a counter bumped per task by some writers and folded per epoch by others
+/// declares both) and getter, the
 /// [`StatsSummary`] field, [`RegionStats::summary`]/[`RegionStats::snapshot`],
 /// [`StatsSummary::fields`] and the [`COUNTERS`] metadata every exposition
 /// (telemetry JSON, Prometheus, `server-stats`) iterates. Adding a counter
 /// is adding a line here.
 macro_rules! counters {
-    ($($name:ident: $kind:ident $add:ident, $help:literal;)*) => {
+    ($($name:ident: $($kind:ident $add:ident)+, $help:literal;)*) => {
         /// Name, Prometheus family and help text of every counter, in
         /// declaration order (the order [`StatsSummary::fields`] yields).
         pub const COUNTERS: [CounterDef; [$(stringify!($name)),*].len()] = [$(CounterDef {
@@ -63,7 +65,7 @@ macro_rules! counters {
 
         impl RegionStats {
             $(
-                counters!(@adder $kind $add $name $help);
+                $(counters!(@adder $kind $add $name $help);)+
 
                 #[doc = concat!("Current value (approximate mid-run). ", $help)]
                 pub fn $name(&self) -> u64 {
@@ -114,7 +116,9 @@ macro_rules! counters {
         }
     };
     // Bulk adders exist where the writer accumulates locally and folds in
-    // at a drain point (checker epoch skips) or once per task (accesses).
+    // at a drain point (checker epoch skips), at an epoch boundary (the
+    // SPECCROSS workers' tasks and check requests) or once per task
+    // (accesses).
     (@adder bulk $add:ident $name:ident $help:literal) => {
         #[doc = concat!("Adds `n`. ", $help)]
         pub fn $add(&self, n: u64) {
@@ -124,9 +128,9 @@ macro_rules! counters {
 }
 
 counters! {
-    tasks: unit add_task, "Tasks (inner-loop iterations) executed.";
+    tasks: unit add_task bulk add_tasks, "Tasks (inner-loop iterations) executed.";
     epochs: unit add_epoch, "Epochs (loop invocations) entered.";
-    check_requests: unit add_check_request, "Signature-checking requests sent to the checker.";
+    check_requests: unit add_check_request bulk add_check_requests, "Signature-checking requests sent to the checker.";
     sync_conditions: unit add_sync_condition, "Synchronization conditions produced by the DOMORE scheduler.";
     misspeculations: unit add_misspeculation, "Misspeculations detected (rollbacks).";
     checkpoints: unit add_checkpoint, "Checkpoints taken.";
@@ -153,9 +157,9 @@ mod tests {
     fn counters_increment_independently() {
         let s = RegionStats::new();
         s.add_task();
-        s.add_task();
+        s.add_tasks(1);
         s.add_epoch();
-        s.add_check_request();
+        s.add_check_requests(1);
         s.add_sync_condition();
         s.add_misspeculation();
         s.add_checkpoint();

@@ -76,6 +76,14 @@ impl Conflict {
     }
 }
 
+/// One logged task: where it ran and what it touched. Its start-time
+/// snapshot lives in the owning bucket's flat `snapshots` array.
+#[derive(Debug)]
+struct Entry<S> {
+    pos: Position,
+    sig: S,
+}
+
 /// One epoch's slice of a worker's signature log, summarized by the union
 /// of its members' signatures.
 ///
@@ -83,13 +91,31 @@ impl Conflict {
 /// [`AccessSignature::merge`]): a request disjoint from the aggregate is
 /// disjoint from every member, so the whole bucket can be skipped with one
 /// comparison instead of one per member.
+///
+/// Stored struct-of-arrays: the members' snapshots sit in one flat vector,
+/// `workers` positions per member, so logging a task boxes nothing and a
+/// retired bucket's two vectors are reused whole (`CheckerState::spare`).
 #[derive(Debug)]
 struct EpochBucket<S> {
     epoch: u32,
     /// Union of every member signature (empty members contribute nothing).
     agg: S,
-    /// Members in arrival (= position) order; never empty.
-    entries: Vec<CheckRequest<S>>,
+    /// Members in arrival (= position) order; never empty while logged.
+    entries: Vec<Entry<S>>,
+    /// Member `i`'s start-time snapshot is `snapshots[i * workers..][..workers]`.
+    snapshots: Vec<Position>,
+}
+
+impl<S: AccessSignature> EpochBucket<S> {
+    fn push(&mut self, pos: Position, snapshot: &[Position], sig: S) {
+        self.agg.merge(&sig);
+        self.entries.push(Entry { pos, sig });
+        self.snapshots.extend_from_slice(snapshot);
+    }
+
+    fn newest(&self) -> &Entry<S> {
+        self.entries.last().expect("epoch buckets are never empty")
+    }
 }
 
 /// Append-only signature log plus the conflict test (the Signature Log of
@@ -100,16 +126,30 @@ struct EpochBucket<S> {
 /// tests an arriving request against a bucket's aggregate first and skips
 /// the whole bucket when disjoint, which turns the common no-conflict case
 /// from O(in-flight tasks) into O(in-flight epochs) comparisons.
+///
+/// The log retires itself: a bucket every other worker has been seen past
+/// is popped as soon as that is known (see `retire_observed`), so memory is
+/// O(in-flight window) rather than O(epochs since the last checkpoint).
 #[derive(Debug)]
 pub struct CheckerState<S> {
     /// Per-worker epoch buckets, ordered by epoch (workers log in order).
     logs: Vec<VecDeque<EpochBucket<S>>>,
+    /// Epoch of each worker's latest epoch-opening request (`None` until it
+    /// sends one) …
+    seen_epoch: Vec<Option<u32>>,
+    /// … and that request's snapshot, `workers` positions per worker.
+    seen_snapshots: Vec<Position>,
+    /// Retired buckets, kept for their allocations.
+    spare: Vec<EpochBucket<S>>,
     comparisons: u64,
     epoch_skips: u64,
     /// Whether `admit` may use the per-bucket aggregate short-circuit.
     /// Disabling it forces the member-by-member scan — verdicts must be
     /// identical either way (the differential fuzzer exercises both).
     aggregates: bool,
+    /// Whether the log retires buckets on its own (always, outside the
+    /// reference constructor the transparency proptest uses).
+    self_retiring: bool,
 }
 
 impl<S: AccessSignature> CheckerState<S> {
@@ -125,9 +165,23 @@ impl<S: AccessSignature> CheckerState<S> {
     pub fn with_aggregates(num_workers: usize, enabled: bool) -> Self {
         Self {
             logs: (0..num_workers).map(|_| VecDeque::new()).collect(),
+            seen_epoch: vec![None; num_workers],
+            seen_snapshots: vec![Position::ZERO; num_workers * num_workers],
+            spare: Vec::new(),
             comparisons: 0,
             epoch_skips: 0,
             aggregates: enabled,
+            self_retiring: true,
+        }
+    }
+
+    /// The reference the self-retiring log is held equal to: nothing leaves
+    /// the log except through [`CheckerState::retire_before`]. Test-only.
+    #[doc(hidden)]
+    pub fn without_self_retirement(num_workers: usize, aggregates: bool) -> Self {
+        Self {
+            self_retiring: false,
+            ..Self::with_aggregates(num_workers, aggregates)
         }
     }
 
@@ -144,7 +198,7 @@ impl<S: AccessSignature> CheckerState<S> {
         self.epoch_skips
     }
 
-    /// Total logged requests.
+    /// Requests currently held in the log (admitted and not yet retired).
     pub fn logged(&self) -> usize {
         self.logs
             .iter()
@@ -152,8 +206,17 @@ impl<S: AccessSignature> CheckerState<S> {
             .sum()
     }
 
-    /// Logs `req` and tests it against every logged task it may have raced
-    /// with.
+    /// [`CheckerState::admit_parts`] on an owned request.
+    pub fn admit(&mut self, req: CheckRequest<S>) -> Option<Conflict> {
+        self.admit_parts(req.tid, req.pos, &req.snapshot, req.sig)
+    }
+
+    /// Logs the task worker `tid` ran at `pos` — `snapshot` the positions of
+    /// all workers observed at its start (`snapshot[tid]` is ignored), `sig`
+    /// what it touched — and tests it against every logged task it may have
+    /// raced with. The snapshot is copied into the log, so the caller keeps
+    /// its buffer: the engine passes the inline array of its wire message
+    /// and nothing is allocated per task.
     ///
     /// **Contract:** returns the *first* conflict in scan order — workers in
     /// ascending id, each worker's log newest-to-oldest — not the conflict
@@ -161,45 +224,61 @@ impl<S: AccessSignature> CheckerState<S> {
     /// for why recovery does not depend on which conflict is reported.
     ///
     /// **Invariant:** one worker's requests must be admitted in position
-    /// order with monotone snapshots. The engine guarantees both: a worker
-    /// retires tasks in order over a FIFO queue, and the progress board it
-    /// snapshots only moves forward.
+    /// order with monotone snapshots (checked in debug builds); the
+    /// self-retiring log relies on it. The engine guarantees both: a worker
+    /// retires tasks in order over a FIFO ring, and it fills each snapshot
+    /// from the [`PositionBoard`](crate::position::PositionBoard), whose
+    /// slots are atomics their owners only ever move forward — successive
+    /// acquire loads of one atomic by one thread never go backwards.
     ///
     /// Empty signatures are logged but never compared (they cannot conflict).
-    pub fn admit(&mut self, req: CheckRequest<S>) -> Option<Conflict> {
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `snapshot` has one position per worker.
+    pub fn admit_parts(
+        &mut self,
+        tid: ThreadId,
+        pos: Position,
+        snapshot: &[Position],
+        sig: S,
+    ) -> Option<Conflict> {
+        let workers = self.logs.len();
+        assert_eq!(snapshot.len(), workers, "one snapshot slot per worker");
         let mut found = None;
-        if !req.sig.is_empty() {
+        if !sig.is_empty() {
             'outer: for (other_tid, buckets) in self.logs.iter().enumerate() {
-                if other_tid == req.tid {
+                if other_tid == tid {
                     continue;
                 }
                 for bucket in buckets.iter().rev() {
-                    match bucket.epoch.cmp(&req.pos.epoch) {
+                    // What member `i` of this bucket saw of `tid` at start.
+                    let saw = |i: usize| bucket.snapshots[i * workers + tid];
+                    match bucket.epoch.cmp(&pos.epoch) {
                         // Same epoch: independent by the DOALL property.
                         std::cmp::Ordering::Equal => continue,
                         std::cmp::Ordering::Greater => {
-                            // `req` is the earlier-epoch straggler: a logged
-                            // task raced it iff `req` had not retired when
-                            // the logged task began. Snapshots are monotone
-                            // within a worker's log, so if even the oldest
-                            // member observed `req` retired, none raced.
-                            let oldest = &bucket.entries[0];
-                            if req.pos < oldest.snapshot[req.tid] {
+                            // The request is the earlier-epoch straggler: a
+                            // logged task raced it iff it had not retired
+                            // when the logged task began. Snapshots are
+                            // monotone within a worker's log, so if even the
+                            // oldest member observed it retired, none raced.
+                            if pos < saw(0) {
                                 continue;
                             }
                             if self.aggregates {
                                 self.comparisons += 1;
-                                if !bucket.agg.conflicts_with(&req.sig) {
+                                if !bucket.agg.conflicts_with(&sig) {
                                     self.epoch_skips += 1;
                                     continue;
                                 }
                             }
-                            for logged in bucket.entries.iter().rev() {
-                                if req.pos >= logged.snapshot[req.tid] {
+                            for (i, logged) in bucket.entries.iter().enumerate().rev() {
+                                if pos >= saw(i) {
                                     self.comparisons += 1;
-                                    if logged.sig.conflicts_with(&req.sig) {
+                                    if logged.sig.conflicts_with(&sig) {
                                         found = Some(Conflict {
-                                            earlier: (req.tid, req.pos),
+                                            earlier: (tid, pos),
                                             later: (other_tid, logged.pos),
                                         });
                                         break 'outer;
@@ -209,15 +288,11 @@ impl<S: AccessSignature> CheckerState<S> {
                         }
                         std::cmp::Ordering::Less => {
                             // `logged` tasks are earlier-epoch: they raced
-                            // `req` iff not yet retired when `req` started.
-                            let snap = req.snapshot[other_tid];
-                            let newest = bucket
-                                .entries
-                                .last()
-                                .expect("epoch buckets are never empty");
-                            if newest.pos < snap {
+                            // the request iff not yet retired when it began.
+                            let snap = snapshot[other_tid];
+                            if bucket.newest().pos < snap {
                                 // The whole bucket (and everything older)
-                                // retired before `req` began.
+                                // retired before the request began.
                                 break;
                             }
                             // Entries below `snap` end the scan of this
@@ -226,7 +301,7 @@ impl<S: AccessSignature> CheckerState<S> {
                             let has_retired_tail = bucket.entries[0].pos < snap;
                             if self.aggregates {
                                 self.comparisons += 1;
-                                if !bucket.agg.conflicts_with(&req.sig) {
+                                if !bucket.agg.conflicts_with(&sig) {
                                     self.epoch_skips += 1;
                                     if has_retired_tail {
                                         break;
@@ -239,10 +314,10 @@ impl<S: AccessSignature> CheckerState<S> {
                                     break;
                                 }
                                 self.comparisons += 1;
-                                if logged.sig.conflicts_with(&req.sig) {
+                                if logged.sig.conflicts_with(&sig) {
                                     found = Some(Conflict {
                                         earlier: (other_tid, logged.pos),
-                                        later: (req.tid, req.pos),
+                                        later: (tid, pos),
                                     });
                                     break 'outer;
                                 }
@@ -255,38 +330,96 @@ impl<S: AccessSignature> CheckerState<S> {
                 }
             }
         }
-        let buckets = &mut self.logs[req.tid];
+        let buckets = &mut self.logs[tid];
+        if let Some(last) = buckets.back() {
+            debug_assert!(
+                last.newest().pos < pos,
+                "per-worker requests must be admitted in position order"
+            );
+            debug_assert!(
+                last.snapshots[last.snapshots.len() - workers..]
+                    .iter()
+                    .zip(snapshot)
+                    .enumerate()
+                    .all(|(slot, (before, now))| slot == tid || before <= now),
+                "a worker's snapshots must be monotone in every other worker's slot"
+            );
+        }
         match buckets.back_mut() {
-            Some(last) if last.epoch == req.pos.epoch => {
-                last.agg.merge(&req.sig);
-                last.entries.push(req);
-            }
-            other => {
-                debug_assert!(
-                    other.is_none_or(|b| b.epoch < req.pos.epoch),
-                    "per-worker requests must be admitted in epoch order"
-                );
-                buckets.push_back(EpochBucket {
-                    epoch: req.pos.epoch,
-                    agg: req.sig.clone(),
-                    entries: vec![req],
+            Some(last) if last.epoch == pos.epoch => last.push(pos, snapshot, sig),
+            _ => {
+                let mut bucket = self.spare.pop().unwrap_or_else(|| EpochBucket {
+                    epoch: pos.epoch,
+                    agg: S::empty(),
+                    entries: Vec::new(),
+                    snapshots: Vec::new(),
                 });
+                bucket.epoch = pos.epoch;
+                bucket.push(pos, snapshot, sig);
+                buckets.push_back(bucket);
+                // The first request of a new epoch from `tid`: every later
+                // one carries an epoch and a snapshot at least this far on.
+                self.seen_epoch[tid] = Some(pos.epoch);
+                self.seen_snapshots[tid * workers..][..workers].copy_from_slice(snapshot);
+                if self.self_retiring {
+                    self.retire_observed();
+                }
             }
         }
         found
     }
 
+    /// Pops every front bucket `B` of every worker `w` that no future
+    /// request can reach: `w` has moved on to a later bucket, and every
+    /// other worker `v` opened an epoch `>= B.epoch` with a snapshot that
+    /// showed `w` past `B`'s newest member. By `admit_parts`' invariant a
+    /// later request from `v` has an epoch no smaller (so it is never `B`'s
+    /// earlier-epoch straggler) and a view of `w` no older (so for a later
+    /// epoch it takes the `newest.pos < snap` early-out at `B`, which
+    /// compares nothing and ends the scan of `w` exactly as running off the
+    /// front of the log does). Verdicts, first-conflict order, `comparisons`
+    /// and `epoch_skips` are therefore what they would be had `B` stayed.
+    fn retire_observed(&mut self) {
+        let workers = self.logs.len();
+        for w in 0..workers {
+            while self.logs[w].len() > 1 {
+                let front = &self.logs[w][0];
+                let (epoch, newest) = (front.epoch, front.newest().pos);
+                let passed_by_all = (0..workers).filter(|&v| v != w).all(|v| {
+                    self.seen_epoch[v].is_some_and(|seen| seen >= epoch)
+                        && self.seen_snapshots[v * workers + w] > newest
+                });
+                if !passed_by_all {
+                    break;
+                }
+                self.retire_front(w);
+            }
+        }
+    }
+
+    /// Pops worker `w`'s oldest bucket, keeping its vectors for reuse.
+    fn retire_front(&mut self, w: usize) {
+        if let Some(mut bucket) = self.logs[w].pop_front() {
+            bucket.agg.clear();
+            bucket.entries.clear();
+            bucket.snapshots.clear();
+            self.spare.push(bucket);
+        }
+    }
+
     /// Discards all requests from epochs before `epoch` by popping whole
     /// buckets off the front of each worker's log — O(retired epochs), no
-    /// per-entry scan.
+    /// per-entry scan. The checkpoint backstop of the self-retiring log: a
+    /// worker that never sends (to this shard) never advances what it was
+    /// "seen past", so only this retires the others' buckets.
     ///
     /// Sound at checkpoint boundaries: a checkpoint fully synchronizes every
     /// worker and drains the checker, so nothing logged before it can race
     /// with anything admitted after it.
     pub fn retire_before(&mut self, epoch: u32) {
-        for buckets in &mut self.logs {
-            while buckets.front().is_some_and(|b| b.epoch < epoch) {
-                buckets.pop_front();
+        for w in 0..self.logs.len() {
+            while self.logs[w].front().is_some_and(|b| b.epoch < epoch) {
+                self.retire_front(w);
             }
         }
     }
@@ -541,6 +674,61 @@ mod tests {
         c.retire_before(3); // drops nothing from worker 1 (epoch 4 >= 3)
         let conflict = c.admit(req(0, 2, 0, &[(2, 0), (0, 0)], &[9]));
         assert!(conflict.is_some(), "straggler still conflicts after retire");
+    }
+
+    #[test]
+    fn buckets_every_other_worker_was_seen_past_retire_themselves() {
+        // Two workers alternate epochs in barrier order, each seeing the
+        // other past all it has logged. A bucket goes as soon as its owner
+        // has moved on and the other worker opens an epoch from which it
+        // was seen finished — the log holds the window, not the history.
+        let mut c = CheckerState::new(2);
+        for epoch in 0..40u32 {
+            let tid = (epoch % 2) as usize;
+            let mut snapshot = [(epoch, 0); 2];
+            snapshot[1 - tid] = (epoch, u32::MAX);
+            assert!(c.admit(req(tid, epoch, 0, &snapshot, &[5])).is_none());
+            assert!(c.logged() <= 3, "epoch {epoch}: {} logged", c.logged());
+        }
+        // The newest bucket of each worker always stays: its owner may
+        // still add to it.
+        assert_eq!(c.logged(), 2);
+    }
+
+    #[test]
+    fn a_bucket_seen_in_flight_stays_and_still_conflicts() {
+        let mut c = CheckerState::new(2);
+        assert!(c.admit(req(0, 1, 0, &[(1, 0), (0, 0)], &[5])).is_none());
+        assert!(c.admit(req(0, 2, 0, &[(2, 0), (0, 0)], &[6])).is_none());
+        // Worker 1 opens epoch 3 having seen worker 0 still *at* <1,0>:
+        // not past it, so the epoch-1 bucket must stay — and conflict.
+        let conflict = c.admit(req(1, 3, 0, &[(1, 0), (3, 0)], &[5])).unwrap();
+        assert_eq!(conflict.earlier, (0, Position { epoch: 1, task: 0 }));
+        assert_eq!(c.logged(), 3);
+        // Each now opens an epoch seeing the other past everything logged:
+        // all closed buckets go, the two just opened stay.
+        assert!(c.admit(req(0, 4, 0, &[(4, 0), (3, 1)], &[7])).is_none());
+        assert!(c.admit(req(1, 5, 0, &[(4, 0), (5, 0)], &[8])).is_none());
+        assert_eq!(c.logged(), 2);
+    }
+
+    #[test]
+    fn a_worker_that_never_sends_leaves_retirement_to_retire_before() {
+        // Worker 2 never sends (to this shard): nobody knows what it has
+        // seen, so nothing of workers 0 and 1 may retire on its own …
+        let mut c = CheckerState::new(3);
+        for epoch in 0..10u32 {
+            for tid in 0..2 {
+                let done = (epoch, u32::MAX);
+                let mut snapshot = [done, done, (0, 0)];
+                snapshot[tid] = (epoch, 0);
+                assert!(c.admit(req(tid, epoch, 0, &snapshot, &[tid])).is_none());
+            }
+        }
+        assert_eq!(c.logged(), 20);
+        // … and the checkpoint backstop is what bounds the log.
+        c.retire_before(9);
+        assert_eq!(c.logged(), 2);
     }
 
     #[test]

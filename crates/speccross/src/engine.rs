@@ -52,7 +52,7 @@ use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering}
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use crossbeam::utils::Backoff;
+use crossbeam::utils::{Backoff, CachePadded};
 use parking_lot::Mutex;
 
 use crossinvoc_runtime::barrier::BarrierWait;
@@ -66,9 +66,9 @@ use crossinvoc_runtime::telemetry::RegionTelemetry;
 use crossinvoc_runtime::trace::{
     checker_shard_tid, Event, Trace, TraceCollector, TraceSink, WakeEdge, MANAGER_TID,
 };
-use crossinvoc_runtime::SpinBarrier;
+use crossinvoc_runtime::{SpinBarrier, ThreadId};
 
-use crate::check::{CheckRequest, CheckerState, Conflict};
+use crate::check::{CheckerState, Conflict};
 use crate::position::{Position, PositionBoard};
 use crate::profile::{DistanceProfiler, ProfileReport};
 use crate::shard::ShardMap;
@@ -392,6 +392,101 @@ const CHECK_BATCH: usize = 16;
 /// worker's ring per pickup.
 const CHECK_PICKUP: usize = 64;
 
+/// Snapshot slots a [`CheckMsg`] carries inline; a wider gang's snapshots
+/// spill to the heap, one box per task as before. A constant, not an
+/// option, and sized so that a message with a [`RangeSignature`] is exactly
+/// one 64-byte cache line: every message crosses between two cores' caches,
+/// and `spec_fine` pays about 10 ns per task for the second line (64 B
+/// 82 ns/task; 72 B, 96 B and 104 B 92–97 ns). Three workers plus the
+/// checker is as wide as the benchmark's thread rule goes.
+const INLINE_SNAPSHOT: usize = 3;
+
+/// The start-time position snapshot of a [`CheckMsg`].
+#[derive(Debug, Clone)]
+enum SnapshotBuf {
+    /// The first `num_workers` slots are meaningful.
+    Inline([Position; INLINE_SNAPSHOT]),
+    Spilled(Box<[Position]>),
+}
+
+impl SnapshotBuf {
+    /// Where every worker is as worker `tid` starts its task at `pos`
+    /// (`collect_other_threads()` of Fig. 4.7); slot `tid` holds `pos`.
+    fn at_start(board: &PositionBoard, tid: ThreadId, pos: Position) -> Self {
+        let workers = board.num_workers();
+        if workers > INLINE_SNAPSHOT {
+            let mut slots = board.snapshot();
+            slots[tid] = pos;
+            return SnapshotBuf::Spilled(slots);
+        }
+        let mut slots = [Position::ZERO; INLINE_SNAPSHOT];
+        board.snapshot_into(&mut slots[..workers]);
+        slots[tid] = pos;
+        SnapshotBuf::Inline(slots)
+    }
+
+    fn positions(&self, workers: usize) -> &[Position] {
+        match self {
+            SnapshotBuf::Inline(slots) => &slots[..workers],
+            SnapshotBuf::Spilled(slots) => slots,
+        }
+    }
+}
+
+/// What a worker puts on a check ring per task: a
+/// [`CheckRequest`](crate::check::CheckRequest) cut down to what the ring
+/// does not already say — the worker is the ring's only producer, and the
+/// task's position is the worker's own slot of the snapshot. With the
+/// snapshot inline the hand-off allocates on neither thread (a boxed
+/// snapshot was `malloc`ed by the worker and freed by the checker, and that
+/// cross-thread `free` was the dearest part of the path).
+#[derive(Debug, Clone)]
+struct CheckMsg<S> {
+    snapshot: SnapshotBuf,
+    sig: S,
+}
+
+/// A worker's task and check-request counts since its last fold. Counting
+/// here keeps the per-task path off the `RegionStats` line every thread of
+/// the region writes; the counts are folded in at each epoch boundary — and
+/// on drop, so every way out of `worker_pass` (completion, abort, unwind)
+/// leaves the region's counters exact.
+struct Tally<'a> {
+    stats: &'a RegionStats,
+    tasks: u64,
+    check_requests: u64,
+}
+
+impl Tally<'_> {
+    fn fold(&mut self) {
+        self.stats.add_tasks(std::mem::take(&mut self.tasks));
+        self.stats
+            .add_check_requests(std::mem::take(&mut self.check_requests));
+    }
+}
+
+impl Drop for Tally<'_> {
+    fn drop(&mut self) {
+        self.fold();
+    }
+}
+
+/// Adds the requests of one ring pickup to the `processed` ledger when it
+/// goes out of scope — once per pickup instead of once per request, and on
+/// every way out of the admission loop (drained, conflict, abort, injected
+/// checker death), so `sent - processed` stays the exact count of
+/// unverified requests.
+struct Pickup<'a> {
+    processed: &'a AtomicU64,
+    admitted: u64,
+}
+
+impl Drop for Pickup<'_> {
+    fn drop(&mut self) {
+        self.processed.fetch_add(self.admitted, Ordering::Release);
+    }
+}
+
 /// Why a speculative pass aborted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum AbortReason {
@@ -423,11 +518,60 @@ struct PassResult<St> {
     /// The conflict that condemned the pass plus the checker shard that
     /// found it (shard 0 on unsharded runs).
     conflict: Option<(Conflict, usize)>,
-    /// Epoch of the checkpoint to restore on abort.
-    checkpoint_epoch: usize,
-    /// State of that checkpoint.
-    checkpoint_state: St,
+    /// The checkpoint to restore on abort, and the pass's other state
+    /// buffer if it took a second checkpoint; the next pass reuses both.
+    checkpoint: Checkpoint<St>,
     contained: Vec<ContainedFault>,
+}
+
+/// The latest durable checkpoint of a pass plus the buffer the next one is
+/// built in. Checkpoints alternate between the two, so a pass allocates at
+/// most two states however many checkpoints it takes, and the durable one
+/// stays intact until its successor is complete.
+struct Checkpoint<St> {
+    epoch: usize,
+    state: St,
+    /// `None` until the pass's second checkpoint.
+    spare: Option<St>,
+}
+
+impl<St> Checkpoint<St> {
+    /// Snapshots `workload` at `epoch`, into `recycled`'s buffers if the
+    /// previous pass left any.
+    fn take<W: SpecWorkload<State = St>>(
+        workload: &W,
+        epoch: usize,
+        recycled: Option<Self>,
+    ) -> Self {
+        match recycled {
+            Some(mut checkpoint) => {
+                workload.snapshot_into(&mut checkpoint.state);
+                checkpoint.epoch = epoch;
+                checkpoint
+            }
+            None => Checkpoint {
+                epoch,
+                state: workload.snapshot(),
+                spare: None,
+            },
+        }
+    }
+
+    /// Replaces the durable checkpoint with a snapshot of `workload` at
+    /// `epoch`. The snapshot is built in the spare and swapped in only once
+    /// complete: a `snapshot_into` that panics midway leaves the previous
+    /// checkpoint untouched.
+    fn advance<W: SpecWorkload<State = St>>(&mut self, workload: &W, epoch: usize) {
+        let next = match self.spare.take() {
+            Some(mut spare) => {
+                workload.snapshot_into(&mut spare);
+                spare
+            }
+            None => workload.snapshot(),
+        };
+        self.spare = Some(std::mem::replace(&mut self.state, next));
+        self.epoch = epoch;
+    }
 }
 
 /// Interruptible rendezvous used at checkpoints.
@@ -506,7 +650,11 @@ impl SyncPoint {
 /// Shared state of one speculative pass.
 struct PassShared<St> {
     board: PositionBoard,
-    misspec: AtomicBool,
+    // The five atomics below are each on a line of their own: workers read
+    // `misspec` twice per task and the checker adds to `processed` once per
+    // pickup, so sharing a line would have every pickup evict the line the
+    // workers poll.
+    misspec: CachePadded<AtomicBool>,
     /// First conflict any checker shard found, with the finding shard's
     /// index (first-wins: shard threads race to fill it; later verdicts of
     /// the same doomed pass are dropped).
@@ -516,17 +664,20 @@ struct PassShared<St> {
     failure: Mutex<Option<AbortReason>>,
     /// Faults absorbed during this pass.
     contained: Mutex<Vec<ContainedFault>>,
-    /// Latest durable checkpoint: (epoch, state).
-    checkpoint: Mutex<(usize, St)>,
-    sent: AtomicU64,
-    processed: AtomicU64,
-    done_workers: AtomicUsize,
+    checkpoint: Mutex<Checkpoint<St>>,
+    /// Check requests counted towards the rings, one per (request, shard):
+    /// a worker adds a whole batch *before* publishing any of it, so `sent`
+    /// is never below in-ring + processed.
+    sent: CachePadded<AtomicU64>,
+    /// Check requests the checkers are done with, added once per pickup.
+    processed: CachePadded<AtomicU64>,
+    done_workers: CachePadded<AtomicUsize>,
     /// Epoch below which the checker may discard its logs. Written (with
     /// Release) only by the checkpoint serial worker, *after* the drain
     /// observed `processed == sent`, so by the time the checker reads a new
     /// watermark every pre-checkpoint request has already been admitted.
     /// Monotone: checkpoints happen at increasing epochs.
-    prune_epoch: AtomicU32,
+    prune_epoch: CachePadded<AtomicU32>,
     sync: SyncPoint,
     /// Shared-budget handle onto the execution's fault plan.
     fault: FaultPlan,
@@ -710,6 +861,9 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         let start = Instant::now();
         let mut start_epoch = 0usize;
         let num_epochs = workload.num_epochs();
+        // State buffers of the previous pass, for the next one to checkpoint
+        // into.
+        let mut recycled = None;
 
         // The recovery loop runs inside an immediately-invoked closure so
         // every failure path funnels through one exit below — where the
@@ -720,6 +874,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                 let pass = self.speculative_pass(
                     workload,
                     start_epoch,
+                    recycled.take(),
                     metrics,
                     &fault,
                     deadline,
@@ -753,7 +908,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                         // no longer maskable and surfaces as TaskPanicked.
                         self.run_barrier_range(
                             workload,
-                            pass.checkpoint_epoch,
+                            pass.checkpoint.epoch,
                             resume_epoch,
                             metrics,
                             &fault,
@@ -768,14 +923,14 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                             contained.push(ContainedFault::CheckerLoss { unprocessed });
                             self.restore_with_retry(workload, &pass, &fault, &mut contained)?;
                             manager_sink.emit(Event::Degradation {
-                                epoch: pass.checkpoint_epoch as u32,
+                                epoch: pass.checkpoint.epoch as u32,
                             });
                             if let Some(cell) = telemetry {
                                 cell.add_degrade_event();
                             }
                             self.run_barrier_range(
                                 workload,
-                                pass.checkpoint_epoch,
+                                pass.checkpoint.epoch,
                                 num_epochs,
                                 metrics,
                                 &fault,
@@ -784,7 +939,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                                 exec,
                             )?;
                             degraded = true;
-                            degraded_at_epoch = Some(pass.checkpoint_epoch as u32);
+                            degraded_at_epoch = Some(pass.checkpoint.epoch as u32);
                             break;
                         }
                         return Err(SpecError::CheckerFailed { unprocessed });
@@ -813,14 +968,14 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                         });
                         if give_up {
                             manager_sink.emit(Event::Degradation {
-                                epoch: pass.checkpoint_epoch as u32,
+                                epoch: pass.checkpoint.epoch as u32,
                             });
                             if let Some(cell) = telemetry {
                                 cell.add_degrade_event();
                             }
                             self.run_barrier_range(
                                 workload,
-                                pass.checkpoint_epoch,
+                                pass.checkpoint.epoch,
                                 num_epochs,
                                 metrics,
                                 &fault,
@@ -829,14 +984,14 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                                 exec,
                             )?;
                             degraded = true;
-                            degraded_at_epoch = Some(pass.checkpoint_epoch as u32);
+                            degraded_at_epoch = Some(pass.checkpoint.epoch as u32);
                             break;
                         }
                         // Roll forward the misspeculated epochs with real
                         // barriers (§4.2.2), then speculate again.
                         self.run_barrier_range(
                             workload,
-                            pass.checkpoint_epoch,
+                            pass.checkpoint.epoch,
                             resume_epoch,
                             metrics,
                             &fault,
@@ -847,6 +1002,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                         start_epoch = resume_epoch;
                     }
                 }
+                recycled = Some(pass.checkpoint);
             }
             Ok(())
         })();
@@ -892,14 +1048,14 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         fault: &FaultPlan,
         contained: &mut Vec<ContainedFault>,
     ) -> Result<(), SpecError> {
-        let epoch = pass.checkpoint_epoch as u32;
+        let epoch = pass.checkpoint.epoch as u32;
         if fault.restore_fails(epoch) {
             contained.push(ContainedFault::RestoreRetried { epoch });
             if fault.restore_fails(epoch) {
                 return Err(SpecError::RestoreFailed { epoch });
             }
         }
-        workload.restore(&pass.checkpoint_state);
+        workload.restore(&pass.checkpoint.state);
         Ok(())
     }
 
@@ -1009,6 +1165,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         &self,
         workload: &W,
         start_epoch: usize,
+        recycled: Option<Checkpoint<W::State>>,
         metrics: &Metrics,
         fault: &FaultPlan,
         deadline: Option<Instant>,
@@ -1032,9 +1189,8 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         // through one shared queue). Worker w owns `shards` producers;
         // checker shard k drains ring [w][k] of every worker.
         let shards = self.config.checker_shards;
-        let mut check_txs: Vec<Vec<spsc::Producer<CheckRequest<S>>>> =
-            Vec::with_capacity(num_workers);
-        let mut rxs_by_shard: Vec<Vec<spsc::Consumer<CheckRequest<S>>>> = (0..shards)
+        let mut check_txs: Vec<Vec<spsc::Producer<CheckMsg<S>>>> = Vec::with_capacity(num_workers);
+        let mut rxs_by_shard: Vec<Vec<spsc::Consumer<CheckMsg<S>>>> = (0..shards)
             .map(|_| Vec::with_capacity(num_workers))
             .collect();
         for _ in 0..num_workers {
@@ -1048,15 +1204,15 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         }
         let shared = PassShared {
             board: PositionBoard::new(num_workers),
-            misspec: AtomicBool::new(false),
+            misspec: CachePadded::new(AtomicBool::new(false)),
             conflict: Mutex::new(None),
             failure: Mutex::new(None),
             contained: Mutex::new(Vec::new()),
-            checkpoint: Mutex::new((start_epoch, workload.snapshot())),
-            sent: AtomicU64::new(0),
-            processed: AtomicU64::new(0),
-            done_workers: AtomicUsize::new(0),
-            prune_epoch: AtomicU32::new(0),
+            checkpoint: Mutex::new(Checkpoint::take(workload, start_epoch, recycled)),
+            sent: CachePadded::new(AtomicU64::new(0)),
+            processed: CachePadded::new(AtomicU64::new(0)),
+            done_workers: CachePadded::new(AtomicUsize::new(0)),
+            prune_epoch: CachePadded::new(AtomicU32::new(0)),
             sync: SyncPoint::new(num_workers),
             fault: fault.share(),
             deadline,
@@ -1154,14 +1310,6 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
             }
         }
 
-        let (checkpoint_epoch, checkpoint_state) = {
-            let mut guard = shared.checkpoint.lock();
-            let epoch = guard.0;
-            // Replace with a throwaway snapshot to move the state out.
-            let state = std::mem::replace(&mut guard.1, workload.snapshot());
-            (epoch, state)
-        };
-
         let resume_epoch = (shared.board.max_epoch() as usize + 1)
             .max(start_epoch + 1)
             .min(num_epochs);
@@ -1200,8 +1348,8 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
             end,
             comparisons,
             conflict,
-            checkpoint_epoch,
-            checkpoint_state,
+            // Every gang thread has joined: the pass's state is ours again.
+            checkpoint: shared.checkpoint.into_inner(),
             contained,
         }
     }
@@ -1254,11 +1402,20 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
     /// Returns `false` if the pass aborted mid-flush (remaining requests are
     /// dropped; the raised `misspec` flag is what ends the checker, not the
     /// `sent`/`processed` ledger).
+    ///
+    /// The whole batch is added to `sent` up front, before the first
+    /// publish: the checker can then never have processed more than was
+    /// counted, which is all the checkpoint drain and the checker's exit
+    /// test (`processed == sent`) need.
     fn flush_checks<St>(
         shared: &PassShared<St>,
-        check_tx: &spsc::Producer<CheckRequest<S>>,
-        batch: &mut Vec<CheckRequest<S>>,
+        check_tx: &spsc::Producer<CheckMsg<S>>,
+        batch: &mut Vec<CheckMsg<S>>,
     ) -> bool {
+        if batch.is_empty() {
+            return true;
+        }
+        shared.sent.fetch_add(batch.len() as u64, Ordering::Release);
         let backoff = Backoff::new();
         while !batch.is_empty() {
             if check_tx.try_produce_batch(batch) > 0 {
@@ -1288,13 +1445,18 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         &self,
         workload: &W,
         shared: &PassShared<W::State>,
-        check_txs: &[spsc::Producer<CheckRequest<S>>],
+        check_txs: &[spsc::Producer<CheckMsg<S>>],
         tid: usize,
         start_epoch: usize,
         metrics: &Metrics,
         sink: &mut TraceSink,
     ) {
         let stats = metrics.stats();
+        let mut tally = Tally {
+            stats,
+            tasks: 0,
+            check_requests: 0,
+        };
         let num_workers = self.config.num_workers;
         let num_epochs = workload.num_epochs();
         let mut recorder = SigRecorder::<S>::new();
@@ -1307,7 +1469,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         // cloned into every touched shard's buffer, and `sent` counts one
         // delivery per (request, shard) so the drain covers them all.
         let shard_map = ShardMap::new(self.config.checker_shards);
-        let mut batches: Vec<Vec<CheckRequest<S>>> = (0..shard_map.shards())
+        let mut batches: Vec<Vec<CheckMsg<S>>> = (0..shard_map.shards())
             .map(|_| Vec::with_capacity(CHECK_BATCH))
             .collect();
 
@@ -1361,13 +1523,14 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                     ) {
                         return;
                     }
-                    stats.add_task();
+                    tally.tasks += 1;
                     sink.emit(Event::TaskRetire {
                         epoch: epoch as u32,
                         task: task as u64,
                     });
                     task += num_workers;
                 }
+                tally.fold();
                 if !self.checkpoint_rendezvous(workload, shared, tid, epoch + 1, metrics, sink) {
                     return;
                 }
@@ -1442,7 +1605,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                     {
                         return;
                     }
-                    stats.add_task();
+                    tally.tasks += 1;
                     sink.emit(Event::TaskRetire {
                         epoch: epoch as u32,
                         task: task as u64,
@@ -1458,12 +1621,12 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                         elided_accesses += accesses;
                     }
                 } else {
-                    let snapshot = shared.board.snapshot();
+                    let snapshot = SnapshotBuf::at_start(&shared.board, tid, pos);
                     if !self.contained_task(workload, shared, epoch, task, tid, &mut recorder, sink)
                     {
                         return;
                     }
-                    stats.add_task();
+                    tally.tasks += 1;
                     sink.emit(Event::TaskRetire {
                         epoch: epoch as u32,
                         task: task as u64,
@@ -1475,35 +1638,26 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                     // their span touches (the merge rule: all must admit).
                     let sig = recorder.take();
                     if !sig.is_empty() {
-                        stats.add_check_request();
+                        tally.check_requests += 1;
                         let set = shard_map.shards_for_span(sig.addr_span());
-                        let mut remaining = set.len();
-                        let mut req = Some(CheckRequest {
-                            tid,
-                            pos,
-                            snapshot,
-                            sig,
-                        });
-                        for shard in set.iter() {
-                            remaining -= 1;
-                            // The last touched shard takes the original; only
-                            // genuine straddlers pay for clones.
-                            let r = if remaining == 0 {
-                                req.take().expect("one request per shard set")
-                            } else {
-                                req.as_ref().expect("one request per shard set").clone()
-                            };
-                            shared.sent.fetch_add(1, Ordering::Release);
-                            batches[shard].push(r);
-                            if batches[shard].len() >= CHECK_BATCH
-                                && !Self::flush_checks(
-                                    shared,
-                                    &check_txs[shard],
-                                    &mut batches[shard],
-                                )
-                            {
+                        let msg = CheckMsg { snapshot, sig };
+                        let mut enqueue = |shard: usize, msg| {
+                            let batch = &mut batches[shard];
+                            batch.push(msg);
+                            batch.len() < CHECK_BATCH
+                                || Self::flush_checks(shared, &check_txs[shard], batch)
+                        };
+                        // The first touched shard takes the original; only
+                        // genuine straddlers pay for clones.
+                        let mut touched = set.iter();
+                        let first = touched.next().expect("every span touches a shard");
+                        for shard in touched {
+                            if !enqueue(shard, msg.clone()) {
                                 return;
                             }
+                        }
+                        if !enqueue(first, msg) {
+                            return;
                         }
                     }
                 }
@@ -1521,9 +1675,11 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                 );
                 task += num_workers;
             }
-            // Epoch boundary: drain the local buffers so the rendezvous /
-            // completion invariants hold (every `sent` request is in a ring
-            // whenever this worker is parked or finished).
+            // Epoch boundary: fold the local counts, and drain the local
+            // buffers so the rendezvous / completion invariants hold (every
+            // request this worker generated is counted in `sent` and in a
+            // ring whenever it is parked or finished).
+            tally.fold();
             for (shard, batch) in batches.iter_mut().enumerate() {
                 if !Self::flush_checks(shared, &check_txs[shard], batch) {
                     return;
@@ -1612,7 +1768,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                             epoch: epoch as u32,
                         });
                 } else {
-                    *shared.checkpoint.lock() = (epoch, workload.snapshot());
+                    shared.checkpoint.lock().advance(workload, epoch);
                     stats.add_checkpoint();
                     sink.emit(Event::Checkpoint {
                         epoch: epoch as u32,
@@ -1686,7 +1842,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
     fn checker_loop<St>(
         &self,
         shared: &PassShared<St>,
-        check_rxs: &[spsc::Consumer<CheckRequest<S>>],
+        check_rxs: &[spsc::Consumer<CheckMsg<S>>],
         shard: usize,
         metrics: &Metrics,
         sink: &mut TraceSink,
@@ -1700,7 +1856,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         let mut last_pruned: u32 = 0;
         let mut reported_skips: u64 = 0;
         let mut reported_comparisons: u64 = 0;
-        let mut inbox: Vec<CheckRequest<S>> = Vec::with_capacity(CHECK_PICKUP);
+        let mut inbox: Vec<CheckMsg<S>> = Vec::with_capacity(CHECK_PICKUP);
         'run: loop {
             // Apply a new checkpoint watermark before the next burst. The
             // serial worker publishes it only after the drain, so every
@@ -1720,28 +1876,32 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                 );
             }
             let mut drained = 0usize;
-            for rx in check_rxs {
+            // Ring `tid` of this shard is worker `tid`'s.
+            for (tid, rx) in check_rxs.iter().enumerate() {
                 drained += rx.consume_batch(&mut inbox, CHECK_PICKUP);
+                let mut pickup = Pickup {
+                    processed: &shared.processed,
+                    admitted: 0,
+                };
                 for req in inbox.drain(..) {
+                    let snapshot = req.snapshot.positions(num_workers);
+                    let pos = snapshot[tid];
                     backoff.reset();
                     // SPSC produce → consume: the worker's exit_task flush is
                     // the causal source of this pickup.
                     sink.emit(Event::Wake {
                         edge: WakeEdge::Queue,
-                        src_tid: req.tid,
+                        src_tid: tid,
                         seq: picked,
                     });
                     picked += 1;
                     let mut forced = false;
-                    let check_fault =
-                        shared
-                            .fault
-                            .check(req.pos.epoch, req.pos.task as u64, req.tid);
+                    let check_fault = shared.fault.check(pos.epoch, pos.task as u64, tid);
                     if let Some(f) = check_fault {
                         sink.emit(Event::FaultInjected {
                             kind: f.kind(),
-                            epoch: req.pos.epoch,
-                            task: req.pos.task as u64,
+                            epoch: pos.epoch,
+                            task: pos.task as u64,
                         });
                     }
                     match check_fault {
@@ -1769,20 +1929,20 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                             }
                         }
                         Some(CheckFault::Die) => {
-                            panic!("injected fault: checker death at epoch {}", req.pos.epoch)
+                            panic!("injected fault: checker death at epoch {}", pos.epoch)
                         }
                         Some(CheckFault::ForceConflict) => forced = true,
                         None => {}
                     }
                     let conflict = if forced {
                         Some(Conflict {
-                            earlier: (req.tid, req.pos),
-                            later: (req.tid, req.pos),
+                            earlier: (tid, pos),
+                            later: (tid, pos),
                         })
                     } else {
-                        state.admit(req)
+                        state.admit_parts(tid, pos, snapshot, req.sig)
                     };
-                    shared.processed.fetch_add(1, Ordering::Release);
+                    pickup.admitted += 1;
                     if let Some(c) = conflict {
                         // First-wins across shard threads: the pass is
                         // condemned once, by whichever shard saw a conflict

@@ -107,9 +107,24 @@ impl PositionBoard {
     /// Snapshot of every worker's position (the `collect_other_threads()` of
     /// Fig. 4.7 — callers ignore their own slot).
     pub fn snapshot(&self) -> Box<[Position]> {
-        (0..self.num_workers())
-            .map(|tid| self.position(tid))
-            .collect()
+        let mut out = vec![Position::ZERO; self.num_workers()].into_boxed_slice();
+        self.snapshot_into(&mut out);
+        out
+    }
+
+    /// [`PositionBoard::snapshot`] into a caller-owned slice — the
+    /// per-task form: the engine fills the inline snapshot of the message
+    /// it is about to hand to the checker, so a task start allocates
+    /// nothing.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `out` has exactly one slot per worker.
+    pub fn snapshot_into(&self, out: &mut [Position]) {
+        assert_eq!(out.len(), self.num_workers(), "one slot per worker");
+        for (slot, cell) in out.iter_mut().zip(self.positions.iter()) {
+            *slot = Position::unpack(cell.load(Ordering::Acquire));
+        }
     }
 
     /// Minimum frontier over all workers except `exclude`.
@@ -172,6 +187,9 @@ mod tests {
         assert_eq!(snap[1], Position { epoch: 2, task: 5 });
         assert_eq!(board.global_task(1), 17);
         assert_eq!(board.max_epoch(), 2);
+        let mut filled = [Position { epoch: 9, task: 9 }; 3];
+        board.snapshot_into(&mut filled);
+        assert_eq!(&filled[..], &snap[..]);
     }
 
     #[test]

@@ -41,8 +41,10 @@
 //! because each shard holds a subset of the unsharded log.
 
 use crossinvoc_runtime::signature::AccessSignature;
+use crossinvoc_runtime::ThreadId;
 
 use crate::check::{CheckRequest, CheckerState, Conflict};
+use crate::position::Position;
 
 /// Upper bound on checker shards, fixed by the `u64` [`ShardSet`] bitmask.
 pub const MAX_SHARDS: usize = 64;
@@ -203,18 +205,30 @@ impl<S: AccessSignature> ShardedChecker<S> {
         self.map.shards()
     }
 
-    /// Logs `req` into every shard its span touches and merges the shard
-    /// verdicts: the task is admitted only when every touched shard admits;
-    /// the first conflict in shard order is the region verdict.
+    /// [`ShardedChecker::admit_parts`] on an owned request.
+    pub fn admit(&mut self, req: CheckRequest<S>) -> Option<Conflict> {
+        self.admit_parts(req.tid, req.pos, &req.snapshot, req.sig)
+    }
+
+    /// Logs the task (see [`CheckerState::admit_parts`] for the arguments)
+    /// into every shard its span touches and merges the shard verdicts: the
+    /// task is admitted only when every touched shard admits; the first
+    /// conflict in shard order is the region verdict.
     ///
     /// All touched shards are updated even after a conflict is found, so
     /// the logs stay complete for later arrivals (the engine aborts the
     /// pass on the first conflict anyway).
-    pub fn admit(&mut self, req: CheckRequest<S>) -> Option<Conflict> {
-        let set = self.map.shards_for_span(req.sig.addr_span());
+    pub fn admit_parts(
+        &mut self,
+        tid: ThreadId,
+        pos: Position,
+        snapshot: &[Position],
+        sig: S,
+    ) -> Option<Conflict> {
+        let set = self.map.shards_for_span(sig.addr_span());
         let mut found = None;
         for shard in set.iter() {
-            let verdict = self.shards[shard].admit(req.clone());
+            let verdict = self.shards[shard].admit_parts(tid, pos, snapshot, sig.clone());
             if found.is_none() {
                 found = verdict;
             }
@@ -256,9 +270,7 @@ impl<S: AccessSignature> ShardedChecker<S> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::position::Position;
     use crossinvoc_runtime::signature::{AccessKind, RangeSignature};
-    use crossinvoc_runtime::ThreadId;
 
     fn sig(addrs: &[usize]) -> RangeSignature {
         let mut s = RangeSignature::empty();

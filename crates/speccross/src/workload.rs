@@ -128,6 +128,16 @@ pub trait SpecWorkload: Sync {
     /// Captures all mutable state (quiesced; see the trait contract).
     fn snapshot(&self) -> Self::State;
 
+    /// [`snapshot`](Self::snapshot) into a buffer the engine already owns
+    /// (an earlier snapshot of this workload, possibly half-overwritten by
+    /// a call that panicked). The engine takes every checkpoint after a
+    /// pass's first two through this, so a workload that refills `state` in
+    /// place pays no state-sized allocation per checkpoint; the default
+    /// allocates a fresh snapshot.
+    fn snapshot_into(&self, state: &mut Self::State) {
+        *state = self.snapshot();
+    }
+
     /// Reinstates previously captured state (quiesced; see the trait
     /// contract).
     fn restore(&self, state: &Self::State);

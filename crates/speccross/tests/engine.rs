@@ -134,13 +134,16 @@ fn speculative_matches_sequential_when_gated() {
 #[test]
 fn ungated_speculation_recovers_to_correct_result() {
     // Without a gate the engine may or may not misspeculate depending on
-    // interleaving; either way the final state must be sequential.
+    // interleaving; either way the final state must be sequential. Three
+    // workers' position snapshots ride inline in the check messages; the
+    // wider gangs' spill to the heap.
     for seed in 0..3 {
         let mut w = PingPong::new(16 + seed, 8);
-        let report =
-            SpecCrossEngine::<crossinvoc_runtime::RangeSignature>::new(SpecConfig::with_workers(3))
-                .execute(&w)
-                .unwrap();
+        let report = SpecCrossEngine::<crossinvoc_runtime::RangeSignature>::new(
+            SpecConfig::with_workers(3 + seed),
+        )
+        .execute(&w)
+        .unwrap();
         assert_eq!(w.result(), PingPong::sequential(16 + seed, 8));
         assert!(report.stats.tasks >= (16 + seed as u64) * 8);
     }

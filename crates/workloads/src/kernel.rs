@@ -9,11 +9,20 @@
 //! synchronization conditions and SPECCROSS's speculation/rollback preserve
 //! sequential semantics on every benchmark of the suite.
 
+use std::cell::Cell;
+
 use crossinvoc_runtime::hash::splitmix64;
 use crossinvoc_runtime::signature::AccessKind;
 use crossinvoc_runtime::{SharedSlice, ThreadId};
 use crossinvoc_sim::SimWorkload;
 use crossinvoc_speccross::workload::{AccessRecorder, SpecWorkload};
+
+thread_local! {
+    /// Scratch for one task's declared accesses: every kernel entry point
+    /// that asks the model for them runs once per task, and a fresh `Vec`
+    /// there was an allocation per task.
+    static ACCESSES: Cell<Vec<(usize, AccessKind)>> = const { Cell::new(Vec::new()) };
+}
 
 /// A memory-mutating kernel derived from a workload model.
 ///
@@ -77,6 +86,26 @@ impl<W: SimWorkload> AccessKernel<W> {
         &self.model
     }
 
+    /// Runs `f` on the accesses the model declares for task `(inv, iter)`,
+    /// collected in the calling thread's scratch vector. The vector is taken
+    /// out of its cell for the call, so a nested call (or one that unwinds)
+    /// merely starts from an empty one.
+    fn with_accesses<R>(
+        &self,
+        inv: usize,
+        iter: usize,
+        f: impl FnOnce(&[(usize, AccessKind)]) -> R,
+    ) -> R {
+        ACCESSES.with(|scratch| {
+            let mut pairs = scratch.take();
+            pairs.clear();
+            self.model.accesses(inv, iter, &mut pairs);
+            let result = f(&pairs);
+            scratch.set(pairs);
+            result
+        })
+    }
+
     /// Performs one task's declared accesses, reporting them to `recorder`.
     ///
     /// # Safety
@@ -84,20 +113,21 @@ impl<W: SimWorkload> AccessKernel<W> {
     /// Caller's runtime must order conflicting tasks (the shared-memory
     /// contract of [`SharedSlice`]).
     unsafe fn perform(&self, inv: usize, iter: usize, recorder: &mut dyn AccessRecorder) {
-        let mut pairs = Vec::new();
-        self.model.accesses(inv, iter, &mut pairs);
-        let mut acc = splitmix64((inv as u64) << 32 | iter as u64) as i64;
-        for &(addr, kind) in pairs.iter() {
-            recorder.record(addr, kind);
-            match kind {
-                AccessKind::Read => acc ^= self.data.read(addr),
-                AccessKind::Write => {
-                    let old = self.data.read(addr);
-                    self.data
-                        .write(addr, splitmix64(acc as u64 ^ old as u64) as i64);
+        self.with_accesses(inv, iter, |pairs| {
+            let mut acc = splitmix64((inv as u64) << 32 | iter as u64) as i64;
+            for &(addr, kind) in pairs {
+                recorder.record(addr, kind);
+                // SAFETY: the caller orders conflicting tasks.
+                match kind {
+                    AccessKind::Read => acc ^= unsafe { self.data.read(addr) },
+                    AccessKind::Write => unsafe {
+                        let old = self.data.read(addr);
+                        self.data
+                            .write(addr, splitmix64(acc as u64 ^ old as u64) as i64);
+                    },
                 }
             }
-        }
+        })
     }
 
     /// Runs the whole workload sequentially (invocation-major order) and
@@ -148,32 +178,23 @@ impl<W: SimWorkload + Sync> crossinvoc_domore::DomoreWorkload for AccessKernel<W
     }
 
     fn touched_addrs(&self, inv: usize, iter: usize, out: &mut Vec<usize>) {
-        let mut pairs = Vec::new();
-        self.model.accesses(inv, iter, &mut pairs);
-        // Writes first: ownership policies key on the first address.
-        out.extend(
-            pairs
-                .iter()
-                .filter(|&&(_, k)| k == AccessKind::Write)
-                .map(|&(a, _)| a),
-        );
-        out.extend(
-            pairs
-                .iter()
-                .filter(|&&(_, k)| k == AccessKind::Read)
-                .map(|&(a, _)| a),
-        );
+        self.with_accesses(inv, iter, |pairs| {
+            // Writes first: ownership policies key on the first address.
+            for wanted in [AccessKind::Write, AccessKind::Read] {
+                out.extend(pairs.iter().filter(|p| p.1 == wanted).map(|p| p.0));
+            }
+        })
     }
 
     fn touched(&self, inv: usize, iter: usize, writes: &mut Vec<usize>, reads: &mut Vec<usize>) {
-        let mut pairs = Vec::new();
-        self.model.accesses(inv, iter, &mut pairs);
-        for (addr, kind) in pairs {
-            match kind {
-                AccessKind::Write => writes.push(addr),
-                AccessKind::Read => reads.push(addr),
+        self.with_accesses(inv, iter, |pairs| {
+            for &(addr, kind) in pairs {
+                match kind {
+                    AccessKind::Write => writes.push(addr),
+                    AccessKind::Read => reads.push(addr),
+                }
             }
-        }
+        })
     }
 
     fn execute_iteration(&self, inv: usize, iter: usize, _tid: ThreadId) {
@@ -223,6 +244,12 @@ impl<W: SimWorkload + Sync> SpecWorkload for AccessKernel<W> {
             // SAFETY: the engine quiesces all workers around snapshots.
             .map(|i| unsafe { self.data.read(i) })
             .collect()
+    }
+
+    fn snapshot_into(&self, state: &mut Vec<i64>) {
+        state.clear();
+        // SAFETY: the engine quiesces all workers around snapshots.
+        state.extend((0..self.data.len()).map(|i| unsafe { self.data.read(i) }));
     }
 
     fn restore(&self, state: &Vec<i64>) {

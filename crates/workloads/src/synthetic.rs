@@ -106,6 +106,11 @@ impl SpecWorkload for IncGrid {
         self.cells()
     }
 
+    fn snapshot_into(&self, state: &mut Vec<u64>) {
+        state.clear();
+        state.extend(self.cells.iter().map(|c| c.load(Ordering::Relaxed)));
+    }
+
     fn restore(&self, state: &Vec<u64>) {
         for (cell, v) in self.cells.iter().zip(state) {
             cell.store(*v, Ordering::Relaxed);

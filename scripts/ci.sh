@@ -45,6 +45,9 @@ bench_suite() {
 stage_build_test() {
   run "$BUILD_TIMEOUT" cargo build --release --workspace
   run "$TEST_TIMEOUT" cargo test -q
+  # The allocation budget counts with a process-global allocator: run it
+  # once more with nothing else allocating beside it.
+  run "$TEST_TIMEOUT" cargo test -q --test alloc_budget -- --test-threads=1
   run "$TEST_TIMEOUT" cargo test -q --workspace
   # benchmark/ is its own workspace that only the benchmark driver builds;
   # it consumes the crates' public API and must never be edited to follow
@@ -118,13 +121,18 @@ stage_gates() {
 # Differential-fuzzing smoke: replay the checked-in corpus, then a fixed
 # seed window through every engine path against the sequential oracle
 # (docs/FUZZING.md). Any divergence is minimized into target/fuzz-corpus/
-# (CI uploads it as an artifact) and fails the run.
+# (CI uploads it as an artifact) and fails the run. The 2000-case window is
+# the one wide enough to put the checker's self-retiring log through every
+# shard count the generator draws (1-64) on the spec-shards / spec-elide
+# lanes.
 stage_fuzz() {
   build_bench
   run "$FUZZ_TIMEOUT" cargo run --release -q -p crossinvoc-bench --bin fuzz-diff -- \
     --smoke --corpus corpus --out target/fuzz-corpus
   run "$FUZZ_TIMEOUT" cargo run --release -q -p crossinvoc-bench --bin fuzz-diff -- \
     --smoke --start 100000 --fault-percent 100 --corpus corpus --out target/fuzz-corpus
+  run "$FUZZ_TIMEOUT" cargo run --release -q -p crossinvoc-bench --bin fuzz-diff -- \
+    --cases 2000 --corpus corpus --out target/fuzz-corpus
 }
 
 # Observability smoke: a traced figure run must produce traces that survive

@@ -536,28 +536,20 @@ fn races(
     earlier.pos >= later.snapshot[earlier.tid] && a.sig.conflicts_with(&b.sig)
 }
 
-proptest! {
-    /// The epoch-bucketed checker with its aggregate fast path reaches the
-    /// same verdict as a naive reference that compares the arriving request
-    /// against *every* logged task with the pure race predicate — over
-    /// randomized interleavings with monotone progress boards, lagging
-    /// snapshot views and interleaved retirement. When the bucketed checker
-    /// reports a conflict, the named pair must really race.
-    #[test]
-    fn bucketed_checker_matches_naive_reference(
-        workers in 2usize..5,
-        steps in prop::collection::vec(
-            (any::<u64>(), prop::collection::vec(0usize..24, 0..4)), 1..100),
-    ) {
-        use crossinvoc_speccross::{CheckRequest, CheckerState};
+type Request = crossinvoc_speccross::CheckRequest<RangeSignature>;
 
-        let mut board = vec![Position::ZERO; workers]; // latest started pos
-        let mut observed = vec![Position::ZERO; workers]; // lagging view
-        let mut live = vec![false; workers];
-        let mut bucketed = CheckerState::<RangeSignature>::new(workers);
-        let mut naive: Vec<CheckRequest<RangeSignature>> = Vec::new();
-
-        for (r, addrs) in steps {
+/// Turns random `steps` into an admission stream that keeps
+/// `CheckerState::admit`'s invariant — each worker's requests in position
+/// order, its snapshots (a lagging view of a monotone progress board)
+/// monotone in every slot. Every request may come with an epoch all
+/// workers have reached: a legal `retire_before` argument at that point.
+fn monotone_stream(workers: usize, steps: Vec<(u64, Vec<usize>)>) -> Vec<(Request, Option<u32>)> {
+    let mut board = vec![Position::ZERO; workers]; // latest started pos
+    let mut observed = vec![Position::ZERO; workers]; // lagging view
+    let mut live = vec![false; workers];
+    steps
+        .into_iter()
+        .map(|(r, addrs)| {
             let w = (r % workers as u64) as usize;
             // Advance worker `w` to its next position: a fresh epoch with
             // probability 1/3, the next task of the current epoch otherwise.
@@ -565,9 +557,15 @@ proptest! {
                 live[w] = true;
                 board[w]
             } else if (r >> 4) % 3 == 0 {
-                Position { epoch: board[w].epoch + 1, task: 0 }
+                Position {
+                    epoch: board[w].epoch + 1,
+                    task: 0,
+                }
             } else {
-                Position { epoch: board[w].epoch, task: board[w].task + 1 }
+                Position {
+                    epoch: board[w].epoch,
+                    task: board[w].task + 1,
+                }
             };
             board[w] = pos;
             // Occasionally publish some worker's progress into the lagging
@@ -581,13 +579,40 @@ proptest! {
             for &a in &addrs {
                 sig.record(a, AccessKind::Write);
             }
-            let req = CheckRequest {
+            let req = Request {
                 tid: w,
                 pos,
                 snapshot: observed.clone().into_boxed_slice(),
                 sig,
             };
+            let retire =
+                ((r >> 24) % 8 == 0).then(|| board.iter().map(|p| p.epoch).min().unwrap_or(0));
+            (req, retire)
+        })
+        .collect()
+}
 
+proptest! {
+    /// The epoch-bucketed checker with its aggregate fast path reaches the
+    /// same verdict as a naive reference that compares the arriving request
+    /// against *every* logged task with the pure race predicate — over
+    /// randomized interleavings with monotone progress boards, lagging
+    /// snapshot views and interleaved retirement. When the bucketed checker
+    /// reports a conflict, the named pair must really race. The naive log
+    /// only shrinks at `retire_before`; the checker's also retires itself,
+    /// so it holds a subset.
+    #[test]
+    fn bucketed_checker_matches_naive_reference(
+        workers in 2usize..5,
+        steps in prop::collection::vec(
+            (any::<u64>(), prop::collection::vec(0usize..24, 0..4)), 1..100),
+    ) {
+        use crossinvoc_speccross::CheckerState;
+
+        let mut bucketed = CheckerState::<RangeSignature>::new(workers);
+        let mut naive: Vec<Request> = Vec::new();
+
+        for (req, retire) in monotone_stream(workers, steps) {
             let expect = naive.iter().any(|logged| races(logged, &req));
             let got = bucketed.admit(req.clone());
             prop_assert_eq!(got.is_some(), expect, "verdicts diverged");
@@ -609,13 +634,55 @@ proptest! {
             }
             naive.push(req);
 
-            // Occasional retirement at a globally-passed epoch; both sides
-            // must drop exactly the same entries.
-            if (r >> 24) % 8 == 0 {
-                let e = board.iter().map(|p| p.epoch).min().unwrap_or(0);
+            // Occasional retirement at a globally-passed epoch.
+            if let Some(e) = retire {
                 bucketed.retire_before(e);
                 naive.retain(|q| q.pos.epoch >= e);
-                prop_assert_eq!(bucketed.logged(), naive.len());
+            }
+            prop_assert!(bucketed.logged() <= naive.len());
+        }
+    }
+
+    /// The log's self-retirement is invisible: routed over 1–9 shards, every
+    /// shard's self-retiring `CheckerState` returns the verdict and the
+    /// named pair of a twin that only ever retires at `retire_before`, and
+    /// has counted the same comparisons and epoch skips, at every admission
+    /// — with the aggregate fast path on and off.
+    #[test]
+    fn self_retiring_log_is_verdict_transparent(
+        workers in 2usize..5,
+        shards in 1usize..10,
+        aggregates in any::<bool>(),
+        steps in prop::collection::vec(
+            (any::<u64>(), prop::collection::vec(0usize..24, 0..4)), 1..100),
+    ) {
+        use crossinvoc_speccross::{CheckerState, ShardMap};
+
+        let map = ShardMap::new(shards);
+        let mut twins: Vec<_> = (0..shards)
+            .map(|_| (
+                CheckerState::<RangeSignature>::with_aggregates(workers, aggregates),
+                CheckerState::<RangeSignature>::without_self_retirement(workers, aggregates),
+            ))
+            .collect();
+
+        for (req, retire) in monotone_stream(workers, steps) {
+            for shard in map.shards_for_span(req.sig.addr_span()).iter() {
+                let (retiring, reference) = &mut twins[shard];
+                prop_assert_eq!(
+                    retiring.admit(req.clone()),
+                    reference.admit(req.clone()),
+                    "verdict or named pair diverged at {:?} on shard {}", req.pos, shard
+                );
+                prop_assert_eq!(retiring.comparisons(), reference.comparisons());
+                prop_assert_eq!(retiring.epoch_skips(), reference.epoch_skips());
+                prop_assert!(retiring.logged() <= reference.logged());
+            }
+            if let Some(e) = retire {
+                for (retiring, reference) in &mut twins {
+                    retiring.retire_before(e);
+                    reference.retire_before(e);
+                }
             }
         }
     }
@@ -633,40 +700,13 @@ proptest! {
         steps in prop::collection::vec(
             (any::<u64>(), prop::collection::vec(0usize..24, 0..4)), 1..100),
     ) {
-        use crossinvoc_speccross::{CheckRequest, CheckerState, ShardedChecker};
+        use crossinvoc_speccross::{CheckerState, ShardedChecker};
 
-        let mut board = vec![Position::ZERO; workers];
-        let mut observed = vec![Position::ZERO; workers];
-        let mut live = vec![false; workers];
         let mut plain = CheckerState::<RangeSignature>::new(workers);
         let mut sharded = ShardedChecker::<RangeSignature>::new(workers, shards);
 
-        for (r, addrs) in steps {
-            let w = (r % workers as u64) as usize;
-            let pos = if !live[w] {
-                live[w] = true;
-                board[w]
-            } else if (r >> 4) % 3 == 0 {
-                Position { epoch: board[w].epoch + 1, task: 0 }
-            } else {
-                Position { epoch: board[w].epoch, task: board[w].task + 1 }
-            };
-            board[w] = pos;
-            if (r >> 16) % 2 == 0 {
-                let v = ((r >> 20) % workers as u64) as usize;
-                observed[v] = board[v];
-            }
-            observed[w] = pos;
-            let mut sig = RangeSignature::empty();
-            for &a in &addrs {
-                sig.record(a, AccessKind::Write);
-            }
-            let req = CheckRequest {
-                tid: w,
-                pos,
-                snapshot: observed.clone().into_boxed_slice(),
-                sig,
-            };
+        for (req, retire) in monotone_stream(workers, steps) {
+            let pos = req.pos;
             prop_assert_eq!(
                 sharded.admit(req.clone()).is_some(),
                 plain.admit(req).is_some(),
@@ -674,12 +714,80 @@ proptest! {
                 pos,
                 shards
             );
-            if (r >> 24) % 8 == 0 {
-                let e = board.iter().map(|p| p.epoch).min().unwrap_or(0);
+            if let Some(e) = retire {
                 plain.retire_before(e);
                 sharded.retire_before(e);
             }
         }
+    }
+}
+
+/// On round-robin streams with fresh snapshots the self-retiring log holds
+/// an in-flight window, not a history: with every worker running
+/// `tasks_per_epoch` tasks per epoch and worker `w` starting `w × lag` tasks
+/// late, it never holds more than workers × tasks-per-epoch × (max epoch
+/// lag + 2) requests, however many epochs go by — and it reaches the
+/// verdicts of a log that keeps them all.
+#[test]
+fn self_retiring_log_is_bounded_on_round_robin_streams() {
+    use crossinvoc_speccross::CheckerState;
+
+    for (workers, tasks_per_epoch, lag) in [(2, 4, 1), (3, 5, 7), (4, 3, 10), (2, 1, 3)] {
+        let epochs = 60u32;
+        let mut retiring = CheckerState::<RangeSignature>::new(workers);
+        let mut reference = CheckerState::<RangeSignature>::without_self_retirement(workers, true);
+        let mut board = vec![Position::ZERO; workers];
+        let mut started = vec![false; workers];
+        let (mut max_lag, mut peak) = (0u32, 0usize);
+        let per_worker = epochs as usize * tasks_per_epoch;
+        for step in 0..per_worker + lag * workers {
+            for w in 0..workers {
+                let Some(i) = step.checked_sub(w * lag).filter(|&i| i < per_worker) else {
+                    continue;
+                };
+                let pos = Position {
+                    epoch: (i / tasks_per_epoch) as u32,
+                    task: (i % tasks_per_epoch) as u32,
+                };
+                board[w] = pos;
+                started[w] = true;
+                let live = || {
+                    board
+                        .iter()
+                        .zip(&started)
+                        .filter(|s| *s.1)
+                        .map(|s| s.0.epoch)
+                };
+                max_lag = max_lag.max(live().max().unwrap() - live().min().unwrap());
+                let mut sig = RangeSignature::empty();
+                // Epoch-private cells: speculation never fails here.
+                sig.record(i * workers + w, AccessKind::Write);
+                let req = Request {
+                    tid: w,
+                    pos,
+                    snapshot: board.clone().into_boxed_slice(),
+                    sig,
+                };
+                assert_eq!(retiring.admit(req.clone()), reference.admit(req));
+                assert_eq!(retiring.comparisons(), reference.comparisons());
+                assert_eq!(retiring.epoch_skips(), reference.epoch_skips());
+                peak = peak.max(retiring.logged());
+            }
+        }
+        let bound = workers * tasks_per_epoch * (max_lag as usize + 2);
+        assert!(
+            peak <= bound,
+            "{workers} workers × {tasks_per_epoch} tasks, lag {lag}: peak {peak} > bound {bound}"
+        );
+        assert_eq!(
+            reference.logged(),
+            workers * per_worker,
+            "the reference keeps everything"
+        );
+        assert!(
+            peak < reference.logged() / 4,
+            "the window is not the history"
+        );
     }
 }
 

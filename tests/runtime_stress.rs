@@ -100,11 +100,13 @@ fn checker_catches_conflicts_in_either_admission_order() {
 }
 
 /// Pruning at a checkpoint epoch never removes entries that could still
-/// race with requests from at or after that epoch.
+/// race with requests from at or after that epoch. The stream keeps
+/// `admit`'s invariant — each worker's view of the other only ever moves
+/// forward — which the log's self-retirement relies on.
 #[test]
 fn checker_pruning_is_safe_at_checkpoint_boundaries() {
     let mut state = CheckerState::new(2);
-    for epoch in 0..10u32 {
+    for epoch in 0..9u32 {
         let tid = (epoch % 2) as usize;
         let mut snapshot = [(0u32, 0u32); 2];
         // Barrier-equivalent history: the other worker is observed past
@@ -113,10 +115,15 @@ fn checker_pruning_is_safe_at_checkpoint_boundaries() {
         snapshot[tid] = (epoch, 0);
         assert!(state.admit(req(tid, epoch, 0, &snapshot, 5)).is_none());
     }
+    // Worker 0's odd-numbered history retired on its own as worker 1 was
+    // seen past it; the checkpoint prune takes the rest below epoch 8.
+    assert!(state.logged() < 9);
     state.retire_before(8);
-    // A new request racing with the epoch-8 leftover (worker 0's, observed
-    // still in flight) must still be caught after pruning.
-    let conflict = state.admit(req(1, 9, 1, &[(8, 0), (9, 1)], 5));
+    assert_eq!(state.logged(), 1, "only worker 0's epoch-8 task is left");
+    // Worker 1 last saw worker 0 at <7,MAX>; it now starts epoch 9 seeing
+    // it at <8,0> — still inside that leftover task. The race must be
+    // caught after pruning.
+    let conflict = state.admit(req(1, 9, 0, &[(8, 0), (9, 0)], 5));
     assert!(conflict.is_some(), "post-prune race still detected");
 }
 
@@ -142,6 +149,7 @@ fn scheduler_numbers_are_strictly_monotone() {
 /// engines, must terminate within the watchdog deadline with either the
 /// sequential result or a typed error — never an abort or a hang.
 mod fault_matrix {
+    use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
     use std::time::Duration;
 
     use crossinvoc_domore::prelude::*;
@@ -311,6 +319,143 @@ mod fault_matrix {
             matches!(err, SpecError::RestoreFailed { .. }),
             "expected RestoreFailed, got {err:?}"
         );
+    }
+
+    /// [`IncGrid`] with two probes: how many task bodies really ran, and a
+    /// `snapshot_into` that can be armed to die halfway through its copy.
+    struct Probed {
+        grid: IncGrid,
+        executed: AtomicU64,
+        snapshot_into_panics: AtomicBool,
+    }
+
+    impl Probed {
+        fn new(units: usize, rounds: usize) -> Self {
+            Probed {
+                grid: IncGrid::new(units, rounds),
+                executed: AtomicU64::new(0),
+                snapshot_into_panics: AtomicBool::new(false),
+            }
+        }
+    }
+
+    impl SpecWorkload for Probed {
+        type State = Vec<u64>;
+        fn num_epochs(&self) -> usize {
+            self.grid.num_epochs()
+        }
+        fn num_tasks(&self, epoch: usize) -> usize {
+            self.grid.num_tasks(epoch)
+        }
+        fn execute_task(
+            &self,
+            epoch: usize,
+            task: usize,
+            tid: ThreadId,
+            recorder: &mut dyn AccessRecorder,
+        ) {
+            self.executed.fetch_add(1, Ordering::Relaxed);
+            self.grid.execute_task(epoch, task, tid, recorder);
+        }
+        fn snapshot(&self) -> Vec<u64> {
+            self.grid.snapshot()
+        }
+        fn snapshot_into(&self, state: &mut Vec<u64>) {
+            if self.snapshot_into_panics.swap(false, Ordering::Relaxed) {
+                let cells = self.grid.cells();
+                state.clear();
+                state.extend(&cells[..cells.len() / 2]);
+                panic!("probe: snapshot_into dies mid-copy");
+            }
+            self.grid.snapshot_into(state);
+        }
+        fn restore(&self, state: &Vec<u64>) {
+            self.grid.restore(state);
+        }
+    }
+
+    /// The checkpoint at epoch 4 is the pass's third, the first one built
+    /// in a reused buffer — and its `snapshot_into` dies halfway. The
+    /// half-written buffer must never become the checkpoint: the region
+    /// rolls back to the intact epoch-2 state and still ends byte-identical
+    /// to the sequential result.
+    #[test]
+    fn snapshot_into_panicking_mid_copy_keeps_the_previous_checkpoint() {
+        let w = Probed::new(8, 10);
+        w.snapshot_into_panics.store(true, Ordering::Relaxed);
+        let report = engine(FaultPlan::default()).execute(&w).unwrap();
+        assert!(
+            !w.snapshot_into_panics.load(Ordering::Relaxed),
+            "the armed snapshot_into ran"
+        );
+        assert_eq!(w.grid.cells(), w.grid.expected());
+        assert!(
+            report
+                .contained_faults
+                .contains(&ContainedFault::WorkerPanic {
+                    epoch: u32::MAX,
+                    task: u64::MAX
+                }),
+            "a panic outside any task body: {:?}",
+            report.contained_faults
+        );
+        assert!(!report.degraded);
+    }
+
+    /// Workers count tasks locally and fold at epoch boundaries; the fold
+    /// also runs on every way out of a pass, so the final report is exact —
+    /// it equals the task bodies that really ran — on clean, misspeculating,
+    /// panicking and degraded runs alike.
+    #[test]
+    fn task_counter_is_exact_on_every_exit_path() {
+        let plans = [
+            FaultPlan::default(),
+            FaultPlan::default().false_positive_at(3),
+            FaultPlan::default().worker_panic_at(2, 3),
+            FaultPlan::default().checker_death_at(1),
+            FaultPlan::default().false_positive_storm(32),
+        ];
+        for plan in plans {
+            let text = plan.to_text();
+            let w = Probed::new(8, 12);
+            let report = SpecCrossEngine::<RangeSignature>::new(
+                SpecConfig::with_workers(2)
+                    .checkpoint_every(2)
+                    .fault_plan(plan)
+                    .degrade(DegradePolicy {
+                        window: 4,
+                        max_misspeculations: 2,
+                        max_consecutive_failures: 2,
+                    })
+                    .watchdog(WATCHDOG),
+            )
+            .execute(&w)
+            .unwrap();
+            assert_eq!(w.grid.cells(), w.grid.expected(), "{text}");
+            assert_eq!(
+                report.stats.tasks,
+                w.executed.load(Ordering::Relaxed),
+                "{text}"
+            );
+            assert!(report.stats.tasks >= 8 * 12, "{text}");
+        }
+    }
+
+    /// With one worker and the checker dying on the first request of the
+    /// last epoch, everything is deterministic: the worker's last flush has
+    /// counted all 24 requests as sent, the checker admitted the 20 of the
+    /// earlier epochs, and exactly the last epoch's four are stranded.
+    #[test]
+    fn checker_death_strands_exactly_the_unadmitted_requests() {
+        let w = IncGrid::new(4, 6);
+        let err = SpecCrossEngine::<RangeSignature>::new(
+            SpecConfig::with_workers(1)
+                .fault_plan(FaultPlan::default().checker_death_at(5))
+                .watchdog(WATCHDOG),
+        )
+        .execute(&w)
+        .unwrap_err();
+        assert_eq!(err, SpecError::CheckerFailed { unprocessed: 4 });
     }
 
     #[test]
