@@ -181,18 +181,23 @@ pub fn write_trace(name: &str, trace: &crossinvoc_runtime::trace::Trace) {
     println!("[wrote {}]", path.display());
 }
 
-/// Profiled minimum dependence distance per benchmark (§4.4), memoized —
-/// profiling the larger models costs tens of seconds and the sweeps would
-/// otherwise repeat it per thread count.
-pub fn profiled_distance(info: &BenchmarkInfo, scale: Scale) -> Option<u64> {
-    type DistanceCache = Mutex<HashMap<(&'static str, Scale), Option<u64>>>;
+/// Profiled speculative range per benchmark (§4.4): the minimum dependence
+/// distance, or — when no conflict manifested — the task horizon the
+/// profile actually covered ([`ProfileReport::speculative_range`]; a clean
+/// 6-epoch profile does not license running hundreds of epochs ahead).
+/// Memoized — profiling the larger models costs tens of seconds and the
+/// sweeps would otherwise repeat it per thread count.
+///
+/// [`ProfileReport::speculative_range`]: crossinvoc_speccross::ProfileReport::speculative_range
+pub fn profiled_distance(info: &BenchmarkInfo, scale: Scale) -> u64 {
+    type DistanceCache = Mutex<HashMap<(&'static str, Scale), u64>>;
     static CACHE: OnceLock<DistanceCache> = OnceLock::new();
     let cache = CACHE.get_or_init(|| Mutex::new(HashMap::new()));
     if let Some(&d) = cache.lock().expect("cache lock").get(&(info.name, scale)) {
         return d;
     }
     let model = info.model(scale);
-    let d = profile_distance(model.as_ref(), 6).min_distance;
+    let d = profile_distance(model.as_ref(), 6).speculative_range();
     cache
         .lock()
         .expect("cache lock")
@@ -204,7 +209,7 @@ pub fn profiled_distance(info: &BenchmarkInfo, scale: Scale) -> Option<u64> {
 /// speculative range (§4.4) with the thesis' default checkpoint interval.
 pub fn spec_params(info: &BenchmarkInfo, scale: Scale, threads: usize) -> SpecSimParams {
     SpecSimParams::with_threads(threads)
-        .spec_distance(profiled_distance(info, scale))
+        .spec_distance(Some(profiled_distance(info, scale)))
         .checkpoint_every(1000)
 }
 

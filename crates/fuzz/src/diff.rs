@@ -18,23 +18,23 @@
 //! identical misspeculation counts and schedules with the epoch-summary
 //! and schedule-memo fast paths on and off.
 //!
-//! Static check elision rides the same split. The threaded `spec-elide`
-//! path re-runs the plan with elision forced on and asserts the memory
-//! contract only; the simulated `sim-elide` path asserts full verdict-
-//! stream equality (and a monotone reduction in check requests) on
-//! fault-free cases — under faults, checker-targeted faults ride on
-//! admissions elision removes, so which faults fire is legitimately
-//! elision-dependent.
+//! The simulated `sim` path is also the fuzzer-driven virtual-time run of
+//! the *engine's* checker: `crossinvoc_sim::speccross` admits every task
+//! through `speccross::check::CheckerState`, so what the lane holds equal
+//! is the real checker with and without its epoch summaries on a
+//! deterministic timeline.
 //!
-//! The sharded checker rides the same split. The threaded `spec-shards`
-//! path asserts the memory contract only (sharding can drop Bloom false
-//! conflicts whose spans never share a shard — sound, and timing-dependent
-//! anyway). The simulated `sim-shards` path asserts full verdict-stream
-//! equality, but under a frictionless checker and no fault injection: with
-//! zero per-request service cost a checker clock never bounds a checkpoint
-//! rendezvous and recovery restarts are uniform time shifts, so the shard
-//! count is provably verdict-invariant. With real checker costs sharding
-//! legitimately changes overlap timing — that being the point of it.
+//! Static check elision and the sharded checker are fuzzed on real threads
+//! only. The `spec-elide` path re-runs the plan with elision forced on, the
+//! `spec-shards` path with the case's shard count; both assert the memory
+//! contract (under faults, checker-targeted faults ride on admissions
+//! elision removes, so which faults fire is legitimately elision-dependent;
+//! sharding can drop Bloom false conflicts whose spans never share a shard —
+//! sound, and timing-dependent anyway). Their verdict-stream invariance is
+//! a property of `CheckerState`/`ShardedChecker`, pinned where it is exact:
+//! `tests/properties.rs` (`sharded_checker_matches_unsharded_verdicts`,
+//! `sim_elision_preserves_verdict_streams`) and the `shard`/`check` unit
+//! tests.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -91,9 +91,6 @@ impl DiffReport {
 struct RecordedWorkload {
     epochs: Vec<Vec<Vec<(usize, AccessKind)>>>,
     space: usize,
-    /// Per-epoch `pir::elide` verdicts (epoch → region loop, modulo the
-    /// loop count — the same mapping the threaded adapter uses).
-    proven: Vec<bool>,
 }
 
 impl RecordedWorkload {
@@ -105,12 +102,7 @@ impl RecordedWorkload {
             .map(|&(a, _)| a + 1)
             .max()
             .unwrap_or(1);
-        let proven = vec![false; epochs.len()];
-        Self {
-            epochs,
-            space,
-            proven,
-        }
+        Self { epochs, space }
     }
 }
 
@@ -133,10 +125,6 @@ impl SimWorkload for RecordedWorkload {
 
     fn address_space(&self) -> Option<usize> {
         Some(self.space)
-    }
-
-    fn invocation_is_proven(&self, inv: usize) -> bool {
-        self.proven.get(inv).copied().unwrap_or(false)
     }
 }
 
@@ -282,11 +270,7 @@ pub fn run_case(case: &FuzzCase) -> DiffReport {
         // the simulators with each fast path on and off.
         report.paths_run.push("sim");
         let mut scratch = Memory::zeroed(&case.program);
-        let mut recorded = RecordedWorkload::new(plan.record_region(&mut scratch));
-        let num_loops = plan.elision().loops.len();
-        recorded.proven = (0..recorded.epochs.len())
-            .map(|e| num_loops > 0 && plan.elision().loop_is_proven(e % num_loops))
-            .collect();
+        let recorded = RecordedWorkload::new(plan.record_region(&mut scratch));
         let cost = CostModel::default();
         let params = || {
             SpecSimParams::with_threads(case.workers)
@@ -315,93 +299,6 @@ pub fn run_case(case: &FuzzCase) -> DiffReport {
                 ),
             );
         }
-        // Static elision, simulated: on the deterministic replay elision
-        // must be verdict-invariant — a proven epoch can never conflict
-        // with a compared task, so skipping its checks removes work only
-        // (check requests may shrink, never grow). Faulted cases are
-        // exempt for the same reason as the threaded lane: checker-
-        // targeted faults ride on admissions elision removes.
-        if faults_empty {
-            report.paths_run.push("sim-elide");
-            let sim_elide = speccross(
-                &recorded,
-                &params().epoch_summaries(true).elide(true),
-                &cost,
-            );
-            if sim_elide.stats.misspeculations != sim_on.stats.misspeculations
-                || sim_elide.stats.tasks != sim_on.stats.tasks
-                || sim_elide.degraded != sim_on.degraded
-                || sim_elide.stats.check_requests > sim_on.stats.check_requests
-            {
-                report.diverge(
-                    "sim-elide",
-                    format!(
-                        "static elision changed the sim verdict stream: \
-                         elide = {{misspec: {}, tasks: {}, checks: {}, elided: {}, degraded: {}}}, \
-                         base = {{misspec: {}, tasks: {}, checks: {}, degraded: {}}}",
-                        sim_elide.stats.misspeculations,
-                        sim_elide.stats.tasks,
-                        sim_elide.stats.check_requests,
-                        sim_elide.stats.elided_admits,
-                        sim_elide.degraded,
-                        sim_on.stats.misspeculations,
-                        sim_on.stats.tasks,
-                        sim_on.stats.check_requests,
-                        sim_on.degraded,
-                    ),
-                );
-            }
-        }
-
-        // Sharded checker, simulated: verdict-stream equality under a
-        // frictionless checker and no faults (see the module doc for why
-        // only that comparison is exact). Fault stalls land on one shard's
-        // clock but accumulate on a single checker's, so faulted timing is
-        // shard-dependent by design and is left to the threaded path.
-        if case.checker_shards > 1 {
-            report.paths_run.push("sim-shards");
-            let frictionless = CostModel {
-                check_request_ns: 0,
-                check_compare_ns: 0,
-                ..CostModel::default()
-            };
-            let shard_params = || {
-                SpecSimParams::with_threads(case.workers)
-                    .checkpoint_every(case.checkpoint_every)
-                    .spec_distance(distance)
-                    .epoch_summaries(true)
-            };
-            let sharded = speccross(
-                &recorded,
-                &shard_params().checker_shards(case.checker_shards),
-                &frictionless,
-            );
-            let unsharded = speccross(&recorded, &shard_params(), &frictionless);
-            if sharded.stats.misspeculations != unsharded.stats.misspeculations
-                || sharded.stats.tasks != unsharded.stats.tasks
-                || sharded.stats.check_requests != unsharded.stats.check_requests
-                || sharded.degraded != unsharded.degraded
-            {
-                report.diverge(
-                    "sim-shards",
-                    format!(
-                        "{} checker shards changed the frictionless sim verdict stream: \
-                         sharded = {{misspec: {}, tasks: {}, checks: {}, degraded: {}}}, \
-                         unsharded = {{misspec: {}, tasks: {}, checks: {}, degraded: {}}}",
-                        case.checker_shards,
-                        sharded.stats.misspeculations,
-                        sharded.stats.tasks,
-                        sharded.stats.check_requests,
-                        sharded.degraded,
-                        unsharded.stats.misspeculations,
-                        unsharded.stats.tasks,
-                        unsharded.stats.check_requests,
-                        unsharded.degraded,
-                    ),
-                );
-            }
-        }
-
         let memo_on =
             domore_configured(&recorded, case.workers, &mut RoundRobin, &cost, None, true);
         let memo_off =

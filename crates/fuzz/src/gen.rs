@@ -109,7 +109,7 @@ pub struct FuzzCase {
     pub degrade: bool,
     /// Whether the threaded SPECCROSS paths run with static check elision
     /// enabled ([`crossinvoc_speccross::engine::SpecConfig::elide`]). The
-    /// dedicated `spec-elide`/`sim-elide` diff lanes run regardless; this
+    /// dedicated `spec-elide` diff lane runs regardless; this
     /// knob additionally turns elision on inside every other SPECCROSS
     /// path, so elision is exercised under faults, degradation, sharding
     /// and shared-pool pairing too.

@@ -11,19 +11,28 @@
 //! region's completion — which is how the checker-bottleneck effect of §5.2
 //! emerges at high thread counts, and how sharding relieves it.
 //!
-//! Conflicts are *detected, not assumed*: each task's accesses are folded
-//! into a real [`RangeSignature`], and a pair of time-overlapping tasks from
-//! different epochs on different workers misspeculates exactly when their
-//! signatures conflict — the same test the threaded checker runs. Recovery
-//! replays the thesis' sequence: roll back to the last checkpoint,
-//! re-execute the misspeculated epochs under non-speculative barriers,
-//! resume speculation.
+//! Conflicts are *detected, not assumed*, and by the engine's own checker:
+//! each task's accesses are folded into a real [`RangeSignature`] and
+//! admitted through one [`CheckerState`] per shard, with the [`Position`]
+//! and start-time snapshot the task would have had on the virtual timeline
+//! (what every other worker's `PositionBoard` slot shows at its start: the
+//! first task of that worker's share still running, else one past its
+//! last). The simulator holds no signature log and runs no conflict test of
+//! its own; the checker's service time is billed from the state's own
+//! comparison counter. Recovery replays the thesis' sequence: roll back to
+//! the last checkpoint, re-execute the misspeculated epochs under
+//! non-speculative barriers, resume speculation.
+//!
+//! One worker-side rule is the simulator's own (docs/CHECKER.md): a check
+//! *request* is filed — and the checker billed — only for a task that
+//! starts while some worker sits in a different epoch; lockstep interiors
+//! are admitted for free.
 
 use crossinvoc_runtime::fault::{CheckFault, FaultKind, FaultPlan, TaskFault};
 use crossinvoc_runtime::signature::{AccessSignature, RangeSignature};
 use crossinvoc_runtime::stats::RegionStats;
 use crossinvoc_runtime::trace::{checker_shard_tid, Event, WakeEdge};
-use crossinvoc_speccross::ShardMap;
+use crossinvoc_speccross::{CheckerState, Position, ShardMap};
 
 use crate::barrier::barrier_epoch;
 use crate::cost::CostModel;
@@ -176,31 +185,69 @@ impl SpecSimParams {
     }
 }
 
-/// One simulated in-flight task retained for conflict detection.
-struct Window {
-    tid: usize,
-    /// Per-epoch task index, for the misspeculation trace event.
-    task: u64,
-    start: u64,
-    finish: u64,
-    /// Maximum finish time over this entry and all earlier ones (across
-    /// buckets): a reverse scan can stop as soon as this drops to or below
-    /// the probe's start, since nothing older can overlap it.
-    running_max_finish: u64,
-    sig: RangeSignature,
+/// What a worker's `PositionBoard` slot shows at virtual time `at`, given
+/// the `(finish, position)` of every task it has run this pass: the first
+/// one still running, else one past its last.
+fn position_at(timeline: &[(u64, Position)], at: u64) -> Position {
+    let retired = timeline.partition_point(|&(finish, _)| finish <= at);
+    match (timeline.get(retired), timeline.last()) {
+        (Some(&(_, running)), _) => running,
+        (None, Some(&(_, last))) => Position {
+            task: last.task + 1,
+            ..last
+        },
+        (None, None) => Position::ZERO,
+    }
 }
 
-/// The retained window entries of one epoch plus their merged aggregate —
-/// the structure the threaded checker's `CheckerState` keeps, mirrored in
-/// virtual time. Buckets are appended in epoch order (tasks are admitted
-/// epoch by epoch), so a reverse bucket walk is a reverse time walk.
-struct EpochBucket {
+/// One checker shard of a pass: the engine's checker, the virtual clock of
+/// the single server running it, and the tallies its trace rows report.
+struct Shard {
+    checker: CheckerState<RangeSignature>,
+    clock: u64,
+    /// Requests serviced this pass, for the exit census row.
+    routed: u64,
+    /// `(skips, comparisons)` billed since the last `CheckerSummary`.
+    unreported: (u64, u64),
+}
+
+/// Flushes every shard's unreported fast-path accounting as a delta-encoded
+/// `CheckerSummary` (at epoch boundaries and on every pass exit, like the
+/// threaded checker's retirement-boundary summaries); on `exit` also emits
+/// the pass-scoped `checker_shard` census row the threaded checker emits
+/// when a shard thread returns.
+fn report_shards(
+    shards: &mut [Shard],
+    sinks: &mut SimSinks,
+    stats: &RegionStats,
     epoch: usize,
-    entries: Vec<Window>,
-    /// Union of every entry's signature: disjoint from a probe ⇒ every
-    /// member is disjoint, and the whole bucket is skipped with a single
-    /// comparison.
-    aggregate: RangeSignature,
+    exit: bool,
+) {
+    let count = shards.len() as u32;
+    for (k, (shard, sink)) in shards.iter_mut().zip(&mut sinks.checkers).enumerate() {
+        if shard.unreported != (0, 0) {
+            let (skips, comparisons) = std::mem::take(&mut shard.unreported);
+            stats.add_checker_epoch_skips(skips);
+            sink.emit_at(
+                shard.clock,
+                Event::CheckerSummary {
+                    epoch: epoch as u32,
+                    skips,
+                    comparisons,
+                },
+            );
+        }
+        if exit {
+            sink.emit_at(
+                shard.clock,
+                Event::CheckerShard {
+                    shard: k as u32,
+                    shards: count,
+                    requests: shard.routed,
+                },
+            );
+        }
+    }
 }
 
 /// Why a simulated speculative pass aborted.
@@ -217,7 +264,9 @@ enum AbortCause {
 
 /// Outcome of one simulated speculative pass.
 enum PassEnd {
-    Completed,
+    /// Ran to the last epoch; `end` is the later of the worker and checker
+    /// clocks.
+    Completed { end: u64 },
     Aborted {
         detect_time: u64,
         checkpoint_epoch: usize,
@@ -276,20 +325,17 @@ pub fn speccross<W: SimWorkload + ?Sized>(
             &mut idle,
             &mut sinks,
         ) {
-            (PassEnd::Completed, end_time) => {
-                now = end_time;
+            PassEnd::Completed { end } => {
+                now = end;
                 start_epoch = num_epochs;
             }
-            (
-                PassEnd::Aborted {
-                    detect_time,
-                    checkpoint_epoch,
-                    resume_epoch,
-                    cause,
-                    detect_shard,
-                },
-                _,
-            ) => {
+            PassEnd::Aborted {
+                detect_time,
+                checkpoint_epoch,
+                resume_epoch,
+                cause,
+                detect_shard,
+            } => {
                 if matches!(cause, AbortCause::Conflict) {
                     stats.add_misspeculation();
                     // Checker verdict → rollback: the recovery the manager
@@ -364,8 +410,6 @@ pub fn speccross<W: SimWorkload + ?Sized>(
 }
 
 /// Simulates one speculative pass from `start_epoch` beginning at `t0`.
-/// Returns the outcome and the pass completion time (max of worker and
-/// checker clocks) when completed.
 #[allow(clippy::too_many_arguments)]
 fn speculative_pass<W: SimWorkload + ?Sized>(
     workload: &W,
@@ -378,7 +422,7 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
     busy: &mut [u64],
     idle: &mut [u64],
     sinks: &mut SimSinks,
-) -> (PassEnd, u64) {
+) -> PassEnd {
     let threads = params.threads;
     let num_epochs = workload.num_invocations();
 
@@ -392,9 +436,17 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
     prefix.push(acc);
 
     let mut clocks = vec![t0; threads];
-    let shards = params.checker_shards;
-    let shard_map = ShardMap::new(shards);
-    let mut checker_clocks = vec![t0; shards];
+    let shard_map = ShardMap::new(params.checker_shards);
+    // One engine checker per shard: each logs (and scans) only the tasks
+    // routed to it — straddlers whole, in every shard their span touches.
+    let mut shards: Vec<Shard> = (0..params.checker_shards)
+        .map(|_| Shard {
+            checker: CheckerState::with_aggregates(threads, params.epoch_summaries),
+            clock: t0,
+            routed: 0,
+            unreported: (0, 0),
+        })
+        .collect();
     stats.add_checkpoint(); // pass-entry checkpoint
     sinks.manager.emit_at(
         t0,
@@ -411,77 +463,14 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
 
     // Finish times in global order, for the gate's prefix maximum.
     let mut finish_prefix_max: Vec<u64> = Vec::with_capacity(acc as usize);
-    // Per-shard retained windows: each shard keeps (and scans) only the
-    // tasks routed to it, so its epoch-bucket list is the unsharded list
-    // restricted to its addresses — straddlers appear whole in every list
-    // their span touches.
-    let mut buckets: Vec<Vec<EpochBucket>> = (0..shards).map(|_| Vec::new()).collect();
-    let mut window_len = vec![0usize; shards];
-    // Requests serviced per shard this pass, for the exit census rows.
-    let mut routed = vec![0u64; shards];
+    // Per worker, the (finish, position) of every task it ran this pass —
+    // the virtual timeline start-time snapshots are read off.
+    let mut timeline: Vec<Vec<(u64, Position)>> = vec![Vec::new(); threads];
+    let mut snapshot = vec![Position::ZERO; threads];
     let mut pairs = Vec::new();
-    // Cumulative per-shard fast-path accounting for this pass; flushed as
-    // delta-encoded `CheckerSummary` events at epoch boundaries and on
-    // every pass exit, mirroring the threaded checker's
-    // retirement-boundary summaries.
-    let mut total_skips = vec![0u64; shards];
-    let mut total_comparisons = vec![0u64; shards];
-    // (skips, comparisons) already covered by an emitted summary.
-    let mut reported = vec![(0u64, 0u64); shards];
-    fn flush_summary(
-        stats: &RegionStats,
-        checker: &mut crossinvoc_runtime::trace::TraceSink,
-        at: u64,
-        epoch: u32,
-        total_skips: u64,
-        total_comparisons: u64,
-        reported: &mut (u64, u64),
-    ) {
-        if total_skips != reported.0 || total_comparisons != reported.1 {
-            stats.add_checker_epoch_skips(total_skips - reported.0);
-            checker.emit_at(
-                at,
-                Event::CheckerSummary {
-                    epoch,
-                    skips: total_skips - reported.0,
-                    comparisons: total_comparisons - reported.1,
-                },
-            );
-            *reported = (total_skips, total_comparisons);
-        }
-    }
-    macro_rules! flush_summary {
-        ($epoch:expr) => {
-            for k in 0..shards {
-                flush_summary(
-                    stats,
-                    &mut sinks.checkers[k],
-                    checker_clocks[k],
-                    $epoch as u32,
-                    total_skips[k],
-                    total_comparisons[k],
-                    &mut reported[k],
-                )
-            }
-        };
-    }
-    // Pass-scoped shard census, one row per shard on exit — the same
-    // `checker_shard` rows the threaded checker emits when a shard thread
-    // returns.
-    macro_rules! emit_census {
-        () => {
-            for k in 0..shards {
-                sinks.checkers[k].emit_at(
-                    checker_clocks[k],
-                    Event::CheckerShard {
-                        shard: k as u32,
-                        shards: shards as u32,
-                        requests: routed[k],
-                    },
-                );
-            }
-        };
-    }
+    // (shard, comparisons, skips) one admission cost every shard that saw
+    // it; billed to the shard's clock if a request is filed.
+    let mut scanned: Vec<(usize, u64, u64)> = Vec::new();
 
     for epoch in start_epoch..num_epochs {
         stats.add_epoch();
@@ -491,14 +480,14 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
             // Rendezvous: all workers synchronize, every checker shard
             // drains, the state is snapshotted.
             let worker_max = clocks.iter().copied().max().expect("threads > 0");
-            let checker_max = checker_clocks.iter().copied().max().expect("shards > 0");
+            let checker_max = shards.iter().map(|s| s.clock).max().expect("shards > 0");
             let sync = worker_max.max(checker_max) + cost.checkpoint_ns;
             // The release's causal source: the slowest checker shard when
             // its drain bound the rendezvous, else the slowest worker.
             let releaser = if checker_max > worker_max {
-                let slowest = checker_clocks
+                let slowest = shards
                     .iter()
-                    .position(|&c| c == checker_max)
+                    .position(|s| s.clock == checker_max)
                     .expect("nonempty");
                 checker_shard_tid(slowest)
             } else {
@@ -535,9 +524,6 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                     );
                 }
             }
-            for c in checker_clocks.iter_mut() {
-                *c = sync;
-            }
             if fault.snapshot_fails(epoch as u32) {
                 // Snapshot failed: the rendezvous still happened, but the
                 // previous checkpoint stays the rollback target.
@@ -559,11 +545,12 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                     },
                 );
             }
-            // Nothing before the rendezvous can race past it; this is the
-            // prune watermark the threaded checker retires by.
-            for (list, len) in buckets.iter_mut().zip(window_len.iter_mut()) {
-                list.clear();
-                *len = 0;
+            // Every shard has drained. Nothing before the rendezvous can
+            // race past it; this is the prune watermark the threaded
+            // checker retires by.
+            for shard in &mut shards {
+                shard.clock = sync;
+                shard.checker.retire_before(epoch as u32);
             }
         }
 
@@ -619,18 +606,14 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                     // aborts immediately and rolls back to the checkpoint.
                     idle[tid] += release - clocks[tid];
                     clocks[tid] = release;
-                    flush_summary!(epoch);
-                    emit_census!();
-                    return (
-                        PassEnd::Aborted {
-                            detect_time: release,
-                            checkpoint_epoch,
-                            resume_epoch: (max_epoch_started.max(epoch) + 1).min(num_epochs),
-                            cause: AbortCause::Panic,
-                            detect_shard: 0,
-                        },
-                        release,
-                    );
+                    report_shards(&mut shards, sinks, stats, epoch, true);
+                    return PassEnd::Aborted {
+                        detect_time: release,
+                        checkpoint_epoch,
+                        resume_epoch: (max_epoch_started.max(epoch) + 1).min(num_epochs),
+                        cause: AbortCause::Panic,
+                        detect_shard: 0,
+                    };
                 }
                 None => {}
             }
@@ -659,13 +642,19 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
             let last_max = finish_prefix_max.last().copied().unwrap_or(0);
             finish_prefix_max.push(last_max.max(finish));
             max_epoch_started = max_epoch_started.max(epoch);
+            let pos = Position {
+                epoch: epoch as u32,
+                task: (task / threads) as u32,
+            };
+            timeline[tid].push((finish, pos));
 
             if proven {
                 // Elided task: the static proof replaces the admission. The
-                // epoch tracker still advances (other tasks' overlap test
-                // must keep observing this worker), but no signature, scan,
-                // retention, or checker billing happens — including forced
-                // conflicts, which ride on admissions that no longer exist.
+                // worker's timeline and epoch tracker still advance (other
+                // tasks' snapshots must keep observing it), but no
+                // signature, admission, or checker billing happens —
+                // including forced conflicts, which ride on admissions that
+                // no longer exist.
                 pairs.clear();
                 workload.accesses(epoch, task, &mut pairs);
                 cur_epoch[tid] = epoch;
@@ -679,55 +668,45 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                 continue;
             }
 
-            // Build the signature and run the real conflict test against
-            // overlapping cross-epoch tasks.
+            // Build the signature and admit it through the engine's checker
+            // with the snapshot the task took at its start.
             pairs.clear();
             workload.accesses(epoch, task, &mut pairs);
             let mut sig = RangeSignature::empty();
             for &(addr, kind) in &pairs {
                 sig.record(addr, kind);
             }
+            for (slot, ran) in snapshot.iter_mut().zip(&timeline) {
+                *slot = position_at(ran, start);
+            }
+            // Empty signatures route to shard 0 and are logged uncompared.
             let set = shard_map.shards_for_span(sig.addr_span());
             let mut conflicted = params.inject_misspec_at_task == Some(global);
             // The earlier half of the conflicting pair, for the trace's
             // misspeculation ledger; forced/injected conflicts have no real
             // partner, so both sides name the admitted task.
-            let mut conflict_with: Option<(usize, usize, u64)> = None;
+            let mut conflict_with = (tid, pos);
             // Shard that issued the condemning verdict; defaults to the
             // first shard the request routes to.
             let mut detect_shard = set.iter().next().unwrap_or(0);
-            // (shard, comparisons, skips) for every shard that scanned the
-            // probe; billed to the shard's clock if the request is serviced.
-            let mut scanned: Vec<(usize, u64, u64)> = Vec::with_capacity(set.len());
-            if !sig.is_empty() {
-                for k in set.iter() {
-                    let mut comparisons = 0u64;
-                    let mut skips = 0u64;
-                    let found = scan_shard(
-                        &buckets[k],
-                        &sig,
-                        tid,
-                        start,
-                        finish,
-                        epoch,
-                        params.epoch_summaries,
-                        &mut comparisons,
-                        &mut skips,
-                    );
-                    scanned.push((k, comparisons, skips));
-                    if let Some(partner) = found {
-                        conflicted = true;
-                        conflict_with = Some(partner);
-                        detect_shard = k;
-                        // Later shards never see the request: the pass is
-                        // already condemned by this shard's verdict.
-                        break;
-                    }
+            scanned.clear();
+            for k in set.iter() {
+                let checker = &mut shards[k].checker;
+                let before = (checker.comparisons(), checker.epoch_skips());
+                let verdict = checker.admit_parts(tid, pos, &snapshot, sig.clone());
+                scanned.push((
+                    k,
+                    checker.comparisons() - before.0,
+                    checker.epoch_skips() - before.1,
+                ));
+                if let Some(conflict) = verdict {
+                    conflicted = true;
+                    conflict_with = conflict.earlier;
+                    detect_shard = k;
+                    // Later shards never see the request: the pass is
+                    // already condemned by this shard's verdict.
+                    break;
                 }
-            } else {
-                // Empty signatures route to shard 0 (span-less requests
-                // exist only for forced injections); no scan to run.
-                scanned.push((detect_shard, 0, 0));
             }
             // Checker servers: one request per non-empty signature from a
             // task whose execution overlaps a different epoch, serviced by
@@ -742,13 +721,14 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                 // routed shard processes it.
                 let check_fault = fault.check(epoch as u32, task as u64, tid);
                 for (i, &(k, comparisons, skips)) in scanned.iter().enumerate() {
-                    total_comparisons[k] += comparisons;
-                    total_skips[k] += skips;
-                    routed[k] += 1;
+                    let shard = &mut shards[k];
+                    shard.unreported.0 += skips;
+                    shard.unreported.1 += comparisons;
+                    shard.routed += 1;
                     // SPSC produce → consume: shard k picks the request up
                     // once it is both sent (task finished) and that server
                     // is free.
-                    let pickup = checker_clocks[k].max(finish);
+                    let pickup = shard.clock.max(finish);
                     sinks.checkers[k].emit_at(
                         pickup,
                         Event::Wake {
@@ -757,14 +737,14 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                             seq: global,
                         },
                     );
-                    checker_clocks[k] =
+                    shard.clock =
                         pickup + cost.check_request_ns + cost.check_compare_ns * comparisons;
                     if i > 0 {
                         continue;
                     }
                     if let Some(f) = check_fault {
                         sinks.checkers[k].emit_at(
-                            checker_clocks[k],
+                            shards[k].clock,
                             Event::FaultInjected {
                                 kind: f.kind(),
                                 epoch: epoch as u32,
@@ -774,97 +754,43 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                     }
                     match check_fault {
                         Some(CheckFault::ForceConflict) => conflicted = true,
-                        Some(CheckFault::Stall(d)) => checker_clocks[k] += d.as_nanos() as u64,
+                        Some(CheckFault::Stall(d)) => shards[k].clock += d.as_nanos() as u64,
                         Some(CheckFault::Die) => {
-                            flush_summary!(epoch);
-                            emit_census!();
-                            return (
-                                PassEnd::Aborted {
-                                    detect_time: checker_clocks[k],
-                                    checkpoint_epoch,
-                                    resume_epoch: (max_epoch_started + 1).min(num_epochs),
-                                    cause: AbortCause::CheckerDeath,
-                                    detect_shard: k,
-                                },
-                                checker_clocks[k],
-                            );
+                            report_shards(&mut shards, sinks, stats, epoch, true);
+                            return PassEnd::Aborted {
+                                detect_time: shards[k].clock,
+                                checkpoint_epoch,
+                                resume_epoch: (max_epoch_started + 1).min(num_epochs),
+                                cause: AbortCause::CheckerDeath,
+                                detect_shard: k,
+                            };
                         }
                         None => {}
                     }
                 }
             }
             if conflicted {
-                let (e_tid, e_epoch, e_task) = conflict_with.unwrap_or((tid, epoch, task as u64));
-                let detect_time = checker_clocks[detect_shard];
+                let (e_tid, earlier) = conflict_with;
+                let detect_time = shards[detect_shard].clock;
                 sinks.checkers[detect_shard].emit_at(
                     detect_time,
                     Event::Misspeculation {
                         earlier_tid: e_tid,
-                        earlier_epoch: e_epoch as u32,
-                        earlier_task: e_task,
+                        earlier_epoch: earlier.epoch,
+                        earlier_task: earlier.task as u64 * threads as u64 + e_tid as u64,
                         later_tid: tid,
                         later_epoch: epoch as u32,
                         later_task: task as u64,
                     },
                 );
-                let resume = (max_epoch_started + 1).min(num_epochs);
-                flush_summary!(epoch);
-                emit_census!();
-                return (
-                    PassEnd::Aborted {
-                        detect_time,
-                        checkpoint_epoch,
-                        resume_epoch: resume,
-                        cause: AbortCause::Conflict,
-                        detect_shard,
-                    },
-                    checker_clocks[detect_shard],
-                );
-            }
-            // Retain the admitted task in every touched shard's window (the
-            // whole signature, per the routing rule), so each shard's scan
-            // is the unsharded scan restricted to its requests.
-            for k in set.iter() {
-                let list = &mut buckets[k];
-                let running_max_finish = list
-                    .last()
-                    .and_then(|b| b.entries.last())
-                    .map_or(finish, |w| w.running_max_finish.max(finish));
-                if list.last().is_none_or(|b| b.epoch != epoch) {
-                    list.push(EpochBucket {
-                        epoch,
-                        entries: Vec::new(),
-                        aggregate: RangeSignature::empty(),
-                    });
-                }
-                let bucket = list.last_mut().expect("just pushed");
-                bucket.aggregate.merge(&sig);
-                bucket.entries.push(Window {
-                    tid,
-                    task: task as u64,
-                    start,
-                    finish,
-                    running_max_finish,
-                    sig: sig.clone(),
-                });
-                window_len[k] += 1;
-                // Periodically drop entries that can no longer overlap any
-                // future task (every future start is at least the minimum
-                // worker clock), rebuilding the touched buckets' aggregates.
-                if window_len[k].is_multiple_of(4096) {
-                    let min_clock = clocks.iter().copied().min().expect("threads > 0");
-                    for b in list.iter_mut() {
-                        let before = b.entries.len();
-                        b.entries.retain(|e| e.finish > min_clock);
-                        if b.entries.len() != before {
-                            b.aggregate = RangeSignature::empty();
-                            for e in &b.entries {
-                                b.aggregate.merge(&e.sig);
-                            }
-                        }
-                    }
-                    list.retain(|b| !b.entries.is_empty());
-                }
+                report_shards(&mut shards, sinks, stats, epoch, true);
+                return PassEnd::Aborted {
+                    detect_time,
+                    checkpoint_epoch,
+                    resume_epoch: (max_epoch_started + 1).min(num_epochs),
+                    cause: AbortCause::Conflict,
+                    detect_shard,
+                };
             }
         }
         for (tid, &(tasks, accesses)) in elided.iter().enumerate() {
@@ -879,7 +805,7 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                 );
             }
         }
-        flush_summary!(epoch);
+        report_shards(&mut shards, sinks, stats, epoch, false);
         sinks.workers[0].emit_at(
             clocks[0],
             Event::EpochEnd {
@@ -888,89 +814,11 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
         );
     }
 
-    emit_census!();
-    let checker_max = checker_clocks.into_iter().max().unwrap_or(t0);
-    let end = clocks.into_iter().max().unwrap_or(t0).max(checker_max);
-    (PassEnd::Completed, end)
-}
-
-/// One shard's conflict scan for a single probe: a reverse bucket walk over
-/// the shard's retained window (reverse admission order). Same-epoch buckets
-/// never conflict (their tasks are mutually independent by construction);
-/// with summaries on, a cross-epoch bucket whose aggregate is disjoint from
-/// the probe is skipped whole for one comparison. Returns the earlier half
-/// of the first conflicting pair, accumulating the comparison/skip counts
-/// the shard's service time is billed by.
-#[allow(clippy::too_many_arguments)]
-fn scan_shard(
-    buckets: &[EpochBucket],
-    sig: &RangeSignature,
-    tid: usize,
-    start: u64,
-    finish: u64,
-    epoch: usize,
-    epoch_summaries: bool,
-    comparisons: &mut u64,
-    skips: &mut u64,
-) -> Option<(usize, usize, u64)> {
-    'scan: for bucket in buckets.iter().rev() {
-        if bucket
-            .entries
-            .last()
-            .is_none_or(|e| e.running_max_finish <= start)
-        {
-            break; // nothing this old (or older) overlaps
-        }
-        let oldest_done = bucket
-            .entries
-            .first()
-            .is_none_or(|e| e.running_max_finish <= start);
-        if bucket.epoch != epoch {
-            let overlaps = |e: &Window| e.tid != tid && e.start < finish && start < e.finish;
-            if epoch_summaries {
-                let any = bucket
-                    .entries
-                    .iter()
-                    .rev()
-                    .take_while(|e| e.running_max_finish > start)
-                    .any(overlaps);
-                if any {
-                    *comparisons += 1; // the aggregate test
-                    if !bucket.aggregate.conflicts_with(sig) {
-                        *skips += 1;
-                    } else {
-                        for entry in bucket.entries.iter().rev() {
-                            if entry.running_max_finish <= start {
-                                break;
-                            }
-                            if overlaps(entry) {
-                                *comparisons += 1;
-                                if entry.sig.conflicts_with(sig) {
-                                    return Some((entry.tid, bucket.epoch, entry.task));
-                                }
-                            }
-                        }
-                    }
-                }
-            } else {
-                for entry in bucket.entries.iter().rev() {
-                    if entry.running_max_finish <= start {
-                        break 'scan; // nothing older overlaps
-                    }
-                    if overlaps(entry) {
-                        *comparisons += 1;
-                        if entry.sig.conflicts_with(sig) {
-                            return Some((entry.tid, bucket.epoch, entry.task));
-                        }
-                    }
-                }
-            }
-        }
-        if oldest_done {
-            break; // everything older has retired past the probe
-        }
+    report_shards(&mut shards, sinks, stats, num_epochs, true);
+    let checker_max = shards.iter().map(|s| s.clock).max().unwrap_or(t0);
+    PassEnd::Completed {
+        end: clocks.into_iter().max().unwrap_or(t0).max(checker_max),
     }
-    None
 }
 
 #[cfg(test)]

@@ -18,14 +18,12 @@
 //! against logged later-epoch tasks it overlapped (covering stragglers whose
 //! requests arrive late).
 //!
-//! The structure is pure — no threads, no channels — so the threaded checker
-//! (`engine`), the sharded checker (`shard`) and the tests all drive the same
-//! code. The discrete-event simulator does *not*: `crossinvoc_sim::speccross`
-//! keeps its own mirror of this window, and nothing holds the two equal —
-//! the sim proptests and the `sim-*` fuzz lanes compare the simulator with
-//! itself. The mirror pairs tasks by interval overlap, which is weaker than
-//! rule 3 above, so it misses inversions this checker flags
-//! (`crates/sim/tests/inversion.rs`; EXPERIMENTS.md, BENCH_5 caveat).
+//! The structure is pure — no threads, no channels, no clock — so the
+//! threaded checker (`engine`), the sharded checker (`shard`), the
+//! discrete-event simulator (`crossinvoc_sim::speccross`, which admits every
+//! simulated task through [`CheckerState::admit_parts`] with the position and
+//! snapshot read off its virtual timeline) and the tests all drive the same
+//! code: there is one definition of which pairs race.
 
 use std::collections::VecDeque;
 

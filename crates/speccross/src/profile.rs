@@ -7,8 +7,11 @@
 //! minimum observed distance parameterizes the speculative-range gate at
 //! run time: the leading thread is never allowed to run more than that many
 //! tasks ahead of the trailing thread, so profiled dependences cannot
-//! manifest as misspeculation. If no conflict is ever observed the distance
-//! is unbounded (the `*` entries of Table 5.3).
+//! manifest as misspeculation. If no conflict is ever observed the table
+//! prints `*` — but "no conflict within the profiled window" is not
+//! "unbounded": the profile vouches only for pairs as close as the window
+//! looked back, and [`ProfileReport::speculative_range`] gates at that
+//! horizon.
 
 use crossinvoc_runtime::signature::AccessSignature;
 
@@ -24,9 +27,21 @@ pub struct ProfileReport {
     pub tasks: u64,
     /// Epochs profiled.
     pub epochs: u64,
+    /// Task horizon the sliding window covered: `window_epochs` epochs of
+    /// the profile's mean size, or all of `tasks` when nothing ever slid
+    /// out. Pairs farther apart went unexamined.
+    pub horizon: u64,
 }
 
 impl ProfileReport {
+    /// The speculative range to gate with: the closest profiled conflict,
+    /// else the horizon the profile covered — a clean profile says nothing
+    /// about pairs it never compared, so the leader may run that far ahead
+    /// and no farther.
+    pub fn speculative_range(&self) -> u64 {
+        self.min_distance.unwrap_or(self.horizon)
+    }
+
     /// Whether speculation is recommended: either no conflict manifested or
     /// the closest one is farther than `threshold` tasks apart (the thesis
     /// defaults the threshold to the worker count, §4.4).
@@ -44,9 +59,11 @@ impl ProfileReport {
 /// between epochs; read the result with [`DistanceProfiler::report`].
 ///
 /// Signatures are retained for a sliding window of epochs
-/// (`window_epochs`). Conflicts farther apart than the window are ignored,
-/// which only ever *under*-reports safety margins (the gate becomes more
-/// conservative, never less sound).
+/// (`window_epochs`). Conflicts farther apart than the window are never
+/// seen: the reported minimum can only be too large, never too small, and
+/// a clean report (`min_distance: None`) is clean only out to
+/// [`ProfileReport::horizon`] — run ungated, a region may drift far past
+/// that and hit a dependence the profile never looked at.
 #[derive(Debug)]
 pub struct DistanceProfiler<S> {
     window_epochs: u32,
@@ -119,11 +136,14 @@ impl<S: AccessSignature> DistanceProfiler<S> {
 
     /// Finalizes the profile.
     pub fn report(&self) -> ProfileReport {
+        let epochs = self.current_epoch as u64 + u64::from(self.tasks_in_current_epoch > 0);
         ProfileReport {
             min_distance: self.min_distance,
             conflicts: self.conflicts,
             tasks: self.next_task,
-            epochs: self.current_epoch as u64 + u64::from(self.tasks_in_current_epoch > 0),
+            epochs,
+            horizon: (self.window_epochs as u64 * self.next_task / epochs.max(1))
+                .min(self.next_task),
         }
     }
 }
@@ -205,6 +225,36 @@ mod tests {
         // Epoch 2 conflicts only with epoch 0, which fell out of the window.
         p.record_task(sig(5));
         assert_eq!(p.report().conflicts, 0);
+    }
+
+    #[test]
+    fn clean_profile_is_clean_only_out_to_the_window() {
+        // Epoch e conflicts with epoch e + 3 only; a 1-epoch window never
+        // sees it, and says so through the horizon instead of "unbounded".
+        let mut p = DistanceProfiler::new(1);
+        for epoch in 0..6 {
+            for task in 0..5 {
+                p.record_task(sig((epoch % 3) * 5 + task));
+            }
+            p.epoch_boundary();
+        }
+        let r = p.report();
+        assert_eq!(r.min_distance, None);
+        assert_eq!(r.horizon, 5, "one epoch of five tasks");
+        assert_eq!(r.speculative_range(), 5);
+        // A window that never slides has compared every pair.
+        let mut all = DistanceProfiler::new(8);
+        for task in 0..7 {
+            all.record_task(sig(task));
+            all.epoch_boundary();
+        }
+        assert_eq!(all.report().speculative_range(), 7);
+        // A profiled conflict is the range, whatever the horizon.
+        let mut near = DistanceProfiler::new(1);
+        near.record_task(sig(3));
+        near.epoch_boundary();
+        near.record_task(sig(3));
+        assert_eq!(near.report().speculative_range(), 1);
     }
 
     #[test]

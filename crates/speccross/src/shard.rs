@@ -168,8 +168,9 @@ impl ShardSet {
 /// This is the *pure* sharded checker: no threads, no rings. The threaded
 /// engine gives each shard its own thread and SPSC rings and only shares
 /// the routing logic ([`ShardMap`]); this struct is what the unit tests
-/// and the proptests reason about. (The simulator imports only [`ShardMap`]
-/// and runs its own per-shard mirror of the admission scan.)
+/// and the proptests reason about. (The simulator likewise routes with
+/// [`ShardMap`] and keeps one [`CheckerState`] beside each shard's virtual
+/// clock, so it can bill each shard its own comparisons.)
 #[derive(Debug)]
 pub struct ShardedChecker<S> {
     map: ShardMap,

@@ -17,6 +17,7 @@ fn recommendation_follows_the_worker_threshold() {
         conflicts: 4,
         tasks: 100,
         epochs: 10,
+        horizon: 100,
     };
     assert!(!conflicting.recommends_speculation(24));
     assert!(conflicting.recommends_speculation(23));
@@ -25,6 +26,7 @@ fn recommendation_follows_the_worker_threshold() {
         conflicts: 0,
         tasks: 100,
         epochs: 10,
+        horizon: 100,
     };
     assert!(clean.recommends_speculation(u64::MAX));
 }

@@ -5,7 +5,8 @@
 #                benchmark/ crate built and tested against this tree
 #   lint         fmt, clippy, rustdoc
 #   docs-check   docs <-> CLI flag / gate consistency
-#   gates        every bench-suite gate at smoke scale, then --validate
+#   gates        every bench-suite gate at smoke scale, then --validate;
+#                the three checker-side gates again at full scale
 #   fuzz         differential-fuzzing smoke
 #   trace        traced figure run -> strict report + Chrome export
 #   all          everything above, in that order (the default)
@@ -116,6 +117,15 @@ stage_gates() {
     run "$BENCH_TIMEOUT" cargo run --release -q -p crossinvoc-bench --bin bench-suite -- \
       --validate "target/figures/$file" </dev/null
   done <<<"$gates"
+  # The checker-side gates are quick at figure scale (BENCH_5/7 are pure
+  # simulation; BENCH_10 also runs the real-thread engine, 4 workers, on
+  # every realised registry kernel at Test scale — well under a second
+  # each) and their criteria compare rows of the same run, so evaluate
+  # them for real on every push; a failed criterion exits nonzero.
+  for flag in --fastpath --shards --elide; do
+    run "$BENCH_TIMEOUT" cargo run --release -q -p crossinvoc-bench --bin bench-suite -- \
+      $flag </dev/null
+  done
 }
 
 # Differential-fuzzing smoke: replay the checked-in corpus, then a fixed

@@ -103,10 +103,10 @@ fn seeded_sweep_stays_divergence_free() {
 
 #[test]
 fn elision_anchors_are_pinned() {
-    // The static-elision lanes rely on two standing anchors: a fully
+    // The static-elision lane relies on two standing anchors: a fully
     // provable cluster region and a mixed region interleaving proven and
-    // unproven loops. Keep both pinned so `spec-elide`/`sim-elide` always
-    // have a non-trivial corpus case to replay.
+    // unproven loops. Keep both pinned so `spec-elide` always has a
+    // non-trivial corpus case to replay.
     let entries = load_corpus(&corpus_dir()).expect("corpus loads");
     let has = |pred: &dyn Fn(&str) -> bool| entries.iter().any(|(_, c)| pred(&c.note));
     assert!(

@@ -1086,7 +1086,7 @@ proptest! {
         }
     }
 
-    /// The simulator mirror, where verdict streams *are* deterministic:
+    /// The simulator, where verdict streams *are* deterministic:
     /// the elide flag alone (nothing proven) is timeline-inert, and with
     /// every invocation proven — sound for the disjoint workload — the
     /// verdict stream is unchanged while check traffic and wall-clock only
