@@ -15,7 +15,8 @@
 //!
 //! ```text
 //! fuzz-diff [--cases N] [--start SEED] [--seed SEED] [--emit] [--smoke]
-//!           [--corpus DIR] [--out DIR] [--fault-percent P] [--no-minimize]
+//!           [--corpus DIR] [--out DIR] [--fault-percent P] [--max-tasks N]
+//!           [--no-minimize]
 //! ```
 //!
 //! * `--seed N` replays exactly one seed (the reproduction command every
@@ -23,8 +24,11 @@
 //!   the corpus format (for pinning cases into `corpus/`).
 //! * `--smoke` is the CI mode: a fixed seed window sized to finish well
 //!   inside a minute, plus the corpus replay.
-//! * every failure line contains the master seed, so any report is
-//!   reproducible with `fuzz-diff --seed N`.
+//! * `--max-tasks N` sets the generator's bound on tasks per epoch
+//!   (default 10, which the corpus' seed → case mapping depends on); only
+//!   epochs of dozens of tasks make SPECCROSS chunk its worker protocol.
+//! * every failure line prints the command that reproduces it
+//!   (`fuzz-diff --seed N --max-tasks M`).
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -47,12 +51,18 @@ struct Args {
     /// directory; CI points it at an artifact-upload path instead).
     out: Option<PathBuf>,
     fault_percent: u64,
+    max_tasks: u64,
     minimize: bool,
 }
 
 impl Args {
     fn out_dir(&self) -> &PathBuf {
         self.out.as_ref().unwrap_or(&self.corpus)
+    }
+
+    /// The command that regenerates and reruns the case of `seed`.
+    fn repro(&self, seed: u64) -> String {
+        format!("fuzz-diff --seed {seed} --max-tasks {}", self.max_tasks)
     }
 }
 
@@ -66,6 +76,7 @@ fn parse_args() -> Result<Args, String> {
         corpus: PathBuf::from("corpus"),
         out: None,
         fault_percent: 50,
+        max_tasks: GenParams::default().max_tasks,
         minimize: true,
     };
     let mut it = std::env::args().skip(1);
@@ -98,12 +109,20 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--fault-percent: {e}"))?
             }
+            "--max-tasks" => {
+                args.max_tasks = value("--max-tasks")?
+                    .parse()
+                    .map_err(|e| format!("--max-tasks: {e}"))?
+            }
             "--no-minimize" => args.minimize = false,
             other => return Err(format!("unknown argument {other}")),
         }
     }
     if args.fault_percent > 100 {
         return Err("--fault-percent must be 0..=100".into());
+    }
+    if !(1..=4096).contains(&args.max_tasks) {
+        return Err("--max-tasks must be 1..=4096".into());
     }
     if args.smoke {
         args.cases = args.cases.min(120);
@@ -122,7 +141,8 @@ fn run_one(case: &FuzzCase, args: &Args, origin: &str) -> bool {
         "FAIL seed {} ({origin}): path {} diverged: {}",
         case.seed, div.path, div.detail
     );
-    eprintln!("     reproduce with: fuzz-diff --seed {}", case.seed);
+    let repro = args.repro(case.seed);
+    eprintln!("     reproduce with: {repro}");
     let written = if args.minimize {
         eprintln!("     minimizing (seed {})...", case.seed);
         minimize(case)
@@ -130,8 +150,8 @@ fn run_one(case: &FuzzCase, args: &Args, origin: &str) -> bool {
         case.clone()
     };
     let detail = format!(
-        "divergence on path {}: {}\nfound by fuzz-diff ({origin}); reproduce: fuzz-diff --seed {}",
-        div.path, div.detail, case.seed
+        "divergence on path {}: {}\nfound by fuzz-diff ({origin}); reproduce: {repro}",
+        div.path, div.detail
     );
     match write_counterexample(args.out_dir(), &written, &detail) {
         Ok(path) => eprintln!("     counterexample written to {}", path.display()),
@@ -172,13 +192,14 @@ fn main() -> ExitCode {
             eprintln!("fuzz-diff: {e}");
             eprintln!(
                 "usage: fuzz-diff [--cases N] [--start SEED] [--seed SEED] [--smoke] \
-                 [--corpus DIR] [--fault-percent P] [--no-minimize]"
+                 [--corpus DIR] [--fault-percent P] [--max-tasks N] [--no-minimize]"
             );
             return ExitCode::from(2);
         }
     };
     let params = GenParams {
         fault_percent: args.fault_percent,
+        max_tasks: args.max_tasks,
         ..GenParams::default()
     };
     let t0 = Instant::now();
@@ -296,8 +317,10 @@ fn run_pair(a: &FuzzCase, b: &FuzzCase, args: &Args) -> bool {
         a.seed, b.seed, div.path, div.detail
     );
     eprintln!(
-        "     reproduce solo with: fuzz-diff --seed {} (shared-pool pairing: seeds {} + {})",
-        offender.seed, a.seed, b.seed
+        "     reproduce solo with: {} (shared-pool pairing: seeds {} + {})",
+        args.repro(offender.seed),
+        a.seed,
+        b.seed
     );
     let detail = format!(
         "divergence on path {}: {}\nfound by fuzz-diff (concurrent pair, seeds {} + {})",

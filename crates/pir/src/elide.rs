@@ -3,11 +3,13 @@
 //! The SPECCROSS checker compares the access signatures of tasks that ran
 //! on *different workers* in *different epochs* (docs/CHECKER.md). Both
 //! facts are static properties of the Fig. 4.9 codegen: task `τ` of every
-//! epoch runs on worker `τ mod W`, and an epoch is `outer_iter ×
-//! num_loops + loop_ordinal`. This module exploits them to prove, per
-//! inner loop, that *no compared pair of tasks can ever touch the same
-//! cell* — in which case the loop's tasks need no signatures and no
-//! checker admission at all (the engine's "elided" fast path).
+//! epoch runs on worker `(τ / K) mod W` for one region-wide chunk length
+//! `K` (the engine's block-cyclic map; the thesis' `τ mod W` is `K = 1`),
+//! and an epoch is `outer_iter × num_loops + loop_ordinal`. This module
+//! exploits them to prove, per inner loop, that *no compared pair of tasks
+//! can ever touch the same cell* — in which case the loop's tasks need no
+//! signatures and no checker admission at all (the engine's "elided" fast
+//! path).
 //!
 //! For every watched-array access of every region loop we try to resolve
 //! the index to the affine form
@@ -36,7 +38,8 @@
 //! ```
 //!
 //! has a solution with `Δτ ∈ [1−T₂, T₁−1] \ {0}` (compared tasks run on
-//! different workers, so `τ₁ ≢ τ₂ (mod W)`, hence `τ₁ ≠ τ₂`) and, for two
+//! different workers, and equal task numbers share a worker whatever the
+//! epoch, hence `τ₁ ≠ τ₂`) and, for two
 //! accesses of the *same* loop, `Δo ≠ 0` (same-loop tasks share an epoch
 //! unless the outer iteration differs; same-epoch pairs are DOALL-verified
 //! independent and never checked). If no such solution exists for any pair

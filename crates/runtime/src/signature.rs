@@ -63,6 +63,17 @@ pub trait AccessSignature: Clone + Send + std::fmt::Debug + 'static {
     /// disjoint from each member individually.
     fn merge(&mut self, other: &Self);
 
+    /// Whether [`merge`](AccessSignature::merge)-ing `other` into `self`
+    /// would be *exact*: for every signature `q`, the union conflicts with
+    /// `q` only if `self` or `other` does (the converse is `merge`'s own
+    /// contract). SPECCROSS folds consecutive tasks' signatures into one
+    /// check request only while this holds. The default, `false`, is always
+    /// sound: nothing is ever folded.
+    fn merge_is_exact(&self, other: &Self) -> bool {
+        let _ = other;
+        false
+    }
+
     /// Resets to the empty signature, retaining any allocation.
     fn clear(&mut self) {
         *self = Self::empty();
@@ -124,6 +135,15 @@ impl RangeSignature {
 
 fn ranges_overlap(a_min: usize, a_max: usize, b_min: usize, b_max: usize) -> bool {
     a_min <= b_max && b_min <= a_max
+}
+
+/// Whether the hull of two inclusive ranges is exactly their union: they
+/// overlap or are adjacent, or one of them is absent.
+fn ranges_join(a: Option<(usize, usize)>, b: Option<(usize, usize)>) -> bool {
+    let (Some((a_min, a_max)), Some((b_min, b_max))) = (a, b) else {
+        return true;
+    };
+    a_min <= b_max.saturating_add(1) && b_min <= a_max.saturating_add(1)
 }
 
 impl AccessSignature for RangeSignature {
@@ -188,6 +208,12 @@ impl AccessSignature for RangeSignature {
         self.read_max = self.read_max.max(other.read_max);
         self.write_min = self.write_min.min(other.write_min);
         self.write_max = self.write_max.max(other.write_max);
+    }
+
+    fn merge_is_exact(&self, other: &Self) -> bool {
+        // `merge` takes each kind's hull.
+        ranges_join(self.read_range(), other.read_range())
+            && ranges_join(self.write_range(), other.write_range())
     }
 
     fn addr_span(&self) -> Option<(usize, usize)> {
@@ -281,6 +307,11 @@ impl AccessSignature for BloomSignature {
         }
         self.addr_min = self.addr_min.min(other.addr_min);
         self.addr_max = self.addr_max.max(other.addr_max);
+    }
+
+    fn merge_is_exact(&self, _other: &Self) -> bool {
+        // A bit of the OR is a bit of an operand.
+        true
     }
 
     fn clear(&mut self) {

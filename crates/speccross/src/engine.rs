@@ -4,8 +4,14 @@
 //! [`SpecConfig::checker_shards`] checker threads (one by default), the
 //! admission work interleaved over them by address (see [`crate::shard`]).
 //! Workers execute epochs back-to-back, crossing barrier boundaries
-//! speculatively; each task's signature and start-time position snapshot go
-//! to every checker shard its address span touches — buffered locally and
+//! speculatively. An epoch's tasks are dealt block-cyclically in *chunks*
+//! of K consecutive tasks ([`crate::chunk`]; K follows from the region's
+//! shape and is 1 — the thesis' per-iteration protocol — for small epochs
+//! and short speculative ranges), and the worker protocol runs once per
+//! chunk: one frontier publish, one gate on the chunk's last task, one
+//! position snapshot, one position advance. The chunk's signatures, folded
+//! into maximal exact runs, go with that start-time snapshot
+//! to every checker shard their address span touches — buffered locally and
 //! published to a per-(worker, shard) SPSC ring in batches, so each checker
 //! admits requests in bursts against its own epoch-bucketed log of
 //! [`crate::check`] instead of waking once per task. A straddling task is
@@ -69,6 +75,7 @@ use crossinvoc_runtime::trace::{
 use crossinvoc_runtime::{SpinBarrier, ThreadId};
 
 use crate::check::{CheckerState, Conflict};
+use crate::chunk::{self, ExactRuns};
 use crate::position::{Position, PositionBoard};
 use crate::profile::{DistanceProfiler, ProfileReport};
 use crate::shard::ShardMap;
@@ -410,19 +417,24 @@ enum SnapshotBuf {
 }
 
 impl SnapshotBuf {
-    /// Where every worker is as worker `tid` starts its task at `pos`
-    /// (`collect_other_threads()` of Fig. 4.7); slot `tid` holds `pos`.
-    fn at_start(board: &PositionBoard, tid: ThreadId, pos: Position) -> Self {
+    /// Where every worker is as a chunk of tasks starts
+    /// (`collect_other_threads()` of Fig. 4.7).
+    fn at_start(board: &PositionBoard) -> Self {
         let workers = board.num_workers();
         if workers > INLINE_SNAPSHOT {
-            let mut slots = board.snapshot();
-            slots[tid] = pos;
-            return SnapshotBuf::Spilled(slots);
+            return SnapshotBuf::Spilled(board.snapshot());
         }
         let mut slots = [Position::ZERO; INLINE_SNAPSHOT];
         board.snapshot_into(&mut slots[..workers]);
-        slots[tid] = pos;
         SnapshotBuf::Inline(slots)
+    }
+
+    /// Sets slot `tid`, which a message reads as its own position.
+    fn stamp(&mut self, tid: ThreadId, pos: Position) {
+        match self {
+            SnapshotBuf::Inline(slots) => slots[tid] = pos,
+            SnapshotBuf::Spilled(slots) => slots[tid] = pos,
+        }
     }
 
     fn positions(&self, workers: usize) -> &[Position] {
@@ -433,10 +445,11 @@ impl SnapshotBuf {
     }
 }
 
-/// What a worker puts on a check ring per task: a
+/// What a worker puts on a check ring per exact run of a chunk (per task
+/// when chunks are one task long): a
 /// [`CheckRequest`](crate::check::CheckRequest) cut down to what the ring
 /// does not already say — the worker is the ring's only producer, and the
-/// task's position is the worker's own slot of the snapshot. With the
+/// request's position is the worker's own slot of the snapshot. With the
 /// snapshot inline the hand-off allocates on neither thread (a boxed
 /// snapshot was `malloc`ed by the worker and freed by the checker, and that
 /// cross-thread `free` was the dearest part of the path).
@@ -449,8 +462,8 @@ struct CheckMsg<S> {
 /// A worker's task and check-request counts since its last fold. Counting
 /// here keeps the per-task path off the `RegionStats` line every thread of
 /// the region writes; the counts are folded in at each epoch boundary — and
-/// on drop, so every way out of `worker_pass` (completion, abort, unwind)
-/// leaves the region's counters exact.
+/// on drop, so every way out of a worker's loop, speculative or barrier
+/// (completion, abort, timeout, unwind), leaves the region's counters exact.
 struct Tally<'a> {
     stats: &'a RegionStats,
     tasks: u64,
@@ -684,6 +697,8 @@ struct PassShared<St> {
     deadline: Option<Instant>,
     /// Global task index of the first task of each epoch (prefix sums).
     prefix: Vec<u64>,
+    /// Tasks per chunk ([`chunk::chunk_len`] of the whole region).
+    chunk: usize,
 }
 
 impl<St> PassShared<St> {
@@ -715,9 +730,9 @@ impl<St> PassShared<St> {
 ///
 /// // 6 epochs of 8 independent tasks; task t of each epoch bumps cell t.
 /// // No cross-epoch task ever touches a *different* cell, so the only
-/// // cross-invocation dependences are per-cell chains — and distributing
-/// // tasks round-robin keeps each chain on one worker: speculation never
-/// // misses.
+/// // cross-invocation dependences are per-cell chains — and dealing every
+/// // epoch's tasks to the workers by the same block-cyclic map keeps each
+/// // chain on one worker: speculation never misses.
 /// struct Steps {
 ///     data: SharedSlice<u64>,
 /// }
@@ -1217,6 +1232,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
             fault: fault.share(),
             deadline,
             prefix,
+            chunk: chunk::chunk_len(acc, num_epochs, num_workers, self.config.spec_distance),
         };
         stats.add_checkpoint();
         let mut pass_sink = collector.sink(MANAGER_TID);
@@ -1472,6 +1488,39 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         let mut batches: Vec<Vec<CheckMsg<S>>> = (0..shard_map.shards())
             .map(|_| Vec::with_capacity(CHECK_BATCH))
             .collect();
+        let mut runs = ExactRuns::<S>::default();
+        // exit_task: buffers one check request — an exact run of a chunk's
+        // signatures at task number `at`, with the chunk-start snapshot —
+        // for its checker shard(s); a full buffer is published to that
+        // shard's ring as one batch. Straddling signatures fan out whole to
+        // every shard their span touches (the merge rule: all must admit).
+        // `false` if the pass aborted mid-flush.
+        let ship = |batches: &mut [Vec<CheckMsg<S>>],
+                    tally: &mut Tally<'_>,
+                    mut snapshot: SnapshotBuf,
+                    epoch: usize,
+                    (at, sig): (u32, S)| {
+            tally.check_requests += 1;
+            snapshot.stamp(
+                tid,
+                Position {
+                    epoch: epoch as u32,
+                    task: at,
+                },
+            );
+            let set = shard_map.shards_for_span(sig.addr_span());
+            let msg = CheckMsg { snapshot, sig };
+            let mut enqueue = |shard: usize, msg| {
+                let batch = &mut batches[shard];
+                batch.push(msg);
+                batch.len() < CHECK_BATCH || Self::flush_checks(shared, &check_txs[shard], batch)
+            };
+            // The first touched shard takes the original; only genuine
+            // straddlers pay for clones.
+            let mut touched = set.iter();
+            let first = touched.next().expect("every span touches a shard");
+            touched.all(|shard| enqueue(shard, msg.clone())) && enqueue(first, msg)
+        };
 
         for epoch in start_epoch..num_epochs {
             if shared.misspec.load(Ordering::Acquire) {
@@ -1503,11 +1552,11 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
             }
 
             let ntasks = workload.num_tasks(epoch);
+            let share = chunk::share(ntasks, shared.chunk, num_workers, tid);
             if irreversible {
                 // Runs between two full synchronizations: plain parallel
                 // execution, no signatures, then checkpoint.
-                let mut task = tid;
-                while task < ntasks {
+                for task in share.flatten() {
                     sink.emit(Event::TaskDispatch {
                         epoch: epoch as u32,
                         task: task as u64,
@@ -1528,7 +1577,6 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                         epoch: epoch as u32,
                         task: task as u64,
                     });
-                    task += num_workers;
                 }
                 tally.fold();
                 if !self.checkpoint_rendezvous(workload, shared, tid, epoch + 1, metrics, sink) {
@@ -1549,21 +1597,25 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
             let mut elided_tasks = 0u64;
             let mut elided_accesses = 0u64;
 
-            let mut task = tid;
+            // Tasks of this epoch started so far (the position's task number).
             let mut local_counter = 0u32;
-            while task < ntasks {
-                let global = shared.prefix[epoch] + task as u64;
-                // enter_task: publish the frontier, then gate on the
-                // speculative range.
-                shared.board.set_frontier(tid, global);
+            for tasks in share {
+                // enter_task, once per chunk: publish the frontier (the
+                // chunk's first task, this worker's smallest unfinished one),
+                // then gate the chunk's *last* task on the speculative range,
+                // which puts every task of the chunk inside it.
+                shared
+                    .board
+                    .set_frontier(tid, shared.prefix[epoch] + tasks.start as u64);
                 if let Some(distance) = self.config.spec_distance {
+                    let last = shared.prefix[epoch] + tasks.end as u64 - 1;
                     let mut stalled_at: Option<Instant> = None;
                     let backoff = Backoff::new();
                     while let Some(min) = shared.board.min_other_frontier(tid) {
                         // Strict: any still-unfinished task g1 satisfies
-                        // g1 >= min, so global - g1 < distance — closer than
+                        // g1 >= min, so last - g1 < distance — closer than
                         // the closest profiled dependence, hence safe.
-                        if global < min.saturating_add(distance) {
+                        if last < min.saturating_add(distance) {
                             break;
                         }
                         if shared.misspec.load(Ordering::Acquire) {
@@ -1587,22 +1639,28 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                         metrics.record_stall_wait(since.elapsed().as_nanos() as u64);
                     }
                 }
-                if shared.misspec.load(Ordering::Acquire) {
-                    return;
-                }
+                // Positions count tasks but move at chunk boundaries only,
+                // and the whole chunk shares one start-time snapshot: both
+                // can make a peer look less retired than it was when a task
+                // began — more pairs compared — and never more.
                 let pos = Position {
                     epoch: epoch as u32,
                     task: local_counter,
                 };
                 shared.board.set_position(tid, pos);
+                let snapshot = (!proven).then(|| SnapshotBuf::at_start(&shared.board));
 
-                sink.emit(Event::TaskDispatch {
-                    epoch: epoch as u32,
-                    task: task as u64,
-                });
-                if proven {
-                    if !self.contained_task(workload, shared, epoch, task, tid, &mut counting, sink)
-                    {
+                for task in tasks.clone() {
+                    if shared.misspec.load(Ordering::Acquire) {
+                        return;
+                    }
+                    sink.emit(Event::TaskDispatch {
+                        epoch: epoch as u32,
+                        task: task as u64,
+                    });
+                    let rec: &mut dyn crate::workload::AccessRecorder =
+                        if proven { &mut counting } else { &mut recorder };
+                    if !self.contained_task(workload, shared, epoch, task, tid, rec, sink) {
                         return;
                     }
                     tally.tasks += 1;
@@ -1610,62 +1668,38 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                         epoch: epoch as u32,
                         task: task as u64,
                     });
-                    // exit_task (elided): the static proof stands in for the
-                    // admission this task would otherwise have queued.
-                    let accesses = counting.take();
-                    if accesses > 0 {
-                        stats.add_elided_signature();
-                        stats.add_elided_admit();
-                        stats.add_proven_accesses(accesses);
-                        elided_tasks += 1;
-                        elided_accesses += accesses;
-                    }
-                } else {
-                    let snapshot = SnapshotBuf::at_start(&shared.board, tid, pos);
-                    if !self.contained_task(workload, shared, epoch, task, tid, &mut recorder, sink)
-                    {
-                        return;
-                    }
-                    tally.tasks += 1;
-                    sink.emit(Event::TaskRetire {
-                        epoch: epoch as u32,
-                        task: task as u64,
-                    });
-
-                    // exit_task: buffer the signature for its checker shard(s);
-                    // a full buffer is published to that shard's ring as one
-                    // batch. Straddling signatures fan out whole to every shard
-                    // their span touches (the merge rule: all must admit).
-                    let sig = recorder.take();
-                    if !sig.is_empty() {
-                        tally.check_requests += 1;
-                        let set = shard_map.shards_for_span(sig.addr_span());
-                        let msg = CheckMsg { snapshot, sig };
-                        let mut enqueue = |shard: usize, msg| {
-                            let batch = &mut batches[shard];
-                            batch.push(msg);
-                            batch.len() < CHECK_BATCH
-                                || Self::flush_checks(shared, &check_txs[shard], batch)
-                        };
-                        // The first touched shard takes the original; only
-                        // genuine straddlers pay for clones.
-                        let mut touched = set.iter();
-                        let first = touched.next().expect("every span touches a shard");
-                        for shard in touched {
-                            if !enqueue(shard, msg.clone()) {
-                                return;
-                            }
+                    let Some(snapshot) = &snapshot else {
+                        // exit_task (elided): the static proof stands in for
+                        // the admission this task would otherwise have queued.
+                        let accesses = counting.take();
+                        if accesses > 0 {
+                            stats.add_elided_signature();
+                            stats.add_elided_admit();
+                            stats.add_proven_accesses(accesses);
+                            elided_tasks += 1;
+                            elided_accesses += accesses;
                         }
-                        if !enqueue(first, msg) {
+                        continue;
+                    };
+                    // exit_task: a signature that cannot join the chunk's
+                    // open run exactly ships it and opens the next.
+                    let at = local_counter + (task - tasks.start) as u32;
+                    if let Some(run) = runs.push(at, recorder.take()) {
+                        if !ship(&mut batches, &mut tally, snapshot.clone(), epoch, run) {
                             return;
                         }
                     }
                 }
-                local_counter += 1;
-                // Advance the position past the completed task so that
+                if let (Some(snapshot), Some(run)) = (snapshot, runs.finish()) {
+                    if !ship(&mut batches, &mut tally, snapshot, epoch, run) {
+                        return;
+                    }
+                }
+                // Advance the position past the completed chunk so that
                 // later-starting tasks' snapshots observe it as retired;
                 // leaving it at the started coordinate would make every
                 // finished-but-idle worker look like a racing overlap.
+                local_counter += tasks.len() as u32;
                 shared.board.set_position(
                     tid,
                     Position {
@@ -1673,7 +1707,6 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                         task: local_counter,
                     },
                 );
-                task += num_workers;
             }
             // Epoch boundary: fold the local counts, and drain the local
             // buffers so the rendezvous / completion invariants hold (every
@@ -2031,6 +2064,13 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         }
         let stats = metrics.stats();
         let num_workers = self.config.num_workers;
+        // Same region, same configuration: the speculative passes' map.
+        let chunk = chunk::chunk_len(
+            workload.total_tasks(),
+            workload.num_epochs(),
+            num_workers,
+            self.config.spec_distance,
+        );
         let barrier = SpinBarrier::new(num_workers);
         let abort = AtomicBool::new(false);
         let failure: Mutex<Option<SpecError>> = Mutex::new(None);
@@ -2048,6 +2088,11 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                 let (barrier, abort, fail, fault) = (&barrier, &abort, &fail, fault);
                 roles.push(Box::new(move || {
                     let mut sink = collector.sink(tid);
+                    let mut tally = Tally {
+                        stats,
+                        tasks: 0,
+                        check_requests: 0,
+                    };
                     for epoch in from..to {
                         if tid == 0 {
                             stats.add_epoch();
@@ -2056,8 +2101,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                             });
                         }
                         let ntasks = workload.num_tasks(epoch);
-                        let mut task = tid;
-                        while task < ntasks {
+                        for task in chunk::share(ntasks, chunk, num_workers, tid).flatten() {
                             if abort.load(Ordering::Acquire) {
                                 collector.absorb(sink);
                                 return;
@@ -2094,13 +2138,13 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                                 collector.absorb(sink);
                                 return;
                             }
-                            stats.add_task();
+                            tally.tasks += 1;
                             sink.emit(Event::TaskRetire {
                                 epoch: epoch as u32,
                                 task: task as u64,
                             });
-                            task += num_workers;
                         }
+                        tally.fold();
                         sink.emit(Event::BarrierEnter {
                             epoch: epoch as u32,
                         });

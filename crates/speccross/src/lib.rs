@@ -18,6 +18,8 @@
 //!   (Figs. 4.7–4.8).
 //! * [`shard`] — address-interleaved partitioning of the checker and the
 //!   merge rule for tasks whose signatures straddle shards.
+//! * [`chunk`] — the pure rules of chunked speculation: chunk length,
+//!   block-cyclic shares, exact signature runs.
 //! * [`profile`] — minimum dependence-distance profiling (§4.4).
 //! * [`workload`] — the [`workload::SpecWorkload`] contract: epochs, tasks,
 //!   `spec_access` instrumentation, checkpointable state.
@@ -50,6 +52,7 @@
 #![deny(rustdoc::broken_intra_doc_links)]
 
 pub mod check;
+pub mod chunk;
 pub mod engine;
 pub mod position;
 pub mod profile;

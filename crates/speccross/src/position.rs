@@ -84,6 +84,9 @@ impl PositionBoard {
     /// speculative-range gate, so the globally slowest worker is always
     /// visible to leaders (this is what makes the gate deadlock-free: the
     /// minimum-frontier worker never waits on anyone).
+    /// `Release`, pairing with the `Acquire` load in
+    /// [`PositionBoard::global_task`]: a worker that passes its gate on this
+    /// frontier has synchronised with every task `tid` finished below it.
     pub fn set_frontier(&self, tid: usize, global_task: u64) {
         self.global_tasks[tid].store(global_task, Ordering::Release);
     }
@@ -99,9 +102,13 @@ impl PositionBoard {
         Position::unpack(self.positions[tid].load(Ordering::Acquire))
     }
 
-    /// Reads worker `tid`'s current global task index.
+    /// Reads worker `tid`'s current frontier. `Acquire`, pairing with
+    /// [`PositionBoard::set_frontier`]: for a dependence whose source and
+    /// sink are at least the speculative range apart — exactly the pairs the
+    /// checker is entitled never to compare — the gate is the *only*
+    /// happens-before edge between the two workers.
     pub fn global_task(&self, tid: usize) -> u64 {
-        self.global_tasks[tid].load(Ordering::Relaxed)
+        self.global_tasks[tid].load(Ordering::Acquire)
     }
 
     /// Snapshot of every worker's position (the `collect_other_threads()` of
@@ -127,7 +134,9 @@ impl PositionBoard {
         }
     }
 
-    /// Minimum frontier over all workers except `exclude`.
+    /// Minimum frontier over all workers except `exclude`, each read with
+    /// `Acquire` (see [`PositionBoard::global_task`]): the tasks below
+    /// every frontier read happen before whatever the gate lets through.
     ///
     /// With a single worker there are no others, so `None` is returned and
     /// the caller should not gate.

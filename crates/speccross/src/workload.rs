@@ -113,10 +113,13 @@ pub trait SpecWorkload: Sync {
 
     /// Executes one task, reporting speculative accesses to `recorder`.
     ///
-    /// `tid` identifies the executing worker (tasks are distributed
-    /// round-robin: worker `t` runs tasks `t, t+W, t+2W, …` of each epoch,
-    /// matching the `for (i = threadID; i < M; i += THREADNUM)` codegen of
-    /// Fig. 4.9).
+    /// `tid` identifies the executing worker. Tasks are dealt
+    /// block-cyclically: task `t` of every epoch runs on worker
+    /// `(t / K) % W`, in increasing `t` on each worker, with one chunk
+    /// length `K` for the whole region ([`crate::chunk::chunk_len`]) — so a
+    /// given task index stays on one worker from epoch to epoch, in
+    /// speculative, irreversible and barrier execution alike. `K = 1` is
+    /// the `for (i = threadID; i < M; i += THREADNUM)` codegen of Fig. 4.9.
     fn execute_task(
         &self,
         epoch: usize,

@@ -311,7 +311,9 @@ fn check_requests_are_counted() {
     )
     .execute(&w)
     .unwrap();
-    // Every task records accesses, so every task files a request.
+    // Every task records accesses, so every task files a request: eight
+    // tasks per epoch on two workers is below the chunking threshold, and a
+    // chunk of one task is the per-iteration protocol.
     assert_eq!(report.stats.check_requests, 8 * 5);
 }
 
@@ -350,9 +352,14 @@ fn sharded_checker_matches_sequential_when_gated() {
         );
         assert_eq!(w.result(), PingPong::sequential(32, 10));
         assert_eq!(report.stats.tasks, 32 * 10);
-        // Every task files exactly one check request regardless of how many
-        // shards its span fans out to.
-        assert_eq!(report.stats.check_requests, 32 * 10);
+        // 32-task epochs on three workers run in chunks of two, and a chunk
+        // files between one request (its signatures fold) and one per task —
+        // counted once regardless of how many shards its span fans out to.
+        assert!(
+            (16 * 10..=32 * 10).contains(&report.stats.check_requests),
+            "{} check requests",
+            report.stats.check_requests
+        );
     }
 }
 
@@ -444,7 +451,7 @@ fn invalid_shard_counts_are_rejected() {
 
 /// Per-epoch address clusters with a same-index chain across epochs: epoch e
 /// task t writes cell `e*tasks + t`, reading its own cell from epoch e-1.
-/// The chain stays on one worker under round-robin distribution, so the
+/// The chain stays on one worker — every epoch is dealt by the same map — so the
 /// `pir::elide` analysis would prove every access — modelled here by the
 /// `proven` mask.
 struct ClusteredChain {
@@ -605,4 +612,150 @@ fn single_worker_speculation_is_trivially_sound() {
             .unwrap();
     assert_eq!(w.result(), PingPong::sequential(8, 5));
     assert_eq!(report.stats.misspeculations, 0, "one worker cannot race");
+}
+
+/// Recovery on chunked regions: 256-task epochs run in chunks of 32 on two
+/// workers and of 21 on three (`chunk::chunk_len`; the stencil's profiled
+/// distance, 255, is no tighter).
+mod chunked {
+    use std::time::{Duration, Instant};
+
+    use super::*;
+    use crossinvoc_runtime::RangeSignature;
+    use crossinvoc_speccross::ContainedFault;
+
+    const N: usize = 256;
+
+    fn distance() -> Option<u64> {
+        SpecCrossEngine::<RangeSignature>::profile(&PingPong::new(N, 4), 4).min_distance
+    }
+
+    fn engine(config: SpecConfig) -> SpecCrossEngine {
+        SpecCrossEngine::<RangeSignature>::new(config.watchdog(Duration::from_secs(30)))
+    }
+
+    #[test]
+    fn gated_chunks_fold_their_requests_and_never_roll_back() {
+        assert_eq!(distance(), Some(N as u64 - 1));
+        for (workers, chunk) in [(1, 32), (2, 32), (3, 21)] {
+            let mut w = PingPong::new(N, 10);
+            let report = engine(SpecConfig::with_workers(workers).spec_distance(distance()))
+                .execute(&w)
+                .unwrap();
+            assert_eq!(report.stats.misspeculations, 0, "{workers} workers");
+            assert_eq!(w.result(), PingPong::sequential(N, 10));
+            assert_eq!(report.stats.tasks, (N * 10) as u64);
+            // Neighbouring stencil tasks touch neighbouring cells, so every
+            // chunk is one exact run: one request per chunk.
+            let chunks = N.div_ceil(chunk) * 10;
+            assert_eq!(
+                report.stats.check_requests, chunks as u64,
+                "{workers} workers"
+            );
+        }
+    }
+
+    #[test]
+    fn an_ungated_race_inside_chunks_is_detected_and_recovered() {
+        for workers in [2, 3] {
+            // Task 40 is mid-chunk on worker 1 either way; asleep
+            // there, it leaves epoch 1 unfinished while the ungated others
+            // run on through the epochs that read what it has yet to write.
+            let mut w = PingPong::new(N, 8);
+            let report = engine(
+                SpecConfig::with_workers(workers)
+                    .fault_plan(FaultPlan::default().delay_at(1, 40, 20_000)),
+            )
+            .execute(&w)
+            .unwrap();
+            assert!(report.stats.misspeculations >= 1, "{workers} workers");
+            assert_eq!(w.result(), PingPong::sequential(N, 8), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn an_injected_false_positive_recovers_exactly_once() {
+        for workers in [2, 3] {
+            let mut w = PingPong::new(N, 9);
+            let report = engine(
+                SpecConfig::with_workers(workers)
+                    .spec_distance(distance())
+                    .fault_plan(FaultPlan::default().false_positive_at(4)),
+            )
+            .execute(&w)
+            .unwrap();
+            assert_eq!(report.stats.misspeculations, 1, "{workers} workers");
+            assert_eq!(report.conflicts.len(), 1);
+            assert_eq!(w.result(), PingPong::sequential(N, 9));
+        }
+    }
+
+    #[test]
+    fn a_panic_mid_chunk_is_contained_and_blames_its_own_task() {
+        for workers in [2, 3] {
+            let mut w = PingPong::new(N, 6);
+            let report = engine(
+                SpecConfig::with_workers(workers)
+                    .spec_distance(distance())
+                    .fault_plan(FaultPlan::default().worker_panic_at(2, 40)),
+            )
+            .execute(&w)
+            .unwrap();
+            assert_eq!(
+                report.contained_faults,
+                [ContainedFault::WorkerPanic { epoch: 2, task: 40 }],
+                "{workers} workers"
+            );
+            assert_eq!(w.result(), PingPong::sequential(N, 6));
+        }
+    }
+
+    /// One worker, the checker dying on the first request of the last
+    /// epoch: the worker's last flush counted that epoch's eight chunk
+    /// requests as sent, none was admitted, and exactly those are stranded.
+    #[test]
+    fn checker_death_strands_exactly_the_unadmitted_chunk_requests() {
+        let err = engine(
+            SpecConfig::with_workers(1).fault_plan(FaultPlan::default().checker_death_at(5)),
+        )
+        .execute(&PingPong::new(N, 6))
+        .unwrap_err();
+        assert_eq!(err, SpecError::CheckerFailed { unprocessed: 8 });
+    }
+
+    #[test]
+    fn checker_death_degrades_chunked_regions_to_barriers() {
+        for workers in [2, 3] {
+            let mut w = PingPong::new(N, 6);
+            let report = engine(
+                SpecConfig::with_workers(workers)
+                    .spec_distance(distance())
+                    .degrade(DegradePolicy::default())
+                    .fault_plan(FaultPlan::default().checker_death_at(3)),
+            )
+            .execute(&w)
+            .unwrap();
+            assert!(report.degraded, "{workers} workers");
+            assert_eq!(w.result(), PingPong::sequential(N, 6));
+        }
+    }
+
+    /// Worker 1 sleeps in epoch 1 far past the deadline; worker 0 runs on
+    /// until its next chunk's last task would be a whole speculative range
+    /// ahead and parks in the chunk gate. The region must end with the
+    /// watchdog's error as soon as the sleeper wakes, not hang in the gate.
+    #[test]
+    fn the_watchdog_fires_while_a_worker_waits_in_a_chunk_gate() {
+        let started = Instant::now();
+        let err = SpecCrossEngine::<RangeSignature>::new(
+            SpecConfig::with_workers(2)
+                .spec_distance(distance())
+                .fault_plan(FaultPlan::default().delay_at(1, 32, 400_000))
+                .watchdog(Duration::from_millis(100)),
+        )
+        .execute(&PingPong::new(N, 6))
+        .unwrap_err();
+        assert_eq!(err, SpecError::WatchdogTimeout);
+        assert!(started.elapsed() < Duration::from_secs(10));
+    }
 }

@@ -134,7 +134,10 @@ stage_gates() {
 # (CI uploads it as an artifact) and fails the run. The 2000-case window is
 # the one wide enough to put the checker's self-retiring log through every
 # shard count the generator draws (1-64) on the spec-shards / spec-elide
-# lanes.
+# lanes. The two --max-tasks 96 windows (one at the default fault mix, one
+# all-faults) are the ones whose epochs are long enough for SPECCROSS to run
+# chunks of several tasks at 2-4 workers: under the default bound of 10 tasks
+# nearly every generated region runs the per-iteration protocol.
 stage_fuzz() {
   build_bench
   run "$FUZZ_TIMEOUT" cargo run --release -q -p crossinvoc-bench --bin fuzz-diff -- \
@@ -143,6 +146,11 @@ stage_fuzz() {
     --smoke --start 100000 --fault-percent 100 --corpus corpus --out target/fuzz-corpus
   run "$FUZZ_TIMEOUT" cargo run --release -q -p crossinvoc-bench --bin fuzz-diff -- \
     --cases 2000 --corpus corpus --out target/fuzz-corpus
+  run "$FUZZ_TIMEOUT" cargo run --release -q -p crossinvoc-bench --bin fuzz-diff -- \
+    --max-tasks 96 --cases 1000 --corpus corpus --out target/fuzz-corpus
+  run "$FUZZ_TIMEOUT" cargo run --release -q -p crossinvoc-bench --bin fuzz-diff -- \
+    --start 100000 --fault-percent 100 --max-tasks 96 --cases 400 \
+    --corpus corpus --out target/fuzz-corpus
 }
 
 # Observability smoke: a traced figure run must produce traces that survive

@@ -28,25 +28,31 @@ fn all_domore_benchmarks_run_correctly_on_real_threads() {
 
 /// Every SPECCROSS benchmark executes on the real speculative engine,
 /// gated by its own profile, and reproduces the sequential checksum
-/// without misspeculation.
+/// without misspeculation — at every gang width, so under every chunk
+/// length the kernels' shapes produce (1 to 4 tasks at this scale): a
+/// chunk is gated as a whole and ships exact runs only, so neither its
+/// coarser timing nor its folded signatures may cost a gated kernel a
+/// rollback.
 #[test]
 fn all_speccross_benchmarks_run_correctly_on_real_threads() {
     for info in registry().into_iter().filter(|b| b.speccross) {
         let model = info.model(Scale::Test);
         let distance = profile_distance(model.as_ref(), 6).min_distance;
-        let kernel = AccessKernel::from_model(info.model(Scale::Test));
-        let expected = kernel.sequential_checksum();
-        let report = SpecCrossEngine::<RangeSignature>::new(
-            SpecConfig::with_workers(2).spec_distance(distance),
-        )
-        .execute(&kernel)
-        .unwrap_or_else(|e| panic!("{}: {e}", info.name));
-        assert_eq!(kernel.checksum(), expected, "{} diverged", info.name);
-        assert_eq!(
-            report.stats.misspeculations, 0,
-            "{} misspeculated despite profiling",
-            info.name
-        );
+        for workers in [2, 3, 4] {
+            let kernel = AccessKernel::from_model(info.model(Scale::Test));
+            let expected = kernel.sequential_checksum();
+            let report = SpecCrossEngine::<RangeSignature>::new(
+                SpecConfig::with_workers(workers).spec_distance(distance),
+            )
+            .execute(&kernel)
+            .unwrap_or_else(|e| panic!("{}: {e}", info.name));
+            assert_eq!(kernel.checksum(), expected, "{} diverged", info.name);
+            assert_eq!(
+                report.stats.misspeculations, 0,
+                "{} misspeculated on {workers} workers despite profiling",
+                info.name
+            );
+        }
     }
 }
 

@@ -45,6 +45,30 @@ fn exact_conflict(a: &[(usize, bool)], b: &[(usize, bool)]) -> bool {
         .any(|&(addr, aw)| b.iter().any(|&(baddr, bw)| addr == baddr && (aw || bw)))
 }
 
+/// Range merges are exact when, per access kind, the two intervals leave no
+/// address between them: adjacent intervals join, a gap of one does not, an
+/// absent side joins anything.
+#[test]
+fn range_merge_exactness_witnesses() {
+    let range = |list: &[(usize, bool)]| fill::<RangeSignature>(list);
+    let (r, w) = (false, true);
+    assert!(range(&[(4, w), (5, w)]).merge_is_exact(&range(&[(6, w)])));
+    assert!(range(&[(6, w)]).merge_is_exact(&range(&[(4, w), (5, w)])));
+    assert!(!range(&[(4, w), (5, w)]).merge_is_exact(&range(&[(7, w)])));
+    // The hull [4, 7] would cover 6, which neither member wrote.
+    let mut hull = range(&[(4, w), (5, w)]);
+    hull.merge(&range(&[(7, w)]));
+    assert!(hull.conflicts_with(&range(&[(6, r)])));
+    // Kinds are judged separately: the writes touch, the reads do not.
+    assert!(!range(&[(0, r), (4, w)]).merge_is_exact(&range(&[(2, r), (5, w)])));
+    // A side with no reads (or nothing at all) joins any reads.
+    assert!(range(&[(4, w)]).merge_is_exact(&range(&[(40, r), (5, w)])));
+    assert!(range(&[]).merge_is_exact(&range(&[(9, r), (30, w)])));
+    assert!(range(&[(9, r), (30, w)]).merge_is_exact(&range(&[])));
+    // OR-ing Bloom filters is always exact.
+    assert!(fill::<BloomSignature>(&[(1, w)]).merge_is_exact(&fill(&[(50, r)])));
+}
+
 proptest! {
     /// Signatures are conservative: a real conflict is never missed.
     #[test]
@@ -73,6 +97,32 @@ proptest! {
         prop_assert_eq!(ra.conflicts_with(&rb), rb.conflicts_with(&ra));
         let (ba, bb): (BloomSignature, BloomSignature) = (fill(&a), fill(&b));
         prop_assert_eq!(ba.conflicts_with(&bb), bb.conflicts_with(&ba));
+    }
+
+    /// Where a scheme calls a merge exact, the union conflicts with exactly
+    /// what a member conflicts with — the licence for folding consecutive
+    /// tasks of a chunk into one check request. Short lists over a narrow
+    /// space, so touching, gapped and one-sided pairs all come up.
+    #[test]
+    fn exact_merges_conflict_with_nothing_their_members_do_not(
+        a in prop::collection::vec((0usize..24, any::<bool>()), 0..3),
+        b in prop::collection::vec((0usize..24, any::<bool>()), 0..3),
+        q in prop::collection::vec((0usize..24, any::<bool>()), 0..3),
+    ) {
+        fn holds<S: AccessSignature>(a: &[(usize, bool)], b: &[(usize, bool)], q: &[(usize, bool)]) {
+            let (a, b, q): (S, S, S) = (fill(a), fill(b), fill(q));
+            if a.merge_is_exact(&b) {
+                let mut merged = a.clone();
+                merged.merge(&b);
+                assert_eq!(
+                    merged.conflicts_with(&q),
+                    a.conflicts_with(&q) || b.conflicts_with(&q),
+                    "{a:?} + {b:?} against {q:?}"
+                );
+            }
+        }
+        holds::<RangeSignature>(&a, &b, &q);
+        holds::<BloomSignature>(&a, &b, &q);
     }
 
     /// Scheduler conditions are well-formed: they reference strictly
