@@ -21,7 +21,7 @@ use crossinvoc_runtime::metrics::Metrics;
 use parking_lot::Mutex;
 
 use crate::policy::{Policy, RoundRobin};
-use crate::runtime::{DomoreError, ExecutionReport, ProgressBoard};
+use crate::runtime::{DomoreError, ExecutionReport, ProgressBoard, Tally};
 use crate::schedule::ScheduleCore;
 use crate::workload::DomoreWorkload;
 
@@ -126,6 +126,7 @@ impl DuplicatedScheduler {
                 let num_workers = self.num_workers;
                 scope.spawn(move || {
                     let stats = metrics.stats();
+                    let mut tally = Tally::new(stats);
                     // Contain the replicated scheduling loop: a panic in the
                     // prologue or oracle must not tear down the scope while
                     // peers spin on this worker's conditions.
@@ -153,8 +154,8 @@ impl DuplicatedScheduler {
                                     // iteration is still published so peers
                                     // blocked on it are released.
                                     if !abort.load(Ordering::Acquire) {
+                                        tally.sync_conditions += conds.len() as u64;
                                         for &cond in conds {
-                                            stats.add_sync_condition();
                                             if !board.satisfied(cond) {
                                                 stats.add_stall();
                                                 let entered = Instant::now();
@@ -172,7 +173,7 @@ impl DuplicatedScheduler {
                                             workload.execute_iteration(inv, iter, tid);
                                         }));
                                         match run {
-                                            Ok(()) => stats.add_task(),
+                                            Ok(()) => tally.tasks += 1,
                                             Err(_) => {
                                                 fail(DomoreError::IterationPanicked { inv, iter })
                                             }
@@ -181,6 +182,7 @@ impl DuplicatedScheduler {
                                     board.publish(tid, iter_num);
                                 },
                             );
+                            tally.fold();
                         }
                     }));
                     if body.is_err() {

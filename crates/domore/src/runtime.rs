@@ -9,6 +9,18 @@
 //! observed through the `latestFinished` status array), run the iteration,
 //! and publish their own progress.
 //!
+//! # Hand-off
+//!
+//! Run-length and batched, deciding nothing: a worker's condition-free
+//! iterations of one invocation at a common stride travel as one `Run`; a
+//! `Sync` closes a run. A buffer is flushed at `SCHED_BATCH` iterations,
+//! before a `Sync` naming its worker (ruling out deadlock) and at region
+//! end or abort — not per invocation. Workers take up to `SCHED_BATCH`
+//! messages per pickup and expand runs locally; abort/drain checks, the
+//! fault probe, `catch_unwind`, the `latestFinished` publish and trace
+//! events stay per iteration, since a condition may name any iteration of
+//! a run and a dead worker must release every one it drains.
+//!
 //! # Failure model
 //!
 //! An iteration that panics (organically or via an injected
@@ -50,7 +62,7 @@ use crossinvoc_runtime::fault::{FaultPlan, TaskFault};
 use crossinvoc_runtime::metrics::{Metrics, MetricsSummary};
 use crossinvoc_runtime::pool::{RegionExecutor, Role, ScopedExecutor};
 use crossinvoc_runtime::spsc::{Producer, Queue};
-use crossinvoc_runtime::stats::StatsSummary;
+use crossinvoc_runtime::stats::{RegionStats, StatsSummary};
 use crossinvoc_runtime::telemetry::RegionTelemetry;
 use crossinvoc_runtime::trace::{Event, Trace, TraceCollector, WakeEdge, MANAGER_TID};
 use crossinvoc_runtime::wait::{AdaptiveSpin, Parker, PARK_SLICE};
@@ -62,26 +74,141 @@ use crate::policy::{Dispatch, Policy, RoundRobin};
 use crate::schedule::ScheduleCore;
 use crate::workload::DomoreWorkload;
 
-/// Messages the scheduler buffers per worker before flushing them to the
-/// SPSC queue in one batched enqueue (single tail publication). See the
-/// flush-before-`Sync` invariant in [`DomoreRuntime::execute`].
+/// Iterations the scheduler buffers per worker before flushing them to the
+/// SPSC queue in one batched enqueue (single tail publication), and the
+/// most messages a worker takes per pickup.
 const SCHED_BATCH: usize = 32;
 
 /// Message from the scheduler to a worker.
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Msg {
     /// Wait for a predecessor iteration before proceeding. `inv` is the
     /// invocation the condition guards (trace/metrics attribution only).
     Sync { cond: SyncCondition, inv: u32 },
-    /// Execute iteration `iter` of invocation `inv` (combined number
-    /// `iter_num`). This doubles as the paper's `(NO_SYNC, iterNum)` token.
-    Run {
-        inv: usize,
-        iter: usize,
-        iter_num: IterNum,
-    },
+    /// Execute a run of iterations: the thesis' per-iteration `(NO_SYNC,
+    /// iterNum)` tokens, same numbers and order, in one message.
+    Run(Run),
     /// No more work (the paper's `END_TOKEN`).
     End,
+}
+
+/// Iterations `iter + k·stride` of invocation `inv`, numbered
+/// `iter_num + k·stride`, for `k < count`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    inv: u32,
+    count: u32,
+    iter: usize,
+    iter_num: IterNum,
+    stride: usize,
+}
+
+/// The scheduler's per-worker message buffers and their flush rule.
+///
+/// Invariant: before a `Sync` naming worker `d` is buffered for another
+/// worker, `d`'s buffer is flushed. By induction on enqueue order, every
+/// condition a worker can block on then names an iteration already in its
+/// owner's queue, so the region cannot deadlock on an unflushed dependency.
+struct Outbox {
+    pending: Vec<Vec<Msg>>,
+    /// Iterations (not messages) in each buffer.
+    iters: Vec<usize>,
+}
+
+impl Outbox {
+    fn new(num_workers: usize) -> Self {
+        Self {
+            pending: vec![Vec::new(); num_workers],
+            iters: vec![0; num_workers],
+        }
+    }
+
+    /// Buffers worker `tid`'s next iteration after its conditions, extending
+    /// the buffer's last message if that is a run of the same invocation on
+    /// whose stride it lands (the second iteration fixes the stride).
+    /// `flush(t, buf)` must send and empty worker `t`'s buffer.
+    fn push(
+        &mut self,
+        inv: usize,
+        iter: usize,
+        tid: ThreadId,
+        iter_num: IterNum,
+        conds: &[SyncCondition],
+        flush: &mut impl FnMut(ThreadId, &mut Vec<Msg>),
+    ) {
+        let inv = inv as u32;
+        for &cond in conds {
+            if cond.dep_tid != tid {
+                self.flush(cond.dep_tid, flush);
+            }
+            self.pending[tid].push(Msg::Sync { cond, inv });
+        }
+        // A `Sync` closes a run: it is the buffer's last message then.
+        match self.pending[tid].last_mut() {
+            Some(Msg::Run(run))
+                if run.inv == inv
+                    && (run.count == 1 || iter == run.iter + run.count as usize * run.stride) =>
+            {
+                run.stride = (iter - run.iter) / run.count as usize;
+                run.count += 1;
+            }
+            _ => self.pending[tid].push(Msg::Run(Run {
+                inv,
+                count: 1,
+                iter,
+                iter_num,
+                stride: 0,
+            })),
+        }
+        self.iters[tid] += 1;
+        if self.iters[tid] >= SCHED_BATCH {
+            self.flush(tid, flush);
+        }
+    }
+
+    /// Sends worker `tid`'s buffer if it holds anything.
+    fn flush(&mut self, tid: ThreadId, flush: &mut impl FnMut(ThreadId, &mut Vec<Msg>)) {
+        if !self.pending[tid].is_empty() {
+            flush(tid, &mut self.pending[tid]);
+            debug_assert!(self.pending[tid].is_empty());
+            self.iters[tid] = 0;
+        }
+    }
+}
+
+/// Counts kept off the `RegionStats` line all the region's threads write,
+/// folded per pickup or invocation (an empty fold writes nothing) and on
+/// drop, so every way out — completion, abort, unwind — counts exactly.
+pub(crate) struct Tally<'a> {
+    stats: &'a RegionStats,
+    pub(crate) tasks: u64,
+    pub(crate) sync_conditions: u64,
+}
+
+impl<'a> Tally<'a> {
+    pub(crate) fn new(stats: &'a RegionStats) -> Self {
+        Self {
+            stats,
+            tasks: 0,
+            sync_conditions: 0,
+        }
+    }
+
+    pub(crate) fn fold(&mut self) {
+        if self.tasks > 0 {
+            self.stats.add_tasks(std::mem::take(&mut self.tasks));
+        }
+        if self.sync_conditions > 0 {
+            self.stats
+                .add_sync_conditions(std::mem::take(&mut self.sync_conditions));
+        }
+    }
+}
+
+impl Drop for Tally<'_> {
+    fn drop(&mut self) {
+        self.fold();
+    }
 }
 
 /// The `latestFinished` array of Alg. 2.
@@ -196,7 +323,7 @@ impl DomoreConfig {
             fault_plan: None,
             watchdog: None,
             trace_capacity: None,
-            schedule_memo: true,
+            schedule_memo: false,
             region_id: 0,
             telemetry: None,
         }
@@ -244,9 +371,10 @@ impl DomoreConfig {
     }
 
     /// Enables or disables cross-invocation schedule memoization
-    /// ([`crate::memo::ScheduleMemo`]). On by default; replayed and
-    /// recomputed schedules are decision-for-decision identical, so this
-    /// switch exists for measurement, not correctness.
+    /// ([`crate::memo::ScheduleMemo`]). Off by default; turn it on for
+    /// periodic access streams (JACOBI and FDTD replay from it) — elsewhere
+    /// it only adds work. Replayed and recomputed schedules are
+    /// decision-for-decision identical: this trades speed, not correctness.
     pub fn schedule_memo(mut self, enabled: bool) -> Self {
         self.schedule_memo = enabled;
         self
@@ -481,52 +609,59 @@ impl DomoreRuntime {
                 let (dead, record, fail) = (&dead, &record, &fail);
                 roles.push(Box::new(move || {
                     let stats = metrics.stats();
+                    let mut tally = Tally::new(stats);
                     let mut sink = collector.sink(tid);
                     // Set after a local panic: this worker only drains
                     // (publishes, never executes) from then on.
                     let mut draining = false;
-                    loop {
-                        match rx.consume() {
-                            Msg::Sync { cond, inv } => {
-                                // Under abort or local drain the result is
-                                // already condemned; skip the wait (the
-                                // condition may name an iteration that will
-                                // now never execute).
-                                if draining
-                                    || abort.load(Ordering::Acquire)
-                                    || board.satisfied(cond)
-                                {
+                    let mut inbox = Vec::with_capacity(SCHED_BATCH);
+                    'region: loop {
+                        rx.consume_batch_wait(&mut inbox, SCHED_BATCH);
+                        for msg in inbox.drain(..) {
+                            let run = match msg {
+                                Msg::Sync { cond, inv } => {
+                                    // Under abort or local drain the result
+                                    // is already condemned; skip the wait
+                                    // (the condition may name an iteration
+                                    // that will now never execute).
+                                    if draining
+                                        || abort.load(Ordering::Acquire)
+                                        || board.satisfied(cond)
+                                    {
+                                        continue;
+                                    }
+                                    stats.add_stall();
+                                    sink.emit(Event::BarrierEnter { epoch: inv });
+                                    let entered = Instant::now();
+                                    let outcome =
+                                        board.await_condition_bounded(tid, cond, abort, deadline);
+                                    if outcome == AwaitOutcome::TimedOut {
+                                        fail(DomoreError::WatchdogTimeout);
+                                    }
+                                    let wait_ns = entered.elapsed().as_nanos() as u64;
+                                    metrics.record_stall_wait(wait_ns);
+                                    sink.emit(Event::BarrierLeave {
+                                        epoch: inv,
+                                        wait_ns,
+                                    });
+                                    if outcome == AwaitOutcome::Satisfied {
+                                        // The predecessor's retire released
+                                        // this condition wait.
+                                        sink.emit(Event::Wake {
+                                            edge: WakeEdge::Barrier,
+                                            src_tid: cond.dep_tid,
+                                            seq: cond.dep_iter,
+                                        });
+                                    }
                                     continue;
                                 }
-                                stats.add_stall();
-                                sink.emit(Event::BarrierEnter { epoch: inv });
-                                let entered = Instant::now();
-                                let outcome =
-                                    board.await_condition_bounded(tid, cond, abort, deadline);
-                                if outcome == AwaitOutcome::TimedOut {
-                                    fail(DomoreError::WatchdogTimeout);
-                                }
-                                let wait_ns = entered.elapsed().as_nanos() as u64;
-                                metrics.record_stall_wait(wait_ns);
-                                sink.emit(Event::BarrierLeave {
-                                    epoch: inv,
-                                    wait_ns,
-                                });
-                                if outcome == AwaitOutcome::Satisfied {
-                                    // The predecessor's retire released this
-                                    // condition wait.
-                                    sink.emit(Event::Wake {
-                                        edge: WakeEdge::Barrier,
-                                        src_tid: cond.dep_tid,
-                                        seq: cond.dep_iter,
-                                    });
-                                }
-                            }
-                            Msg::Run {
-                                inv,
-                                iter,
-                                iter_num,
-                            } => {
+                                Msg::Run(run) => run,
+                                Msg::End => break 'region,
+                            };
+                            let inv = run.inv as usize;
+                            for k in 0..run.count as usize {
+                                let (iter, iter_num) =
+                                    (run.iter + k * run.stride, run.iter_num + (k * run.stride) as u64);
                                 let mut executed = false;
                                 if !draining && !abort.load(Ordering::Acquire) {
                                     let injected = fault.task_start(inv as u32, iter as u64, tid);
@@ -580,15 +715,15 @@ impl DomoreRuntime {
                                 // region drains.
                                 board.publish(tid, iter_num);
                                 if executed {
-                                    stats.add_task();
+                                    tally.tasks += 1;
                                     sink.emit(Event::TaskRetire {
                                         epoch: inv as u32,
                                         task: iter as u64,
                                     });
                                 }
                             }
-                            Msg::End => break,
                         }
+                        tally.fold();
                     }
                     collector.absorb(sink);
                 }));
@@ -602,17 +737,12 @@ impl DomoreRuntime {
             let mut scheduler = |producers: Vec<Producer<Msg>>| {
                 let mut sched_sink = collector.sink(MANAGER_TID);
                 let stats = metrics.stats();
+                let mut tally = Tally::new(stats);
                 let sched = catch_unwind(AssertUnwindSafe(|| {
-                    // Per-worker message buffers, flushed with one batched
-                    // enqueue (single tail publication each). Invariant: before
-                    // a `Sync` naming `dep_tid` is buffered anywhere, pending
-                    // messages for `dep_tid` are flushed — so by induction on
-                    // enqueue order, every condition a worker can block on
-                    // names a `Run` that is already in its owner's queue, and
-                    // the region cannot deadlock on an unflushed dependency.
-                    let mut pending: Vec<Vec<Msg>> = (0..num_workers)
-                        .map(|_| Vec::with_capacity(SCHED_BATCH))
-                        .collect();
+                    let mut outbox = Outbox::new(num_workers);
+                    let mut flush = |tid: ThreadId, buf: &mut Vec<Msg>| {
+                        producers[tid].produce_batch(buf);
+                    };
                     for inv in 0..workload.num_invocations() {
                         if abort.load(Ordering::Acquire) {
                             break;
@@ -649,55 +779,26 @@ impl DomoreRuntime {
                                 }
                                 live
                             },
-                            // Buffers `conds` then the `Run` for one iteration,
-                            // preserving the flush-before-`Sync` invariant above.
                             |iter, tid, iter_num, conds, _replayed| {
                                 sched_sink.emit(Event::TaskAssign {
                                     epoch: inv as u32,
                                     task: iter as u64,
                                     worker: tid,
                                 });
-                                for &cond in conds {
-                                    stats.add_sync_condition();
-                                    if cond.dep_tid != tid && !pending[cond.dep_tid].is_empty() {
-                                        producers[cond.dep_tid]
-                                            .produce_batch(&mut pending[cond.dep_tid]);
-                                    }
-                                    pending[tid].push(Msg::Sync {
-                                        cond,
-                                        inv: inv as u32,
-                                    });
-                                }
-                                pending[tid].push(Msg::Run {
-                                    inv,
-                                    iter,
-                                    iter_num,
-                                });
-                                if pending[tid].len() >= SCHED_BATCH {
-                                    producers[tid].produce_batch(&mut pending[tid]);
-                                }
+                                tally.sync_conditions += conds.len() as u64;
+                                outbox.push(inv, iter, tid, iter_num, conds, &mut flush);
                             },
                         );
+                        tally.fold();
                         // `None`: aborted, or no live worker left.
                         let Some(hit) = scheduled else { break };
                         if hit {
                             stats.add_schedule_cache_hit();
                             sched_sink.emit(Event::ScheduleCacheHit { epoch: inv as u32 });
                         }
-                        // Keep the pipeline warm across the (sequential)
-                        // prologue of the next invocation.
-                        for (tx, buf) in producers.iter().zip(pending.iter_mut()) {
-                            if !buf.is_empty() {
-                                tx.produce_batch(buf);
-                            }
-                        }
                         sched_sink.emit(Event::EpochEnd { epoch: inv as u32 });
                     }
-                    for (tx, buf) in producers.iter().zip(pending.iter_mut()) {
-                        if !buf.is_empty() {
-                            tx.produce_batch(buf);
-                        }
-                    }
+                    (0..num_workers).for_each(|tid| outbox.flush(tid, &mut flush));
                 }));
                 collector.absorb(sched_sink);
                 if sched.is_err() {
@@ -925,7 +1026,7 @@ mod tests {
             data: SharedSlice::from_vec(vec![0; 16]),
             invocations: 8,
         };
-        let report = DomoreRuntime::new(DomoreConfig::with_workers(4))
+        let report = DomoreRuntime::new(DomoreConfig::with_workers(4).schedule_memo(true))
             .execute(&w)
             .unwrap();
         assert_eq!(report.stats.schedule_cache_hits, 6);
@@ -957,7 +1058,7 @@ mod tests {
     #[test]
     fn rotating_streams_never_hit_the_memo() {
         let mut w = Rotating::new(8, 6);
-        let report = DomoreRuntime::new(DomoreConfig::with_workers(4))
+        let report = DomoreRuntime::new(DomoreConfig::with_workers(4).schedule_memo(true))
             .execute(&w)
             .unwrap();
         assert_eq!(report.stats.schedule_cache_hits, 0);
@@ -996,5 +1097,277 @@ mod tests {
             .unwrap();
         assert_eq!(report.stats.tasks, 0);
         assert_eq!(report.stats.epochs, 0);
+    }
+
+    /// Drives the pure scheduling step and the outbox over `w`'s stream the
+    /// way the threaded scheduler does, and returns every message each
+    /// worker receives, in order.
+    fn dispatched(w: &impl DomoreWorkload, workers: usize, dispatch: Dispatch) -> Vec<Vec<Msg>> {
+        let (mut core, mut policy) = (ScheduleCore::new(w.address_space()), dispatch.policy());
+        let (mut outbox, mut sent) = (Outbox::new(workers), vec![Vec::new(); workers]);
+        let mut flush = |t: ThreadId, buf: &mut Vec<Msg>| sent[t].append(buf);
+        for inv in 0..w.num_invocations() {
+            core.run_invocation(
+                w.num_iterations(inv),
+                false,
+                |iter, writes, reads| w.touched(inv, iter, writes, reads),
+                |iter_num, addrs| Some(policy.assign(iter_num, addrs, workers)),
+                |iter, tid, iter_num, conds, _| {
+                    outbox.push(inv, iter, tid, iter_num, conds, &mut flush)
+                },
+            );
+        }
+        (0..workers).for_each(|t| outbox.flush(t, &mut flush));
+        sent
+    }
+
+    /// What a worker must observe: per iteration, its conditions and then
+    /// the iteration `(inv, iter, iter_num)`.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Step {
+        Wait(SyncCondition),
+        Iter(u32, usize, IterNum),
+    }
+
+    fn expand(msgs: &[Msg]) -> Vec<Step> {
+        let mut steps = Vec::new();
+        for msg in msgs {
+            match *msg {
+                Msg::Sync { cond, .. } => steps.push(Step::Wait(cond)),
+                Msg::Run(r) => steps.extend((0..r.count as usize).map(|k| {
+                    Step::Iter(
+                        r.inv,
+                        r.iter + k * r.stride,
+                        r.iter_num + (k * r.stride) as u64,
+                    )
+                })),
+                Msg::End => unreachable!("the outbox never buffers an end token"),
+            }
+        }
+        steps
+    }
+
+    proptest::proptest! {
+        /// The run-length hand-off is transparent: over random assignment
+        /// streams (round-robin, owner-computes and chunked decisions,
+        /// random conditions on earlier iterations of other workers,
+        /// invocation boundaries, flushes at random points), expanding what
+        /// each worker receives reproduces exactly the iterations assigned
+        /// to it, in order, once, each preceded by exactly its own
+        /// conditions — and a `Sync` naming `d` is only ever buffered while
+        /// `d`'s buffer is empty, the invariant that rules out deadlock.
+        #[test]
+        fn the_outbox_delivers_every_workers_stream_in_order(
+            seed in proptest::prelude::any::<u64>(),
+            workers in 1usize..=4,
+            kind in 0u8..3,
+        ) {
+            use crate::policy::Chunked;
+            use crossinvoc_runtime::hash::SplitMix64;
+            let mut rng = SplitMix64::new(seed);
+            let mut policy: Box<dyn Policy> = match kind {
+                0 => Box::new(RoundRobin),
+                1 => Box::new(LocalWrite::new(64)),
+                _ => Box::new(Chunked::new(1 + rng.next_below(6))),
+            };
+            let mut outbox = Outbox::new(workers);
+            let mut sent = vec![Vec::new(); workers];
+            let mut expected = vec![Vec::new(); workers];
+            let mut history: Vec<(ThreadId, IterNum)> = Vec::new();
+            for inv in 0..1 + rng.next_below(5) as usize {
+                for iter in 0..rng.next_below(100) as usize {
+                    let iter_num = history.len() as IterNum;
+                    let tid = policy.assign(iter_num, &[rng.next_below(64) as usize], workers);
+                    let mut conds: Vec<SyncCondition> = Vec::new();
+                    for _ in 0..rng.next_below(4).saturating_sub(1) {
+                        if history.is_empty() {
+                            break;
+                        }
+                        let (dep_tid, dep_iter) =
+                            history[rng.next_below(history.len() as u64) as usize];
+                        if dep_tid != tid && conds.iter().all(|c| c.dep_tid != dep_tid) {
+                            conds.push(SyncCondition { dep_tid, dep_iter });
+                        }
+                    }
+                    expected[tid].extend(conds.iter().map(|&c| Step::Wait(c)));
+                    expected[tid].push(Step::Iter(inv as u32, iter, iter_num));
+                    let mut flush = |t: ThreadId, buf: &mut Vec<Msg>| sent[t].append(buf);
+                    outbox.push(inv, iter, tid, iter_num, &conds, &mut flush);
+                    for c in &conds {
+                        proptest::prop_assert!(outbox.pending[c.dep_tid].is_empty());
+                    }
+                    proptest::prop_assert!(outbox.iters.iter().all(|&n| n < SCHED_BATCH));
+                    if rng.next_below(10) == 0 {
+                        outbox.flush(rng.next_below(workers as u64) as usize, &mut flush);
+                    }
+                    history.push((tid, iter_num));
+                }
+            }
+            let mut flush = |t: ThreadId, buf: &mut Vec<Msg>| sent[t].append(buf);
+            (0..workers).for_each(|t| outbox.flush(t, &mut flush));
+            for tid in 0..workers {
+                proptest::prop_assert_eq!(expand(&sent[tid]), expected[tid].clone());
+            }
+        }
+    }
+
+    #[test]
+    fn a_condition_free_stream_travels_as_one_run_per_batch() {
+        // `(first iter, count, stride)` of a run; `None` for a `Sync`.
+        let shapes = |msgs: &[Msg]| -> Vec<_> {
+            msgs.iter()
+                .map(|m| match *m {
+                    Msg::Run(r) => Some((r.iter, r.count, r.stride)),
+                    _ => None,
+                })
+                .collect()
+        };
+        let w = Rotating::new(64, 1);
+        // One worker: the whole invocation at stride 1, split only by the
+        // batch trigger.
+        let one = dispatched(&w, 1, Dispatch::RoundRobin);
+        assert_eq!(shapes(&one[0]), [Some((0, 32, 1)), Some((32, 32, 1))]);
+        // Round-robin over four workers: one stride-4 run each.
+        for (tid, msgs) in dispatched(&w, 4, Dispatch::RoundRobin).iter().enumerate() {
+            assert_eq!(shapes(msgs), [Some((tid, 16, 4))]);
+        }
+        // Rotating cells put a condition on every later iteration, and
+        // each one closes the run before it.
+        let two = dispatched(&Rotating::new(4, 2), 2, Dispatch::RoundRobin);
+        let after_sync = Some((0, 1, 0));
+        assert_eq!(shapes(&two[0])[..3], [Some((0, 2, 2)), None, after_sync]);
+    }
+
+    /// Iteration `i` writes cell `i`, and every eighth (`i % 8 == 7`) also
+    /// touches cell `i + 1`. With 48 cells each cell stays on one worker
+    /// across invocations under round-robin and chunk-4 dispatch at one or
+    /// three workers, so most iterations are condition-free and coalesce
+    /// into runs, and the eighths put cross-worker conditions between them.
+    struct Sparse {
+        data: SharedSlice<u64>,
+        invocations: usize,
+        executed: Mutex<Vec<(usize, usize)>>,
+    }
+
+    const SPARSE_CELLS: usize = 48;
+
+    fn sparse_step(cells: &mut [u64], inv: usize, iter: usize) {
+        let read = if iter % 8 == 7 {
+            cells[(iter + 1) % SPARSE_CELLS]
+        } else {
+            0
+        };
+        cells[iter] = cells[iter].wrapping_mul(31) ^ read ^ (inv * SPARSE_CELLS + iter) as u64;
+    }
+
+    impl DomoreWorkload for Sparse {
+        fn num_invocations(&self) -> usize {
+            self.invocations
+        }
+        fn num_iterations(&self, _inv: usize) -> usize {
+            SPARSE_CELLS
+        }
+        fn touched_addrs(&self, _inv: usize, iter: usize, out: &mut Vec<usize>) {
+            out.push(iter);
+            if iter % 8 == 7 {
+                out.push((iter + 1) % SPARSE_CELLS);
+            }
+        }
+        fn execute_iteration(&self, inv: usize, iter: usize, _tid: ThreadId) {
+            self.executed.lock().push((inv, iter));
+            // SAFETY: the runtime orders the iterations touching the two
+            // cells reported for this one; it touches nothing else.
+            let read = if iter % 8 == 7 {
+                unsafe { self.data.read((iter + 1) % SPARSE_CELLS) }
+            } else {
+                0
+            };
+            unsafe {
+                self.data.update(iter, |v| {
+                    *v = v.wrapping_mul(31) ^ read ^ (inv * SPARSE_CELLS + iter) as u64
+                })
+            };
+        }
+        fn address_space(&self) -> Option<usize> {
+            Some(SPARSE_CELLS)
+        }
+    }
+
+    /// An injected panic strictly inside a coalesced run: the error names
+    /// the exact iteration; everything before it ran; what did not run was
+    /// all in flight to the dead worker — had it not published each later
+    /// iteration of the run while draining, a survivor waiting on one would
+    /// have run into the watchdog and abandoned its own share — and memory
+    /// is the sequential image of exactly the iterations that ran.
+    fn panic_inside_a_run(workers: usize, dispatch: Dispatch, at: (usize, usize)) {
+        const INVOCATIONS: usize = 6;
+        let mut w = Sparse {
+            data: SharedSlice::from_vec(vec![0; SPARSE_CELLS]),
+            invocations: INVOCATIONS,
+            executed: Mutex::new(Vec::new()),
+        };
+        let at_num = (at.0 * SPARSE_CELLS + at.1) as IterNum;
+        let dead = dispatch.policy().assign(at_num, &[at.1], workers);
+        let inside = dispatched(&w, workers, dispatch)[dead]
+            .iter()
+            .any(|m| match *m {
+                Msg::Run(run) => {
+                    let last = run.iter_num + ((run.count as usize - 1) * run.stride) as u64;
+                    run.iter_num < at_num && at_num < last
+                }
+                _ => false,
+            });
+        assert!(
+            inside,
+            "{dispatch:?}/{workers}: {at:?} must sit inside a run"
+        );
+
+        let err = DomoreRuntime::new(
+            DomoreConfig::with_workers(workers)
+                .fault_plan(FaultPlan::new().worker_panic_at(at.0 as u32, at.1 as u64))
+                .watchdog(Duration::from_secs(30)),
+        )
+        .with_dispatch(dispatch)
+        .execute(&w)
+        .unwrap_err();
+        assert_eq!(
+            err,
+            DomoreError::IterationPanicked {
+                inv: at.0,
+                iter: at.1
+            }
+        );
+
+        let mut ran = std::mem::take(&mut *w.executed.lock());
+        ran.sort_unstable();
+        let mut policy = dispatch.policy();
+        for inv in 0..INVOCATIONS {
+            for iter in 0..SPARSE_CELLS {
+                let num = (inv * SPARSE_CELLS + iter) as IterNum;
+                let owner = policy.assign(num, &[iter], workers);
+                if ran.binary_search(&(inv, iter)).is_err() {
+                    assert!(
+                        num >= at_num && owner == dead,
+                        "{dispatch:?}/{workers}: ({inv}, {iter}) on worker {owner} never ran"
+                    );
+                }
+            }
+        }
+        let mut image = vec![0; SPARSE_CELLS];
+        for &(inv, iter) in &ran {
+            sparse_step(&mut image, inv, iter);
+        }
+        assert_eq!(w.data.snapshot(), image, "{dispatch:?}/{workers}");
+    }
+
+    #[test]
+    fn a_panic_inside_a_run_names_its_iteration_and_releases_the_rest() {
+        // One worker: the region's only runs are stride-1 batches.
+        panic_inside_a_run(1, Dispatch::RoundRobin, (1, 5));
+        // Three workers, strided runs: worker 0 gets 0, 3, ..., 12 of an
+        // invocation as one run (15 carries a condition).
+        panic_inside_a_run(3, Dispatch::RoundRobin, (2, 6));
+        // Three workers, contiguous runs: 12, 13, 14 of a chunk.
+        panic_inside_a_run(3, Dispatch::Chunked { chunk: 4 }, (2, 13));
     }
 }

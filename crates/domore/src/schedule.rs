@@ -22,12 +22,14 @@ use crate::memo::ScheduleMemo;
 pub struct ScheduleCore {
     logic: SchedulerLogic,
     memo: ScheduleMemo,
-    writes: Vec<usize>,
-    reads: Vec<usize>,
     /// `writes ++ reads` — writes first, because LOCALWRITE-style policies
     /// assign ownership by the first address and owner-computes means the
-    /// *written* cell's owner.
+    /// *written* cell's owner. `touched` fills the write set in place.
     addrs: Vec<usize>,
+    /// The write set is `addrs[..nw]`.
+    nw: usize,
+    /// Where `touched` puts the read set before it joins `addrs`.
+    reads: Vec<usize>,
     conds: Vec<SyncCondition>,
 }
 
@@ -41,9 +43,9 @@ impl ScheduleCore {
                 None => SchedulerLogic::with_sparse_shadow(),
             },
             memo: ScheduleMemo::new(),
-            writes: Vec::new(),
-            reads: Vec::new(),
             addrs: Vec::new(),
+            nw: 0,
+            reads: Vec::new(),
             conds: Vec::new(),
         }
     }
@@ -98,7 +100,8 @@ impl ScheduleCore {
             let iter_num = base + iter as u64;
             let tid = assign(iter_num, &self.addrs)?;
             if replaying {
-                if let Some(conds) = self.memo.replay_step(iter, &self.writes, &self.reads, tid) {
+                let (writes, reads) = self.addrs.split_at(self.nw);
+                if let Some(conds) = self.memo.replay_step(iter, writes, reads, tid) {
                     emit(iter, tid, iter_num, conds, true);
                     continue;
                 }
@@ -111,10 +114,11 @@ impl ScheduleCore {
                 for k in 0..iter {
                     self.load(k, &mut touched);
                     self.conds.clear();
+                    let (writes, reads) = self.addrs.split_at(self.nw);
                     let _ = self.logic.schedule_rw(
                         self.memo.recorded_tid(k),
-                        &self.writes,
-                        &self.reads,
+                        writes,
+                        reads,
                         &mut self.conds,
                     );
                 }
@@ -122,28 +126,26 @@ impl ScheduleCore {
                 replaying = false;
             }
             self.conds.clear();
-            let scheduled = self
-                .logic
-                .schedule_rw(tid, &self.writes, &self.reads, &mut self.conds);
+            let (writes, reads) = self.addrs.split_at(self.nw);
+            let scheduled = self.logic.schedule_rw(tid, writes, reads, &mut self.conds);
             debug_assert_eq!(scheduled, iter_num);
-            self.memo
-                .record_step(&self.writes, &self.reads, tid, &self.conds);
+            self.memo.record_step(writes, reads, tid, &self.conds);
             emit(iter, tid, iter_num, &self.conds, false);
         }
         Some(self.memo.end_invocation(&mut self.logic))
     }
 
-    /// Refills the scratch access sets for iteration `iter`.
+    /// Refills the scratch access sets for iteration `iter`: the write set
+    /// lands in `addrs` directly and the read set is appended once.
     fn load(
         &mut self,
         iter: usize,
         touched: &mut impl FnMut(usize, &mut Vec<usize>, &mut Vec<usize>),
     ) {
-        self.writes.clear();
-        self.reads.clear();
-        touched(iter, &mut self.writes, &mut self.reads);
         self.addrs.clear();
-        self.addrs.extend_from_slice(&self.writes);
+        self.reads.clear();
+        touched(iter, &mut self.addrs, &mut self.reads);
+        self.nw = self.addrs.len();
         self.addrs.extend_from_slice(&self.reads);
     }
 }

@@ -319,6 +319,21 @@ impl<T: Send> Consumer<T> {
         n
     }
 
+    /// [`Consumer::consume_batch`] that waits adaptively (spin, then timed
+    /// parks) until it has moved at least one element, and returns how many
+    /// it moved. Panics if `max` is zero.
+    pub fn consume_batch_wait(&self, out: &mut Vec<T>, max: usize) -> usize {
+        assert!(max > 0, "a pickup must be allowed at least one element");
+        let mut spin = AdaptiveSpin::new();
+        loop {
+            match self.consume_batch(out, max) {
+                0 if spin.should_park() => self.ring.consumer_parker.park_timeout(PARK_SLICE),
+                0 => {}
+                n => return n,
+            }
+        }
+    }
+
     /// Number of elements currently in flight (approximate under concurrency).
     pub fn len(&self) -> usize {
         let tail = self.ring.tail.load(Ordering::Acquire);
@@ -495,6 +510,81 @@ mod tests {
         assert_eq!(out, vec![0, 1, 2, 3]);
         assert_eq!(rx.consume_batch(&mut out, 4), 2);
         assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
+    }
+
+    #[test]
+    fn consume_batch_wait_respects_max() {
+        let (tx, rx) = Queue::with_capacity(8);
+        tx.produce_batch(&mut (0..5u32).collect());
+        let mut out = Vec::new();
+        assert_eq!(rx.consume_batch_wait(&mut out, 3), 3);
+        assert_eq!(out, vec![0, 1, 2]);
+        assert_eq!(rx.consume_batch_wait(&mut out, 3), 2);
+        assert_eq!(out, (0..5).collect::<Vec<_>>());
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one element")]
+    fn consume_batch_wait_rejects_a_zero_max() {
+        let (_tx, rx) = Queue::<u8>::with_capacity(1);
+        rx.consume_batch_wait(&mut Vec::new(), 0);
+    }
+
+    #[test]
+    fn parked_batch_consumer_is_woken_by_produce_batch() {
+        // The consumer parks (nothing arrives for well over the spin
+        // budget); a late batch must still reach it promptly, whole.
+        let (tx, rx) = Queue::with_capacity(4);
+        let consumer = thread::spawn(move || {
+            let mut out = Vec::new();
+            rx.consume_batch_wait(&mut out, 4);
+            out
+        });
+        thread::sleep(std::time::Duration::from_millis(30));
+        tx.produce_batch(&mut vec![7u32, 8, 9]);
+        assert_eq!(consumer.join().unwrap(), vec![7, 8, 9]);
+    }
+
+    /// Batched pickups that straddle the end of the buffer on every offset,
+    /// through the mask path (`capacity` a power of two) or the modulo path,
+    /// against a producer on another thread.
+    fn batch_waits_wrap_the_ring(capacity: usize) {
+        const N: u32 = 5_000;
+        let (tx, rx) = Queue::with_capacity(capacity);
+        let producer = thread::spawn(move || {
+            let mut next = 0;
+            while next < N {
+                // Batches of 1..=capacity+1, so some wait for room mid-batch.
+                let len = (next as usize % (capacity + 1) + 1).min((N - next) as usize);
+                tx.produce_batch(&mut (next..next + len as u32).collect());
+                next += len as u32;
+            }
+        });
+        let (mut out, mut expected) = (Vec::new(), 0u32);
+        while expected < N {
+            out.clear();
+            let n = rx.consume_batch_wait(&mut out, capacity - 1 + expected as usize % 2);
+            assert_eq!(n, out.len());
+            assert!(n >= 1 && n <= capacity);
+            for &v in &out {
+                assert_eq!(v, expected);
+                expected += 1;
+            }
+        }
+        producer.join().unwrap();
+        assert!(rx.is_empty());
+    }
+
+    #[test]
+    fn batch_waits_wrap_a_power_of_two_ring() {
+        batch_waits_wrap_the_ring(8);
+        batch_waits_wrap_the_ring(2);
+    }
+
+    #[test]
+    fn batch_waits_wrap_a_non_power_of_two_ring() {
+        batch_waits_wrap_the_ring(3);
+        batch_waits_wrap_the_ring(7);
     }
 
     #[test]

@@ -116,9 +116,9 @@ macro_rules! counters {
         }
     };
     // Bulk adders exist where the writer accumulates locally and folds in
-    // at a drain point (checker epoch skips), at an epoch boundary (the
-    // SPECCROSS workers' tasks and check requests) or once per task
-    // (accesses).
+    // at a drain point (checker epoch skips, DOMORE tasks and conditions),
+    // at an epoch boundary (the SPECCROSS workers' tasks and check requests)
+    // or once per task (accesses).
     (@adder bulk $add:ident $name:ident $help:literal) => {
         #[doc = concat!("Adds `n`. ", $help)]
         pub fn $add(&self, n: u64) {
@@ -131,7 +131,7 @@ counters! {
     tasks: unit add_task bulk add_tasks, "Tasks (inner-loop iterations) executed.";
     epochs: unit add_epoch, "Epochs (loop invocations) entered.";
     check_requests: unit add_check_request bulk add_check_requests, "Signature-checking requests sent to the checker.";
-    sync_conditions: unit add_sync_condition, "Synchronization conditions produced by the DOMORE scheduler.";
+    sync_conditions: unit add_sync_condition bulk add_sync_conditions, "Synchronization conditions produced by the DOMORE scheduler.";
     misspeculations: unit add_misspeculation, "Misspeculations detected (rollbacks).";
     checkpoints: unit add_checkpoint, "Checkpoints taken.";
     stalls: unit add_stall, "Worker stalls on a synchronization condition or gate.";
@@ -161,6 +161,7 @@ mod tests {
         s.add_epoch();
         s.add_check_requests(1);
         s.add_sync_condition();
+        s.add_sync_conditions(2);
         s.add_misspeculation();
         s.add_checkpoint();
         s.add_stall();
@@ -173,7 +174,7 @@ mod tests {
         assert_eq!(sum.tasks, 2);
         assert_eq!(sum.epochs, 1);
         assert_eq!(sum.check_requests, 1);
-        assert_eq!(sum.sync_conditions, 1);
+        assert_eq!(sum.sync_conditions, 3);
         assert_eq!(sum.misspeculations, 1);
         assert_eq!(sum.checkpoints, 1);
         assert_eq!(sum.stalls, 1);

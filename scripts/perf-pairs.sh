@@ -10,9 +10,10 @@
 # through each side's binary with BENCHMARK.json's arguments (`run --workload
 # W`, `--seconds SECONDS`, then ARGS, e.g. `--seed 777`), ROUNDS times,
 # alternating which side goes first.
-# On top of the pairs: one `--trace 1` run per side of the two SPECCROSS
-# workloads (per-layer rows) and one `--threads 3` and one `--threads 4` run
-# per side of the same two (oversubscribed on a host with fewer cores).
+# On top of the pairs: one `--trace 1` run per side of the four engine
+# workloads — spec_fine, spec_recover, domore_fine, coarse_mix — (per-layer
+# rows) and one `--threads 3` and one `--threads 4` run per side of the same
+# four (oversubscribed on a host with fewer cores).
 #
 # Prints median, quartiles and pairs won per (workload, metric) and writes
 # OUT (default PERF.json) in the current directory: host nproc, both commits,
@@ -21,7 +22,7 @@
 # that pattern in prose for bench-suite gates.
 set -euo pipefail
 
-[ $# -ge 4 ] || { sed -n '2,21p' "$0" >&2; exit 2; }
+[ $# -ge 4 ] || { sed -n '2,22p' "$0" >&2; exit 2; }
 parent="$(cd "$1" && pwd)"
 change="$(cd "$2" && pwd)"
 rounds="$3"
@@ -30,7 +31,7 @@ out="${5:-PERF.json}"
 shift $(($# < 5 ? $# : 5))
 args=("$@")
 contract="$change/BENCHMARK.json"
-traced_workloads="spec_fine spec_recover"
+traced_workloads="spec_fine spec_recover domore_fine coarse_mix"
 
 # name -> "better" for every metric BENCHMARK.json declares.
 better_of() {
@@ -118,7 +119,7 @@ extras() { # label, then the benchmark arguments
 
 {
   printf '{\n  "schema": "crossinvoc-perf-pairs/1",\n'
-  printf '  "host": {"nproc": %s, "note": "benchmark default T = clamp(nproc, 2, 4); on this host any T >= 3 is oversubscribed, so the threads_3 / threads_4 runs are evidence of no failure, not of speed"},\n' "$(nproc)"
+  printf '  "host": {"nproc": %s, "note": "benchmark default T = clamp(nproc, 2, 4); a threads_3 / threads_4 run with T > nproc is oversubscribed, evidence of no failure, not of speed; with nproc < 3 those runs are the only evidence here for T >= 3 (two or more workers: DOMORE strided runs and cross-worker Sync, multi-worker SPECCROSS chunks)"},\n' "$(nproc)"
   printf '  "parent": %s,\n  "change": %s,\n' "$(describe "$parent")" "$(describe "$change")"
   printf '  "rounds": %s,\n  "seconds": %s,\n  "extra_args": "%s",\n  "first_side": [%s],\n' \
     "$rounds" "$seconds" "${args[*]}" "$(IFS=,; echo "${orders[*]}")"

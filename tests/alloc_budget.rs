@@ -1,7 +1,8 @@
-//! Allocation budget of the SPECCROSS fast path, counted by a process-global
-//! allocator: in steady state a task allocates nothing on either side of the
-//! worker → checker hand-off, and a pass allocates a constant number of
-//! workload states however many checkpoints it takes.
+//! Allocation budget of the SPECCROSS and DOMORE fast paths, counted by a
+//! process-global allocator: in steady state a task allocates nothing on
+//! either side of the worker → checker or scheduler → worker hand-off, and a
+//! SPECCROSS pass allocates a constant number of workload states however many
+//! checkpoints it takes.
 //!
 //! The counter sees every thread of the process, so the tests serialize on
 //! [`MEASURING`] (CI additionally runs this file with `--test-threads=1`);
@@ -12,6 +13,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
 
+use crossinvoc_domore::prelude::*;
 use crossinvoc_runtime::fault::FaultPlan;
 use crossinvoc_runtime::RangeSignature;
 use crossinvoc_speccross::prelude::*;
@@ -100,6 +102,38 @@ fn a_task_allocates_nothing_in_steady_state() {
         per_task < 0.05,
         "{per_task:.3} allocations per task in steady state ({warm} for {WARM_UP} epochs, \
          {full} for {} epochs)",
+        WARM_UP + STEADY
+    );
+}
+
+/// The DOMORE row: scheduler and workers reuse their scratch (access sets,
+/// condition list, outbox, inbox) and messages travel inside the preallocated
+/// rings, so — with the schedule memo off, its default — a steady-state
+/// iteration allocates nothing. Two region lengths again: the longer one's
+/// extra 200 invocations must cost no allocation at all.
+#[test]
+fn a_domore_iteration_allocates_nothing_in_steady_state() {
+    let _serial = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
+    const CELLS: usize = 64;
+    const WARM_UP: usize = 50;
+    const STEADY: usize = 200;
+    let allocations = |rounds: usize| {
+        let grid = IncGrid::new(CELLS, rounds);
+        let mut runtime = DomoreRuntime::new(DomoreConfig::with_workers(2).schedule_memo(false));
+        let before = ALLOCS.load(Ordering::Relaxed);
+        let report = runtime.execute(&grid).expect("region completes");
+        let after = ALLOCS.load(Ordering::Relaxed);
+        assert_eq!(grid.cells(), grid.expected());
+        assert_eq!(report.stats.tasks, (CELLS * rounds) as u64);
+        after - before
+    };
+    let warm = allocations(WARM_UP);
+    let full = allocations(WARM_UP + STEADY);
+    assert!(
+        full <= warm,
+        "{} allocations for {} extra iterations ({warm} for {WARM_UP} invocations, {full} for {})",
+        full.saturating_sub(warm),
+        CELLS * STEADY,
         WARM_UP + STEADY
     );
 }

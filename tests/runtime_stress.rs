@@ -573,6 +573,64 @@ mod fault_matrix {
         assert_eq!(w.cells(), w.expected());
     }
 
+    // With nine cells and three round-robin workers every cell stays on one
+    // worker, so no iteration carries a condition and each worker receives
+    // an invocation as one stride-3 run (1, 4, 7 for worker 1); with one
+    // worker, as stride-1 runs of up to 32 iterations.
+
+    #[test]
+    fn domore_delay_inside_a_run_changes_timing_not_results() {
+        for (workers, cells, at) in [(3, 9, 4), (1, 64, 40)] {
+            let w = IncGrid::new(cells, 5);
+            let report = DomoreRuntime::new(
+                DomoreConfig::with_workers(workers)
+                    .fault_plan(FaultPlan::default().delay_at(2, at, 2_000))
+                    .watchdog(WATCHDOG),
+            )
+            .execute(&w)
+            .unwrap();
+            assert_eq!(w.cells(), w.expected(), "{workers} workers");
+            assert_eq!(report.stats.tasks, (cells * 5) as u64);
+        }
+    }
+
+    /// Runs of up to 32 iterations through a two-slot ring: a run is one
+    /// message, so the ring holds far more iterations than slots, and the
+    /// scheduler blocks on a full ring mid-region without losing any.
+    #[test]
+    fn domore_runs_longer_than_the_ring_complete() {
+        for (workers, cells) in [(1, 64), (2, 64), (3, 63)] {
+            let w = IncGrid::new(cells, 40);
+            let report = DomoreRuntime::new(
+                DomoreConfig::with_workers(workers)
+                    .queue_capacity(2)
+                    .watchdog(WATCHDOG),
+            )
+            .execute(&w)
+            .unwrap();
+            assert_eq!(w.cells(), w.expected(), "{workers} workers");
+            assert_eq!(report.stats.tasks, (cells * 40) as u64);
+        }
+    }
+
+    /// Two round-robin workers over nine cells: invocation 0 reaches worker
+    /// 1 as the run 1, 3, 5, 7, and invocation 1's iteration 0 — the next
+    /// thing worker 1 receives — waits on worker 0's iteration 0, which an
+    /// injected delay holds far past the watchdog. The wait behind the run
+    /// must become a typed timeout, not a hang.
+    #[test]
+    fn domore_watchdog_fires_on_a_sync_behind_a_run() {
+        let w = IncGrid::new(9, 3);
+        let err = DomoreRuntime::new(
+            DomoreConfig::with_workers(2)
+                .fault_plan(FaultPlan::default().delay_at(0, 0, 300_000))
+                .watchdog(Duration::from_millis(50)),
+        )
+        .execute(&w)
+        .unwrap_err();
+        assert_eq!(err, DomoreError::WatchdogTimeout);
+    }
+
     /// Region isolation: a faulting region served by a [`RegionServer`]
     /// must leave a concurrently running clean neighbour *byte-identical*
     /// to a solo run — same misspeculation count, same conflict list, same
