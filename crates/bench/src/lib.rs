@@ -185,8 +185,9 @@ pub fn write_trace(name: &str, trace: &crossinvoc_runtime::trace::Trace) {
 /// distance, or — when no conflict manifested — the task horizon the
 /// profile actually covered ([`ProfileReport::speculative_range`]; a clean
 /// 6-epoch profile does not license running hundreds of epochs ahead).
-/// Memoized — profiling the larger models costs tens of seconds and the
-/// sweeps would otherwise repeat it per thread count.
+/// Memoized — at Figure scale profiling SYMM still costs about 1.3 s and
+/// FLUIDANIMATE-2 0.12 s (every other kernel ≤ 31 ms), and the sweeps would
+/// otherwise repeat it per thread count.
 ///
 /// [`ProfileReport::speculative_range`]: crossinvoc_speccross::ProfileReport::speculative_range
 pub fn profiled_distance(info: &BenchmarkInfo, scale: Scale) -> u64 {

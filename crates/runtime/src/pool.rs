@@ -387,9 +387,12 @@ impl RegionExecutor for WorkerPool {
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
-        self.shared
-            .shutdown
-            .store(true, std::sync::atomic::Ordering::SeqCst);
+        // Under the queue lock: a pool thread between its shutdown check and
+        // its `wait` holds that lock, so it cannot miss this store and then
+        // sleep through the notify.
+        let queue = self.shared.queue.lock();
+        self.shared.shutdown.store(true, Ordering::SeqCst);
+        drop(queue);
         self.shared.work_cv.notify_all();
         for t in self.threads.drain(..) {
             let _ = t.join();
@@ -409,7 +412,7 @@ fn pool_thread(shared: &PoolShared, slot: usize) {
                 if let Some(job) = queue.pop_front() {
                     break job;
                 }
-                if shared.shutdown.load(std::sync::atomic::Ordering::SeqCst) {
+                if shared.shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 shared.work_cv.wait(&mut queue);
@@ -619,6 +622,25 @@ mod tests {
         let stats = pool.run_gang(Vec::new(), Box::new(|| {}));
         assert_eq!(stats, GangStats::default());
         assert_eq!(registry.snapshot().pool.admissions, 1);
+    }
+
+    #[test]
+    fn dropping_fresh_pools_never_hangs() {
+        // A freshly spawned pool thread is usually between its shutdown
+        // check and its first `wait` when the pool drops: the window a
+        // shutdown stored outside the queue lock could be lost in.
+        let (done, finished) = std::sync::mpsc::channel();
+        let churn = std::thread::spawn(move || {
+            for round in 0..3000 {
+                drop(WorkerPool::new(1 + round % 3));
+            }
+            let _ = done.send(());
+        });
+        assert!(
+            finished.recv_timeout(Duration::from_secs(120)).is_ok(),
+            "a pool's drop hung joining its threads"
+        );
+        churn.join().expect("churn thread");
     }
 
     #[test]

@@ -1160,7 +1160,11 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
     /// dependence distance (§4.4). `window_epochs` bounds how far apart
     /// conflicting epochs may be to be observed (Table 5.3 used the whole
     /// program; a window of a few epochs is sufficient for every workload in
-    /// the suite and keeps profiling linear).
+    /// the suite). Each task is compared against at most `window_epochs`
+    /// epoch summaries, the 16-task block summaries of the epochs it
+    /// overlaps and the members of the blocks it overlaps, stopping at its
+    /// nearest conflict ([`DistanceProfiler`]): at worst, when every summary
+    /// overlaps and no member conflicts, every task of the window.
     pub fn profile<W: SpecWorkload>(workload: &W, window_epochs: u32) -> ProfileReport {
         let mut profiler = DistanceProfiler::<S>::new(window_epochs);
         let mut recorder = SigRecorder::<S>::new();

@@ -71,6 +71,20 @@ fn distances_accumulate_across_multiple_epoch_gaps() {
 }
 
 #[test]
+fn a_task_counts_its_nearest_conflict_only() {
+    // Task 2 writes a cell both tasks of epoch 0 read: two conflicting
+    // pairs, one counted — the nearest, which sets the minimum.
+    let mut p = DistanceProfiler::<RangeSignature>::new(4);
+    p.record_task(sig(5, AccessKind::Read)); // task 0
+    p.record_task(sig(5, AccessKind::Read)); // task 1
+    p.epoch_boundary();
+    p.record_task(sig(5, AccessKind::Write)); // task 2
+    let r = p.report();
+    assert_eq!(r.min_distance, Some(1));
+    assert_eq!(r.conflicts, 1);
+}
+
+#[test]
 fn tasks_and_epochs_are_counted_exactly() {
     let mut p = DistanceProfiler::<RangeSignature>::new(2);
     for epoch in 0..5 {

@@ -3,7 +3,7 @@
 //! (for the SPECCROSS set) runs correctly on the real engine under Bloom
 //! signatures as well as the default ranges.
 
-use crossinvoc_runtime::signature::AccessKind;
+use crossinvoc_runtime::signature::{AccessKind, AccessSignature, RangeSignature};
 use crossinvoc_runtime::BloomSignature;
 use crossinvoc_sim::prelude::*;
 use crossinvoc_speccross::prelude::*;
@@ -128,8 +128,65 @@ fn profiles_are_deterministic_across_reconstruction() {
     for info in registry() {
         let a = profile_distance(info.model(Scale::Test).as_ref(), 6);
         let b = profile_distance(info.model(Scale::Test).as_ref(), 6);
-        assert_eq!(a.min_distance, b.min_distance, "{}", info.name);
-        assert_eq!(a.conflicts, b.conflicts, "{}", info.name);
-        assert_eq!(a.tasks, b.tasks, "{}", info.name);
+        assert_eq!(a, b, "{}", info.name);
+    }
+}
+
+/// The plain scan `profile_distance` must reproduce: every task against
+/// every task of the `window` previous epochs, newest first, stopping once
+/// past the running minimum; a conflict within it is counted and lowers it.
+fn reference_profile(model: &dyn SimWorkload, window: u64) -> ProfileReport {
+    let mut history: Vec<(u64, u64, RangeSignature)> = Vec::new();
+    let (mut min_distance, mut conflicts, mut index) = (None::<u64>, 0, 0);
+    let mut pairs = Vec::new();
+    let epochs = model.num_invocations() as u64;
+    for epoch in 0..epochs {
+        history.retain(|&(e, _, _)| e + window >= epoch);
+        for iter in 0..model.num_iterations(epoch as usize) {
+            pairs.clear();
+            model.accesses(epoch as usize, iter, &mut pairs);
+            let mut sig = RangeSignature::empty();
+            for &(addr, kind) in &pairs {
+                sig.record(addr, kind);
+            }
+            if !sig.is_empty() {
+                for (past_epoch, past, past_sig) in history.iter().rev() {
+                    let distance = index - past;
+                    if min_distance.is_some_and(|d| distance > d) {
+                        break;
+                    }
+                    if *past_epoch != epoch && sig.conflicts_with(past_sig) {
+                        conflicts += 1;
+                        min_distance = Some(min_distance.map_or(distance, |d| d.min(distance)));
+                    }
+                }
+            }
+            history.push((epoch, index, sig));
+            index += 1;
+        }
+    }
+    ProfileReport {
+        min_distance,
+        conflicts,
+        tasks: index,
+        epochs,
+        horizon: (window * index / epochs.max(1)).min(index),
+    }
+}
+
+/// The summarised profiler returns the plain scan's report, field for
+/// field, on every registry kernel and every window the harnesses use.
+#[test]
+fn profiles_equal_the_plain_scan_on_every_kernel() {
+    for info in registry() {
+        let model = info.model(Scale::Test);
+        for window in [1, 4, 6, 9] {
+            assert_eq!(
+                profile_distance(model.as_ref(), window),
+                reference_profile(model.as_ref(), u64::from(window)),
+                "{} window {window}",
+                info.name
+            );
+        }
     }
 }
