@@ -4,8 +4,14 @@
 //! thread time spent idling at barriers when the program runs under the
 //! conventional plan. The thesis measures >30% for most programs at 24
 //! threads — an Amdahl ceiling of ≈3.3× that motivates barrier removal.
+//!
+//! With `CROSSINVOC_TRACE` set it writes each program's traced 24-thread
+//! barrier run, plus one real-thread region per engine
+//! ([`crossinvoc_bench::write_engine_traces`]).
 
-use crossinvoc_bench::{trace_capacity, write_trace, Col, Table, FIG4_3_THREADS};
+use crossinvoc_bench::{
+    trace_capacity, write_engine_traces, write_trace, Col, Table, FIG4_3_THREADS,
+};
 use crossinvoc_sim::prelude::*;
 use crossinvoc_workloads::{registry, Scale};
 
@@ -40,4 +46,8 @@ fn main() {
     }
     println!("(overhead grows with thread count for {grows}/{programs} programs)");
     table.finish("fig4_3");
+    if let Some(cap) = trace_cap {
+        // Real-thread companions of the simulated traces above.
+        write_engine_traces(cap);
+    }
 }

@@ -181,6 +181,43 @@ pub fn write_trace(name: &str, trace: &crossinvoc_runtime::trace::Trace) {
     println!("[wrote {}]", path.display());
 }
 
+/// Runs one Test-scale region per threaded engine — JACOBI under SPECCROSS
+/// (chunks of several tasks) and CG under DOMORE (runs of several
+/// iterations), two workers each — with per-thread rings of `capacity`
+/// records, and writes their traces as `engine.speccross.jacobi` and
+/// `engine.domore.cg`. Unlike the simulators' traces these carry wall-clock
+/// stamps decoded at merge and one task record per chunk or run, so the
+/// trace tooling sees both.
+pub fn write_engine_traces(capacity: usize) {
+    use crossinvoc_domore::{DomoreConfig, DomoreRuntime};
+    use crossinvoc_runtime::RangeSignature;
+    use crossinvoc_speccross::{SpecConfig, SpecCrossEngine};
+    use crossinvoc_workloads::kernel::AccessKernel;
+    use crossinvoc_workloads::registry::by_name;
+
+    let jacobi = by_name("JACOBI");
+    let distance = profile_distance(jacobi.model(Scale::Test).as_ref(), 6).min_distance;
+    let kernel = AccessKernel::from_model(jacobi.model(Scale::Test));
+    let report = SpecCrossEngine::<RangeSignature>::new(
+        SpecConfig::with_workers(2)
+            .spec_distance(distance)
+            .trace(capacity),
+    )
+    .execute(&kernel)
+    .expect("JACOBI runs clean under SPECCROSS");
+    if let Some(trace) = report.trace {
+        write_trace("engine.speccross.jacobi", &trace);
+    }
+
+    let kernel = AccessKernel::from_model(by_name("CG").model(Scale::Test));
+    let report = DomoreRuntime::new(DomoreConfig::with_workers(2).trace(capacity))
+        .execute(&kernel)
+        .expect("CG runs clean under DOMORE");
+    if let Some(trace) = report.trace {
+        write_trace("engine.domore.cg", &trace);
+    }
+}
+
 /// Profiled speculative range per benchmark (§4.4): the minimum dependence
 /// distance, or — when no conflict manifested — the task horizon the
 /// profile actually covered ([`ProfileReport::speculative_range`]; a clean

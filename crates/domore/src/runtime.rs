@@ -17,9 +17,12 @@
 //! before a `Sync` naming its worker (ruling out deadlock) and at region
 //! end or abort — not per invocation. Workers take up to `SCHED_BATCH`
 //! messages per pickup and expand runs locally; abort/drain checks, the
-//! fault probe, `catch_unwind`, the `latestFinished` publish and trace
-//! events stay per iteration, since a condition may name any iteration of
-//! a run and a dead worker must release every one it drains.
+//! fault probe, `catch_unwind` and the `latestFinished` publish stay per
+//! iteration, since a condition may name any iteration of a run and a dead
+//! worker must release every one it drains. The trace records runs: one
+//! `TaskAssign` per `Run` when the scheduler flushes it, and on the worker
+//! one queue wake, one dispatch and one retire counting the iterations it
+//! executed.
 //!
 //! # Failure model
 //!
@@ -64,7 +67,7 @@ use crossinvoc_runtime::pool::{RegionExecutor, Role, ScopedExecutor};
 use crossinvoc_runtime::spsc::{Producer, Queue};
 use crossinvoc_runtime::stats::{RegionStats, StatsSummary};
 use crossinvoc_runtime::telemetry::RegionTelemetry;
-use crossinvoc_runtime::trace::{Event, Trace, TraceCollector, WakeEdge, MANAGER_TID};
+use crossinvoc_runtime::trace::{Event, Trace, TraceCollector, TraceSink, WakeEdge, MANAGER_TID};
 use crossinvoc_runtime::wait::{AdaptiveSpin, Parker, PARK_SLICE};
 use crossinvoc_runtime::{IterNum, ThreadId};
 use parking_lot::Mutex;
@@ -126,7 +129,9 @@ impl Outbox {
     /// Buffers worker `tid`'s next iteration after its conditions, extending
     /// the buffer's last message if that is a run of the same invocation on
     /// whose stride it lands (the second iteration fixes the stride).
-    /// `flush(t, buf)` must send and empty worker `t`'s buffer.
+    /// `flush(t, buf)` must send and empty worker `t`'s buffer; every run a
+    /// flush sends is recorded in `sink` as one `TaskAssign`.
+    #[allow(clippy::too_many_arguments)]
     fn push(
         &mut self,
         inv: usize,
@@ -134,12 +139,13 @@ impl Outbox {
         tid: ThreadId,
         iter_num: IterNum,
         conds: &[SyncCondition],
+        sink: &mut TraceSink,
         flush: &mut impl FnMut(ThreadId, &mut Vec<Msg>),
     ) {
         let inv = inv as u32;
         for &cond in conds {
             if cond.dep_tid != tid {
-                self.flush(cond.dep_tid, flush);
+                self.flush(cond.dep_tid, sink, flush);
             }
             self.pending[tid].push(Msg::Sync { cond, inv });
         }
@@ -162,13 +168,31 @@ impl Outbox {
         }
         self.iters[tid] += 1;
         if self.iters[tid] >= SCHED_BATCH {
-            self.flush(tid, flush);
+            self.flush(tid, sink, flush);
         }
     }
 
-    /// Sends worker `tid`'s buffer if it holds anything.
-    fn flush(&mut self, tid: ThreadId, flush: &mut impl FnMut(ThreadId, &mut Vec<Msg>)) {
+    /// Sends worker `tid`'s buffer if it holds anything, recording each of
+    /// its runs in `sink`.
+    fn flush(
+        &mut self,
+        tid: ThreadId,
+        sink: &mut TraceSink,
+        flush: &mut impl FnMut(ThreadId, &mut Vec<Msg>),
+    ) {
         if !self.pending[tid].is_empty() {
+            if sink.is_enabled() {
+                for msg in &self.pending[tid] {
+                    if let Msg::Run(run) = msg {
+                        sink.emit(Event::TaskAssign {
+                            epoch: run.inv,
+                            task: run.iter as u64,
+                            worker: tid,
+                            count: run.count,
+                        });
+                    }
+                }
+            }
             flush(tid, &mut self.pending[tid]);
             debug_assert!(self.pending[tid].is_empty());
             self.iters[tid] = 0;
@@ -570,6 +594,8 @@ impl DomoreRuntime {
                 &owned_metrics
             }
         };
+        // Started before the trace origin: every stamp lies within `elapsed`.
+        let start = Instant::now();
         let collector = TraceCollector::with_region(
             self.config.trace_capacity.unwrap_or(0),
             self.config.region_id,
@@ -592,7 +618,6 @@ impl DomoreRuntime {
             record(err);
             abort.store(true, Ordering::Release);
         };
-        let start = Instant::now();
 
         let queue_capacity = self.config.queue_capacity;
         let schedule_memo = self.config.schedule_memo;
@@ -659,10 +684,26 @@ impl DomoreRuntime {
                                 Msg::End => break 'region,
                             };
                             let inv = run.inv as usize;
+                            if !draining && !abort.load(Ordering::Acquire) {
+                                // SPSC produce → consume: the scheduler's
+                                // enqueue is what this run's dispatch picks up.
+                                sink.emit(Event::Wake {
+                                    edge: WakeEdge::Queue,
+                                    src_tid: MANAGER_TID,
+                                    seq: run.iter_num,
+                                });
+                                sink.emit(Event::TaskDispatch {
+                                    epoch: run.inv,
+                                    task: run.iter as u64,
+                                    count: run.count,
+                                });
+                            }
+                            // Skipping is sticky (abort, local drain), so the
+                            // executed iterations are a prefix of the run.
+                            let mut executed = 0u32;
                             for k in 0..run.count as usize {
                                 let (iter, iter_num) =
                                     (run.iter + k * run.stride, run.iter_num + (k * run.stride) as u64);
-                                let mut executed = false;
                                 if !draining && !abort.load(Ordering::Acquire) {
                                     let injected = fault.task_start(inv as u32, iter as u64, tid);
                                     if let Some(f) = injected {
@@ -676,17 +717,6 @@ impl DomoreRuntime {
                                         std::thread::sleep(d);
                                     }
                                     let inject = injected == Some(TaskFault::Panic);
-                                    // SPSC produce → consume: the scheduler's
-                                    // enqueue is what this dispatch picks up.
-                                    sink.emit(Event::Wake {
-                                        edge: WakeEdge::Queue,
-                                        src_tid: MANAGER_TID,
-                                        seq: iter_num,
-                                    });
-                                    sink.emit(Event::TaskDispatch {
-                                        epoch: inv as u32,
-                                        task: iter as u64,
-                                    });
                                     let outcome = catch_unwind(AssertUnwindSafe(|| {
                                         if inject {
                                             panic!(
@@ -696,7 +726,7 @@ impl DomoreRuntime {
                                         workload.execute_iteration(inv, iter, tid);
                                     }));
                                     match outcome {
-                                        Ok(()) => executed = true,
+                                        Ok(()) => executed += 1,
                                         Err(_) => {
                                             // Record (don't abort): mark
                                             // this worker dead and let the
@@ -714,13 +744,14 @@ impl DomoreRuntime {
                                 // iteration number must be released so the
                                 // region drains.
                                 board.publish(tid, iter_num);
-                                if executed {
-                                    tally.tasks += 1;
-                                    sink.emit(Event::TaskRetire {
-                                        epoch: inv as u32,
-                                        task: iter as u64,
-                                    });
-                                }
+                            }
+                            if executed > 0 {
+                                tally.tasks += u64::from(executed);
+                                sink.emit(Event::TaskRetire {
+                                    epoch: run.inv,
+                                    task: run.iter as u64,
+                                    count: executed,
+                                });
                             }
                         }
                         tally.fold();
@@ -780,13 +811,16 @@ impl DomoreRuntime {
                                 live
                             },
                             |iter, tid, iter_num, conds, _replayed| {
-                                sched_sink.emit(Event::TaskAssign {
-                                    epoch: inv as u32,
-                                    task: iter as u64,
-                                    worker: tid,
-                                });
                                 tally.sync_conditions += conds.len() as u64;
-                                outbox.push(inv, iter, tid, iter_num, conds, &mut flush);
+                                outbox.push(
+                                    inv,
+                                    iter,
+                                    tid,
+                                    iter_num,
+                                    conds,
+                                    &mut sched_sink,
+                                    &mut flush,
+                                );
                             },
                         );
                         tally.fold();
@@ -798,7 +832,7 @@ impl DomoreRuntime {
                         }
                         sched_sink.emit(Event::EpochEnd { epoch: inv as u32 });
                     }
-                    (0..num_workers).for_each(|tid| outbox.flush(tid, &mut flush));
+                    (0..num_workers).for_each(|tid| outbox.flush(tid, &mut sched_sink, &mut flush));
                 }));
                 collector.absorb(sched_sink);
                 if sched.is_err() {
@@ -846,6 +880,7 @@ impl DomoreRuntime {
 mod tests {
     use super::*;
     use crate::policy::LocalWrite;
+    use crossinvoc_runtime::trace::TraceReport;
     use crossinvoc_runtime::SharedSlice;
 
     /// Invocation k writes cell (i + k) % n for iteration i: shifting
@@ -1105,6 +1140,7 @@ mod tests {
     fn dispatched(w: &impl DomoreWorkload, workers: usize, dispatch: Dispatch) -> Vec<Vec<Msg>> {
         let (mut core, mut policy) = (ScheduleCore::new(w.address_space()), dispatch.policy());
         let (mut outbox, mut sent) = (Outbox::new(workers), vec![Vec::new(); workers]);
+        let mut sink = TraceSink::disabled();
         let mut flush = |t: ThreadId, buf: &mut Vec<Msg>| sent[t].append(buf);
         for inv in 0..w.num_invocations() {
             core.run_invocation(
@@ -1113,11 +1149,11 @@ mod tests {
                 |iter, writes, reads| w.touched(inv, iter, writes, reads),
                 |iter_num, addrs| Some(policy.assign(iter_num, addrs, workers)),
                 |iter, tid, iter_num, conds, _| {
-                    outbox.push(inv, iter, tid, iter_num, conds, &mut flush)
+                    outbox.push(inv, iter, tid, iter_num, conds, &mut sink, &mut flush)
                 },
             );
         }
-        (0..workers).for_each(|t| outbox.flush(t, &mut flush));
+        (0..workers).for_each(|t| outbox.flush(t, &mut sink, &mut flush));
         sent
     }
 
@@ -1155,7 +1191,9 @@ mod tests {
         /// each worker receives reproduces exactly the iterations assigned
         /// to it, in order, once, each preceded by exactly its own
         /// conditions — and a `Sync` naming `d` is only ever buffered while
-        /// `d`'s buffer is empty, the invariant that rules out deadlock.
+        /// `d`'s buffer is empty, the invariant that rules out deadlock. The
+        /// `TaskAssign` records the flushes write (one per run) credit each
+        /// worker with exactly its iterations.
         #[test]
         fn the_outbox_delivers_every_workers_stream_in_order(
             seed in proptest::prelude::any::<u64>(),
@@ -1171,6 +1209,7 @@ mod tests {
                 _ => Box::new(Chunked::new(1 + rng.next_below(6))),
             };
             let mut outbox = Outbox::new(workers);
+            let mut sink = TraceSink::with_capacity(MANAGER_TID, 1 << 12);
             let mut sent = vec![Vec::new(); workers];
             let mut expected = vec![Vec::new(); workers];
             let mut history: Vec<(ThreadId, IterNum)> = Vec::new();
@@ -1192,21 +1231,30 @@ mod tests {
                     expected[tid].extend(conds.iter().map(|&c| Step::Wait(c)));
                     expected[tid].push(Step::Iter(inv as u32, iter, iter_num));
                     let mut flush = |t: ThreadId, buf: &mut Vec<Msg>| sent[t].append(buf);
-                    outbox.push(inv, iter, tid, iter_num, &conds, &mut flush);
+                    outbox.push(inv, iter, tid, iter_num, &conds, &mut sink, &mut flush);
                     for c in &conds {
                         proptest::prop_assert!(outbox.pending[c.dep_tid].is_empty());
                     }
                     proptest::prop_assert!(outbox.iters.iter().all(|&n| n < SCHED_BATCH));
                     if rng.next_below(10) == 0 {
-                        outbox.flush(rng.next_below(workers as u64) as usize, &mut flush);
+                        outbox.flush(rng.next_below(workers as u64) as usize, &mut sink, &mut flush);
                     }
                     history.push((tid, iter_num));
                 }
             }
             let mut flush = |t: ThreadId, buf: &mut Vec<Msg>| sent[t].append(buf);
-            (0..workers).for_each(|t| outbox.flush(t, &mut flush));
+            (0..workers).for_each(|t| outbox.flush(t, &mut sink, &mut flush));
             for tid in 0..workers {
                 proptest::prop_assert_eq!(expand(&sent[tid]), expected[tid].clone());
+            }
+            let runs: usize = sent.iter().flatten().filter(|m| matches!(m, Msg::Run(_))).count();
+            let trace = Trace::from_sinks([sink]);
+            proptest::prop_assert_eq!(trace.records().len(), runs);
+            let report = TraceReport::from_trace(&trace);
+            for (tid, steps) in expected.iter().enumerate() {
+                let iters = steps.iter().filter(|s| matches!(s, Step::Iter(..))).count() as u64;
+                let assigned = report.threads.iter().find(|t| t.tid == tid).map_or(0, |t| t.assigned);
+                proptest::prop_assert_eq!(assigned, iters);
             }
         }
     }

@@ -3,7 +3,8 @@
 //! [`Trace::to_chrome_json`] renders a merged trace in the [Trace Event
 //! Format] consumed by `chrome://tracing` and `ui.perfetto.dev`: one named
 //! track per thread (workers, then the checker and manager service
-//! threads), a complete-event slice per executed task and per
+//! threads), a complete-event slice per task record (one task, or a
+//! SPECCROSS chunk / DOMORE run of `count` tasks) and per
 //! synchronization wait, instant markers for checkpoints, misspeculations,
 //! degradations and injected faults, flow arrows for every
 //! [`Event::Wake`] causality edge, and counter tracks for cumulative
@@ -22,8 +23,8 @@
 //! use crossinvoc_runtime::trace::{Event, Trace, TraceSink};
 //!
 //! let mut sink = TraceSink::with_capacity(0, 8);
-//! sink.emit_at(10, Event::TaskDispatch { epoch: 0, task: 0 });
-//! sink.emit_at(25, Event::TaskRetire { epoch: 0, task: 0 });
+//! sink.emit_at(10, Event::TaskDispatch { epoch: 0, task: 0, count: 1 });
+//! sink.emit_at(25, Event::TaskRetire { epoch: 0, task: 0, count: 1 });
 //! let json = Trace::from_sinks([sink]).to_chrome_json(None);
 //! assert!(json.starts_with("{\"traceEvents\":["));
 //! ```
@@ -123,18 +124,25 @@ impl Trace {
         for (i, rec) in records.iter().enumerate() {
             let dt = display[&rec.tid];
             match rec.event {
-                Event::TaskDispatch { epoch, task } => {
+                Event::TaskDispatch { epoch, task, .. } => {
                     open_task.insert(rec.tid, (rec.t_ns, epoch, task));
                 }
-                Event::TaskRetire { .. } => {
+                Event::TaskRetire { count, .. } => {
+                    // One slice per record: a chunk or run spans its tasks,
+                    // and names how many completed when not one.
                     if let Some((start, epoch, task)) = open_task.remove(&rec.tid) {
+                        let tasks = if count == 1 {
+                            String::new()
+                        } else {
+                            format!(",\"count\":{count}")
+                        };
                         w.open("task", 'X', dt, start).push_str(&format!(
-                            ",\"dur\":{},\"args\":{{\"epoch\":{epoch},\"task\":{task}}}",
+                            ",\"dur\":{},\"args\":{{\"epoch\":{epoch},\"task\":{task}{tasks}}}",
                             us(rec.t_ns.saturating_sub(start))
                         ));
                         w.close();
                     }
-                    retired += 1;
+                    retired += u64::from(count);
                     w.open("retired", 'C', dt, rec.t_ns)
                         .push_str(&format!(",\"args\":{{\"tasks\":{retired}}}"));
                     w.close();
@@ -269,8 +277,24 @@ mod tests {
     fn sample() -> Trace {
         let rec = |t_ns, tid, event| TraceRecord { t_ns, tid, event };
         Trace::from_records(vec![
-            rec(0, 0, Event::TaskDispatch { epoch: 0, task: 0 }),
-            rec(10, 0, Event::TaskRetire { epoch: 0, task: 0 }),
+            rec(
+                0,
+                0,
+                Event::TaskDispatch {
+                    epoch: 0,
+                    task: 0,
+                    count: 1,
+                },
+            ),
+            rec(
+                10,
+                0,
+                Event::TaskRetire {
+                    epoch: 0,
+                    task: 0,
+                    count: 1,
+                },
+            ),
             rec(10, 0, Event::BarrierEnter { epoch: 0 }),
             rec(30, 1, Event::BarrierEnter { epoch: 0 }),
             rec(

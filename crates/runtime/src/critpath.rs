@@ -210,8 +210,8 @@ struct Dag<'a> {
     /// For each record: the index of the matching `BarrierEnter` if this is
     /// a `BarrierLeave` (`usize::MAX` otherwise / unmatched).
     leave_enter: Vec<usize>,
-    /// `TaskRetire` records whose (epoch, task) already retired earlier in
-    /// the trace — re-execution after a rollback.
+    /// `TaskRetire` records whose (epoch, first task) already retired
+    /// earlier in the trace — re-execution after a rollback.
     redo: Vec<bool>,
 }
 
@@ -247,7 +247,10 @@ impl<'a> Dag<'a> {
                         leave_enter[i] = e;
                     }
                 }
-                Event::TaskRetire { epoch, task } => {
+                // A run-level record keys on its first task: SPECCROSS
+                // re-executes a rolled-back epoch with the speculative
+                // passes' chunk map, so a redone chunk starts where it did.
+                Event::TaskRetire { epoch, task, .. } => {
                     let seen = retired.entry((epoch, task)).or_insert(0);
                     if *seen > 0 {
                         redo[i] = true;
@@ -538,11 +541,43 @@ mod tests {
     fn barrier_trace() -> Trace {
         let rec = |t_ns, tid, event| TraceRecord { t_ns, tid, event };
         Trace::from_records(vec![
-            rec(0, 0, Event::TaskDispatch { epoch: 0, task: 0 }),
-            rec(0, 1, Event::TaskDispatch { epoch: 0, task: 1 }),
-            rec(10, 0, Event::TaskRetire { epoch: 0, task: 0 }),
+            rec(
+                0,
+                0,
+                Event::TaskDispatch {
+                    epoch: 0,
+                    task: 0,
+                    count: 1,
+                },
+            ),
+            rec(
+                0,
+                1,
+                Event::TaskDispatch {
+                    epoch: 0,
+                    task: 1,
+                    count: 1,
+                },
+            ),
+            rec(
+                10,
+                0,
+                Event::TaskRetire {
+                    epoch: 0,
+                    task: 0,
+                    count: 1,
+                },
+            ),
             rec(10, 0, Event::BarrierEnter { epoch: 0 }),
-            rec(30, 1, Event::TaskRetire { epoch: 0, task: 1 }),
+            rec(
+                30,
+                1,
+                Event::TaskRetire {
+                    epoch: 0,
+                    task: 1,
+                    count: 1,
+                },
+            ),
             rec(30, 1, Event::BarrierEnter { epoch: 0 }),
             rec(
                 34,
@@ -619,11 +654,43 @@ mod tests {
     fn redo_work_is_attributed_separately() {
         let rec = |t_ns, tid, event| TraceRecord { t_ns, tid, event };
         let trace = Trace::from_records(vec![
-            rec(0, 0, Event::TaskDispatch { epoch: 0, task: 0 }),
-            rec(10, 0, Event::TaskRetire { epoch: 0, task: 0 }),
+            rec(
+                0,
+                0,
+                Event::TaskDispatch {
+                    epoch: 0,
+                    task: 0,
+                    count: 1,
+                },
+            ),
+            rec(
+                10,
+                0,
+                Event::TaskRetire {
+                    epoch: 0,
+                    task: 0,
+                    count: 1,
+                },
+            ),
             // Rollback: the same task runs again.
-            rec(20, 0, Event::TaskDispatch { epoch: 0, task: 0 }),
-            rec(35, 0, Event::TaskRetire { epoch: 0, task: 0 }),
+            rec(
+                20,
+                0,
+                Event::TaskDispatch {
+                    epoch: 0,
+                    task: 0,
+                    count: 1,
+                },
+            ),
+            rec(
+                35,
+                0,
+                Event::TaskRetire {
+                    epoch: 0,
+                    task: 0,
+                    count: 1,
+                },
+            ),
         ]);
         let report = critical_path(&trace);
         assert_eq!(report.attribution.get(PathCategory::Compute), 10);

@@ -4,10 +4,13 @@
 //! run degraded, which task pair misspeculated — are *runtime information*,
 //! and the counters of [`crate::stats`] compress it beyond recovery. This
 //! module is the uncompressed record: a typed [`Event`] stream, stamped with
-//! nanosecond timestamps and the emitting thread, buffered per thread in a
-//! fixed-capacity ring ([`TraceSink`]) so the hot path never allocates,
-//! locks, or touches an atomic, and merged after the region joins into one
-//! time-ordered [`Trace`] that serializes to JSONL.
+//! the emitting thread and a timestamp (a raw cycle-counter reading where the
+//! processor has an invariant one, decoded to nanoseconds at merge),
+//! buffered per thread in a fixed-capacity ring ([`TraceSink`]) so the hot
+//! path never allocates, locks, or touches an atomic, and merged after the
+//! region joins into one time-ordered [`Trace`] that serializes to JSONL.
+//! The threaded engines write one task record per SPECCROSS chunk and per
+//! DOMORE run (`count` tasks each), not one per task.
 //!
 //! Both threaded engines (`crossinvoc-speccross`, `crossinvoc-domore`) and
 //! both simulators (`crossinvoc-sim`) emit the *same schema*: a trace of a
@@ -29,7 +32,7 @@
 //! // engines use `TraceCollector` sinks that stamp wall-clock time.
 //! let mut sink = TraceSink::with_capacity(0, 64);
 //! sink.emit_at(10, Event::EpochBegin { epoch: 0 });
-//! sink.emit_at(25, Event::TaskRetire { epoch: 0, task: 3 });
+//! sink.emit_at(25, Event::TaskRetire { epoch: 0, task: 3, count: 1 });
 //! let trace = Trace::from_sinks([sink]);
 //! assert_eq!(trace.records().len(), 2);
 //!
@@ -146,6 +149,11 @@ impl fmt::Display for WakeEdge {
 /// per-epoch task (iteration) index. Both engines and both simulators emit
 /// exactly this set, so a trace consumer never needs to know which engine
 /// produced the stream.
+///
+/// The three task events carry a `count ≥ 1`: one record stands for `count`
+/// tasks in the engine's dealing order starting at `task` — a SPECCROSS
+/// chunk (consecutive tasks) or a DOMORE run (a worker's strided iterations).
+/// The simulators emit one record per task (`count: 1`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Event {
     /// A parallel-loop invocation (epoch) began.
@@ -166,25 +174,32 @@ pub enum Event {
     TaskAssign {
         /// Epoch of the task.
         epoch: u32,
-        /// Task index within the epoch.
+        /// Task index within the epoch (the first of `count`).
         task: u64,
         /// Worker the task was routed to.
         worker: ThreadId,
+        /// Tasks this record assigns.
+        count: u32,
     },
     /// A task was handed to a worker (DOMORE: scheduler dispatch; SPECCROSS:
     /// the worker admitted the task past the speculative-range gate).
     TaskDispatch {
         /// Epoch of the task.
         epoch: u32,
-        /// Task index within the epoch.
+        /// Task index within the epoch (the first of `count`).
         task: u64,
+        /// Tasks this record dispatches.
+        count: u32,
     },
     /// A task finished executing.
     TaskRetire {
         /// Epoch of the task.
         epoch: u32,
-        /// Task index within the epoch.
+        /// Task index within the epoch (the first of `count`).
         task: u64,
+        /// Tasks this record retires: of a cut-short chunk or run, the
+        /// prefix that completed.
+        count: u32,
     },
     /// The emitting thread arrived at a synchronization point (a barrier, a
     /// checkpoint rendezvous, or a DOMORE synchronization-condition wait).
@@ -344,15 +359,135 @@ pub struct TraceRecord {
     pub event: Event,
 }
 
+/// Raw wall-clock stamps and their decoding.
+///
+/// Where the processor has an invariant cycle counter (x86_64 with CPUID
+/// leaf `0x8000_0007` EDX bit 8), a collector's sinks store the raw counter
+/// and [`TraceCollector::finish`] maps it to nanoseconds through two
+/// `(Instant, counter)` anchors, one taken when the collector is created and
+/// one in `finish`. Elsewhere sinks store `Instant` nanoseconds directly.
+/// The choice is made once per process.
+mod clock {
+    use std::sync::OnceLock;
+    use std::time::Instant;
+
+    /// What a wall-clock sink's stamps are.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub(super) enum Clock {
+        /// Raw cycle-counter readings, decoded at merge.
+        Counter,
+        /// Nanoseconds since the collector's origin.
+        Instant,
+    }
+
+    /// The process's stamp source.
+    pub(super) fn detected() -> Clock {
+        static CLOCK: OnceLock<Clock> = OnceLock::new();
+        *CLOCK.get_or_init(|| {
+            if invariant_counter() {
+                Clock::Counter
+            } else {
+                Clock::Instant
+            }
+        })
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    fn invariant_counter() -> bool {
+        use std::arch::x86_64::__cpuid;
+        __cpuid(0x8000_0000).eax >= 0x8000_0007 && __cpuid(0x8000_0007).edx & (1 << 8) != 0
+    }
+
+    #[cfg(not(target_arch = "x86_64"))]
+    fn invariant_counter() -> bool {
+        false
+    }
+
+    /// The cycle counter (zero where there is none; never read there, since
+    /// [`detected`] then picks [`Clock::Instant`]).
+    #[inline]
+    pub(super) fn counter() -> u64 {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: `rdtsc` has no preconditions; it reads a register.
+        unsafe {
+            std::arch::x86_64::_rdtsc()
+        }
+        #[cfg(not(target_arch = "x86_64"))]
+        0
+    }
+
+    /// An `(Instant, counter)` pair read as close together as three tries
+    /// allow: the counter is read on both sides of the `Instant` and the
+    /// narrowest bracket's midpoint is kept, so an interrupt inside one try
+    /// does not skew the map.
+    pub(super) fn anchor() -> (Instant, u64) {
+        let (_, now, mid) = (0..3)
+            .map(|_| {
+                let before = counter();
+                let now = Instant::now();
+                let width = counter().wrapping_sub(before);
+                (width, now, before.wrapping_add(width / 2))
+            })
+            .min_by_key(|&(width, _, _)| width)
+            .expect("three tries");
+        (now, mid)
+    }
+
+    /// The linear map from counter readings to nanoseconds since the origin
+    /// through two anchors: `(c0, 0)` and `(c1, ns1)`. Exact at both anchors
+    /// and monotone; readings before `c0` decode to 0.
+    #[derive(Debug, Clone, Copy)]
+    pub(super) struct CounterMap {
+        c0: u64,
+        /// Nanoseconds per tick in 64.64 fixed point, rounded to nearest.
+        scale: u128,
+    }
+
+    impl CounterMap {
+        pub(super) fn new(c0: u64, c1: u64, ns1: u64) -> Self {
+            let ticks = u128::from(c1.saturating_sub(c0));
+            // A counter that did not move maps everything to the origin.
+            let scale = ((u128::from(ns1) << 64) + ticks / 2)
+                .checked_div(ticks)
+                .unwrap_or(0);
+            Self { c0, scale }
+        }
+
+        /// `round(ticks · scale)`: within half a nanosecond of the exact
+        /// line, and exactly `ns1` at `c1` (the rounding error of `scale`,
+        /// times at most `2^64` ticks, stays below half of `2^64`).
+        #[inline]
+        pub(super) fn ns(&self, counter: u64) -> u64 {
+            let ticks = u128::from(counter.saturating_sub(self.c0));
+            (ticks.saturating_mul(self.scale).saturating_add(1 << 63) >> 64) as u64
+        }
+    }
+}
+
+use clock::{Clock, CounterMap};
+
+/// How a sink's [`TraceSink::emit`] stamps a record.
+#[derive(Debug, Clone, Copy)]
+enum Stamp {
+    /// No wall clock: the simulators stamp virtual time via `emit_at`.
+    Virtual,
+    /// Raw cycle counter, decoded by the collector's `finish`.
+    Counter,
+    /// Nanoseconds since this origin.
+    Since(Instant),
+}
+
 /// A per-thread, fixed-capacity event ring.
 ///
 /// The hot path ([`TraceSink::emit`] / [`TraceSink::emit_at`]) is designed
 /// to cost one predictable branch when tracing is disabled and one ring
 /// write when enabled: no atomics, no locks, and no allocation after
-/// construction (a disabled sink never allocates at all). When the ring
-/// overflows, the *oldest* records are overwritten and counted in
-/// [`TraceSink::dropped`] — a bounded trace of the most recent history, like
-/// a flight recorder.
+/// construction (a disabled sink never allocates at all). A collector's
+/// sinks stamp a raw cycle-counter reading where the processor has an
+/// invariant one, and [`TraceCollector::finish`] turns it into nanoseconds.
+/// When the ring overflows, the *oldest* records are overwritten and
+/// counted in [`TraceSink::dropped`] — a bounded trace of the most recent
+/// history, like a flight recorder.
 ///
 /// # Example
 ///
@@ -382,9 +517,8 @@ pub struct TraceSink {
     /// Next write slot once the ring is full.
     next: usize,
     dropped: u64,
-    /// Wall-clock origin for [`TraceSink::emit`]; `None` for virtual-time
-    /// sinks, whose callers stamp timestamps explicitly.
-    origin: Option<Instant>,
+    /// What [`TraceSink::emit`] stamps.
+    stamp: Stamp,
 }
 
 impl TraceSink {
@@ -398,7 +532,7 @@ impl TraceSink {
             buf: Vec::with_capacity(capacity),
             next: 0,
             dropped: 0,
-            origin: None,
+            stamp: Stamp::Virtual,
         }
     }
 
@@ -406,7 +540,7 @@ impl TraceSink {
     /// wall-clock nanoseconds since `origin`.
     pub fn with_origin(tid: ThreadId, capacity: usize, origin: Instant) -> Self {
         Self {
-            origin: Some(origin),
+            stamp: Stamp::Since(origin),
             ..Self::with_capacity(tid, capacity)
         }
     }
@@ -422,16 +556,18 @@ impl TraceSink {
         self.enabled
     }
 
-    /// Records `event` stamped with the wall clock (no-op without an origin
-    /// or when disabled).
+    /// Records `event` stamped with the wall clock (no-op when disabled; a
+    /// virtual-time sink stamps 0). A collector's sink may store a raw
+    /// cycle-counter reading here, which [`TraceCollector::finish`] decodes.
     #[inline]
     pub fn emit(&mut self, event: Event) {
         if !self.enabled {
             return;
         }
-        let t_ns = match self.origin {
-            Some(origin) => origin.elapsed().as_nanos() as u64,
-            None => 0,
+        let t_ns = match self.stamp {
+            Stamp::Counter => clock::counter(),
+            Stamp::Since(origin) => origin.elapsed().as_nanos() as u64,
+            Stamp::Virtual => 0,
         };
         self.push(TraceRecord {
             t_ns,
@@ -453,12 +589,16 @@ impl TraceSink {
         });
     }
 
+    #[inline]
     fn push(&mut self, rec: TraceRecord) {
         if self.buf.len() < self.capacity {
             self.buf.push(rec);
         } else {
             self.buf[self.next] = rec;
-            self.next = (self.next + 1) % self.capacity;
+            self.next += 1;
+            if self.next == self.capacity {
+                self.next = 0;
+            }
             self.dropped += 1;
         }
     }
@@ -505,6 +645,9 @@ impl TraceSink {
 pub struct TraceCollector {
     capacity: usize,
     origin: Instant,
+    /// The cycle-counter reading paired with `origin` when sinks stamp the
+    /// counter; `None` when they stamp `Instant` nanoseconds.
+    origin_counter: Option<u64>,
     region: u64,
     slots: Mutex<Vec<TraceSink>>,
 }
@@ -521,9 +664,27 @@ impl TraceCollector {
     /// region-server submission id; `0` is the solo default and is omitted
     /// from the JSONL wire format for backward compatibility).
     pub fn with_region(capacity: usize, region: u64) -> Self {
+        // A disabled collector stamps nothing, so it skips the anchor.
+        let clock = if capacity == 0 {
+            Clock::Instant
+        } else {
+            clock::detected()
+        };
+        Self::with_clock(capacity, region, clock)
+    }
+
+    fn with_clock(capacity: usize, region: u64, clock: Clock) -> Self {
+        let (origin, origin_counter) = match clock {
+            Clock::Counter => {
+                let (origin, counter) = clock::anchor();
+                (origin, Some(counter))
+            }
+            Clock::Instant => (Instant::now(), None),
+        };
         Self {
             capacity,
-            origin: Instant::now(),
+            origin,
+            origin_counter,
             region,
             slots: Mutex::new(Vec::new()),
         }
@@ -547,12 +708,18 @@ impl TraceCollector {
     }
 
     /// A fresh sink for `tid`, stamping wall-clock time from the shared
-    /// origin.
+    /// origin (as raw counter readings where `finish` decodes them).
     pub fn sink(&self, tid: ThreadId) -> TraceSink {
         if self.capacity == 0 {
-            TraceSink::disabled()
-        } else {
-            TraceSink::with_origin(tid, self.capacity, self.origin)
+            return TraceSink::disabled();
+        }
+        let stamp = match self.origin_counter {
+            Some(_) => Stamp::Counter,
+            None => Stamp::Since(self.origin),
+        };
+        TraceSink {
+            stamp,
+            ..TraceSink::with_capacity(tid, self.capacity)
         }
     }
 
@@ -568,12 +735,33 @@ impl TraceCollector {
 
     /// Merges every absorbed sink into a time-ordered [`Trace`]; `None` when
     /// tracing was disabled.
+    ///
+    /// Counter stamps are decoded here: a second `(Instant, counter)` anchor
+    /// is read and each stamp is mapped linearly between it and the origin's
+    /// anchor to nanoseconds since the origin. Within one sink a stamp never
+    /// decodes earlier than the one before it.
     pub fn finish(self) -> Option<Trace> {
         if self.capacity == 0 {
             return None;
         }
+        let map = self.origin_counter.map(|c0| {
+            let (now, c1) = clock::anchor();
+            CounterMap::new(c0, c1, now.duration_since(self.origin).as_nanos() as u64)
+        });
         let sinks = self.slots.into_inner().expect("trace collector poisoned");
-        Some(Trace::from_sinks(sinks).with_region(self.region))
+        let parts = sinks.into_iter().map(|sink| {
+            let counter = matches!(sink.stamp, Stamp::Counter);
+            let (mut records, dropped) = sink.into_records();
+            if let (true, Some(map)) = (counter, &map) {
+                let mut last = 0;
+                for rec in &mut records {
+                    last = map.ns(rec.t_ns).max(last);
+                    rec.t_ns = last;
+                }
+            }
+            (records, dropped)
+        });
+        Some(Trace::merge(parts).with_region(self.region))
     }
 }
 
@@ -590,10 +778,14 @@ impl Trace {
     /// break by thread id, then emission order — deterministic for the
     /// simulators' virtual clocks).
     pub fn from_sinks(sinks: impl IntoIterator<Item = TraceSink>) -> Self {
+        Self::merge(sinks.into_iter().map(TraceSink::into_records))
+    }
+
+    /// Merges per-thread record streams, each with its drop count.
+    fn merge(parts: impl IntoIterator<Item = (Vec<TraceRecord>, u64)>) -> Self {
         let mut records = Vec::new();
         let mut dropped = 0;
-        for sink in sinks {
-            let (recs, drops) = sink.into_records();
+        for (recs, drops) in parts {
             records.extend(recs);
             dropped += drops;
         }
@@ -803,18 +995,26 @@ fn write_record(out: &mut String, rec: &TraceRecord, region: u64) {
             field(out, "epoch", epoch as u64);
             field(out, "wait_ns", wait_ns);
         }
-        Event::TaskDispatch { epoch, task } | Event::TaskRetire { epoch, task } => {
+        Event::TaskDispatch { epoch, task, count } | Event::TaskRetire { epoch, task, count } => {
             field(out, "epoch", epoch as u64);
             field(out, "task", task);
+            // One-task records keep the pre-run wire form.
+            if count != 1 {
+                field(out, "count", count as u64);
+            }
         }
         Event::TaskAssign {
             epoch,
             task,
             worker,
+            count,
         } => {
             field(out, "epoch", epoch as u64);
             field(out, "task", task);
             field(out, "worker", worker as u64);
+            if count != 1 {
+                field(out, "count", count as u64);
+            }
         }
         Event::Misspeculation {
             earlier_tid,
@@ -935,6 +1135,14 @@ fn parse_record(line: &str) -> Result<(TraceRecord, u64), String> {
     let tid = num("tid")? as usize;
     let ev = str_field("ev")?;
     let epoch = |v: u64| -> u32 { v as u32 };
+    // Absent on one-task records.
+    let count = || -> Result<u32, String> {
+        match opt_num("count") {
+            None => Ok(1),
+            Some(0) => Err("count must be at least 1".to_string()),
+            Some(n) => u32::try_from(n).map_err(|_| "count out of range".to_string()),
+        }
+    };
     let event = match ev {
         "epoch_begin" => Event::EpochBegin {
             epoch: epoch(num("epoch")?),
@@ -946,14 +1154,17 @@ fn parse_record(line: &str) -> Result<(TraceRecord, u64), String> {
             epoch: epoch(num("epoch")?),
             task: num("task")?,
             worker: num("worker")? as usize,
+            count: count()?,
         },
         "task_dispatch" => Event::TaskDispatch {
             epoch: epoch(num("epoch")?),
             task: num("task")?,
+            count: count()?,
         },
         "task_retire" => Event::TaskRetire {
             epoch: epoch(num("epoch")?),
             task: num("task")?,
+            count: count()?,
         },
         "barrier_enter" => Event::BarrierEnter {
             epoch: epoch(num("epoch")?),
@@ -1029,10 +1240,11 @@ pub struct MisspecEntry {
 pub struct ThreadBreakdown {
     /// Thread id.
     pub tid: ThreadId,
-    /// Tasks the scheduler routed to this worker ([`Event::TaskAssign`]
-    /// events naming it). Zero on engines that do not emit assignments.
+    /// Tasks the scheduler routed to this worker (the `count`s of the
+    /// [`Event::TaskAssign`] events naming it). Zero on engines that do not
+    /// emit assignments.
     pub assigned: u64,
-    /// Tasks retired.
+    /// Tasks retired (the `count`s of its [`Event::TaskRetire`] events).
     pub tasks: u64,
     /// Synchronization waits (barrier/rendezvous/condition) endured.
     pub barrier_waits: u64,
@@ -1132,20 +1344,20 @@ impl TraceReport {
 
         for rec in trace.records() {
             match rec.event {
-                Event::TaskAssign { worker, .. } => {
+                Event::TaskAssign { worker, count, .. } => {
                     // Credited to the *named* worker: the event itself sits
                     // on the scheduler's timeline.
                     let i = slot(&mut threads, worker);
-                    threads[i].assigned += 1;
+                    threads[i].assigned += u64::from(count);
                 }
                 Event::TaskDispatch { .. } => {
                     // Remember the dispatch time; the matching retire (same
                     // tid, next retire) closes the busy interval.
                     open_tasks.push((rec.tid, rec.t_ns));
                 }
-                Event::TaskRetire { .. } => {
+                Event::TaskRetire { count, .. } => {
                     let i = slot(&mut threads, rec.tid);
-                    threads[i].tasks += 1;
+                    threads[i].tasks += u64::from(count);
                     if let Some(pos) = open_tasks.iter().position(|&(t, _)| t == rec.tid) {
                         let (_, start) = open_tasks.swap_remove(pos);
                         threads[i].busy_ns += rec.t_ns.saturating_sub(start);
@@ -1454,12 +1666,20 @@ mod tests {
             TraceRecord {
                 t_ns: 10,
                 tid: 0,
-                event: Event::TaskDispatch { epoch: 0, task: 0 },
+                event: Event::TaskDispatch {
+                    epoch: 0,
+                    task: 0,
+                    count: 1,
+                },
             },
             TraceRecord {
                 t_ns: 30,
                 tid: 0,
-                event: Event::TaskRetire { epoch: 0, task: 0 },
+                event: Event::TaskRetire {
+                    epoch: 0,
+                    task: 0,
+                    count: 1,
+                },
             },
             TraceRecord {
                 t_ns: 35,
@@ -1682,7 +1902,14 @@ mod tests {
     fn disabled_sink_never_allocates_or_records() {
         let mut sink = TraceSink::disabled();
         for i in 0..10_000u64 {
-            sink.emit_at(i, Event::TaskRetire { epoch: 0, task: i });
+            sink.emit_at(
+                i,
+                Event::TaskRetire {
+                    epoch: 0,
+                    task: i,
+                    count: 1,
+                },
+            );
             sink.emit(Event::EpochBegin { epoch: 0 });
         }
         assert!(sink.is_empty());
@@ -1715,6 +1942,146 @@ mod tests {
         sink.emit(Event::EpochBegin { epoch: 0 });
         collector.absorb(sink);
         assert!(collector.finish().is_none());
+    }
+
+    /// Two sinks on two threads of one collector: the finished trace's
+    /// stamps lie between the origin and the end of `finish`, and each
+    /// thread's are non-decreasing.
+    fn check_collector_clock(collector: TraceCollector) {
+        let before = Instant::now();
+        let origin = collector.origin;
+        std::thread::scope(|s| {
+            for tid in 0..2 {
+                let collector = &collector;
+                s.spawn(move || {
+                    let mut sink = collector.sink(tid);
+                    for epoch in 0..200 {
+                        sink.emit(Event::EpochBegin { epoch });
+                        std::hint::black_box(epoch);
+                    }
+                    collector.absorb(sink);
+                });
+            }
+        });
+        let trace = collector.finish().expect("enabled");
+        let bound = origin.elapsed().as_nanos() as u64;
+        assert!(origin <= before);
+        assert_eq!(trace.records().len(), 400);
+        for tid in 0..2 {
+            let stamps: Vec<u64> = trace
+                .records()
+                .iter()
+                .filter(|r| r.tid == tid)
+                .map(|r| r.t_ns)
+                .collect();
+            assert!(stamps.windows(2).all(|w| w[0] <= w[1]), "{stamps:?}");
+            assert!(stamps.iter().all(|&t| t <= bound), "{stamps:?} > {bound}");
+        }
+    }
+
+    #[test]
+    fn instant_stamps_decode_in_order_on_every_target() {
+        check_collector_clock(TraceCollector::with_clock(512, 0, Clock::Instant));
+    }
+
+    #[test]
+    fn detected_clock_stamps_decode_in_order() {
+        let collector = TraceCollector::new(512);
+        if clock::detected() == Clock::Counter {
+            assert!(collector.origin_counter.is_some());
+        }
+        check_collector_clock(collector);
+    }
+
+    #[test]
+    fn counter_map_is_exact_at_both_anchors() {
+        for (c0, c1, ns1) in [
+            (0, 1, 1),
+            (1_000, 3_400, 1_000),
+            (u64::MAX / 4, u64::MAX / 4 + 2_900_000_000, 1_000_000_000),
+            (12_345, 12_345 + 7, 3),
+            (5, 5 + 1_000_000, 2_999_999),
+        ] {
+            let map = CounterMap::new(c0, c1, ns1);
+            assert_eq!(map.ns(c0), 0, "({c0}, {c1}, {ns1})");
+            assert_eq!(map.ns(c1), ns1, "({c0}, {c1}, {ns1})");
+            assert_eq!(map.ns(c0.saturating_sub(9)), 0, "before the origin");
+        }
+        // A counter that did not move maps everything to the origin.
+        assert_eq!(CounterMap::new(7, 7, 50).ns(100), 0);
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn counter_map_is_monotone_and_exact_at_anchors(
+            c0 in 0u64..1 << 60,
+            ticks in 1u64..1 << 40,
+            ns1 in 0u64..1 << 40,
+            probes in proptest::collection::vec(0u64..1 << 41, 0..16),
+        ) {
+            let map = CounterMap::new(c0, c0 + ticks, ns1);
+            proptest::prop_assert_eq!(map.ns(c0), 0);
+            proptest::prop_assert_eq!(map.ns(c0 + ticks), ns1);
+            let mut probes = probes;
+            probes.sort_unstable();
+            let decoded: Vec<u64> = probes.iter().map(|&p| map.ns(c0 + p)).collect();
+            proptest::prop_assert!(decoded.windows(2).all(|w| w[0] <= w[1]));
+        }
+    }
+
+    #[test]
+    fn one_task_records_keep_the_pre_run_wire_form() {
+        let rec = |event| TraceRecord {
+            t_ns: 25,
+            tid: 0,
+            event,
+        };
+        let jsonl = |event| Trace::from_records(vec![rec(event)]).to_jsonl();
+        assert_eq!(
+            jsonl(Event::TaskRetire {
+                epoch: 2,
+                task: 3,
+                count: 1
+            }),
+            "{\"t\":25,\"tid\":0,\"ev\":\"task_retire\",\"epoch\":2,\"task\":3}\n"
+        );
+        assert_eq!(
+            jsonl(Event::TaskDispatch {
+                epoch: 2,
+                task: 3,
+                count: 1
+            }),
+            "{\"t\":25,\"tid\":0,\"ev\":\"task_dispatch\",\"epoch\":2,\"task\":3}\n"
+        );
+        assert_eq!(
+            jsonl(Event::TaskAssign {
+                epoch: 2,
+                task: 3,
+                worker: 1,
+                count: 1
+            }),
+            "{\"t\":25,\"tid\":0,\"ev\":\"task_assign\",\"epoch\":2,\"task\":3,\"worker\":1}\n"
+        );
+        // A run names its length; the parser defaults a missing one to 1.
+        let run = Event::TaskRetire {
+            epoch: 2,
+            task: 3,
+            count: 6,
+        };
+        assert_eq!(
+            jsonl(run),
+            "{\"t\":25,\"tid\":0,\"ev\":\"task_retire\",\"epoch\":2,\"task\":3,\"count\":6}\n"
+        );
+        assert_eq!(
+            Trace::from_jsonl(&jsonl(run)).unwrap().records()[0].event,
+            run
+        );
+        for bad in [
+            "{\"t\":1,\"tid\":0,\"ev\":\"task_retire\",\"epoch\":0,\"task\":0,\"count\":0}",
+            "{\"t\":1,\"tid\":0,\"ev\":\"task_retire\",\"epoch\":0,\"task\":0,\"count\":4294967296}",
+        ] {
+            assert!(Trace::from_jsonl(bad).is_err(), "accepted {bad:?}");
+        }
     }
 
     #[test]
@@ -1767,12 +2134,20 @@ mod tests {
             TraceRecord {
                 t_ns: 0,
                 tid: 0,
-                event: Event::TaskDispatch { epoch: 0, task: 0 },
+                event: Event::TaskDispatch {
+                    epoch: 0,
+                    task: 0,
+                    count: 1,
+                },
             },
             TraceRecord {
                 t_ns: 50,
                 tid: 0,
-                event: Event::TaskRetire { epoch: 0, task: 0 },
+                event: Event::TaskRetire {
+                    epoch: 0,
+                    task: 0,
+                    count: 1,
+                },
             },
             TraceRecord {
                 t_ns: 100,

@@ -110,6 +110,7 @@ pub(crate) fn barrier_epoch<W: SimWorkload + ?Sized>(
             Event::TaskDispatch {
                 epoch: inv as u32,
                 task: iter as u64,
+                count: 1,
             },
         );
         clocks[tid] += work;
@@ -119,6 +120,7 @@ pub(crate) fn barrier_epoch<W: SimWorkload + ?Sized>(
             Event::TaskRetire {
                 epoch: inv as u32,
                 task: iter as u64,
+                count: 1,
             },
         );
         stats.add_task();

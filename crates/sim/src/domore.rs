@@ -190,6 +190,7 @@ fn simulate<W: SimWorkload + ?Sized>(
                             epoch: inv as u32,
                             task: iter as u64,
                             worker: tid,
+                            count: 1,
                         },
                     );
                     let sink = &mut sinks.workers[tid];
@@ -246,6 +247,7 @@ fn simulate<W: SimWorkload + ?Sized>(
                         Event::TaskDispatch {
                             epoch: inv as u32,
                             task: iter as u64,
+                            count: 1,
                         },
                     );
                     clocks[tid] = release + work;
@@ -254,6 +256,7 @@ fn simulate<W: SimWorkload + ?Sized>(
                         Event::TaskRetire {
                             epoch: inv as u32,
                             task: iter as u64,
+                            count: 1,
                         },
                     );
                     finish_times.push(clocks[tid]);

@@ -629,6 +629,7 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                 Event::TaskDispatch {
                     epoch: epoch as u32,
                     task: task as u64,
+                    count: 1,
                 },
             );
             sinks.workers[tid].emit_at(
@@ -636,6 +637,7 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                 Event::TaskRetire {
                     epoch: epoch as u32,
                     task: task as u64,
+                    count: 1,
                 },
             );
 

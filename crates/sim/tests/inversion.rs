@@ -248,8 +248,8 @@ proptest::proptest! {
         let mut times: HashMap<(u32, u64), (u64, u64)> = HashMap::new();
         for rec in timing.trace.expect("tracing was requested").records() {
             match rec.event {
-                Event::TaskDispatch { epoch, task } => times.entry((epoch, task)).or_default().0 = rec.t_ns,
-                Event::TaskRetire { epoch, task } => times.entry((epoch, task)).or_default().1 = rec.t_ns,
+                Event::TaskDispatch { epoch, task, .. } => times.entry((epoch, task)).or_default().0 = rec.t_ns,
+                Event::TaskRetire { epoch, task, .. } => times.entry((epoch, task)).or_default().1 = rec.t_ns,
                 _ => {}
             }
         }

@@ -484,6 +484,19 @@ impl Drop for Tally<'_> {
     }
 }
 
+/// Closes a chunk's trace record: one `TaskRetire` for the `done` tasks that
+/// completed from `start` on — all of them, or the prefix before a panic or
+/// abort cut the chunk short (none: no record).
+fn retire_prefix(sink: &mut TraceSink, epoch: usize, start: usize, done: u32) {
+    if done > 0 {
+        sink.emit(Event::TaskRetire {
+            epoch: epoch as u32,
+            task: start as u64,
+            count: done,
+        });
+    }
+}
+
 /// Adds the requests of one ring pickup to the `processed` ledger when it
 /// goes out of scope — once per pickup instead of once per request, and on
 /// every way out of the admission loop (drained, conflict, abort, injected
@@ -859,6 +872,8 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
             }
         };
         let stats = metrics.stats();
+        // Started before the trace origin: every stamp lies within `elapsed`.
+        let start = Instant::now();
         let collector = TraceCollector::with_region(
             self.config.trace_capacity.unwrap_or(0),
             self.config.region_id,
@@ -873,7 +888,6 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         let mut recent = VecDeque::new();
         let mut consecutive_failures = 0u32;
         let mut misspec_ordinal: u64 = 0;
-        let start = Instant::now();
         let mut start_epoch = 0usize;
         let num_epochs = workload.num_epochs();
         // State buffers of the previous pass, for the next one to checkpoint
@@ -1115,11 +1129,12 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                 &owned_metrics
             }
         };
+        // Started before the trace origin: every stamp lies within `elapsed`.
+        let start = Instant::now();
         let collector = TraceCollector::with_region(
             self.config.trace_capacity.unwrap_or(0),
             self.config.region_id,
         );
-        let start = Instant::now();
         let outcome = self.run_barrier_range(
             workload,
             0,
@@ -1560,27 +1575,31 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
             if irreversible {
                 // Runs between two full synchronizations: plain parallel
                 // execution, no signatures, then checkpoint.
-                for task in share.flatten() {
+                for tasks in share {
                     sink.emit(Event::TaskDispatch {
                         epoch: epoch as u32,
-                        task: task as u64,
+                        task: tasks.start as u64,
+                        count: tasks.len() as u32,
                     });
-                    if !self.contained_task(
-                        workload,
-                        shared,
-                        epoch,
-                        task,
-                        tid,
-                        &mut NullRecorder,
-                        sink,
-                    ) {
+                    let mut done = 0u32;
+                    let completed = tasks.clone().all(|task| {
+                        let ok = self.contained_task(
+                            workload,
+                            shared,
+                            epoch,
+                            task,
+                            tid,
+                            &mut NullRecorder,
+                            sink,
+                        );
+                        done += u32::from(ok);
+                        ok
+                    });
+                    tally.tasks += u64::from(done);
+                    retire_prefix(sink, epoch, tasks.start, done);
+                    if !completed {
                         return;
                     }
-                    tally.tasks += 1;
-                    sink.emit(Event::TaskRetire {
-                        epoch: epoch as u32,
-                        task: task as u64,
-                    });
                 }
                 tally.fold();
                 if !self.checkpoint_rendezvous(workload, shared, tid, epoch + 1, metrics, sink) {
@@ -1654,45 +1673,54 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                 shared.board.set_position(tid, pos);
                 let snapshot = (!proven).then(|| SnapshotBuf::at_start(&shared.board));
 
-                for task in tasks.clone() {
-                    if shared.misspec.load(Ordering::Acquire) {
-                        return;
-                    }
-                    sink.emit(Event::TaskDispatch {
-                        epoch: epoch as u32,
-                        task: task as u64,
-                    });
-                    let rec: &mut dyn crate::workload::AccessRecorder =
-                        if proven { &mut counting } else { &mut recorder };
-                    if !self.contained_task(workload, shared, epoch, task, tid, rec, sink) {
-                        return;
-                    }
-                    tally.tasks += 1;
-                    sink.emit(Event::TaskRetire {
-                        epoch: epoch as u32,
-                        task: task as u64,
-                    });
-                    let Some(snapshot) = &snapshot else {
-                        // exit_task (elided): the static proof stands in for
-                        // the admission this task would otherwise have queued.
-                        let accesses = counting.take();
-                        if accesses > 0 {
-                            stats.add_elided_signature();
-                            stats.add_elided_admit();
-                            stats.add_proven_accesses(accesses);
-                            elided_tasks += 1;
-                            elided_accesses += accesses;
+                // One trace record pair per chunk; a chunk cut short retires
+                // the prefix that completed.
+                sink.emit(Event::TaskDispatch {
+                    epoch: epoch as u32,
+                    task: tasks.start as u64,
+                    count: tasks.len() as u32,
+                });
+                let mut done = 0u32;
+                let completed = 'chunk: {
+                    for task in tasks.clone() {
+                        if shared.misspec.load(Ordering::Acquire) {
+                            break 'chunk false;
                         }
-                        continue;
-                    };
-                    // exit_task: a signature that cannot join the chunk's
-                    // open run exactly ships it and opens the next.
-                    let at = local_counter + (task - tasks.start) as u32;
-                    if let Some(run) = runs.push(at, recorder.take()) {
-                        if !ship(&mut batches, &mut tally, snapshot.clone(), epoch, run) {
-                            return;
+                        let rec: &mut dyn crate::workload::AccessRecorder =
+                            if proven { &mut counting } else { &mut recorder };
+                        if !self.contained_task(workload, shared, epoch, task, tid, rec, sink) {
+                            break 'chunk false;
+                        }
+                        done += 1;
+                        let Some(snapshot) = &snapshot else {
+                            // exit_task (elided): the static proof stands in
+                            // for the admission this task would otherwise
+                            // have queued.
+                            let accesses = counting.take();
+                            if accesses > 0 {
+                                stats.add_elided_signature();
+                                stats.add_elided_admit();
+                                stats.add_proven_accesses(accesses);
+                                elided_tasks += 1;
+                                elided_accesses += accesses;
+                            }
+                            continue;
+                        };
+                        // exit_task: a signature that cannot join the chunk's
+                        // open run exactly ships it and opens the next.
+                        let at = local_counter + (task - tasks.start) as u32;
+                        if let Some(run) = runs.push(at, recorder.take()) {
+                            if !ship(&mut batches, &mut tally, snapshot.clone(), epoch, run) {
+                                break 'chunk false;
+                            }
                         }
                     }
+                    true
+                };
+                tally.tasks += u64::from(done);
+                retire_prefix(sink, epoch, tasks.start, done);
+                if !completed {
+                    return;
                 }
                 if let (Some(snapshot), Some(run)) = (snapshot, runs.finish()) {
                     if !ship(&mut batches, &mut tally, snapshot, epoch, run) {
@@ -2105,48 +2133,57 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                             });
                         }
                         let ntasks = workload.num_tasks(epoch);
-                        for task in chunk::share(ntasks, chunk, num_workers, tid).flatten() {
+                        for tasks in chunk::share(ntasks, chunk, num_workers, tid) {
                             if abort.load(Ordering::Acquire) {
                                 collector.absorb(sink);
                                 return;
                             }
-                            let injected = fault.task_start(epoch as u32, task as u64, tid);
-                            if let Some(f) = injected {
-                                sink.emit(Event::FaultInjected {
-                                    kind: f.kind(),
-                                    epoch: epoch as u32,
-                                    task: task as u64,
-                                });
-                            }
-                            if let Some(TaskFault::Delay(d)) = injected {
-                                std::thread::sleep(d);
-                            }
-                            let inject = injected == Some(TaskFault::Panic);
                             sink.emit(Event::TaskDispatch {
                                 epoch: epoch as u32,
-                                task: task as u64,
+                                task: tasks.start as u64,
+                                count: tasks.len() as u32,
                             });
-                            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                if inject {
-                                    panic!(
-                                        "injected fault: worker panic at epoch {epoch}, task {task} (barrier mode)"
-                                    );
+                            let mut done = 0u32;
+                            let completed = tasks.clone().all(|task| {
+                                if abort.load(Ordering::Acquire) {
+                                    return false;
                                 }
-                                workload.execute_task(epoch, task, tid, &mut NullRecorder);
-                            }));
-                            if outcome.is_err() {
-                                fail(SpecError::TaskPanicked {
-                                    epoch: epoch as u32,
-                                    task: task as u64,
-                                });
+                                let injected = fault.task_start(epoch as u32, task as u64, tid);
+                                if let Some(f) = injected {
+                                    sink.emit(Event::FaultInjected {
+                                        kind: f.kind(),
+                                        epoch: epoch as u32,
+                                        task: task as u64,
+                                    });
+                                }
+                                if let Some(TaskFault::Delay(d)) = injected {
+                                    std::thread::sleep(d);
+                                }
+                                let inject = injected == Some(TaskFault::Panic);
+                                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                                    if inject {
+                                        panic!(
+                                            "injected fault: worker panic at epoch {epoch}, task {task} (barrier mode)"
+                                        );
+                                    }
+                                    workload.execute_task(epoch, task, tid, &mut NullRecorder);
+                                }));
+                                if outcome.is_err() {
+                                    fail(SpecError::TaskPanicked {
+                                        epoch: epoch as u32,
+                                        task: task as u64,
+                                    });
+                                    return false;
+                                }
+                                done += 1;
+                                true
+                            });
+                            tally.tasks += u64::from(done);
+                            retire_prefix(&mut sink, epoch, tasks.start, done);
+                            if !completed {
                                 collector.absorb(sink);
                                 return;
                             }
-                            tally.tasks += 1;
-                            sink.emit(Event::TaskRetire {
-                                epoch: epoch as u32,
-                                task: task as u64,
-                            });
                         }
                         tally.fold();
                         sink.emit(Event::BarrierEnter {

@@ -468,6 +468,16 @@ fn tid_from(raw: u64) -> usize {
     }
 }
 
+/// Decodes a task record's `count ≥ 1` from raw bits: one task (the form
+/// with no `count` on the wire) a third of the time, else any `u32` but 0.
+fn count_from(raw: u64) -> u32 {
+    if raw.is_multiple_of(3) {
+        1
+    } else {
+        ((raw >> 2) as u32).max(1)
+    }
+}
+
 /// Builds one arbitrary trace [`Event`]: `sel` picks the variant and the
 /// raw words fill its fields. (The vendored proptest shim has no
 /// `prop_oneof!`, so variant choice is an explicit decode; callers sweep
@@ -489,9 +499,18 @@ fn event_from(
             epoch,
             task: b,
             worker: tid_from(c),
+            count: count_from(f),
         },
-        3 => Event::TaskDispatch { epoch, task: b },
-        4 => Event::TaskRetire { epoch, task: b },
+        3 => Event::TaskDispatch {
+            epoch,
+            task: b,
+            count: count_from(f),
+        },
+        4 => Event::TaskRetire {
+            epoch,
+            task: b,
+            count: count_from(f),
+        },
         5 => Event::BarrierEnter { epoch },
         6 => Event::BarrierLeave { epoch, wait_ns: b },
         7 => Event::Checkpoint { epoch },
@@ -564,6 +583,45 @@ proptest! {
         let trace = Trace::from_records(records);
         let parsed = Trace::from_jsonl(&trace.to_jsonl());
         prop_assert_eq!(parsed.expect("round-trip must parse"), trace);
+    }
+
+    /// Run-level task records are transparent to the report: a stream of
+    /// per-task assign / dispatch / retire records and the same stream
+    /// folded into one record per contiguous run (`count` = its length)
+    /// credit every thread with the same `tasks` and `assigned`, and give
+    /// the same scheduler load balance.
+    #[test]
+    fn folding_task_records_into_runs_keeps_the_report(
+        runs in prop::collection::vec((0usize..4, 1u32..9, 0u32..3), 1..24)
+    ) {
+        use crossinvoc_runtime::trace::{TraceRecord, TraceReport, MANAGER_TID};
+        let (mut per_task, mut folded) = (Vec::new(), Vec::new());
+        let mut t = 0u64;
+        let mut rec = |out: &mut Vec<TraceRecord>, tid, event| {
+            t += 1;
+            out.push(TraceRecord { t_ns: t, tid, event });
+        };
+        let mut next_task = [0u64; 4];
+        for &(worker, len, epoch) in &runs {
+            let first = next_task[worker];
+            next_task[worker] += u64::from(len);
+            for task in first..first + u64::from(len) {
+                rec(&mut per_task, MANAGER_TID, Event::TaskAssign { epoch, task, worker, count: 1 });
+                rec(&mut per_task, worker, Event::TaskDispatch { epoch, task, count: 1 });
+                rec(&mut per_task, worker, Event::TaskRetire { epoch, task, count: 1 });
+            }
+            let task = first;
+            rec(&mut folded, MANAGER_TID, Event::TaskAssign { epoch, task, worker, count: len });
+            rec(&mut folded, worker, Event::TaskDispatch { epoch, task, count: len });
+            rec(&mut folded, worker, Event::TaskRetire { epoch, task, count: len });
+        }
+        let a = TraceReport::from_trace(&Trace::from_records(per_task));
+        let b = TraceReport::from_trace(&Trace::from_records(folded));
+        let counts = |r: &TraceReport| -> Vec<(usize, u64, u64)> {
+            r.threads.iter().map(|t| (t.tid, t.tasks, t.assigned)).collect()
+        };
+        prop_assert_eq!(counts(&a), counts(&b));
+        prop_assert_eq!(a.dispatch_balance(), b.dispatch_balance());
     }
 }
 

@@ -6,10 +6,14 @@
 //! breakdown). See `docs/OBSERVABILITY.md`.
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 
+use crossinvoc::server::{RegionReport, RegionServer};
 use crossinvoc_bench::json::{self, Json};
-use crossinvoc_runtime::critpath::what_if;
+use crossinvoc_domore::prelude::*;
+use crossinvoc_runtime::critpath::{critical_path, what_if};
 use crossinvoc_runtime::fault::{FaultKind, FaultPlan};
+use crossinvoc_runtime::telemetry::{FlightRecorder, ServerRegistry};
 use crossinvoc_runtime::trace::{Event, Trace, TraceReport, TraceSink, WakeEdge};
 use crossinvoc_runtime::RangeSignature;
 use crossinvoc_sim::prelude::*;
@@ -17,6 +21,7 @@ use crossinvoc_speccross::prelude::*;
 use crossinvoc_speccross::SpecCrossEngine;
 // `IncGrid` never misspeculates on a clean run — any conflict below is
 // injected.
+use crossinvoc_workloads::kernel::{profile_distance, AccessKernel};
 use crossinvoc_workloads::synthetic::IncGrid;
 use crossinvoc_workloads::{registry, Scale};
 
@@ -293,6 +298,123 @@ fn region_id_stamps_every_line_and_zero_is_wire_invisible() {
         !jsonl0.contains("region_id"),
         "solo traces keep the pre-region schema"
     );
+}
+
+/// Tasks the trace's `TaskRetire` records account for (each counts `count`).
+fn retired_tasks(trace: &Trace) -> u64 {
+    trace
+        .records()
+        .iter()
+        .map(|r| match r.event {
+            Event::TaskRetire { count, .. } => u64::from(count),
+            _ => 0,
+        })
+        .sum()
+}
+
+/// A registry kernel at `scale` with its profiled speculative range.
+fn kernel(name: &str, scale: Scale) -> (Arc<AccessKernel<Model>>, Option<u64>) {
+    let info = crossinvoc_workloads::registry::by_name(name);
+    let distance = profile_distance(info.model(scale).as_ref(), 6).min_distance;
+    (
+        Arc::new(AccessKernel::from_model(info.model(scale))),
+        distance,
+    )
+}
+
+type Model = Box<dyn SimWorkload + Send + Sync>;
+
+/// The `server_mix` setting: a two-thread telemetry server whose flight
+/// recorder arms 512-record rings on every region, serving Test-scale
+/// JACOBI and EQUAKE under SPECCROSS and CG and ECLAT under DOMORE, one
+/// worker each. One task record per chunk or run keeps each region inside
+/// its window — nothing is dropped — and the records account for every task
+/// the region ran.
+#[test]
+fn flight_windows_cover_whole_server_regions() {
+    let registry = ServerRegistry::new(2).with_recorder(FlightRecorder::new(512));
+    let server = RegionServer::with_telemetry(2, registry);
+    for (id, name) in ["JACOBI", "EQUAKE", "CG", "ECLAT"].into_iter().enumerate() {
+        let (kernel, distance) = kernel(name, Scale::Test);
+        let id = id as u64 + 1;
+        let report = if ["JACOBI", "EQUAKE"].contains(&name) {
+            let config = SpecConfig::with_workers(1).spec_distance(distance);
+            server.submit_spec::<RangeSignature, _>(id, config, kernel)
+        } else {
+            server.submit_domore(id, DomoreConfig::with_workers(1), kernel)
+        }
+        .join()
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (trace, tasks) = match &report {
+            RegionReport::Spec(r) => (r.trace.as_ref(), r.stats.tasks),
+            RegionReport::Domore(r) => (r.trace.as_ref(), r.stats.tasks),
+        };
+        let trace = trace.unwrap_or_else(|| panic!("{name}: the server arms a ring"));
+        assert_eq!(trace.dropped(), 0, "{name}: the window holds the region");
+        assert_eq!(retired_tasks(trace), tasks, "{name}");
+    }
+}
+
+/// A Figure-scale SPECCROSS region whose chunks are longer than one task
+/// still retires every task exactly once in its records.
+#[test]
+fn chunked_speccross_records_account_for_every_task() {
+    let (kernel, distance) = kernel("JACOBI", Scale::Figure);
+    let report = SpecCrossEngine::<RangeSignature>::new(
+        SpecConfig::with_workers(2)
+            .spec_distance(distance)
+            .trace(1 << 16),
+    )
+    .execute(kernel.as_ref())
+    .unwrap();
+    let trace = report.trace.expect("tracing was configured");
+    assert_eq!(trace.dropped(), 0);
+    let longest = trace
+        .records()
+        .iter()
+        .filter_map(|r| match r.event {
+            Event::TaskRetire { count, .. } => Some(count),
+            _ => None,
+        })
+        .max();
+    assert!(longest > Some(1), "chunks of K > 1: {longest:?}");
+    assert_eq!(retired_tasks(&trace), report.stats.tasks);
+}
+
+/// Stamps of real threaded regions, decoded at merge: every one lies in
+/// `[0, elapsed]`, each thread's are non-decreasing, and the trace feeds
+/// the critical-path walk and the Chrome export.
+#[test]
+fn real_region_stamps_decode_within_the_region() {
+    let (spec, distance) = kernel("JACOBI", Scale::Test);
+    let spec_report = SpecCrossEngine::<RangeSignature>::new(
+        SpecConfig::with_workers(2)
+            .spec_distance(distance)
+            .checkpoint_every(4)
+            .trace(1 << 14),
+    )
+    .execute(spec.as_ref())
+    .unwrap();
+    let (dom, _) = kernel("CG", Scale::Test);
+    let dom_report = DomoreRuntime::new(DomoreConfig::with_workers(2).trace(1 << 14))
+        .execute(dom.as_ref())
+        .unwrap();
+    for (label, trace, elapsed) in [
+        ("speccross", spec_report.trace, spec_report.elapsed),
+        ("domore", dom_report.trace, dom_report.elapsed),
+    ] {
+        let trace = trace.expect("tracing was configured");
+        let elapsed = elapsed.as_nanos() as u64;
+        let mut last: BTreeMap<usize, u64> = BTreeMap::new();
+        for rec in trace.records() {
+            assert!(rec.t_ns <= elapsed, "{label}: {} > {elapsed}", rec.t_ns);
+            let prev = last.insert(rec.tid, rec.t_ns).unwrap_or(0);
+            assert!(prev <= rec.t_ns, "{label}: tid {} went back", rec.tid);
+        }
+        assert!(critical_path(&trace).steps > 0, "{label}");
+        json::parse(&trace.to_chrome_json(None))
+            .unwrap_or_else(|e| panic!("{label}: chrome export must be valid JSON: {e}"));
+    }
 }
 
 /// Overhead smoke: with tracing off the engine reports no trace, and a
