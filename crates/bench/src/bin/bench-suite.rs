@@ -13,9 +13,6 @@
 //! * `--fastpath` → `BENCH_5.json`: checker epoch summaries on a dense
 //!   clustered SPECCROSS workload (comparisons per admit, checker-wait
 //!   critical-path share) and DOMORE schedule-memo hit rates.
-//! * `--shards` → `BENCH_7.json`: the sharded checker over 1/2/4/8 shards —
-//!   identical verdict streams, and a checker-wait share below the sweep's
-//!   own single-shard row.
 //! * `--regions` → `BENCH_8.json`: a mixed SPECCROSS/DOMORE batch through one
 //!   shared [`WorkerPool`](crossinvoc_runtime::pool::WorkerPool) via the
 //!   [`RegionServer`] — digest identity against solo runs, pooled makespan
@@ -33,18 +30,17 @@
 //!   same run.
 //!
 //! `--smoke` keeps every run at test scale so CI stays under its time
-//! budget; criteria calibrated at figure scale (BENCH_3/5/7/10's) are then
+//! budget; criteria calibrated at figure scale (BENCH_3/5/10's) are then
 //! skipped — the JSON is still written and validated — while the
 //! deterministic BENCH_8/9 criteria are evaluated at either scale.
 //!
 //! ```text
 //! bench-suite [--smoke] [--out PATH] [--workers N] [--reps N]
 //! bench-suite --fastpath [--smoke] [--out PATH] [--workers N]
-//! bench-suite --shards [--smoke] [--out PATH]
 //! bench-suite --regions [--smoke] [--out PATH]
 //! bench-suite --telemetry [--smoke] [--out PATH]
 //! bench-suite --elide [--smoke] [--out PATH]
-//! bench-suite --validate PATH   # parse an existing BENCH_3/5/7/8/9/10 report
+//! bench-suite --validate PATH   # parse an existing BENCH_3/5/8/9/10 report
 //! bench-suite --list            # one "FILE SCHEMA [FLAG]" line per gate
 //! ```
 //!
@@ -107,8 +103,6 @@ const SUMMARY_BUCKET_TASKS: usize = 8;
 /// Minimum schedule-cache hit rate on each periodic DOMORE kernel
 /// (BENCH_5, full mode).
 const HIT_RATE_THRESHOLD: f64 = 0.90;
-/// Shard counts the BENCH_7 suite sweeps; the leading 1 is the baseline.
-const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
 /// Minimum telemetry-on / telemetry-off throughput the registry must keep
 /// on the saturated spin batch (BENCH_9; best-of-N wall time either arm).
 const TELEMETRY_MIN_RATIO: f64 = 0.97;
@@ -165,7 +159,7 @@ struct Gate {
     required: &'static [(&'static str, Kind)],
 }
 
-const GATES: [Gate; 6] = [
+const GATES: [Gate; 5] = [
     Gate {
         flag: "",
         schema: "crossinvoc-bench-3",
@@ -189,21 +183,6 @@ const GATES: [Gate; 6] = [
             ),
             ("memo.kernels[].name", Kind::Str),
             ("memo.kernels[].hit_rate", Kind::Num),
-        ],
-    },
-    Gate {
-        flag: "--shards",
-        schema: "crossinvoc-bench-7",
-        file: "BENCH_7.json",
-        run: run_shards,
-        required: &[
-            ("criteria.verdicts_identical", Kind::Bool),
-            ("criteria.share_factor", Kind::Num),
-            // The baseline row alone is not a sweep.
-            (
-                "checker.shards[2].{shards,checker_wait_share,misspeculations,tasks}",
-                Kind::Num,
-            ),
         ],
     },
     Gate {
@@ -668,14 +647,14 @@ fn run_policy(args: &Args) -> Result<Outcome, String> {
     })
 }
 
-// ---- The checker-side measurements shared by BENCH_5, 7 and 10 ----
+// ---- The checker-side measurements shared by BENCH_5 and 10 ----
 
 /// The clustered configuration of the checker-side gates:
 /// `(epochs, tasks, threads, checkpoint_every)`. The shape needs enough
 /// concurrent cross-epoch candidates for the checker to face deep logs —
 /// thread count, not `--workers`, sets that — and checkpoint rendezvous
 /// drain the checker, which is how its service time reaches the critical
-/// path. BENCH_7 and BENCH_10 run it as is; BENCH_5 widens each epoch to
+/// path. BENCH_10 runs it as is; BENCH_5 widens each epoch to
 /// [`SUMMARY_BUCKET_TASKS`] tasks per worker.
 fn checker_config(smoke: bool) -> (usize, usize, usize, usize) {
     if smoke {
@@ -695,7 +674,7 @@ struct CheckerSide {
     /// run enabled elision on a workload with proven invocations).
     elided_admits: u64,
     /// Verdict stream of the run: misspeculation count and admitted
-    /// tasks. BENCH_7 requires these to be shard-count-invariant.
+    /// tasks. BENCH_10 requires these to be elision-invariant.
     misspeculations: u64,
     tasks: u64,
     /// Fraction of the critical path spent waiting on the checker: the
@@ -713,7 +692,6 @@ struct CheckerSide {
 /// The [`CheckerSide`] fields each report leaves out (the suites predate
 /// one another, so each fixed its own subset).
 const OMIT_BENCH_5: &[&str] = &["elided_admits", "misspeculations", "tasks"];
-const OMIT_BENCH_7: &[&str] = &["epoch_skips", "elided_admits", "comparisons_per_admit"];
 const OMIT_BENCH_10: &[&str] = &["epoch_skips"];
 
 impl CheckerSide {
@@ -721,14 +699,12 @@ impl CheckerSide {
         w: &W,
         (_, _, threads, checkpoint_every): (usize, usize, usize, usize),
         summaries: bool,
-        shards: usize,
         elide: bool,
     ) -> CheckerSide {
         let params = SpecSimParams::with_threads(threads)
             .trace(1 << 17)
             .checkpoint_every(checkpoint_every)
             .epoch_summaries(summaries)
-            .checker_shards(shards)
             .elide(elide);
         let r = crossinvoc_sim::speccross(w, &params, &CostModel::default());
         let trace = r.trace.as_ref().expect("tracing was requested");
@@ -836,8 +812,8 @@ fn run_fastpath(args: &Args) -> Result<Outcome, String> {
         "[clustered] {epochs} epochs x {tasks} tasks on {threads} threads \
          ({SUMMARY_BUCKET_TASKS} per bucket), checkpoint every {ckpt}"
     );
-    let on = CheckerSide::measure(&w, config, true, 1, false);
-    let off = CheckerSide::measure(&w, config, false, 1, false);
+    let on = CheckerSide::measure(&w, config, true, false);
+    let off = CheckerSide::measure(&w, config, false, false);
     let pruning_ratio =
         off.comparisons_per_admit() / on.comparisons_per_admit().max(f64::MIN_POSITIVE);
 
@@ -917,82 +893,6 @@ fn run_fastpath(args: &Args) -> Result<Outcome, String> {
                 "worst_hit_rate": Json::fixed(worst_hit_rate, 4),
                 "checker_share_on": Json::fixed(on.checker_share, 6),
                 "checker_share_off": Json::fixed(off.checker_share, 6),
-                "pass": pass,
-            },
-        },
-        summary,
-        artifacts: Vec::new(),
-    })
-}
-
-// ---- BENCH_7: the sharded-checker regression suite ----
-
-fn run_shards(args: &Args) -> Result<Outcome, String> {
-    // The shared clustered configuration, summaries on; the sweep's own
-    // single-shard row is the baseline the sharded rows must beat.
-    let config @ (epochs, tasks, threads, ckpt) = checker_config(args.smoke);
-    let w = Clustered {
-        epochs,
-        tasks,
-        proven: false,
-    };
-    println!(
-        "[clustered] {epochs} epochs x {tasks} tasks on {threads} threads, \
-         checkpoint every {ckpt}, shard sweep {SHARD_COUNTS:?}"
-    );
-    let rows = SHARD_COUNTS.map(|n| (n, CheckerSide::measure(&w, config, true, n, false)));
-    let baseline = &rows[0].1;
-    let verdicts_identical = rows
-        .iter()
-        .all(|(_, c)| c.stats_match(baseline) && c.check_requests == baseline.check_requests);
-    let (best_shards, best_share) = rows
-        .iter()
-        .skip(1)
-        .map(|(n, c)| (*n, c.checker_share))
-        .min_by(|a, b| a.1.total_cmp(&b.1))
-        .expect("the sweep has sharded rows");
-    let share_factor = best_share / baseline.checker_share.max(f64::MIN_POSITIVE);
-    let pass = !args.smoke && verdicts_identical && share_factor < 1.0;
-
-    let mut summary = String::new();
-    for (n, c) in &rows {
-        let _ = writeln!(
-            summary,
-            "  {n} shard(s): checker-wait share {:.4}, total {} ns, \
-             {} misspec / {} tasks / {} checks (what-if free checks: {:.3}x)",
-            c.checker_share,
-            c.total_ns,
-            c.misspeculations,
-            c.tasks,
-            c.check_requests,
-            c.zero_checker_speedup
-        );
-    }
-    if !args.smoke {
-        let _ = writeln!(
-            summary,
-            "best sharded share {best_share:.4} on {best_shards} shards = {share_factor:.4} of \
-             the single-shard share (need < 1), verdicts identical: \
-             {verdicts_identical}"
-        );
-    }
-    let shard_rows = rows
-        .iter()
-        .map(|(n, c)| json_obj! { "shards": *n }.merged(c.json(OMIT_BENCH_7)));
-    Ok(Outcome {
-        body: json_obj! {
-            "checker": json_obj! {
-                "workload": "clustered",
-                "epochs": epochs,
-                "tasks": tasks,
-                "threads": threads,
-                "checkpoint_every": ckpt,
-                "shards": shard_rows.collect::<Vec<_>>(),
-            },
-            "criteria": json_obj! {
-                "evaluated": !args.smoke,
-                "share_factor": Json::fixed(share_factor, 6),
-                "verdicts_identical": verdicts_identical,
                 "pass": pass,
             },
         },
@@ -1158,8 +1058,8 @@ fn run_elide(args: &Args) -> Result<Outcome, String> {
         proven: true,
     };
     println!("[clustered] {epochs} epochs x {tasks} tasks on {threads} threads, fully proven");
-    let clu_off = CheckerSide::measure(&clustered, config, true, 1, false);
-    let clu_on = CheckerSide::measure(&clustered, config, true, 1, true);
+    let clu_off = CheckerSide::measure(&clustered, config, true, false);
+    let clu_on = CheckerSide::measure(&clustered, config, true, true);
     // (The simulator files a check request only for a task that starts
     // while some worker sits in a different epoch, so elided_admits need
     // not equal the baseline's request count — only the zero is exact.)
@@ -1182,9 +1082,9 @@ fn run_elide(args: &Args) -> Result<Outcome, String> {
     println!(
         "[mixed] {epochs} epochs x {tasks} tasks on {threads} threads, {mixed_proven}/{epochs} proven"
     );
-    let base_off = CheckerSide::measure(&mixed, config, false, 1, false);
-    let sum_on = CheckerSide::measure(&mixed, config, true, 1, false);
-    let elide_on = CheckerSide::measure(&mixed, config, true, 1, true);
+    let base_off = CheckerSide::measure(&mixed, config, false, false);
+    let sum_on = CheckerSide::measure(&mixed, config, true, false);
+    let elide_on = CheckerSide::measure(&mixed, config, true, true);
     // Test-scale runs can elide their way to zero comparisons; cap the
     // ratio so the report stays a finite, readable number.
     let ratio_over_bare = |c: &CheckerSide| {
@@ -1274,17 +1174,17 @@ enum RegionKind {
 struct RegionDef {
     kind: RegionKind,
     workers: usize,
-    shards: usize,
     epochs: usize,
     tasks: usize,
 }
 
 impl RegionDef {
-    /// Pool slots the region's gang occupies (the DOMORE scheduler rides
-    /// the submitting manager thread, so only its workers count).
+    /// Pool slots the region's gang occupies (the SPECCROSS checker is
+    /// one more; the DOMORE scheduler rides the submitting manager thread,
+    /// so only its workers count).
     fn gang(&self) -> usize {
         match self.kind {
-            RegionKind::Spec => self.workers + self.shards,
+            RegionKind::Spec => self.workers + 1,
             RegionKind::Domore => self.workers,
         }
     }
@@ -1297,9 +1197,7 @@ impl RegionDef {
     }
 
     fn spec_config(&self) -> SpecConfig {
-        SpecConfig::with_workers(self.workers)
-            .checker_shards(self.shards)
-            .checkpoint_every(4)
+        SpecConfig::with_workers(self.workers).checkpoint_every(4)
     }
 }
 
@@ -1489,7 +1387,7 @@ fn region_sim_duration(def: &RegionDef, cost: &CostModel) -> u64 {
     let w = UniformWorkload::independent(def.epochs, def.tasks, 10_000);
     match def.kind {
         RegionKind::Spec => {
-            let params = SpecSimParams::with_threads(def.workers).checker_shards(def.shards);
+            let params = SpecSimParams::with_threads(def.workers);
             crossinvoc_sim::speccross::speccross(&w, &params, cost).total_ns
         }
         RegionKind::Domore => domore(&w, def.workers, &mut RoundRobin, cost).total_ns,
@@ -1513,14 +1411,12 @@ fn regions_batch(smoke: bool) -> (usize, Vec<RegionDef>) {
     let spec = RegionDef {
         kind: RegionKind::Spec,
         workers: spec_workers,
-        shards: 1,
         epochs,
         tasks,
     };
     let dom = RegionDef {
         kind: RegionKind::Domore,
         workers: dom_workers,
-        shards: 0,
         ..spec
     };
     (pool, [spec, dom].repeat(pairs))

@@ -16,7 +16,7 @@
 //!
 //! Each submission spawns one cheap *manager* thread that runs the engine's
 //! `execute_on` against the shared pool. All per-region state — checker
-//! shards, shadow memory, schedule memo, metrics, trace sinks, fault
+//! log, shadow memory, schedule memo, metrics, trace sinks, fault
 //! budgets, degradation policy — lives in that manager's call frame, so a
 //! panicking, degrading, or misspeculating region cannot poison its
 //! neighbours: the pool's job wrapper contains role panics and re-raises
@@ -149,7 +149,7 @@ impl RegionServer {
     ///
     /// `threads` bounds the *sum of concurrently running gangs*, not the
     /// per-region width: a SPECCROSS region needs
-    /// `num_workers + checker_shards` slots, a DOMORE region `num_workers`
+    /// `num_workers + 1` slots (the checker), a DOMORE region `num_workers`
     /// (its scheduler rides the manager thread). A region demanding more
     /// than `threads` slots is rejected with `InvalidConfig` at submission
     /// execution time rather than deadlocking.
@@ -287,7 +287,7 @@ impl RegionServer {
         S: AccessSignature + 'static,
         W: SpecWorkload + Send + Sync + 'static,
     {
-        let gang = config.num_workers + config.checker_shards;
+        let gang = config.num_workers + 1;
         self.spawn_region(region_id, "speccross", gang, config, move |config, pool| {
             SpecCrossEngine::<S>::new(config.region(region_id))
                 .execute_on(&*workload, pool)
@@ -416,7 +416,7 @@ mod tests {
         let dom = Arc::new(IncGrid::new(4, 5));
         let h1 = server.submit_spec::<RangeSignature, _>(
             1,
-            SpecConfig::with_workers(2).checker_shards(1),
+            SpecConfig::with_workers(2),
             Arc::clone(&spec),
         );
         let h2 = server.submit_domore(2, DomoreConfig::with_workers(2), Arc::clone(&dom));
@@ -432,12 +432,8 @@ mod tests {
     fn oversized_region_is_rejected_not_deadlocked() {
         let server = RegionServer::new(2);
         let spec = Arc::new(IncGrid::new(2, 2));
-        // Demand = 4 workers + 1 shard = 5 > pool of 2.
-        let h = server.submit_spec::<RangeSignature, _>(
-            7,
-            SpecConfig::with_workers(4).checker_shards(1),
-            spec,
-        );
+        // Demand = 4 workers + the checker = 5 > pool of 2.
+        let h = server.submit_spec::<RangeSignature, _>(7, SpecConfig::with_workers(4), spec);
         match h.join() {
             Err(RegionError::Spec(SpecError::InvalidConfig(msg))) => {
                 assert!(msg.contains("caps gangs at 2"), "{msg}");
@@ -456,7 +452,7 @@ mod tests {
         let dom = Arc::new(IncGrid::new(4, 5));
         let h1 = server.submit_spec::<RangeSignature, _>(
             1,
-            SpecConfig::with_workers(2).checker_shards(1),
+            SpecConfig::with_workers(2),
             Arc::clone(&spec),
         );
         let h2 = server.submit_domore(2, DomoreConfig::with_workers(2), dom);
@@ -504,7 +500,6 @@ mod tests {
         let h = server.submit_spec::<RangeSignature, _>(
             9,
             SpecConfig::with_workers(2)
-                .checker_shards(1)
                 .checkpoint_every(2)
                 .fault_plan(FaultPlan::new().worker_panic_at(1, 0)),
             spec,
@@ -539,11 +534,7 @@ mod tests {
                 let _ = tx.send(snap);
             })
             .expect("telemetry server has a pump");
-        let h = server.submit_spec::<RangeSignature, _>(
-            1,
-            SpecConfig::with_workers(2).checker_shards(1),
-            spec,
-        );
+        let h = server.submit_spec::<RangeSignature, _>(1, SpecConfig::with_workers(2), spec);
         h.join().expect("region");
         pump.stop();
         let last = rx.iter().last().expect("at least one snapshot");
@@ -566,7 +557,7 @@ mod tests {
         let spec = Arc::new(IncGrid::new(2, 3));
         let h = server.submit_spec::<RangeSignature, _>(
             42,
-            SpecConfig::with_workers(2).checker_shards(1).trace(256),
+            SpecConfig::with_workers(2).trace(256),
             spec,
         );
         let report = h.join().expect("region");

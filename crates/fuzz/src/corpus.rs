@@ -7,7 +7,6 @@
 //! seed 42
 //! workers 2
 //! checkpoint-every 1
-//! checker-shards 4
 //! signature range
 //! gate-distance false
 //! degrade false
@@ -34,6 +33,14 @@ use crate::gen::{FuzzCase, SigKind};
 /// File extension of corpus entries.
 pub const CASE_EXT: &str = "case";
 
+/// Header keys of knobs that no longer exist. [`case_from_text`] accepts
+/// and ignores them, so entries written before a knob retired still parse
+/// unchanged.
+///
+/// * `checker-shards` — `SpecConfig::checker_shards`, the address-sharded
+///   checker; every SPECCROSS path runs one checker.
+const RETIRED_KEYS: &[&str] = &["checker-shards"];
+
 /// Renders `case` in the corpus format.
 ///
 /// # Errors
@@ -46,7 +53,6 @@ pub fn case_to_text(case: &FuzzCase) -> Result<String, String> {
     out.push_str(&format!("seed {}\n", case.seed));
     out.push_str(&format!("workers {}\n", case.workers));
     out.push_str(&format!("checkpoint-every {}\n", case.checkpoint_every));
-    out.push_str(&format!("checker-shards {}\n", case.checker_shards));
     out.push_str(&format!("signature {}\n", case.signature.as_str()));
     out.push_str(&format!("gate-distance {}\n", case.gate_distance));
     out.push_str(&format!("degrade {}\n", case.degrade));
@@ -87,8 +93,6 @@ pub fn case_from_text(input: &str) -> Result<FuzzCase, String> {
     let mut seed: Option<u64> = None;
     let mut workers: usize = 1;
     let mut checkpoint_every: usize = 1;
-    // Entries predating the sharded checker omit the key: one shard.
-    let mut checker_shards: usize = 1;
     let mut signature = SigKind::Range;
     let mut gate_distance = false;
     let mut degrade = false;
@@ -121,9 +125,6 @@ pub fn case_from_text(input: &str) -> Result<FuzzCase, String> {
                         checkpoint_every =
                             value.parse().map_err(|_| parse_err("checkpoint-every"))?;
                     }
-                    "checker-shards" => {
-                        checker_shards = value.parse().map_err(|_| parse_err("checker-shards"))?;
-                    }
                     "signature" => {
                         signature = match value {
                             "range" => SigKind::Range,
@@ -137,6 +138,7 @@ pub fn case_from_text(input: &str) -> Result<FuzzCase, String> {
                     "degrade" => degrade = value.parse().map_err(|_| parse_err("degrade"))?,
                     "elide" => elide = value.parse().map_err(|_| parse_err("elide"))?,
                     "note" => note = value.to_owned(),
+                    _ if RETIRED_KEYS.contains(&key) => {}
                     _ => return Err(format!("unknown header key: {key:?}")),
                 }
             }
@@ -175,17 +177,10 @@ pub fn case_from_text(input: &str) -> Result<FuzzCase, String> {
     if checkpoint_every == 0 {
         return Err("checkpoint-every must be at least 1".to_owned());
     }
-    if !(1..=crossinvoc_speccross::MAX_SHARDS).contains(&checker_shards) {
-        return Err(format!(
-            "checker-shards must be in 1..={}",
-            crossinvoc_speccross::MAX_SHARDS
-        ));
-    }
     Ok(FuzzCase {
         seed: seed.ok_or("missing seed header")?,
         workers,
         checkpoint_every,
-        checker_shards,
         signature,
         gate_distance,
         degrade,
@@ -265,7 +260,6 @@ mod tests {
             assert_eq!(back.seed, case.seed, "seed {seed}");
             assert_eq!(back.workers, case.workers, "seed {seed}");
             assert_eq!(back.checkpoint_every, case.checkpoint_every, "seed {seed}");
-            assert_eq!(back.checker_shards, case.checker_shards, "seed {seed}");
             assert_eq!(back.signature, case.signature, "seed {seed}");
             assert_eq!(back.gate_distance, case.gate_distance, "seed {seed}");
             assert_eq!(back.degrade, case.degrade, "seed {seed}");
@@ -275,6 +269,19 @@ mod tests {
             // Text form is a fixed point as well.
             assert_eq!(case_to_text(&back).unwrap(), text, "seed {seed}");
         }
+    }
+
+    #[test]
+    fn retired_shard_count_header_is_ignored() {
+        let case = generate(3, &GenParams::default());
+        let text = case_to_text(&case).unwrap();
+        assert!(
+            !text.contains("checker-shards"),
+            "the writer emits no retired key"
+        );
+        let old = text.replacen("signature ", "checker-shards 8\nsignature ", 1);
+        let back = case_from_text(&old).expect("a case naming a shard count still parses");
+        assert_eq!(case_to_text(&back).unwrap(), text);
     }
 
     #[test]

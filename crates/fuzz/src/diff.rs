@@ -24,17 +24,12 @@
 //! is the real checker with and without its epoch summaries on a
 //! deterministic timeline.
 //!
-//! Static check elision and the sharded checker are fuzzed on real threads
-//! only. The `spec-elide` path re-runs the plan with elision forced on, the
-//! `spec-shards` path with the case's shard count; both assert the memory
+//! Static check elision is fuzzed on real threads only. The `spec-elide`
+//! path re-runs the plan with elision forced on and asserts the memory
 //! contract (under faults, checker-targeted faults ride on admissions
-//! elision removes, so which faults fire is legitimately elision-dependent;
-//! sharding can drop Bloom false conflicts whose spans never share a shard —
-//! sound, and timing-dependent anyway). Their verdict-stream invariance is
-//! a property of `CheckerState`/`ShardedChecker`, pinned where it is exact:
-//! `tests/properties.rs` (`sharded_checker_matches_unsharded_verdicts`,
-//! `sim_elision_preserves_verdict_streams`) and the `shard`/`check` unit
-//! tests.
+//! elision removes, so which faults fire is legitimately elision-dependent).
+//! Its verdict-stream invariance is pinned where it is exact:
+//! `tests/properties.rs` (`sim_elision_preserves_verdict_streams`).
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -242,30 +237,6 @@ pub fn run_case(case: &FuzzCase) -> DiffReport {
         };
         check_outcome(&mut report, "spec-elide", out, &expected, faults_empty);
 
-        // Sharded checker, threaded: admission must stay sound for every
-        // shard count, so the final image must still match the oracle
-        // byte-for-byte (straddling tasks are admitted only when every
-        // touched shard admits them).
-        if case.checker_shards > 1 {
-            report.paths_run.push("spec-shards");
-            let config = base()
-                .epoch_summaries(true)
-                .checker_shards(case.checker_shards);
-            let out = match case.signature {
-                SigKind::Range => exec_caught(
-                    "spec-shards",
-                    |mem| plan.execute_sig::<RangeSignature>(mem, config).map(|_| ()),
-                    case,
-                ),
-                SigKind::Bloom => exec_caught(
-                    "spec-shards",
-                    |mem| plan.execute_sig::<BloomSignature>(mem, config).map(|_| ()),
-                    case,
-                ),
-            };
-            check_outcome(&mut report, "spec-shards", out, &expected, faults_empty);
-        }
-
         // Deterministic verdict streams: replay the recorded region through
         // the simulators with each fast path on and off.
         report.paths_run.push("sim");
@@ -371,7 +342,7 @@ pub fn run_concurrent_pair(a: &FuzzCase, b: &FuzzCase) -> DiffReport {
     }
 
     // Size the pool so both regions' gangs can be in flight at once:
-    // spec demand = workers + 1 checker shard, domore demand = workers
+    // spec demand = workers + the checker, domore demand = workers
     // (the scheduler rides the submitting thread).
     let demand = |case: &FuzzCase| case.workers + 1;
     let pool = WorkerPool::new(demand(a) + demand(b));

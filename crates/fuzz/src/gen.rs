@@ -13,8 +13,8 @@
 //!   invocation), disjoint strides (`A[2i+c]` written, `A[2i+1−c]` read),
 //!   producer/consumer loop pairs (`A[i]` written by one loop, read by the
 //!   next), indirect reads through an index array (`D2[IDX[i]]`), and
-//!   half-split wide spans (`A[i]` read, `A[i+trip]` written — one task's
-//!   signature straddles every checker shard under the mod-N partition). All
+//!   half-split wide spans (`A[i]` read, `A[i+trip]` written — every task's
+//!   signature spans `trip + 1` addresses). All
 //!   are accepted by `SpecCrossPlan::build`; single-loop shapes are also
 //!   accepted by `DomorePlan::build`, so those cases run through every
 //!   engine path.
@@ -96,10 +96,6 @@ pub struct FuzzCase {
     pub workers: usize,
     /// SPECCROSS checkpoint interval in epochs.
     pub checkpoint_every: usize,
-    /// Checker shard count for the sharded SPECCROSS paths (1 = the
-    /// classic single checker; biased toward >1 so the straddle merge
-    /// rule is exercised constantly).
-    pub checker_shards: usize,
     /// Signature kind for the SPECCROSS paths.
     pub signature: SigKind,
     /// Whether to gate speculation by the profiled minimum dependence
@@ -111,8 +107,8 @@ pub struct FuzzCase {
     /// enabled ([`crossinvoc_speccross::engine::SpecConfig::elide`]). The
     /// dedicated `spec-elide` diff lane runs regardless; this
     /// knob additionally turns elision on inside every other SPECCROSS
-    /// path, so elision is exercised under faults, degradation, sharding
-    /// and shared-pool pairing too.
+    /// path, so elision is exercised under faults, degradation and
+    /// shared-pool pairing too.
     pub elide: bool,
     /// The program: sequential prefix, one outermost region loop (the last
     /// top-level `for`), optional sequential suffix.
@@ -171,28 +167,12 @@ pub fn generate(seed: u64, params: &GenParams) -> FuzzCase {
     // Independent sub-streams: engine knobs, program shape, fault plan.
     let mut knobs = Rng(SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15));
     let mut shape = Rng(SplitMix64::new(seed ^ 0x5851_F42D_4C95_7F2D));
-    // Its own sub-stream, so adding the shard knob did not reshuffle the
-    // programs and fault plans the pre-sharding corpus seeds derive.
-    let mut shards = Rng(SplitMix64::new(seed ^ 0xA076_1D64_78BD_642F));
-    // Likewise its own sub-stream for the static-elision epoch: the elide
-    // knob and the two elision-focused program families (cluster-disjoint
-    // and mixed proven+indirect) must not reshuffle pre-elision seeds.
+    // Its own sub-stream for the static-elision epoch: the elide knob and
+    // the two elision-focused program families (cluster-disjoint and mixed
+    // proven+indirect) must not reshuffle pre-elision seeds.
     let mut elision = Rng(SplitMix64::new(seed ^ 0x6C2E_A417_B99D_E255));
 
     let workers = knobs.range(1, params.max_workers) as usize;
-    let mut checker_shards = if shards.chance(25) {
-        1
-    } else {
-        [2, 3, 4, 8][shards.below(4) as usize]
-    };
-    // A later draw of the same sub-stream widens one region in seven up to
-    // the 64-shard maximum (most of those shards never hear from some
-    // worker, which is the checker log's checkpoint-backstop case); drawn
-    // after the choice above so that choice stays what each seed always
-    // gave.
-    if shards.chance(15) {
-        checker_shards = [16, 32, 64][shards.below(3) as usize];
-    }
     let checkpoint_every = knobs.range(1, 4) as usize;
     let signature = if knobs.chance(25) {
         SigKind::Bloom
@@ -230,7 +210,6 @@ pub fn generate(seed: u64, params: &GenParams) -> FuzzCase {
         seed,
         workers,
         checkpoint_every,
-        checker_shards,
         signature,
         gate_distance,
         degrade,
@@ -277,9 +256,8 @@ enum SpecPattern {
     Consumer,
     /// `load x = D[i]; store D[i+trip] = mix(x)` — reads the low half,
     /// writes the high half. Every task's signature spans `trip + 1`
-    /// addresses, so under the mod-N shard partition it straddles (or
-    /// broadcasts to) every shard; cross-epoch write/write conflicts on
-    /// the high half keep the merge rule honest.
+    /// addresses; cross-epoch write/write conflicts on the high half
+    /// must still be found however wide the span is.
     WideSpan,
     /// `load x = E[trip*t + i]; store E[trip*t + i] = mix(x)` over a
     /// per-loop array sized `trip * epochs` — every epoch owns a disjoint

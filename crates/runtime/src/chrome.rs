@@ -33,7 +33,7 @@ use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
 use crate::metrics::MetricsSummary;
-use crate::trace::{checker_shard_of_tid, Event, Trace, CHECKER_TID, MANAGER_TID};
+use crate::trace::{Event, Trace, CHECKER_TID, MANAGER_TID};
 use crate::ThreadId;
 
 /// Microseconds with the nanosecond remainder as three decimals — the
@@ -46,10 +46,7 @@ fn display_name(tid: ThreadId) -> String {
     match tid {
         MANAGER_TID => "manager".to_string(),
         CHECKER_TID => "checker".to_string(),
-        tid => match checker_shard_of_tid(tid) {
-            Some(shard) => format!("checker-{shard}"),
-            None => format!("worker-{tid}"),
-        },
+        tid => format!("worker-{tid}"),
     }
 }
 
@@ -212,16 +209,6 @@ impl Trace {
                 Event::ScheduleCacheHit { epoch } => {
                     w.open("schedule_cache_hit", 'i', dt, rec.t_ns)
                         .push_str(&format!(",\"s\":\"t\",\"args\":{{\"epoch\":{epoch}}}"));
-                    w.close();
-                }
-                Event::CheckerShard {
-                    shard,
-                    shards,
-                    requests,
-                } => {
-                    w.open("checker_shard", 'i', dt, rec.t_ns).push_str(&format!(
-                        ",\"s\":\"t\",\"args\":{{\"shard\":{shard},\"shards\":{shards},\"requests\":{requests}}}"
-                    ));
                     w.close();
                 }
                 Event::CheckElided {

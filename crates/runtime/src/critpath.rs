@@ -314,8 +314,6 @@ impl<'a> Dag<'a> {
             | Event::CheckElided { epoch, .. }
             | Event::ScheduleCacheHit { epoch } => Some(epoch),
             Event::Misspeculation { later_epoch, .. } => Some(later_epoch),
-            // Per-shard totals are pass-scoped, not epoch-scoped.
-            Event::CheckerShard { .. } => None,
             Event::Wake { edge, seq, .. } => match edge {
                 // For barrier/checkpoint edges the sequence number *is* the
                 // epoch.

@@ -8,7 +8,7 @@
 //! and concurrent regions share a bounded set of cores.
 //!
 //! The abstraction boundary is [`RegionExecutor`]: a region hands the
-//! executor a *gang* of role closures (workers, checker shards) plus a
+//! executor a *gang* of role closures (workers, the checker) plus a
 //! *local* closure that runs on the submitting thread (the DOMORE scheduler,
 //! or nothing for SPECCROSS), and the call returns only when every role has
 //! finished. Two implementations:
@@ -42,8 +42,8 @@ use parking_lot::{Condvar, Mutex};
 use crate::telemetry::ServerRegistry;
 use crate::wait::{AdaptiveSpin, Parker, PARK_SLICE};
 
-/// One member of a region's gang: a worker or checker-shard body. Boxed so
-/// heterogeneous roles (workers and checkers of one pass) travel in one
+/// One member of a region's gang: a worker or checker body. Boxed so
+/// heterogeneous roles (workers and the checker of one pass) travel in one
 /// `Vec`, bounded by the caller's stack lifetime `'s`.
 pub type Role<'s> = Box<dyn FnOnce() + Send + 's>;
 
@@ -76,7 +76,7 @@ pub trait RegionExecutor: Sync {
 
     /// Maximum gang width this executor can run concurrently, or `None` when
     /// unbounded (a fresh thread per role). Engines validate their
-    /// `workers + checker shards` demand against this up front so an
+    /// `workers + checker` demand against this up front so an
     /// oversized region fails fast instead of wedging the admission queue.
     fn capacity(&self) -> Option<usize> {
         None

@@ -55,32 +55,12 @@ use crate::ThreadId;
 pub const MANAGER_TID: ThreadId = usize::MAX;
 
 /// Pseudo thread-id under which the SPECCROSS checker thread emits events.
-///
-/// With a sharded checker, shard `k` emits at [`checker_shard_tid`]`(k)`;
-/// shard 0 is this classic id, so single-shard traces are unchanged.
 pub const CHECKER_TID: ThreadId = usize::MAX - 1;
 
-/// Upper bound on checker shards (the reserved tid band below
-/// [`CHECKER_TID`]; also the capacity of the shard bitmask in
-/// `crossinvoc-speccross`).
-pub const MAX_CHECKER_SHARDS: usize = 64;
-
-/// Pseudo thread-id of checker shard `shard`: `CHECKER_TID - shard`.
-pub fn checker_shard_tid(shard: usize) -> ThreadId {
-    debug_assert!(shard < MAX_CHECKER_SHARDS);
-    CHECKER_TID - shard
-}
-
-/// The checker shard a pseudo thread-id belongs to, if it lies in the
-/// reserved checker band (`CHECKER_TID` itself is shard 0).
-pub fn checker_shard_of_tid(tid: ThreadId) -> Option<usize> {
-    (tid <= CHECKER_TID && tid > CHECKER_TID - MAX_CHECKER_SHARDS).then(|| CHECKER_TID - tid)
-}
-
-/// Whether `tid` is a service thread (manager or any checker shard) rather
-/// than a worker.
+/// Whether `tid` is a service thread (manager or checker) rather than a
+/// worker.
 pub fn is_service_tid(tid: ThreadId) -> bool {
-    tid == MANAGER_TID || checker_shard_of_tid(tid).is_some()
+    tid == MANAGER_TID || tid == CHECKER_TID
 }
 
 /// Which kind of cross-thread causality a [`Event::Wake`] record encodes.
@@ -234,20 +214,6 @@ pub enum Event {
         /// summary.
         comparisons: u64,
     },
-    /// Per-shard admission totals from a sharded SPECCROSS checker, emitted
-    /// once per shard when a speculative pass's checking ends (on the
-    /// shard's own [`checker_shard_tid`] timeline). Single-shard runs emit
-    /// one row with `shard: 0, shards: 1`, so the row count per pass equals
-    /// the shard count and per-shard load imbalance is visible in traces.
-    CheckerShard {
-        /// This shard's index (`0..shards`).
-        shard: u32,
-        /// Total shards the checker ran with.
-        shards: u32,
-        /// Check requests this shard admitted (straddling tasks count once
-        /// per touched shard).
-        requests: u64,
-    },
     /// A worker ran tasks of a statically-proven epoch without signature
     /// generation or checker admission (SPECCROSS static elision). Emitted
     /// once per (worker, epoch) at the epoch boundary rather than per task,
@@ -335,7 +301,6 @@ impl Event {
             Event::BarrierLeave { .. } => "barrier_leave",
             Event::Checkpoint { .. } => "checkpoint",
             Event::CheckerSummary { .. } => "checker_summary",
-            Event::CheckerShard { .. } => "checker_shard",
             Event::CheckElided { .. } => "check_elided",
             Event::ScheduleCacheHit { .. } => "schedule_cache_hit",
             Event::Misspeculation { .. } => "misspeculation",
@@ -863,12 +828,14 @@ impl Trace {
             if line.is_empty() {
                 continue;
             }
-            let (record, line_region) = parse_record(line).map_err(|msg| TraceParseError {
+            let parsed = parse_record(line).map_err(|msg| TraceParseError {
                 line: idx + 1,
                 message: msg,
             })?;
-            region = region.max(line_region);
-            records.push(record);
+            if let Some((record, line_region)) = parsed {
+                region = region.max(line_region);
+                records.push(record);
+            }
         }
         Ok(Trace::from_records(records).with_region(region))
     }
@@ -889,11 +856,11 @@ impl Trace {
             if line.is_empty() {
                 continue;
             }
-            let (record, line_region) = parse_record(line).map_err(|msg| TraceParseError {
+            let parsed = parse_record(line).map_err(|msg| TraceParseError {
                 line: idx + 1,
                 message: msg,
             })?;
-            if line_region == region {
+            if let Some((record, _)) = parsed.filter(|&(_, r)| r == region) {
                 records.push(record);
             }
         }
@@ -972,15 +939,6 @@ fn write_record(out: &mut String, rec: &TraceRecord, region: u64) {
             field(out, "epoch", epoch as u64);
             field(out, "skips", skips);
             field(out, "comparisons", comparisons);
-        }
-        Event::CheckerShard {
-            shard,
-            shards,
-            requests,
-        } => {
-            field(out, "shard", shard as u64);
-            field(out, "shards", shards as u64);
-            field(out, "requests", requests);
         }
         Event::CheckElided {
             epoch,
@@ -1062,11 +1020,20 @@ fn wake_edge_parse(name: &str) -> Result<WakeEdge, String> {
     })
 }
 
+/// Event kinds no emitter writes any more. Older traces and flight dumps
+/// may still carry them: [`parse_record`] drops such lines instead of
+/// rejecting the whole stream.
+///
+/// * `checker_shard` — the per-pass census row of the address-sharded
+///   checker, removed in favour of the single checker thread.
+const RETIRED_EVENTS: &[&str] = &["checker_shard"];
+
 /// Minimal parser for one flat JSON object with unsigned-integer and string
 /// values — exactly the shape [`write_record`] produces. Unknown keys are an
 /// error (the schema is closed; see `docs/OBSERVABILITY.md`). Returns the
-/// record plus the line's `region_id` attribution (`0` when absent).
-fn parse_record(line: &str) -> Result<(TraceRecord, u64), String> {
+/// record plus the line's `region_id` attribution (`0` when absent), or
+/// `None` for a line of a [`RETIRED_EVENTS`] kind.
+fn parse_record(line: &str) -> Result<Option<(TraceRecord, u64)>, String> {
     let mut nums: Vec<(String, u64)> = Vec::new();
     let mut strs: Vec<(String, String)> = Vec::new();
 
@@ -1134,7 +1101,12 @@ fn parse_record(line: &str) -> Result<(TraceRecord, u64), String> {
     let t_ns = num("t")?;
     let tid = num("tid")? as usize;
     let ev = str_field("ev")?;
-    let epoch = |v: u64| -> u32 { v as u32 };
+    if RETIRED_EVENTS.contains(&ev) {
+        return Ok(None);
+    }
+    let epoch = |key: &str| -> Result<u32, String> {
+        u32::try_from(num(key)?).map_err(|_| format!("number out of range for key {key:?}"))
+    };
     // Absent on one-task records.
     let count = || -> Result<u32, String> {
         match opt_num("count") {
@@ -1145,69 +1117,64 @@ fn parse_record(line: &str) -> Result<(TraceRecord, u64), String> {
     };
     let event = match ev {
         "epoch_begin" => Event::EpochBegin {
-            epoch: epoch(num("epoch")?),
+            epoch: epoch("epoch")?,
         },
         "epoch_end" => Event::EpochEnd {
-            epoch: epoch(num("epoch")?),
+            epoch: epoch("epoch")?,
         },
         "task_assign" => Event::TaskAssign {
-            epoch: epoch(num("epoch")?),
+            epoch: epoch("epoch")?,
             task: num("task")?,
             worker: num("worker")? as usize,
             count: count()?,
         },
         "task_dispatch" => Event::TaskDispatch {
-            epoch: epoch(num("epoch")?),
+            epoch: epoch("epoch")?,
             task: num("task")?,
             count: count()?,
         },
         "task_retire" => Event::TaskRetire {
-            epoch: epoch(num("epoch")?),
+            epoch: epoch("epoch")?,
             task: num("task")?,
             count: count()?,
         },
         "barrier_enter" => Event::BarrierEnter {
-            epoch: epoch(num("epoch")?),
+            epoch: epoch("epoch")?,
         },
         "barrier_leave" => Event::BarrierLeave {
-            epoch: epoch(num("epoch")?),
+            epoch: epoch("epoch")?,
             wait_ns: num("wait_ns")?,
         },
         "checkpoint" => Event::Checkpoint {
-            epoch: epoch(num("epoch")?),
+            epoch: epoch("epoch")?,
         },
         "checker_summary" => Event::CheckerSummary {
-            epoch: epoch(num("epoch")?),
+            epoch: epoch("epoch")?,
             skips: num("skips")?,
             comparisons: num("comparisons")?,
         },
-        "checker_shard" => Event::CheckerShard {
-            shard: epoch(num("shard")?),
-            shards: epoch(num("shards")?),
-            requests: num("requests")?,
-        },
         "check_elided" => Event::CheckElided {
-            epoch: epoch(num("epoch")?),
+            epoch: epoch("epoch")?,
             tasks: num("tasks")?,
             accesses: num("accesses")?,
         },
         "schedule_cache_hit" => Event::ScheduleCacheHit {
-            epoch: epoch(num("epoch")?),
+            epoch: epoch("epoch")?,
         },
         "degradation" => Event::Degradation {
-            epoch: epoch(num("epoch")?),
+            epoch: epoch("epoch")?,
         },
         "misspeculation" => Event::Misspeculation {
             earlier_tid: num("earlier_tid")? as usize,
-            earlier_epoch: epoch(num("earlier_epoch")?),
+            earlier_epoch: epoch("earlier_epoch")?,
             earlier_task: num("earlier_task")?,
             later_tid: num("later_tid")? as usize,
-            later_epoch: epoch(num("later_epoch")?),
+            later_epoch: epoch("later_epoch")?,
             later_task: num("later_task")?,
         },
         "fault" => Event::FaultInjected {
             kind: fault_kind_parse(str_field("kind")?, opt_num("param"))?,
-            epoch: epoch(num("epoch")?),
+            epoch: epoch("epoch")?,
             task: num("task")?,
         },
         "wake" => Event::Wake {
@@ -1218,7 +1185,7 @@ fn parse_record(line: &str) -> Result<(TraceRecord, u64), String> {
         other => return Err(format!("unknown event {other:?}")),
     };
     let region = opt_num("region_id").unwrap_or(0);
-    Ok((TraceRecord { t_ns, tid, event }, region))
+    Ok(Some((TraceRecord { t_ns, tid, event }, region)))
 }
 
 // ---- Trace analysis -----------------------------------------------------
@@ -1295,10 +1262,6 @@ pub struct TraceReport {
     pub checker_epoch_skips: u64,
     /// Signature comparisons summed over every [`Event::CheckerSummary`].
     pub checker_comparisons: u64,
-    /// Per-shard admitted-request totals from [`Event::CheckerShard`] rows,
-    /// indexed by shard. Empty when the trace carries no shard rows
-    /// (pre-sharding traces); length 1 for a single-shard checker.
-    pub checker_shard_requests: Vec<u64>,
     /// Invocations replayed from the DOMORE schedule memo
     /// ([`Event::ScheduleCacheHit`] count).
     pub schedule_cache_hits: u64,
@@ -1324,7 +1287,6 @@ impl TraceReport {
         let mut wakes = [0u64; 4];
         let mut checker_epoch_skips = 0u64;
         let mut checker_comparisons = 0u64;
-        let mut checker_shard_requests: Vec<u64> = Vec::new();
         let mut schedule_cache_hits = 0u64;
         let mut elided_tasks = 0u64;
         let mut elided_accesses = 0u64;
@@ -1394,17 +1356,6 @@ impl TraceReport {
                     checker_epoch_skips += skips;
                     checker_comparisons += comparisons;
                 }
-                Event::CheckerShard {
-                    shard, requests, ..
-                } => {
-                    let shard = shard as usize;
-                    if checker_shard_requests.len() <= shard {
-                        checker_shard_requests.resize(shard + 1, 0);
-                    }
-                    // Summed across passes: recovery re-runs emit a fresh
-                    // row per shard.
-                    checker_shard_requests[shard] += requests;
-                }
                 Event::CheckElided {
                     tasks, accesses, ..
                 } => {
@@ -1428,7 +1379,6 @@ impl TraceReport {
             wakes,
             checker_epoch_skips,
             checker_comparisons,
-            checker_shard_requests,
             schedule_cache_hits,
             elided_tasks,
             elided_accesses,
@@ -1549,10 +1499,7 @@ impl TraceReport {
             let name = match t.tid {
                 MANAGER_TID => "manager".to_string(),
                 CHECKER_TID => "checker".to_string(),
-                tid => match checker_shard_of_tid(tid) {
-                    Some(shard) => format!("checker-{shard}"),
-                    None => format!("worker-{tid}"),
-                },
+                tid => format!("worker-{tid}"),
             };
             let _ = writeln!(
                 out,
@@ -1581,14 +1528,6 @@ impl TraceReport {
                 out,
                 "checker fast path: {} epoch skips, {} comparisons",
                 self.checker_epoch_skips, self.checker_comparisons
-            );
-        }
-        if !self.checker_shard_requests.is_empty() {
-            let _ = writeln!(
-                out,
-                "checker shards: {} (requests per shard: {:?})",
-                self.checker_shard_requests.len(),
-                self.checker_shard_requests
             );
         }
         if self.elided_tasks > 0 {
@@ -1735,24 +1674,6 @@ mod tests {
             },
             TraceRecord {
                 t_ns: 77,
-                tid: CHECKER_TID,
-                event: Event::CheckerShard {
-                    shard: 0,
-                    shards: 2,
-                    requests: 6,
-                },
-            },
-            TraceRecord {
-                t_ns: 77,
-                tid: checker_shard_tid(1),
-                event: Event::CheckerShard {
-                    shard: 1,
-                    shards: 2,
-                    requests: 3,
-                },
-            },
-            TraceRecord {
-                t_ns: 77,
                 tid: 0,
                 event: Event::CheckElided {
                     epoch: 1,
@@ -1856,6 +1777,65 @@ mod tests {
             "{\"t\":1,\"tid\":0,\"ev\":\"wake\",\"src_tid\":0,\"seq\":0}",
         ] {
             assert!(Trace::from_jsonl(bad).is_err(), "accepted {bad:?}");
+        }
+    }
+
+    #[test]
+    fn out_of_range_epochs_are_rejected_not_truncated() {
+        // 4294967299 = 2^32 + 3: a plain `as u32` would read it back as 3.
+        for (key, line) in [
+            (
+                "epoch",
+                "{\"t\":1,\"tid\":0,\"ev\":\"checkpoint\",\"epoch\":4294967299}",
+            ),
+            (
+                "later_epoch",
+                "{\"t\":1,\"tid\":0,\"ev\":\"misspeculation\",\"earlier_tid\":0,\
+                 \"earlier_epoch\":0,\"earlier_task\":0,\"later_tid\":1,\
+                 \"later_epoch\":4294967299,\"later_task\":0}",
+            ),
+        ] {
+            let err = Trace::from_jsonl(line).expect_err("truncated epoch accepted");
+            assert_eq!(err.line, 1);
+            assert_eq!(err.message, format!("number out of range for key {key:?}"));
+        }
+        let max = "{\"t\":1,\"tid\":0,\"ev\":\"checkpoint\",\"epoch\":4294967295}";
+        let trace = Trace::from_jsonl(max).expect("u32::MAX is in range");
+        assert_eq!(
+            trace.records()[0].event,
+            Event::Checkpoint { epoch: u32::MAX }
+        );
+    }
+
+    #[test]
+    fn retired_checker_shard_rows_are_dropped() {
+        // The per-shard census an address-sharded checker wrote at the end
+        // of every pass, on the classic checker tid and on the band below it.
+        let retired = [
+            format!("{{\"t\":77,\"tid\":{CHECKER_TID},\"ev\":\"checker_shard\",\"shard\":0,\"shards\":2,\"requests\":6}}"),
+            format!("{{\"t\":77,\"tid\":{},\"ev\":\"checker_shard\",\"shard\":1,\"shards\":2,\"requests\":3}}", CHECKER_TID - 1),
+        ];
+        for region in [0, 7] {
+            let trace = Trace::from_records(sample_records()).with_region(region);
+            let suffix = if region == 0 {
+                String::new()
+            } else {
+                format!(",\"region_id\":{region}")
+            };
+            let mut old = String::new();
+            for (i, line) in trace.to_jsonl().lines().enumerate() {
+                if i == 3 {
+                    for row in &retired {
+                        old.push_str(row.strip_suffix('}').unwrap());
+                        old.push_str(&suffix);
+                        old.push_str("}\n");
+                    }
+                }
+                old.push_str(line);
+                old.push('\n');
+            }
+            assert_eq!(Trace::from_jsonl(&old).expect("old trace parses"), trace);
+            assert_eq!(Trace::from_jsonl_region(&old, region).unwrap(), trace);
         }
     }
 
@@ -2097,7 +2077,6 @@ mod tests {
         assert_eq!(report.wakes, [1, 0, 0, 0]);
         assert_eq!(report.checker_epoch_skips, 4);
         assert_eq!(report.checker_comparisons, 9);
-        assert_eq!(report.checker_shard_requests, vec![6, 3]);
         assert_eq!(report.schedule_cache_hits, 1);
         assert_eq!(report.elided_tasks, 3);
         assert_eq!(report.elided_accesses, 12);
@@ -2113,18 +2092,13 @@ mod tests {
         let render = report.render(&trace);
         assert!(render.contains("misspeculation ledger"));
         assert!(render.contains("worker-0"));
-        assert!(render.contains("checker shards: 2"));
     }
 
     #[test]
-    fn checker_shard_tids_map_back_to_shards() {
-        assert_eq!(checker_shard_tid(0), CHECKER_TID);
-        assert_eq!(checker_shard_of_tid(CHECKER_TID), Some(0));
-        assert_eq!(checker_shard_of_tid(checker_shard_tid(63)), Some(63));
-        assert_eq!(checker_shard_of_tid(MANAGER_TID), None);
-        assert_eq!(checker_shard_of_tid(0), None);
+    fn service_tids_are_the_manager_and_the_checker() {
         assert!(is_service_tid(MANAGER_TID));
-        assert!(is_service_tid(checker_shard_tid(5)));
+        assert!(is_service_tid(CHECKER_TID));
+        assert!(!is_service_tid(CHECKER_TID - 1));
         assert!(!is_service_tid(7));
     }
 

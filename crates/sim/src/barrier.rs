@@ -44,7 +44,7 @@ pub fn barrier_traced<W: SimWorkload + ?Sized>(
 ) -> SimResult {
     assert!(threads > 0, "at least one thread is required");
     let stats = RegionStats::new();
-    let mut sinks = SimSinks::new(threads, 0, trace_capacity.unwrap_or(0));
+    let mut sinks = SimSinks::new(threads, trace_capacity.unwrap_or(0));
     let mut clocks = vec![0u64; threads];
     let mut busy = vec![0u64; threads];
     let mut idle = vec![0u64; threads];

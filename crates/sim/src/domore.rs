@@ -132,7 +132,7 @@ fn simulate<W: SimWorkload + ?Sized>(
 ) -> SimResult {
     assert!(workers > 0, "at least one worker is required");
     let stats = RegionStats::new();
-    let mut sinks = SimSinks::new(workers, 0, trace_capacity.unwrap_or(0));
+    let mut sinks = SimSinks::new(workers, trace_capacity.unwrap_or(0));
     let mut core = ScheduleCore::new(workload.address_space());
     let replicated = plan == Plan::Duplicated;
     // Stays zero under a replicated scheduler.

@@ -26,7 +26,7 @@ use std::collections::BinaryHeap;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RegionSpec {
     /// Pool slots the region's gang occupies while running (for SPECCROSS:
-    /// workers + checker shards; for DOMORE: workers — the scheduler rides
+    /// workers + the checker; for DOMORE: workers — the scheduler rides
     /// the submitting manager thread).
     pub gang: usize,
     /// Virtual run time of the region once admitted (e.g. its solo

@@ -3,17 +3,14 @@
 //! Tasks are distributed round-robin within each epoch; workers cross epoch
 //! boundaries freely, subject only to the speculative-range gate (a task may
 //! start once every task more than `spec_distance` ahead of it in the
-//! sequential order has finished). The checker is modelled as
-//! [`SpecSimParams::checker_shards`] single servers (one by default), the
-//! admission work interleaved over them by address exactly as in the
-//! threaded engine; each request is serviced by every shard its span
-//! touches, and the shard clocks bound checkpoint rendezvous and the
-//! region's completion — which is how the checker-bottleneck effect of §5.2
-//! emerges at high thread counts, and how sharding relieves it.
+//! sequential order has finished). The checker is modelled as one single
+//! server whose clock bounds checkpoint rendezvous and the region's
+//! completion — which is how the checker-bottleneck effect of §5.2 emerges
+//! at high thread counts.
 //!
 //! Conflicts are *detected, not assumed*, and by the engine's own checker:
 //! each task's accesses are folded into a real [`RangeSignature`] and
-//! admitted through one [`CheckerState`] per shard, with the [`Position`]
+//! admitted through one [`CheckerState`], with the [`Position`]
 //! and start-time snapshot the task would have had on the virtual timeline
 //! (what every other worker's `PositionBoard` slot shows at its start: the
 //! first task of that worker's share still running, else one past its
@@ -31,8 +28,8 @@
 use crossinvoc_runtime::fault::{CheckFault, FaultKind, FaultPlan, TaskFault};
 use crossinvoc_runtime::signature::{AccessSignature, RangeSignature};
 use crossinvoc_runtime::stats::RegionStats;
-use crossinvoc_runtime::trace::{checker_shard_tid, Event, WakeEdge};
-use crossinvoc_speccross::{CheckerState, Position, ShardMap};
+use crossinvoc_runtime::trace::{Event, WakeEdge, CHECKER_TID};
+use crossinvoc_speccross::{CheckerState, Position};
 
 use crate::barrier::barrier_epoch;
 use crate::cost::CostModel;
@@ -73,13 +70,6 @@ pub struct SpecSimParams {
     /// comparison count (and with it the checker's service time) changes.
     /// On by default; turn off for the pre-summary baseline.
     pub epoch_summaries: bool,
-    /// Number of checker shards, mirroring the threaded engine's
-    /// `SpecConfig::checker_shards`: admission work is interleaved over the
-    /// shards by address, each shard is its own single server with its own
-    /// virtual clock, and a signature whose span straddles shards is
-    /// serviced by (and billed to) every shard it touches. `1` (the
-    /// default) reproduces the single-checker simulation byte-for-byte.
-    pub checker_shards: usize,
     /// Mirror of the threaded engine's `SpecConfig::elide`: invocations the
     /// workload reports statically proven conflict-free
     /// ([`crate::workload::SimWorkload::invocation_is_proven`]) skip the
@@ -108,7 +98,6 @@ impl SpecSimParams {
             fault_plan: None,
             trace_capacity: None,
             epoch_summaries: true,
-            checker_shards: 1,
             elide: false,
             region: 0,
         }
@@ -155,21 +144,6 @@ impl SpecSimParams {
         self
     }
 
-    /// Shards the simulated checker over this many servers.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is outside `1..=`[`crossinvoc_speccross::MAX_SHARDS`].
-    pub fn checker_shards(mut self, shards: usize) -> Self {
-        assert!(
-            (1..=crossinvoc_speccross::MAX_SHARDS).contains(&shards),
-            "checker_shards must be in 1..={}",
-            crossinvoc_speccross::MAX_SHARDS
-        );
-        self.checker_shards = shards;
-        self
-    }
-
     /// Lets statically-proven invocations skip the simulated checker
     /// entirely (off by default). See [`SpecSimParams::elide`].
     pub fn elide(mut self, enabled: bool) -> Self {
@@ -200,50 +174,30 @@ fn position_at(timeline: &[(u64, Position)], at: u64) -> Position {
     }
 }
 
-/// One checker shard of a pass: the engine's checker, the virtual clock of
-/// the single server running it, and the tallies its trace rows report.
-struct Shard {
-    checker: CheckerState<RangeSignature>,
+/// The checker of a pass: the engine's checker state, the virtual clock of
+/// the single server running it, and the fast-path tallies its trace rows
+/// report.
+struct Checker {
+    state: CheckerState<RangeSignature>,
     clock: u64,
-    /// Requests serviced this pass, for the exit census row.
-    routed: u64,
     /// `(skips, comparisons)` billed since the last `CheckerSummary`.
     unreported: (u64, u64),
 }
 
-/// Flushes every shard's unreported fast-path accounting as a delta-encoded
-/// `CheckerSummary` (at epoch boundaries and on every pass exit, like the
-/// threaded checker's retirement-boundary summaries); on `exit` also emits
-/// the pass-scoped `checker_shard` census row the threaded checker emits
-/// when a shard thread returns.
-fn report_shards(
-    shards: &mut [Shard],
-    sinks: &mut SimSinks,
-    stats: &RegionStats,
-    epoch: usize,
-    exit: bool,
-) {
-    let count = shards.len() as u32;
-    for (k, (shard, sink)) in shards.iter_mut().zip(&mut sinks.checkers).enumerate() {
-        if shard.unreported != (0, 0) {
-            let (skips, comparisons) = std::mem::take(&mut shard.unreported);
+impl Checker {
+    /// Flushes the unreported fast-path accounting as a delta-encoded
+    /// `CheckerSummary` (at epoch boundaries and on every pass exit, like
+    /// the threaded checker's retirement-boundary summaries).
+    fn report(&mut self, sinks: &mut SimSinks, stats: &RegionStats, epoch: usize) {
+        if self.unreported != (0, 0) {
+            let (skips, comparisons) = std::mem::take(&mut self.unreported);
             stats.add_checker_epoch_skips(skips);
-            sink.emit_at(
-                shard.clock,
+            sinks.checker.emit_at(
+                self.clock,
                 Event::CheckerSummary {
                     epoch: epoch as u32,
                     skips,
                     comparisons,
-                },
-            );
-        }
-        if exit {
-            sink.emit_at(
-                shard.clock,
-                Event::CheckerShard {
-                    shard: k as u32,
-                    shards: count,
-                    requests: shard.routed,
                 },
             );
         }
@@ -272,9 +226,6 @@ enum PassEnd {
         checkpoint_epoch: usize,
         resume_epoch: usize,
         cause: AbortCause,
-        /// Checker shard that issued the condemning verdict (0 unless the
-        /// cause is a conflict on a sharded run).
-        detect_shard: usize,
     },
 }
 
@@ -299,17 +250,8 @@ pub fn speccross<W: SimWorkload + ?Sized>(
     // Cloning replays the plan with a fresh budget, so repeated `speccross`
     // calls over the same params are deterministic.
     let fault = params.fault_plan.clone().unwrap_or_default();
-    assert!(
-        (1..=crossinvoc_speccross::MAX_SHARDS).contains(&params.checker_shards),
-        "checker_shards must be in 1..={}",
-        crossinvoc_speccross::MAX_SHARDS
-    );
-    let mut sinks = SimSinks::new(
-        params.threads,
-        params.checker_shards,
-        params.trace_capacity.unwrap_or(0),
-    )
-    .region(params.region);
+    let mut sinks = SimSinks::with_checker(params.threads, params.trace_capacity.unwrap_or(0))
+        .region(params.region);
     let mut misspec_ordinal = 0u64;
 
     while start_epoch < num_epochs {
@@ -334,18 +276,17 @@ pub fn speccross<W: SimWorkload + ?Sized>(
                 checkpoint_epoch,
                 resume_epoch,
                 cause,
-                detect_shard,
             } => {
                 if matches!(cause, AbortCause::Conflict) {
                     stats.add_misspeculation();
                     // Checker verdict → rollback: the recovery the manager
-                    // now performs was caused by the issuing shard's
-                    // decision at `detect_time`.
+                    // now performs was caused by the checker's decision at
+                    // `detect_time`.
                     sinks.manager.emit_at(
                         detect_time,
                         Event::Wake {
                             edge: WakeEdge::Checker,
-                            src_tid: checker_shard_tid(detect_shard),
+                            src_tid: CHECKER_TID,
                             seq: misspec_ordinal,
                         },
                     );
@@ -436,17 +377,11 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
     prefix.push(acc);
 
     let mut clocks = vec![t0; threads];
-    let shard_map = ShardMap::new(params.checker_shards);
-    // One engine checker per shard: each logs (and scans) only the tasks
-    // routed to it — straddlers whole, in every shard their span touches.
-    let mut shards: Vec<Shard> = (0..params.checker_shards)
-        .map(|_| Shard {
-            checker: CheckerState::with_aggregates(threads, params.epoch_summaries),
-            clock: t0,
-            routed: 0,
-            unreported: (0, 0),
-        })
-        .collect();
+    let mut checker = Checker {
+        state: CheckerState::with_aggregates(threads, params.epoch_summaries),
+        clock: t0,
+        unreported: (0, 0),
+    };
     stats.add_checkpoint(); // pass-entry checkpoint
     sinks.manager.emit_at(
         t0,
@@ -468,28 +403,20 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
     let mut timeline: Vec<Vec<(u64, Position)>> = vec![Vec::new(); threads];
     let mut snapshot = vec![Position::ZERO; threads];
     let mut pairs = Vec::new();
-    // (shard, comparisons, skips) one admission cost every shard that saw
-    // it; billed to the shard's clock if a request is filed.
-    let mut scanned: Vec<(usize, u64, u64)> = Vec::new();
 
     for epoch in start_epoch..num_epochs {
         stats.add_epoch();
         let periodic =
             epoch > start_epoch && (epoch - start_epoch).is_multiple_of(params.checkpoint_every);
         if periodic {
-            // Rendezvous: all workers synchronize, every checker shard
-            // drains, the state is snapshotted.
+            // Rendezvous: all workers synchronize, the checker drains, the
+            // state is snapshotted.
             let worker_max = clocks.iter().copied().max().expect("threads > 0");
-            let checker_max = shards.iter().map(|s| s.clock).max().expect("shards > 0");
-            let sync = worker_max.max(checker_max) + cost.checkpoint_ns;
-            // The release's causal source: the slowest checker shard when
-            // its drain bound the rendezvous, else the slowest worker.
-            let releaser = if checker_max > worker_max {
-                let slowest = shards
-                    .iter()
-                    .position(|s| s.clock == checker_max)
-                    .expect("nonempty");
-                checker_shard_tid(slowest)
+            let sync = worker_max.max(checker.clock) + cost.checkpoint_ns;
+            // The release's causal source: the checker when its drain bound
+            // the rendezvous, else the slowest worker.
+            let releaser = if checker.clock > worker_max {
+                CHECKER_TID
             } else {
                 clocks
                     .iter()
@@ -545,13 +472,11 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                     },
                 );
             }
-            // Every shard has drained. Nothing before the rendezvous can
+            // The checker has drained. Nothing before the rendezvous can
             // race past it; this is the prune watermark the threaded
             // checker retires by.
-            for shard in &mut shards {
-                shard.clock = sync;
-                shard.checker.retire_before(epoch as u32);
-            }
+            checker.clock = sync;
+            checker.state.retire_before(epoch as u32);
         }
 
         let ntasks = workload.num_iterations(epoch);
@@ -606,13 +531,12 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                     // aborts immediately and rolls back to the checkpoint.
                     idle[tid] += release - clocks[tid];
                     clocks[tid] = release;
-                    report_shards(&mut shards, sinks, stats, epoch, true);
+                    checker.report(sinks, stats, epoch);
                     return PassEnd::Aborted {
                         detect_time: release,
                         checkpoint_epoch,
                         resume_epoch: (max_epoch_started.max(epoch) + 1).min(num_epochs),
                         cause: AbortCause::Panic,
-                        detect_shard: 0,
                     };
                 }
                 None => {}
@@ -681,100 +605,73 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
             for (slot, ran) in snapshot.iter_mut().zip(&timeline) {
                 *slot = position_at(ran, start);
             }
-            // Empty signatures route to shard 0 and are logged uncompared.
-            let set = shard_map.shards_for_span(sig.addr_span());
+            let nonempty = !sig.is_empty();
             let mut conflicted = params.inject_misspec_at_task == Some(global);
             // The earlier half of the conflicting pair, for the trace's
             // misspeculation ledger; forced/injected conflicts have no real
             // partner, so both sides name the admitted task.
             let mut conflict_with = (tid, pos);
-            // Shard that issued the condemning verdict; defaults to the
-            // first shard the request routes to.
-            let mut detect_shard = set.iter().next().unwrap_or(0);
-            scanned.clear();
-            for k in set.iter() {
-                let checker = &mut shards[k].checker;
-                let before = (checker.comparisons(), checker.epoch_skips());
-                let verdict = checker.admit_parts(tid, pos, &snapshot, sig.clone());
-                scanned.push((
-                    k,
-                    checker.comparisons() - before.0,
-                    checker.epoch_skips() - before.1,
-                ));
-                if let Some(conflict) = verdict {
-                    conflicted = true;
-                    conflict_with = conflict.earlier;
-                    detect_shard = k;
-                    // Later shards never see the request: the pass is
-                    // already condemned by this shard's verdict.
-                    break;
-                }
+            let before = (checker.state.comparisons(), checker.state.epoch_skips());
+            if let Some(conflict) = checker.state.admit_parts(tid, pos, &snapshot, sig) {
+                conflicted = true;
+                conflict_with = conflict.earlier;
             }
-            // Checker servers: one request per non-empty signature from a
-            // task whose execution overlaps a different epoch, serviced by
-            // (and billed to) every shard the span routes to — straddlers
-            // genuinely cost duplicated admission work.
+            let comparisons = checker.state.comparisons() - before.0;
+            let skips = checker.state.epoch_skips() - before.1;
+            // Checker server: one request per non-empty signature from a
+            // task whose execution overlaps a different epoch.
             cur_epoch[tid] = epoch;
             let epochs_overlap = cur_epoch.iter().any(|&e| e != epoch);
-            if (!sig.is_empty() && epochs_overlap) || conflicted {
+            if (nonempty && epochs_overlap) || conflicted {
                 stats.add_check_request();
                 // Checker-side faults fire once per request (the shared
-                // single-shot budget of the threaded plan) while the first
-                // routed shard processes it.
+                // single-shot budget of the threaded plan).
                 let check_fault = fault.check(epoch as u32, task as u64, tid);
-                for (i, &(k, comparisons, skips)) in scanned.iter().enumerate() {
-                    let shard = &mut shards[k];
-                    shard.unreported.0 += skips;
-                    shard.unreported.1 += comparisons;
-                    shard.routed += 1;
-                    // SPSC produce → consume: shard k picks the request up
-                    // once it is both sent (task finished) and that server
-                    // is free.
-                    let pickup = shard.clock.max(finish);
-                    sinks.checkers[k].emit_at(
-                        pickup,
-                        Event::Wake {
-                            edge: WakeEdge::Queue,
-                            src_tid: tid,
-                            seq: global,
+                checker.unreported.0 += skips;
+                checker.unreported.1 += comparisons;
+                // SPSC produce → consume: the checker picks the request up
+                // once it is both sent (task finished) and the server is
+                // free.
+                let pickup = checker.clock.max(finish);
+                sinks.checker.emit_at(
+                    pickup,
+                    Event::Wake {
+                        edge: WakeEdge::Queue,
+                        src_tid: tid,
+                        seq: global,
+                    },
+                );
+                checker.clock =
+                    pickup + cost.check_request_ns + cost.check_compare_ns * comparisons;
+                if let Some(f) = check_fault {
+                    sinks.checker.emit_at(
+                        checker.clock,
+                        Event::FaultInjected {
+                            kind: f.kind(),
+                            epoch: epoch as u32,
+                            task: task as u64,
                         },
                     );
-                    shard.clock =
-                        pickup + cost.check_request_ns + cost.check_compare_ns * comparisons;
-                    if i > 0 {
-                        continue;
+                }
+                match check_fault {
+                    Some(CheckFault::ForceConflict) => conflicted = true,
+                    Some(CheckFault::Stall(d)) => checker.clock += d.as_nanos() as u64,
+                    Some(CheckFault::Die) => {
+                        checker.report(sinks, stats, epoch);
+                        return PassEnd::Aborted {
+                            detect_time: checker.clock,
+                            checkpoint_epoch,
+                            resume_epoch: (max_epoch_started + 1).min(num_epochs),
+                            cause: AbortCause::CheckerDeath,
+                        };
                     }
-                    if let Some(f) = check_fault {
-                        sinks.checkers[k].emit_at(
-                            shards[k].clock,
-                            Event::FaultInjected {
-                                kind: f.kind(),
-                                epoch: epoch as u32,
-                                task: task as u64,
-                            },
-                        );
-                    }
-                    match check_fault {
-                        Some(CheckFault::ForceConflict) => conflicted = true,
-                        Some(CheckFault::Stall(d)) => shards[k].clock += d.as_nanos() as u64,
-                        Some(CheckFault::Die) => {
-                            report_shards(&mut shards, sinks, stats, epoch, true);
-                            return PassEnd::Aborted {
-                                detect_time: shards[k].clock,
-                                checkpoint_epoch,
-                                resume_epoch: (max_epoch_started + 1).min(num_epochs),
-                                cause: AbortCause::CheckerDeath,
-                                detect_shard: k,
-                            };
-                        }
-                        None => {}
-                    }
+                    None => {}
                 }
             }
             if conflicted {
                 let (e_tid, earlier) = conflict_with;
-                let detect_time = shards[detect_shard].clock;
-                sinks.checkers[detect_shard].emit_at(
+                let detect_time = checker.clock;
+                sinks.checker.emit_at(
                     detect_time,
                     Event::Misspeculation {
                         earlier_tid: e_tid,
@@ -785,13 +682,12 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                         later_task: task as u64,
                     },
                 );
-                report_shards(&mut shards, sinks, stats, epoch, true);
+                checker.report(sinks, stats, epoch);
                 return PassEnd::Aborted {
                     detect_time,
                     checkpoint_epoch,
                     resume_epoch: (max_epoch_started + 1).min(num_epochs),
                     cause: AbortCause::Conflict,
-                    detect_shard,
                 };
             }
         }
@@ -807,7 +703,7 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                 );
             }
         }
-        report_shards(&mut shards, sinks, stats, epoch, false);
+        checker.report(sinks, stats, epoch);
         sinks.workers[0].emit_at(
             clocks[0],
             Event::EpochEnd {
@@ -816,10 +712,9 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
         );
     }
 
-    report_shards(&mut shards, sinks, stats, num_epochs, true);
-    let checker_max = shards.iter().map(|s| s.clock).max().unwrap_or(t0);
+    checker.report(sinks, stats, num_epochs);
     PassEnd::Completed {
-        end: clocks.into_iter().max().unwrap_or(t0).max(checker_max),
+        end: clocks.into_iter().max().unwrap_or(t0).max(checker.clock),
     }
 }
 
@@ -1111,77 +1006,6 @@ mod tests {
         let b = speccross(&w, &p2, &CostModel::default());
         assert_eq!(a, b, "virtual-time traces must replay identically");
         assert!(a.trace.is_some());
-    }
-
-    #[test]
-    fn single_shard_is_byte_identical_to_the_unsharded_model() {
-        // checker_shards = 1 must not merely agree — the whole SimResult,
-        // trace included, must be what the pre-sharding simulator produced.
-        for w in [
-            UniformWorkload::same_cell(50, 8, 1_000),
-            UniformWorkload::independent(50, 8, 1_000),
-        ] {
-            let base = SpecSimParams::with_threads(4).trace(1 << 14);
-            let explicit = base.clone().checker_shards(1);
-            let a = speccross(&w, &base, &CostModel::default());
-            let b = speccross(&w, &explicit, &CostModel::default());
-            assert_eq!(a, b);
-        }
-    }
-
-    #[test]
-    fn sharded_conflicting_workload_still_misspeculates() {
-        // Range-signature conflicts share an address, so the shard owning
-        // it sees both sides: sharding must never lose a real conflict.
-        let w = Shifted {
-            epochs: 40,
-            tasks: 16,
-        };
-        for shards in [2, 8] {
-            let r = speccross(
-                &w,
-                &SpecSimParams::with_threads(8).checker_shards(shards),
-                &CostModel::default(),
-            );
-            assert!(
-                r.stats.misspeculations > 0,
-                "shifted writes must still conflict with {shards} shards"
-            );
-            assert!(r.stats.tasks >= 40 * 16);
-        }
-    }
-
-    #[test]
-    fn sharded_trace_has_one_census_row_per_shard_per_pass() {
-        use crossinvoc_runtime::trace::checker_shard_of_tid;
-        let w = UniformWorkload::same_cell(30, 8, 1_000);
-        let r = speccross(
-            &w,
-            &SpecSimParams::with_threads(4)
-                .checker_shards(3)
-                .trace(1 << 14),
-            &CostModel::default(),
-        );
-        let trace = r.trace.expect("tracing was requested");
-        let parsed =
-            crossinvoc_runtime::trace::Trace::from_jsonl(&trace.to_jsonl()).expect("valid JSONL");
-        assert_eq!(parsed, trace, "checker_shard rows survive the wire");
-        let mut per_shard = [0u32; 3];
-        for rec in trace.records() {
-            if let Event::CheckerShard { shard, shards, .. } = rec.event {
-                assert_eq!(shards, 3);
-                assert_eq!(checker_shard_of_tid(rec.tid), Some(shard as usize));
-                per_shard[shard as usize] += 1;
-            }
-        }
-        // One pass (no faults): exactly one row per shard.
-        assert_eq!(per_shard, [1, 1, 1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "checker_shards")]
-    fn zero_shards_panics() {
-        let _ = SpecSimParams::with_threads(2).checker_shards(0);
     }
 
     #[test]

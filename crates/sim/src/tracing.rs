@@ -5,7 +5,7 @@
 //! byte-identical traces — the same JSONL schema the threaded engines emit
 //! from wall-clock sinks (see `docs/OBSERVABILITY.md`).
 
-use crossinvoc_runtime::trace::{checker_shard_tid, Trace, TraceSink, MANAGER_TID};
+use crossinvoc_runtime::trace::{Trace, TraceSink, CHECKER_TID, MANAGER_TID};
 
 /// One sink per simulated thread plus the service pseudo-threads.
 ///
@@ -17,9 +17,8 @@ pub(crate) struct SimSinks {
     pub workers: Vec<TraceSink>,
     /// Sink for manager-level events (checkpoints, degradations).
     pub manager: TraceSink,
-    /// Per-checker-shard sinks on the descending service-tid band; a
-    /// single-shard simulation has exactly one, on the classic checker tid.
-    pub checkers: Vec<TraceSink>,
+    /// Sink for the SPECCROSS checker (disabled in the other executors).
+    pub checker: TraceSink,
     /// Region-server attribution id stamped onto the merged trace; 0 (solo)
     /// keeps the wire format byte-identical to the pre-region schema,
     /// mirroring the threaded engines' `region_id` config knob.
@@ -27,16 +26,23 @@ pub(crate) struct SimSinks {
 }
 
 impl SimSinks {
-    pub fn new(threads: usize, checker_shards: usize, capacity: usize) -> Self {
+    /// Sinks for `threads` workers and the manager.
+    pub fn new(threads: usize, capacity: usize) -> Self {
         Self {
             workers: (0..threads)
                 .map(|tid| TraceSink::with_capacity(tid, capacity))
                 .collect(),
             manager: TraceSink::with_capacity(MANAGER_TID, capacity),
-            checkers: (0..checker_shards)
-                .map(|shard| TraceSink::with_capacity(checker_shard_tid(shard), capacity))
-                .collect(),
+            checker: TraceSink::disabled(),
             region: 0,
+        }
+    }
+
+    /// Like [`SimSinks::new`], plus a checker sink.
+    pub fn with_checker(threads: usize, capacity: usize) -> Self {
+        Self {
+            checker: TraceSink::with_capacity(CHECKER_TID, capacity),
+            ..Self::new(threads, capacity)
         }
     }
 
@@ -53,7 +59,7 @@ impl SimSinks {
         }
         let mut all = self.workers;
         all.push(self.manager);
-        all.extend(self.checkers);
+        all.push(self.checker);
         Some(Trace::from_sinks(all).with_region(self.region))
     }
 }

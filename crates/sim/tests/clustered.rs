@@ -1,7 +1,7 @@
 //! The simulated SPECCROSS checker on the clustered-epoch shape the
-//! BENCH_5/7/10 gates measure (`crossinvoc_workloads::synthetic::Clustered`):
-//! the epoch-summary fast path, checker sharding and static elision each
-//! cut checker work without moving a verdict. (Integration tests rather
+//! BENCH_5/10 gates measure (`crossinvoc_workloads::synthetic::Clustered`):
+//! the epoch-summary fast path and static elision each cut checker work
+//! without moving a verdict. (Integration tests rather
 //! than unit tests because the shape lives in the workloads crate, which
 //! depends on this one.)
 
@@ -58,31 +58,6 @@ fn epoch_summaries_skip_disjoint_buckets_without_changing_verdicts() {
         on.total_ns <= off.total_ns,
         "a faster checker can only help"
     );
-}
-
-#[test]
-fn sharding_preserves_verdicts_on_clustered_epochs() {
-    // Disjoint per-epoch address clusters: no conflicts at any shard
-    // count, and splitting the admission work can only shorten the
-    // checker's critical path.
-    let w = clustered();
-    let one = speccross(&w, &SpecSimParams::with_threads(32), &CostModel::default());
-    for shards in [2, 4, 8] {
-        let n = speccross(
-            &w,
-            &SpecSimParams::with_threads(32).checker_shards(shards),
-            &CostModel::default(),
-        );
-        assert_eq!(n.stats.misspeculations, 0);
-        assert_eq!(n.stats.tasks, one.stats.tasks);
-        assert_eq!(n.stats.check_requests, one.stats.check_requests);
-        assert!(
-            n.total_ns <= one.total_ns,
-            "sharding the checker can only help here: {} vs {}",
-            n.total_ns,
-            one.total_ns
-        );
-    }
 }
 
 #[test]

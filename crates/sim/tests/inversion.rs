@@ -24,7 +24,7 @@ use crossinvoc_runtime::hash::splitmix64;
 use crossinvoc_runtime::signature::{AccessKind, AccessSignature, RangeSignature};
 use crossinvoc_runtime::trace::Event;
 use crossinvoc_sim::prelude::*;
-use crossinvoc_speccross::{CheckRequest, Position, ShardedChecker};
+use crossinvoc_speccross::{CheckerState, Position};
 
 const WORKERS: usize = 2;
 
@@ -97,7 +97,8 @@ fn timeline(w: &Inversion) -> Vec<Timed> {
 /// The independent reference for the simulator's snapshot derivation: its
 /// own timeline, its own `position_at`, requests admitted in *finish* order
 /// (the straggler direction — `(1,1)` is logged long before `(0,2)` arrives)
-/// through the engine's `ShardedChecker`.
+/// through [`CheckerState::admit_parts`], the call both the threaded
+/// checker and the simulator admit every request with.
 #[test]
 fn engine_checker_flags_the_inversion() {
     let tasks = timeline(&Inversion);
@@ -119,16 +120,12 @@ fn engine_checker_flags_the_inversion() {
     // Requests reach the checker as tasks finish.
     let mut order: Vec<&Timed> = tasks.iter().collect();
     order.sort_by_key(|task| task.finish);
-    let mut checker = ShardedChecker::<RangeSignature>::new(WORKERS, 1);
+    let mut checker = CheckerState::<RangeSignature>::new(WORKERS);
     let conflict = order.into_iter().find_map(|task| {
-        checker.admit(CheckRequest {
-            tid: task.tid,
-            pos: task.pos,
-            snapshot: (0..WORKERS)
-                .map(|tid| position_at(tid, task.start))
-                .collect(),
-            sig: task.sig.clone(),
-        })
+        let snapshot: Vec<Position> = (0..WORKERS)
+            .map(|tid| position_at(tid, task.start))
+            .collect();
+        checker.admit_parts(task.tid, task.pos, &snapshot, task.sig.clone())
     });
     let conflict = conflict.expect("the engine's checker must flag the write-write inversion");
     assert_eq!(conflict.earlier, (0, Position { epoch: 0, task: 1 }));

@@ -19,11 +19,11 @@
 //! requests arrive late).
 //!
 //! The structure is pure — no threads, no channels, no clock — so the
-//! threaded checker (`engine`), the sharded checker (`shard`), the
-//! discrete-event simulator (`crossinvoc_sim::speccross`, which admits every
-//! simulated task through [`CheckerState::admit_parts`] with the position and
-//! snapshot read off its virtual timeline) and the tests all drive the same
-//! code: there is one definition of which pairs race.
+//! threaded checker (`engine`), the discrete-event simulator
+//! (`crossinvoc_sim::speccross`, which admits every simulated task through
+//! [`CheckerState::admit_parts`] with the position and snapshot read off its
+//! virtual timeline) and the tests all drive the same code: there is one
+//! definition of which pairs race.
 
 use std::collections::VecDeque;
 
@@ -408,7 +408,7 @@ impl<S: AccessSignature> CheckerState<S> {
     /// Discards all requests from epochs before `epoch` by popping whole
     /// buckets off the front of each worker's log — O(retired epochs), no
     /// per-entry scan. The checkpoint backstop of the self-retiring log: a
-    /// worker that never sends (to this shard) never advances what it was
+    /// worker that never sends never advances what it was
     /// "seen past", so only this retires the others' buckets.
     ///
     /// Sound at checkpoint boundaries: a checkpoint fully synchronizes every
@@ -712,7 +712,7 @@ mod tests {
 
     #[test]
     fn a_worker_that_never_sends_leaves_retirement_to_retire_before() {
-        // Worker 2 never sends (to this shard): nobody knows what it has
+        // Worker 2 never sends: nobody knows what it has
         // seen, so nothing of workers 0 and 1 may retire on its own …
         let mut c = CheckerState::new(3);
         for epoch in 0..10u32 {

@@ -1,24 +1,20 @@
 //! The threaded SPECCROSS engine (§4.2, Fig. 4.5).
 //!
-//! One manager (the calling thread), `num_workers` worker threads and
-//! [`SpecConfig::checker_shards`] checker threads (one by default), the
-//! admission work interleaved over them by address (see [`crate::shard`]).
-//! Workers execute epochs back-to-back, crossing barrier boundaries
-//! speculatively. An epoch's tasks are dealt block-cyclically in *chunks*
-//! of K consecutive tasks ([`crate::chunk`]; K follows from the region's
-//! shape and is 1 — the thesis' per-iteration protocol — for small epochs
-//! and short speculative ranges), and the worker protocol runs once per
-//! chunk: one frontier publish, one gate on the chunk's last task, one
+//! One manager (the calling thread), `num_workers` worker threads and one
+//! checker thread. Workers execute epochs back-to-back, crossing barrier
+//! boundaries speculatively. An epoch's tasks are dealt block-cyclically in
+//! *chunks* of K consecutive tasks ([`crate::chunk`]; K follows from the
+//! region's shape and is 1 — the thesis' per-iteration protocol — for small
+//! epochs and short speculative ranges), and the worker protocol runs once
+//! per chunk: one frontier publish, one gate on the chunk's last task, one
 //! position snapshot, one position advance. The chunk's signatures, folded
-//! into maximal exact runs, go with that start-time snapshot
-//! to every checker shard their address span touches — buffered locally and
-//! published to a per-(worker, shard) SPSC ring in batches, so each checker
-//! admits requests in bursts against its own epoch-bucketed log of
-//! [`crate::check`] instead of waking once per task. A straddling task is
-//! admitted only when every touched shard admits it; any shard's conflict
-//! is the region's verdict. Checkpoint pruning rides an atomic epoch
-//! watermark rather than an in-band message. Every `checkpoint_every` epochs the workers rendezvous,
-//! the checker is drained, and the workload state is snapshotted. On
+//! into maximal exact runs, go with that start-time snapshot to the checker
+//! — buffered locally and published to a per-worker SPSC ring in batches,
+//! so the checker admits requests in bursts against the epoch-bucketed log
+//! of [`crate::check`] instead of waking once per task. Checkpoint pruning
+//! rides an atomic epoch watermark rather than an in-band message. Every
+//! `checkpoint_every` epochs the workers rendezvous, the checker is
+//! drained, and the workload state is snapshotted. On
 //! misspeculation all workers unwind cooperatively, the last checkpoint is
 //! restored, the misspeculated epochs re-execute under non-speculative
 //! barriers, and speculation resumes (substitution S3 of DESIGN.md replaces
@@ -70,7 +66,7 @@ use crossinvoc_runtime::spsc;
 use crossinvoc_runtime::stats::{RegionStats, StatsSummary};
 use crossinvoc_runtime::telemetry::RegionTelemetry;
 use crossinvoc_runtime::trace::{
-    checker_shard_tid, Event, Trace, TraceCollector, TraceSink, WakeEdge, MANAGER_TID,
+    Event, Trace, TraceCollector, TraceSink, WakeEdge, CHECKER_TID, MANAGER_TID,
 };
 use crossinvoc_runtime::{SpinBarrier, ThreadId};
 
@@ -78,7 +74,6 @@ use crate::check::{CheckerState, Conflict};
 use crate::chunk::{self, ExactRuns};
 use crate::position::{Position, PositionBoard};
 use crate::profile::{DistanceProfiler, ProfileReport};
-use crate::shard::ShardMap;
 use crate::workload::{CountingRecorder, NullRecorder, SigRecorder, SpecWorkload};
 
 /// When to give up on speculation and finish a region under plain barriers.
@@ -153,13 +148,6 @@ pub struct SpecConfig {
     ///
     /// [`SpecWorkload::epoch_is_proven`]: crate::workload::SpecWorkload::epoch_is_proven
     pub elide: bool,
-    /// Number of checker threads the admission work is sharded over by
-    /// address (see [`crate::shard`]). `1` (the default) reproduces the
-    /// single-checker engine exactly; values are validated against
-    /// `1..=`[`crate::shard::MAX_SHARDS`]. A task whose signature straddles
-    /// shards is checked by every touched shard and admitted only when all
-    /// of them admit it.
-    pub checker_shards: usize,
     /// Region-server submission id stamped on the region's trace (the
     /// `region_id` JSONL field; see `docs/OBSERVABILITY.md`). `0` (the
     /// default) marks a solo run and keeps trace output byte-identical to
@@ -188,7 +176,6 @@ impl SpecConfig {
             trace_capacity: None,
             epoch_summaries: true,
             elide: false,
-            checker_shards: 1,
             region_id: 0,
             telemetry: None,
         }
@@ -250,13 +237,6 @@ impl SpecConfig {
     /// admission (off by default). See [`SpecConfig::elide`].
     pub fn elide(mut self, enabled: bool) -> Self {
         self.elide = enabled;
-        self
-    }
-
-    /// Shards the checker over this many threads (default 1). Validated at
-    /// execution time against `1..=`[`crate::shard::MAX_SHARDS`].
-    pub fn checker_shards(mut self, shards: usize) -> Self {
-        self.checker_shards = shards;
         self
     }
 
@@ -453,7 +433,7 @@ impl SnapshotBuf {
 /// snapshot inline the hand-off allocates on neither thread (a boxed
 /// snapshot was `malloc`ed by the worker and freed by the checker, and that
 /// cross-thread `free` was the dearest part of the path).
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct CheckMsg<S> {
     snapshot: SnapshotBuf,
     sig: S,
@@ -541,9 +521,8 @@ enum PassEnd {
 struct PassResult<St> {
     end: PassEnd,
     comparisons: u64,
-    /// The conflict that condemned the pass plus the checker shard that
-    /// found it (shard 0 on unsharded runs).
-    conflict: Option<(Conflict, usize)>,
+    /// The conflict that condemned the pass.
+    conflict: Option<Conflict>,
     /// The checkpoint to restore on abort, and the pass's other state
     /// buffer if it took a second checkpoint; the next pass reuses both.
     checkpoint: Checkpoint<St>,
@@ -681,21 +660,19 @@ struct PassShared<St> {
     // pickup, so sharing a line would have every pickup evict the line the
     // workers poll.
     misspec: CachePadded<AtomicBool>,
-    /// First conflict any checker shard found, with the finding shard's
-    /// index (first-wins: shard threads race to fill it; later verdicts of
-    /// the same doomed pass are dropped).
-    conflict: Mutex<Option<(Conflict, usize)>>,
+    /// The conflict the checker found (it stops admitting at the first).
+    conflict: Mutex<Option<Conflict>>,
     /// First abnormal-abort reason (panic, checker loss, timeout); `None`
     /// with `misspec` raised means an ordinary conflict.
     failure: Mutex<Option<AbortReason>>,
     /// Faults absorbed during this pass.
     contained: Mutex<Vec<ContainedFault>>,
     checkpoint: Mutex<Checkpoint<St>>,
-    /// Check requests counted towards the rings, one per (request, shard):
-    /// a worker adds a whole batch *before* publishing any of it, so `sent`
-    /// is never below in-ring + processed.
+    /// Check requests counted towards the rings: a worker adds a whole
+    /// batch *before* publishing any of it, so `sent` is never below
+    /// in-ring + processed.
     sent: CachePadded<AtomicU64>,
-    /// Check requests the checkers are done with, added once per pickup.
+    /// Check requests the checker is done with, added once per pickup.
     processed: CachePadded<AtomicU64>,
     done_workers: CachePadded<AtomicUsize>,
     /// Epoch below which the checker may discard its logs. Written (with
@@ -799,12 +776,6 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                 "checkpoint interval must be positive".to_string(),
             ));
         }
-        if !(1..=crate::shard::MAX_SHARDS).contains(&self.config.checker_shards) {
-            return Err(SpecError::InvalidConfig(format!(
-                "checker_shards must be in 1..={}",
-                crate::shard::MAX_SHARDS
-            )));
-        }
         Ok(())
     }
 
@@ -838,7 +809,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
     }
 
     /// Like [`SpecCrossEngine::execute`], but running the region's gangs
-    /// (workers + checker shards) on the given executor — a shared
+    /// (workers + checker) on the given executor — a shared
     /// [`crossinvoc_runtime::pool::WorkerPool`] in region-server mode, or
     /// [`ScopedExecutor`] for the classic thread-per-role behaviour. The
     /// calling thread stays the region's manager either way; all per-region
@@ -851,7 +822,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         exec: &dyn RegionExecutor,
     ) -> Result<SpecReport, SpecError> {
         self.validate()?;
-        self.validate_capacity(exec, self.config.num_workers + self.config.checker_shards)?;
+        self.validate_capacity(exec, self.config.num_workers + 1)?;
         // One shared fault budget for the whole execution: a single-shot
         // fault consumed during speculation must not re-fire in recovery.
         let fault = self.config.fault_plan.clone().unwrap_or_default();
@@ -976,17 +947,14 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                     AbortReason::Conflict => {
                         stats.add_misspeculation();
                         // The checker's verdict causes the rollback + redo that
-                        // the manager performs next; the wake edge points at the
-                        // shard that issued it so per-shard critical-path
-                        // attribution stays honest.
-                        let shard = pass.conflict.map_or(0, |(_, s)| s);
+                        // the manager performs next.
                         manager_sink.emit(Event::Wake {
                             edge: WakeEdge::Checker,
-                            src_tid: checker_shard_tid(shard),
+                            src_tid: CHECKER_TID,
                             seq: misspec_ordinal,
                         });
                         misspec_ordinal += 1;
-                        if let Some((c, _)) = pass.conflict {
+                        if let Some(c) = pass.conflict {
                             conflicts.push(c);
                         }
                         self.restore_with_retry(workload, &pass, &fault, &mut contained)?;
@@ -1217,25 +1185,13 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         }
         prefix.push(acc);
 
-        // One dedicated SPSC ring per (worker, checker shard):
-        // single-writer/single-reader cache behaviour on the exit_task →
-        // checker path (the channel this replaces serialized every worker
-        // through one shared queue). Worker w owns `shards` producers;
-        // checker shard k drains ring [w][k] of every worker.
-        let shards = self.config.checker_shards;
-        let mut check_txs: Vec<Vec<spsc::Producer<CheckMsg<S>>>> = Vec::with_capacity(num_workers);
-        let mut rxs_by_shard: Vec<Vec<spsc::Consumer<CheckMsg<S>>>> = (0..shards)
-            .map(|_| Vec::with_capacity(num_workers))
-            .collect();
-        for _ in 0..num_workers {
-            let mut txs = Vec::with_capacity(shards);
-            for shard_rxs in rxs_by_shard.iter_mut() {
-                let (tx, rx) = spsc::Queue::with_capacity(CHECK_RING);
-                txs.push(tx);
-                shard_rxs.push(rx);
-            }
-            check_txs.push(txs);
-        }
+        // One dedicated SPSC ring per worker: single-writer/single-reader
+        // cache behaviour on the exit_task → checker path (the channel this
+        // replaces serialized every worker through one shared queue). The
+        // checker drains ring w of worker w.
+        let (check_txs, check_rxs): (Vec<_>, Vec<_>) = (0..num_workers)
+            .map(|_| spsc::Queue::<CheckMsg<S>>::with_capacity(CHECK_RING))
+            .unzip();
         let shared = PassShared {
             board: PositionBoard::new(num_workers),
             misspec: CachePadded::new(AtomicBool::new(false)),
@@ -1260,52 +1216,41 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         });
         collector.absorb(pass_sink);
 
-        let mut comparisons = 0;
-        let mut checker_dead = false;
-        {
-            // Per-shard result slots stand in for the scoped-join return
-            // values the pre-executor code used: initialized to "dead" so a
-            // checker role that never ran to completion (however it died)
-            // reads as a lost shard.
-            let checker_results: Vec<Mutex<(u64, bool)>> =
-                (0..shards).map(|_| Mutex::new((0, true))).collect();
+        let (comparisons, checker_dead) = {
+            // The result slot stands in for the scoped-join return value the
+            // pre-executor code used: initialized to "dead" so a checker
+            // role that never ran to completion (however it died) reads as
+            // a lost checker.
+            let checker_result: Mutex<(u64, bool)> = Mutex::new((0, true));
             let shared_ref = &shared;
-            let mut roles: Vec<Role<'_>> = Vec::with_capacity(shards + num_workers);
-            // Checker roles, one per shard: each body may be killed by an
-            // injected fault (or an organic bug); contain the unwind and
-            // convert it into a cooperative abort so no worker spins on a
-            // dead checker. The sink lives outside the unwind boundary so
-            // events emitted before an injected death survive into the
-            // trace. The consumer endpoints move into the role (they are
-            // single-reader by construction). Losing *any* shard condemns
-            // the pass: its share of the in-flight requests was never
-            // verified.
-            for ((shard, check_rxs), slot) in rxs_by_shard
-                .into_iter()
-                .enumerate()
-                .zip(checker_results.iter())
-            {
-                roles.push(Box::new(move || {
-                    let mut sink = collector.sink(checker_shard_tid(shard));
-                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                        self.checker_loop(shared_ref, &check_rxs, shard, metrics, &mut sink)
-                    }));
-                    collector.absorb(sink);
-                    *slot.lock() = match outcome {
-                        Ok(count) => (count, false),
-                        Err(_) => {
-                            shared_ref.misspec.store(true, Ordering::Release);
-                            (0, true)
-                        }
-                    };
+            let checker_slot = &checker_result;
+            let mut roles: Vec<Role<'_>> = Vec::with_capacity(1 + num_workers);
+            // The checker role may be killed by an injected fault (or an
+            // organic bug); contain the unwind and convert it into a
+            // cooperative abort so no worker spins on a dead checker. The
+            // sink lives outside the unwind boundary so events emitted
+            // before an injected death survive into the trace. The consumer
+            // endpoints move into the role (they are single-reader by
+            // construction).
+            roles.push(Box::new(move || {
+                let mut sink = collector.sink(CHECKER_TID);
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    self.checker_loop(shared_ref, &check_rxs, metrics, &mut sink)
                 }));
-            }
+                collector.absorb(sink);
+                *checker_slot.lock() = match outcome {
+                    Ok(count) => (count, false),
+                    Err(_) => {
+                        shared_ref.misspec.store(true, Ordering::Release);
+                        (0, true)
+                    }
+                };
+            }));
             // Worker roles. The whole driver runs under catch_unwind so a
             // panic anywhere in a worker poisons the pass instead of killing
             // the gang (and on a shared pool, neighbouring regions). Each
-            // worker owns the producer endpoints of its per-shard
-            // check-request rings.
-            for (tid, check_txs) in check_txs.into_iter().enumerate() {
+            // worker owns the producer endpoint of its check-request ring.
+            for (tid, check_tx) in check_txs.into_iter().enumerate() {
                 let shared = &shared;
                 roles.push(Box::new(move || {
                     let mut sink = collector.sink(tid);
@@ -1313,7 +1258,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                         self.worker_pass(
                             workload,
                             shared,
-                            &check_txs,
+                            &check_tx,
                             tid,
                             start_epoch,
                             metrics,
@@ -1338,12 +1283,9 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
             if let Some(cell) = self.config.telemetry.as_deref() {
                 cell.add_queue_wait(gang_stats.queue_wait_ns);
             }
-            for slot in &checker_results {
-                let (count, dead) = *slot.lock();
-                comparisons += count;
-                checker_dead |= dead;
-            }
-        }
+            let result = *checker_result.lock();
+            result
+        };
 
         let resume_epoch = (shared.board.max_epoch() as usize + 1)
             .max(start_epoch + 1)
@@ -1480,7 +1422,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         &self,
         workload: &W,
         shared: &PassShared<W::State>,
-        check_txs: &[spsc::Producer<CheckMsg<S>>],
+        check_tx: &spsc::Producer<CheckMsg<S>>,
         tid: usize,
         start_epoch: usize,
         metrics: &Metrics,
@@ -1496,25 +1438,17 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         let num_epochs = workload.num_epochs();
         let mut recorder = SigRecorder::<S>::new();
         let mut counting = CountingRecorder::default();
-        // Local check-request buffers, one per checker shard: flushed at the
-        // CHECK_BATCH threshold and at every epoch boundary, so they are
-        // empty at each rendezvous (the checkpoint drain counts on every
-        // `sent` request being in a ring by the time all workers have
-        // arrived). A signature whose address span straddles shards is
-        // cloned into every touched shard's buffer, and `sent` counts one
-        // delivery per (request, shard) so the drain covers them all.
-        let shard_map = ShardMap::new(self.config.checker_shards);
-        let mut batches: Vec<Vec<CheckMsg<S>>> = (0..shard_map.shards())
-            .map(|_| Vec::with_capacity(CHECK_BATCH))
-            .collect();
+        // Local check-request buffer: flushed at the CHECK_BATCH threshold
+        // and at every epoch boundary, so it is empty at each rendezvous
+        // (the checkpoint drain counts on every `sent` request being in a
+        // ring by the time all workers have arrived).
+        let mut batch: Vec<CheckMsg<S>> = Vec::with_capacity(CHECK_BATCH);
         let mut runs = ExactRuns::<S>::default();
         // exit_task: buffers one check request — an exact run of a chunk's
-        // signatures at task number `at`, with the chunk-start snapshot —
-        // for its checker shard(s); a full buffer is published to that
-        // shard's ring as one batch. Straddling signatures fan out whole to
-        // every shard their span touches (the merge rule: all must admit).
+        // signatures at task number `at`, with the chunk-start snapshot; a
+        // full buffer is published to the checker's ring as one batch.
         // `false` if the pass aborted mid-flush.
-        let ship = |batches: &mut [Vec<CheckMsg<S>>],
+        let ship = |batch: &mut Vec<CheckMsg<S>>,
                     tally: &mut Tally<'_>,
                     mut snapshot: SnapshotBuf,
                     epoch: usize,
@@ -1527,18 +1461,8 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                     task: at,
                 },
             );
-            let set = shard_map.shards_for_span(sig.addr_span());
-            let msg = CheckMsg { snapshot, sig };
-            let mut enqueue = |shard: usize, msg| {
-                let batch = &mut batches[shard];
-                batch.push(msg);
-                batch.len() < CHECK_BATCH || Self::flush_checks(shared, &check_txs[shard], batch)
-            };
-            // The first touched shard takes the original; only genuine
-            // straddlers pay for clones.
-            let mut touched = set.iter();
-            let first = touched.next().expect("every span touches a shard");
-            touched.all(|shard| enqueue(shard, msg.clone())) && enqueue(first, msg)
+            batch.push(CheckMsg { snapshot, sig });
+            batch.len() < CHECK_BATCH || Self::flush_checks(shared, check_tx, batch)
         };
 
         for epoch in start_epoch..num_epochs {
@@ -1710,7 +1634,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                         // open run exactly ships it and opens the next.
                         let at = local_counter + (task - tasks.start) as u32;
                         if let Some(run) = runs.push(at, recorder.take()) {
-                            if !ship(&mut batches, &mut tally, snapshot.clone(), epoch, run) {
+                            if !ship(&mut batch, &mut tally, snapshot.clone(), epoch, run) {
                                 break 'chunk false;
                             }
                         }
@@ -1723,7 +1647,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                     return;
                 }
                 if let (Some(snapshot), Some(run)) = (snapshot, runs.finish()) {
-                    if !ship(&mut batches, &mut tally, snapshot, epoch, run) {
+                    if !ship(&mut batch, &mut tally, snapshot, epoch, run) {
                         return;
                     }
                 }
@@ -1745,10 +1669,8 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
             // request this worker generated is counted in `sent` and in a
             // ring whenever it is parked or finished).
             tally.fold();
-            for (shard, batch) in batches.iter_mut().enumerate() {
-                if !Self::flush_checks(shared, &check_txs[shard], batch) {
-                    return;
-                }
+            if !Self::flush_checks(shared, check_tx, &mut batch) {
+                return;
             }
             if elided_tasks > 0 {
                 // Once per (worker, epoch): how much admission work the
@@ -1895,20 +1817,15 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         });
     }
 
-    /// One checker-shard thread (Fig. 4.7's checker pseudo-code, restricted
-    /// to the requests routed to `shard`). Drains every worker's SPSC ring
-    /// for this shard in bursts and admits each request against the shard's
-    /// own epoch-bucketed log. Because routing delivers the *whole*
-    /// signature to every shard its span touches, this shard's verdicts are
-    /// exactly the unsharded checker's verdicts restricted to its requests.
-    /// Returns the number of signature comparisons performed. May panic when
-    /// the fault plan schedules a checker death; the spawn wrapper contains
-    /// it.
+    /// The checker thread (Fig. 4.7's checker pseudo-code). Drains every
+    /// worker's SPSC ring in bursts and admits each request against its
+    /// epoch-bucketed log. Returns the number of signature comparisons
+    /// performed. May panic when the fault plan schedules a checker death;
+    /// the spawn wrapper contains it.
     fn checker_loop<St>(
         &self,
         shared: &PassShared<St>,
         check_rxs: &[spsc::Consumer<CheckMsg<S>>],
-        shard: usize,
         metrics: &Metrics,
         sink: &mut TraceSink,
     ) -> u64 {
@@ -1941,7 +1858,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                 );
             }
             let mut drained = 0usize;
-            // Ring `tid` of this shard is worker `tid`'s.
+            // Ring `tid` is worker `tid`'s.
             for (tid, rx) in check_rxs.iter().enumerate() {
                 drained += rx.consume_batch(&mut inbox, CHECK_PICKUP);
                 let mut pickup = Pickup {
@@ -2009,23 +1926,15 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                     };
                     pickup.admitted += 1;
                     if let Some(c) = conflict {
-                        // First-wins across shard threads: the pass is
-                        // condemned once, by whichever shard saw a conflict
-                        // first; a concurrent verdict from another shard is
-                        // redundant on an already-doomed pass and dropped.
-                        let mut slot = shared.conflict.lock();
-                        if slot.is_none() {
-                            *slot = Some((c, shard));
-                            sink.emit(Event::Misspeculation {
-                                earlier_tid: c.earlier.0,
-                                earlier_epoch: c.earlier.1.epoch,
-                                earlier_task: c.earlier.1.task as u64,
-                                later_tid: c.later.0,
-                                later_epoch: c.later.1.epoch,
-                                later_task: c.later.1.task as u64,
-                            });
-                        }
-                        drop(slot);
+                        *shared.conflict.lock() = Some(c);
+                        sink.emit(Event::Misspeculation {
+                            earlier_tid: c.earlier.0,
+                            earlier_epoch: c.earlier.1.epoch,
+                            earlier_task: c.earlier.1.task as u64,
+                            later_tid: c.later.0,
+                            later_epoch: c.later.1.epoch,
+                            later_task: c.later.1.task as u64,
+                        });
                         shared.misspec.store(true, Ordering::Release);
                         break 'run;
                     }
@@ -2064,14 +1973,6 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
             stats,
             sink,
         );
-        // Pass-scoped shard census: one row per shard per pass, on the
-        // shard's own timeline (shard 0 of a single-shard run lands on the
-        // classic checker tid).
-        sink.emit(Event::CheckerShard {
-            shard: shard as u32,
-            shards: self.config.checker_shards as u32,
-            requests: picked,
-        });
         state.comparisons()
     }
 

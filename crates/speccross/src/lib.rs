@@ -17,7 +17,8 @@
 //! * [`check`] — the pure conflict-detection algorithm and signature log
 //!   (Figs. 4.7–4.8).
 //! * [`shard`] — address-interleaved partitioning of the checker and the
-//!   merge rule for tasks whose signatures straddle shards.
+//!   merge rule for straddling signatures; measured by the benchmark's
+//!   layer replay, used by no engine or simulator path.
 //! * [`chunk`] — the pure rules of chunked speculation: chunk length,
 //!   block-cyclic shares, exact signature runs.
 //! * [`profile`] — minimum dependence-distance profiling (§4.4).

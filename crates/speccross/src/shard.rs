@@ -1,10 +1,13 @@
-//! Address-range sharding of the misspeculation checker.
+//! Address-range sharding of the misspeculation checker — a measurement
+//! artifact, not an engine path.
 //!
-//! BENCH_5 showed that even with epoch-summary pruning a *single* checker
-//! thread owns almost the whole critical path: every worker's check request
-//! funnels through one serial admission loop. This module partitions the
-//! admission work by address so independent shards can issue verdicts
-//! concurrently.
+//! Neither the threaded engine nor the simulator routes through this
+//! module: both admit every request into one [`CheckerState`], as the
+//! thesis' single checker thread does (docs/CHECKER.md, "Why one checker").
+//! It stays because the benchmark's per-layer replay measures it against
+//! that single checker (its `shard.admit_ns` and `shard.straddle_share`
+//! rows), and the property that sharded and unsharded verdicts agree stays
+//! pinned by its tests.
 //!
 //! # Partition
 //!

@@ -332,123 +332,6 @@ fn engine_works_with_bloom_signatures() {
     assert!(report.stats.tasks >= 16 * 6);
 }
 
-#[test]
-fn sharded_checker_matches_sequential_when_gated() {
-    let d =
-        SpecCrossEngine::<crossinvoc_runtime::RangeSignature>::profile(&PingPong::new(32, 4), 4)
-            .min_distance;
-    for shards in [2, 3, 8] {
-        let mut w = PingPong::new(32, 10);
-        let report = SpecCrossEngine::<crossinvoc_runtime::RangeSignature>::new(
-            SpecConfig::with_workers(3)
-                .spec_distance(d)
-                .checker_shards(shards),
-        )
-        .execute(&w)
-        .unwrap();
-        assert_eq!(
-            report.stats.misspeculations, 0,
-            "gated run never rolls back ({shards} shards)"
-        );
-        assert_eq!(w.result(), PingPong::sequential(32, 10));
-        assert_eq!(report.stats.tasks, 32 * 10);
-        // 32-task epochs on three workers run in chunks of two, and a chunk
-        // files between one request (its signatures fold) and one per task —
-        // counted once regardless of how many shards its span fans out to.
-        assert!(
-            (16 * 10..=32 * 10).contains(&report.stats.check_requests),
-            "{} check requests",
-            report.stats.check_requests
-        );
-    }
-}
-
-#[test]
-fn sharded_ungated_speculation_recovers_to_correct_result() {
-    for shards in [2, 4] {
-        let mut w = PingPong::new(16, 8);
-        let report = SpecCrossEngine::<crossinvoc_runtime::RangeSignature>::new(
-            SpecConfig::with_workers(3).checker_shards(shards),
-        )
-        .execute(&w)
-        .unwrap();
-        assert_eq!(w.result(), PingPong::sequential(16, 8));
-        assert!(report.stats.tasks >= 16 * 8);
-    }
-}
-
-#[test]
-fn sharded_injected_conflict_recovers_once() {
-    let mut w = PingPong::new(16, 9);
-    let d =
-        SpecCrossEngine::<crossinvoc_runtime::RangeSignature>::profile(&PingPong::new(16, 4), 4)
-            .min_distance;
-    let report = SpecCrossEngine::<crossinvoc_runtime::RangeSignature>::new(
-        SpecConfig::with_workers(2)
-            .spec_distance(d)
-            .checker_shards(4)
-            .fault_plan(FaultPlan::default().false_positive_at(4)),
-    )
-    .execute(&w)
-    .unwrap();
-    // Whichever shard thread draws the planned false positive condemns the
-    // pass; the region must still report exactly one misspeculation.
-    assert_eq!(report.stats.misspeculations, 1);
-    assert_eq!(report.conflicts.len(), 1);
-    assert_eq!(w.result(), PingPong::sequential(16, 9));
-}
-
-#[test]
-fn sharded_trace_carries_one_census_row_per_shard() {
-    use crossinvoc_runtime::trace::{checker_shard_of_tid, Event};
-    let d =
-        SpecCrossEngine::<crossinvoc_runtime::RangeSignature>::profile(&PingPong::new(16, 4), 4)
-            .min_distance;
-    let w = PingPong::new(16, 6);
-    let report = SpecCrossEngine::<crossinvoc_runtime::RangeSignature>::new(
-        SpecConfig::with_workers(2)
-            .spec_distance(d)
-            .checker_shards(3)
-            .trace(4096),
-    )
-    .execute(&w)
-    .unwrap();
-    let trace = report.trace.expect("tracing was configured");
-    let mut rows = Vec::new();
-    let mut routed = 0u64;
-    for rec in trace.records() {
-        if let Event::CheckerShard {
-            shard,
-            shards,
-            requests,
-        } = rec.event
-        {
-            assert_eq!(shards, 3);
-            assert_eq!(checker_shard_of_tid(rec.tid), Some(shard as usize));
-            rows.push(shard);
-            routed += requests;
-        }
-    }
-    rows.sort_unstable();
-    assert_eq!(rows, vec![0, 1, 2], "one census row per shard per pass");
-    // Fan-out can only add deliveries on top of the per-task requests.
-    assert!(routed >= report.stats.check_requests);
-}
-
-#[test]
-fn invalid_shard_counts_are_rejected() {
-    let w = PingPong::new(4, 2);
-    for shards in [0, crossinvoc_speccross::MAX_SHARDS + 1] {
-        let engine = SpecCrossEngine::<crossinvoc_runtime::RangeSignature>::new(
-            SpecConfig::with_workers(2).checker_shards(shards),
-        );
-        assert!(matches!(
-            engine.execute(&w).unwrap_err(),
-            SpecError::InvalidConfig(_)
-        ));
-    }
-}
-
 /// Per-epoch address clusters with a same-index chain across epochs: epoch e
 /// task t writes cell `e*tasks + t`, reading its own cell from epoch e-1.
 /// The chain stays on one worker — every epoch is dealt by the same map — so the
@@ -586,15 +469,14 @@ fn proven_mask_is_inert_without_config_elide() {
 }
 
 #[test]
-fn elision_composes_with_shards_and_recovery() {
+fn elision_composes_with_recovery() {
     // Unproven epochs + an injected conflict: elision must not disturb
-    // rollback, barrier re-execution, or the sharded checker.
+    // rollback or barrier re-execution.
     let mut w = ClusteredChain::new(12, 8, |e| e < 6);
     let expected = w.expected();
     let report = SpecCrossEngine::<crossinvoc_runtime::RangeSignature>::new(
         SpecConfig::with_workers(2)
             .elide(true)
-            .checker_shards(3)
             .fault_plan(FaultPlan::default().false_positive_at(8)),
     )
     .execute(&w)

@@ -459,9 +459,8 @@ fn inspector_wavefronts_are_conflict_free() {
 /// Decodes a thread id from raw bits, including the service-thread
 /// sentinels that exercise the JSONL writer's special cases.
 fn tid_from(raw: u64) -> usize {
-    use crossinvoc_runtime::trace::{checker_shard_tid, CHECKER_TID, MANAGER_TID};
+    use crossinvoc_runtime::trace::{CHECKER_TID, MANAGER_TID};
     match raw % 10 {
-        7 => checker_shard_tid((raw >> 8) as usize % 64),
         8 => CHECKER_TID,
         9 => MANAGER_TID,
         n => n as usize,
@@ -481,7 +480,7 @@ fn count_from(raw: u64) -> u32 {
 /// Builds one arbitrary trace [`Event`]: `sel` picks the variant and the
 /// raw words fill its fields. (The vendored proptest shim has no
 /// `prop_oneof!`, so variant choice is an explicit decode; callers sweep
-/// `sel` over `0..15` to guarantee every variant appears in every case.)
+/// `sel` over `0..14` to guarantee every variant appears in every case.)
 fn event_from(
     sel: usize,
     x: (u64, u64, u64),
@@ -492,7 +491,7 @@ fn event_from(
     let (a, b, c) = x;
     let (d, e, f) = y;
     let epoch = a as u32;
-    match sel % 15 {
+    match sel % 14 {
         0 => Event::EpochBegin { epoch },
         1 => Event::EpochEnd { epoch },
         2 => Event::TaskAssign {
@@ -542,11 +541,6 @@ fn event_from(
             comparisons: c,
         },
         12 => Event::ScheduleCacheHit { epoch },
-        13 => Event::CheckerShard {
-            shard: b as u32,
-            shards: c as u32,
-            requests: d,
-        },
         _ => Event::Wake {
             edge: WakeEdge::ALL[(b % 4) as usize],
             src_tid: tid_from(c),
@@ -557,10 +551,10 @@ fn event_from(
 
 proptest! {
     /// The JSONL wire schema is lossless over *every* event variant,
-    /// including `Wake` over all four edge classes, the checker-shard tid
-    /// band and full-range `u64` fields: a trace built from arbitrary
-    /// records round-trips through `to_jsonl`/`from_jsonl` unchanged. At
-    /// least 15 records per case and an `i % 15` variant sweep guarantee
+    /// including `Wake` over all four edge classes, the service-thread tids
+    /// and full-range `u64` fields: a trace built from arbitrary records
+    /// round-trips through `to_jsonl`/`from_jsonl` unchanged. At least 14
+    /// records per case and an `i % 14` variant sweep guarantee
     /// full variant coverage in every case, not just in expectation.
     #[test]
     fn trace_jsonl_round_trips_every_event_variant(
@@ -568,7 +562,7 @@ proptest! {
             (any::<u64>(), any::<u64>(),
              (any::<u64>(), any::<u64>(), any::<u64>()),
              (any::<u64>(), any::<u64>(), any::<u64>())),
-            15..40)
+            14..40)
     ) {
         use crossinvoc_runtime::trace::{Trace, TraceRecord};
         let records: Vec<TraceRecord> = raw
@@ -1160,7 +1154,6 @@ proptest! {
                 let config = |elide: bool| {
                     SpecConfig::with_workers(case.workers)
                         .checkpoint_every(case.checkpoint_every)
-                        .checker_shards(case.checker_shards)
                         .epoch_summaries(true)
                         .elide(elide)
                         .watchdog(std::time::Duration::from_secs(60))

@@ -647,7 +647,6 @@ mod fault_matrix {
 
         fn spec_config() -> SpecConfig {
             SpecConfig::with_workers(2)
-                .checker_shards(1)
                 .checkpoint_every(2)
                 .watchdog(WATCHDOG)
         }
@@ -681,7 +680,7 @@ mod fault_matrix {
             a_config: SpecConfig,
             check_a: impl FnOnce(&IncGrid, &RegionReport),
         ) -> String {
-            // 3 slots per spec region (2 workers + 1 checker shard).
+            // 3 slots per spec region (2 workers + the checker).
             let server = RegionServer::new(6);
             let a = Arc::new(IncGrid::new(8, 6));
             let b = Arc::new(IncGrid::new(8, 6));
