@@ -112,6 +112,41 @@ impl<T> SharedSlice<T> {
         f(&mut *self.cells[index].get())
     }
 
+    /// A shared view of every element, for bulk copies out.
+    ///
+    /// # Safety
+    ///
+    /// No thread may write any element while the view is alive (the
+    /// quiesced state of a checkpoint or rollback rendezvous).
+    pub unsafe fn as_slice(&self) -> &[T] {
+        // SAFETY: `UnsafeCell<T>` has the layout of `T`, and the caller
+        // rules out writers for the view's lifetime.
+        unsafe { std::slice::from_raw_parts(self.cells.as_ptr() as *const T, self.len()) }
+    }
+
+    /// Overwrites elements `start..start + src.len()` from `src` with one
+    /// bulk copy.
+    ///
+    /// # Safety
+    ///
+    /// No other thread may be accessing any of those elements meanwhile
+    /// (the quiesced state of a rollback rendezvous).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the range is out of bounds.
+    pub unsafe fn write_slice(&self, start: usize, src: &[T])
+    where
+        T: Copy,
+    {
+        let cells = &self.cells[start..start + src.len()];
+        // SAFETY: `UnsafeCell<T>` has the layout of `T`, and the caller
+        // rules out every other access to these cells, so this is the only
+        // live reference to them.
+        let dst = unsafe { std::slice::from_raw_parts_mut(cells.as_ptr() as *mut T, cells.len()) };
+        dst.copy_from_slice(src);
+    }
+
     /// Copies the contents into a fresh `Vec`.
     ///
     /// Takes `&mut self`, so the snapshot is quiescent by construction.
@@ -185,6 +220,20 @@ mod tests {
         assert_eq!(unsafe { s.read(0) }, 99);
         s.fill(&snap);
         assert_eq!(s.snapshot(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn bulk_copies_round_trip() {
+        let s = SharedSlice::from_vec((0..10i64).collect());
+        assert_eq!(unsafe { &s.as_slice()[3..7] }, [3, 4, 5, 6]);
+        unsafe { s.write_slice(7, &[-1, -2, -3]) };
+        assert_eq!(unsafe { s.as_slice() }, [0, 1, 2, 3, 4, 5, 6, -1, -2, -3]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn bulk_copies_check_bounds() {
+        unsafe { SharedSlice::from_vec(vec![0u8; 4]).write_slice(3, &[1, 2]) };
     }
 
     #[test]

@@ -82,9 +82,10 @@ pub trait AccessSignature: Clone + Send + std::fmt::Debug + 'static {
     /// A conservative inclusive address interval covering every recorded
     /// access (reads and writes), or `None` when the signature is empty.
     ///
-    /// The span is used to *route* signatures (e.g. to checker shards), not
-    /// to detect conflicts, so it only needs to be a cover: every recorded
-    /// address must lie inside it, but it may include untouched addresses.
+    /// The span is used to *route* signatures (e.g. to checker shards) and
+    /// to mark the blocks a checkpoint must refresh, not to detect
+    /// conflicts, so it only needs to be a cover: every recorded address
+    /// must lie inside it, but it may include untouched addresses.
     fn addr_span(&self) -> Option<(usize, usize)>;
 }
 

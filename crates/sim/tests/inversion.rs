@@ -38,7 +38,7 @@ impl SimWorkload for Inversion {
         [4, 2][inv]
     }
     fn iteration_cost(&self, _inv: usize, iter: usize) -> u64 {
-        if iter % WORKERS == 0 {
+        if iter.is_multiple_of(WORKERS) {
             100_000
         } else {
             10

@@ -404,7 +404,7 @@ mod tests {
         // Range conflicts always share a concrete address, so the owning
         // shard reruns the unsharded test — conflict/no-conflict must agree
         // admission by admission for every shard count.
-        let stream = vec![
+        let stream = [
             req(0, 1, 0, &[(1, 0), (0, 0), (0, 0)], &[3, 10]),
             req(1, 2, 0, &[(1, 0), (2, 0), (0, 0)], &[11, 12]),
             req(2, 2, 0, &[(1, 0), (2, 0), (2, 0)], &[40]),

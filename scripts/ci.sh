@@ -3,7 +3,7 @@
 #
 #   build-test   release build + tier-1 and workspace tests, then the frozen
 #                benchmark/ crate built and tested against this tree
-#   lint         fmt, clippy, rustdoc
+#   lint         fmt, clippy over every workspace crate, rustdoc
 #   docs-check   docs <-> CLI flag / gate consistency
 #   gates        every bench-suite gate at smoke scale, then --validate;
 #                the two checker-side gates again at full scale
@@ -59,7 +59,7 @@ stage_build_test() {
 
 stage_lint() {
   run "$BUILD_TIMEOUT" cargo fmt --all -- --check
-  run "$CLIPPY_TIMEOUT" cargo clippy --all-targets -- -D warnings
+  run "$CLIPPY_TIMEOUT" cargo clippy --workspace --all-targets -- -D warnings
   RUSTDOCFLAGS="-D warnings" run "$BUILD_TIMEOUT" cargo doc --no-deps --workspace
 }
 

@@ -139,7 +139,11 @@ fn a_domore_iteration_allocates_nothing_in_steady_state() {
 }
 
 /// A pass owns two state buffers and checkpoints alternate between them;
-/// the recovery loop hands both to the next pass.
+/// the recovery loop hands both to the next pass. Checkpoints, their
+/// dirty-block refreshes and rollbacks allocate nothing at all: a denser
+/// schedule costs no allocation of any size (small per-checkpoint
+/// allocations on worker threads once fragmented the allocator's arenas
+/// enough to raise peak RSS by a quarter).
 #[test]
 fn checkpoints_reuse_their_buffers() {
     let _serial = MEASURING.lock().unwrap_or_else(|e| e.into_inner());
@@ -154,6 +158,18 @@ fn checkpoints_reuse_their_buffers() {
     let (_, dense) = allocations_of(&IncGrid::new(UNITS, EPOCHS), config(5));
     assert_eq!(sparse, 2, "initial checkpoint + one spare");
     assert_eq!(dense, sparse, "per pass, not per checkpoint");
+
+    // And the same allocations in all, with and without a rollback. One
+    // worker (the benchmark's shape at two threads): with two, how many log
+    // buckets the checker warms up to depends on thread timing.
+    let solo = |every| SpecConfig::with_workers(1).checkpoint_every(every);
+    let (sparse_all, _) = allocations_of(&IncGrid::new(UNITS, EPOCHS), solo(10));
+    let (dense_all, _) = allocations_of(&IncGrid::new(UNITS, EPOCHS), solo(5));
+    assert_eq!(dense_all, sparse_all, "a checkpoint allocates nothing");
+    let rollback = |every| solo(every).fault_plan(FaultPlan::new().false_positive_at(17));
+    let (sparse_all, _) = allocations_of(&IncGrid::new(UNITS, EPOCHS), rollback(10));
+    let (dense_all, _) = allocations_of(&IncGrid::new(UNITS, EPOCHS), rollback(5));
+    assert_eq!(dense_all, sparse_all, "nor does a rollback");
 
     // A rollback starts a second pass, which inherits the first one's
     // buffers instead of allocating its own.
