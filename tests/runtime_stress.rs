@@ -157,6 +157,7 @@ mod fault_matrix {
     use crossinvoc_domore::DuplicatedScheduler;
     use crossinvoc_runtime::fault::FaultPlan;
     use crossinvoc_runtime::{RangeSignature, ThreadId};
+    use crossinvoc_speccross::checkpoint::DirtyBlocks;
     use crossinvoc_speccross::prelude::*;
     // The conflict-free grid (either runtime): a clean run never conflicts,
     // so every misspeculation below is injected.
@@ -322,11 +323,11 @@ mod fault_matrix {
     }
 
     /// [`IncGrid`] with two probes: how many task bodies really ran, and a
-    /// `snapshot_into` that can be armed to die halfway through its copy.
+    /// `refresh` that can be armed to die halfway through its copy.
     struct Probed {
         grid: IncGrid,
         executed: AtomicU64,
-        snapshot_into_panics: AtomicBool,
+        refresh_panics: AtomicBool,
     }
 
     impl Probed {
@@ -334,7 +335,7 @@ mod fault_matrix {
             Probed {
                 grid: IncGrid::new(units, rounds),
                 executed: AtomicU64::new(0),
-                snapshot_into_panics: AtomicBool::new(false),
+                refresh_panics: AtomicBool::new(false),
             }
         }
     }
@@ -360,33 +361,36 @@ mod fault_matrix {
         fn snapshot(&self) -> Vec<u64> {
             self.grid.snapshot()
         }
-        fn snapshot_into(&self, state: &mut Vec<u64>) {
-            if self.snapshot_into_panics.swap(false, Ordering::Relaxed) {
+        fn refresh(&self, state: &mut Vec<u64>, stale: &DirtyBlocks) -> usize {
+            if self.refresh_panics.swap(false, Ordering::Relaxed) {
                 let cells = self.grid.cells();
                 state.clear();
                 state.extend(&cells[..cells.len() / 2]);
-                panic!("probe: snapshot_into dies mid-copy");
+                panic!("probe: refresh dies mid-copy");
             }
-            self.grid.snapshot_into(state);
+            self.grid.refresh(state, stale)
         }
         fn restore(&self, state: &Vec<u64>) {
             self.grid.restore(state);
         }
+        fn restore_dirty(&self, state: &Vec<u64>, dirty: &DirtyBlocks) -> usize {
+            self.grid.restore_dirty(state, dirty)
+        }
     }
 
     /// The checkpoint at epoch 4 is the pass's third, the first one built
-    /// in a reused buffer — and its `snapshot_into` dies halfway. The
+    /// in a reused buffer — and its `refresh` dies halfway. The
     /// half-written buffer must never become the checkpoint: the region
     /// rolls back to the intact epoch-2 state and still ends byte-identical
     /// to the sequential result.
     #[test]
     fn snapshot_into_panicking_mid_copy_keeps_the_previous_checkpoint() {
         let w = Probed::new(8, 10);
-        w.snapshot_into_panics.store(true, Ordering::Relaxed);
+        w.refresh_panics.store(true, Ordering::Relaxed);
         let report = engine(FaultPlan::default()).execute(&w).unwrap();
         assert!(
-            !w.snapshot_into_panics.load(Ordering::Relaxed),
-            "the armed snapshot_into ran"
+            !w.refresh_panics.load(Ordering::Relaxed),
+            "the armed refresh ran"
         );
         assert_eq!(w.grid.cells(), w.grid.expected());
         assert!(
