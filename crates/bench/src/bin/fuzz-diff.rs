@@ -132,8 +132,11 @@ fn parse_args() -> Result<Args, String> {
 
 /// Runs one case; on divergence, minimizes (if enabled) and records the
 /// counterexample. Returns whether the case was clean.
-fn run_one(case: &FuzzCase, args: &Args, origin: &str) -> bool {
+/// Runs one case through every path; `false` if it diverged. Counts it
+/// in `wide` if a SPECCROSS path ran a wide pass.
+fn run_one(case: &FuzzCase, args: &Args, origin: &str, wide: &mut u64) -> bool {
     let report = run_case(case);
+    *wide += u64::from(report.wide);
     let Some(div) = report.divergence else {
         return true;
     };
@@ -221,7 +224,7 @@ fn main() -> ExitCode {
             }
         }
         println!("seed {seed}: {}", case.note);
-        if run_one(&case, &args, "replay") {
+        if run_one(&case, &args, "replay", &mut 0) {
             println!("seed {seed}: all paths agree with the oracle");
             return ExitCode::SUCCESS;
         }
@@ -232,12 +235,18 @@ fn main() -> ExitCode {
     match load_corpus(&args.corpus) {
         Ok(entries) => {
             let n = entries.len();
+            let mut wide = 0;
             for (path, case) in entries {
-                if !run_one(&case, &args, &format!("corpus {}", path.display())) {
+                if !run_one(
+                    &case,
+                    &args,
+                    &format!("corpus {}", path.display()),
+                    &mut wide,
+                ) {
                     failures += 1;
                 }
             }
-            println!("corpus: {n} entries replayed, {failures} regressed");
+            println!("corpus: {n} entries replayed ({wide} ran wide), {failures} regressed");
         }
         Err(e) => {
             eprintln!("fuzz-diff: corpus load failed: {e}");
@@ -249,7 +258,7 @@ fn main() -> ExitCode {
     // paired through one shared worker pool (the region-server deployment
     // shape): the pool must be observationally invisible for fault-free
     // pairs and degrade to typed errors at worst under faults.
-    let (mut spec, mut domore, mut faulty, mut pairs) = (0u64, 0u64, 0u64, 0u64);
+    let (mut spec, mut domore, mut faulty, mut pairs, mut wide) = (0u64, 0u64, 0u64, 0u64, 0u64);
     let mut pending: Option<FuzzCase> = None;
     for seed in args.start..args.start + args.cases {
         let case = generate(seed, &params);
@@ -257,7 +266,7 @@ fn main() -> ExitCode {
         spec += u64::from(s);
         domore += u64::from(d);
         faulty += u64::from(!case.faults.is_empty());
-        if !run_one(&case, &args, "generated") {
+        if !run_one(&case, &args, "generated", &mut wide) {
             failures += 1;
         }
         match pending.take() {
@@ -271,12 +280,14 @@ fn main() -> ExitCode {
         }
     }
     println!(
-        "fuzz-diff: {} cases (seeds {}..{}), {} spec-applicable, {} domore-applicable, \
-         {} fault-injected, {} concurrent pairs, {} divergences, {:.1}s",
+        "fuzz-diff: {} cases (seeds {}..{}), {} spec-applicable ({} ran wide, {:.0} %), \
+         {} domore-applicable, {} fault-injected, {} concurrent pairs, {} divergences, {:.1}s",
         args.cases,
         args.start,
         args.start + args.cases,
         spec,
+        wide,
+        100.0 * wide as f64 / spec.max(1) as f64,
         domore,
         faulty,
         pairs,

@@ -11,6 +11,7 @@
 //! gate-distance false
 //! degrade false
 //! elide false
+//! task-grain-ns 0
 //! note spec region: ...
 //! [program]
 //! <crossinvoc_pir::text format>
@@ -18,6 +19,8 @@
 //! <FaultPlan::to_text format, possibly empty>
 //! [end]
 //! ```
+//!
+//! `task-grain-ns` may be absent (entries older than the key): it reads 0.
 //!
 //! Every checked-in entry under `corpus/` is replayed as a regression test
 //! (`tests/fuzz_corpus.rs`), so a minimized counterexample stays fixed
@@ -57,6 +60,7 @@ pub fn case_to_text(case: &FuzzCase) -> Result<String, String> {
     out.push_str(&format!("gate-distance {}\n", case.gate_distance));
     out.push_str(&format!("degrade {}\n", case.degrade));
     out.push_str(&format!("elide {}\n", case.elide));
+    out.push_str(&format!("task-grain-ns {}\n", case.task_grain_ns));
     if !case.note.is_empty() {
         out.push_str(&format!("note {}\n", case.note.replace('\n', " ")));
     }
@@ -98,6 +102,7 @@ pub fn case_from_text(input: &str) -> Result<FuzzCase, String> {
     let mut degrade = false;
     // Entries predating static check elision omit the key: off.
     let mut elide = false;
+    let mut task_grain_ns = 0;
     let mut note = String::new();
     let mut program_text = String::new();
     let mut fault_text = String::new();
@@ -137,6 +142,9 @@ pub fn case_from_text(input: &str) -> Result<FuzzCase, String> {
                     }
                     "degrade" => degrade = value.parse().map_err(|_| parse_err("degrade"))?,
                     "elide" => elide = value.parse().map_err(|_| parse_err("elide"))?,
+                    "task-grain-ns" => {
+                        task_grain_ns = value.parse().map_err(|_| parse_err("task-grain-ns"))?;
+                    }
                     "note" => note = value.to_owned(),
                     _ if RETIRED_KEYS.contains(&key) => {}
                     _ => return Err(format!("unknown header key: {key:?}")),
@@ -185,6 +193,7 @@ pub fn case_from_text(input: &str) -> Result<FuzzCase, String> {
         gate_distance,
         degrade,
         elide,
+        task_grain_ns,
         program,
         faults,
         note,

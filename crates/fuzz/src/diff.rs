@@ -72,6 +72,9 @@ pub struct DiffReport {
     pub spec_applicable: bool,
     /// Whether `DomorePlan::build` accepted the nest.
     pub domore_applicable: bool,
+    /// Whether a threaded SPECCROSS path ran a wide pass (the case's task
+    /// grain decides: see [`FuzzCase::task_grain_ns`]).
+    pub wide: bool,
 }
 
 impl DiffReport {
@@ -168,6 +171,7 @@ pub fn run_case(case: &FuzzCase) -> DiffReport {
 
     // SPECCROSS paths.
     if let Ok(plan) = SpecCrossPlan::build(&case.program, outer) {
+        let plan = plan.task_grain(case.task_grain_ns);
         report.spec_applicable = true;
         let distance = if case.gate_distance {
             let mut scratch = Memory::zeroed(&case.program);
@@ -188,21 +192,18 @@ pub fn run_case(case: &FuzzCase) -> DiffReport {
             c
         };
 
+        let mut wide = false;
+        let mut spec = |mem: &mut Memory, config: SpecConfig| {
+            let run = match case.signature {
+                SigKind::Range => plan.execute_sig::<RangeSignature>(mem, config),
+                SigKind::Bloom => plan.execute_sig::<BloomSignature>(mem, config),
+            };
+            run.map(|r| wide |= r.stats.wide_passes > 0)
+        };
         for (path, summaries) in [("spec+summaries", true), ("spec-summaries", false)] {
             report.paths_run.push(path);
             let config = base().epoch_summaries(summaries);
-            let out = match case.signature {
-                SigKind::Range => exec_caught(
-                    path,
-                    |mem| plan.execute_sig::<RangeSignature>(mem, config).map(|_| ()),
-                    case,
-                ),
-                SigKind::Bloom => exec_caught(
-                    path,
-                    |mem| plan.execute_sig::<BloomSignature>(mem, config).map(|_| ()),
-                    case,
-                ),
-            };
+            let out = exec_caught(path, |mem| spec(mem, config), case);
             check_outcome(&mut report, path, out, &expected, faults_empty);
         }
 
@@ -223,19 +224,9 @@ pub fn run_case(case: &FuzzCase) -> DiffReport {
         // faults fire is legitimately elision-dependent).
         report.paths_run.push("spec-elide");
         let config = base().epoch_summaries(true).elide(true);
-        let out = match case.signature {
-            SigKind::Range => exec_caught(
-                "spec-elide",
-                |mem| plan.execute_sig::<RangeSignature>(mem, config).map(|_| ()),
-                case,
-            ),
-            SigKind::Bloom => exec_caught(
-                "spec-elide",
-                |mem| plan.execute_sig::<BloomSignature>(mem, config).map(|_| ()),
-                case,
-            ),
-        };
+        let out = exec_caught("spec-elide", |mem| spec(mem, config), case);
         check_outcome(&mut report, "spec-elide", out, &expected, faults_empty);
+        report.wide = wide;
 
         // Deterministic verdict streams: replay the recorded region through
         // the simulators with each fast path on and off.
@@ -411,6 +402,7 @@ fn run_pair_region(
     };
     let metrics = Mutex::new(None);
     let outcome = if let Ok(plan) = SpecCrossPlan::build(&case.program, outer) {
+        let plan = plan.task_grain(case.task_grain_ns);
         let mut config = SpecConfig::with_workers(case.workers)
             .checkpoint_every(case.checkpoint_every)
             .fault_plan(case.faults.clone())

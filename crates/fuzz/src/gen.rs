@@ -41,6 +41,7 @@
 use crossinvoc_pir::ir::{Expr, Program, ProgramBuilder, Stmt, StmtId};
 use crossinvoc_runtime::hash::SplitMix64;
 use crossinvoc_runtime::FaultPlan;
+use crossinvoc_speccross::WIDE_TASK_NS;
 
 /// Access-signature kind a case runs the SPECCROSS paths with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -110,6 +111,11 @@ pub struct FuzzCase {
     /// path, so elision is exercised under faults, degradation and
     /// shared-pool pairing too.
     pub elide: bool,
+    /// Busy work per SPECCROSS task, in nanoseconds
+    /// ([`crossinvoc_pir::SpecCrossPlan::task_grain`]). Nonzero grains are
+    /// long enough for every pass to run wide; zero leaves the generated
+    /// tasks bare, and their passes narrow.
+    pub task_grain_ns: u64,
     /// The program: sequential prefix, one outermost region loop (the last
     /// top-level `for`), optional sequential suffix.
     pub program: Program,
@@ -162,6 +168,11 @@ const fn e(v: i64) -> Expr {
     Expr::Const(v)
 }
 
+/// Percent of cases whose SPECCROSS tasks get [`WIDE_TASK_NS`] of busy
+/// work: the generated tasks are far too short for a pass to widen on its
+/// own, so without a grain no case would exercise wide passes.
+const GRAIN_PERCENT: u64 = 35;
+
 /// Generates the case for `seed` under the given bounds.
 pub fn generate(seed: u64, params: &GenParams) -> FuzzCase {
     // Independent sub-streams: engine knobs, program shape, fault plan.
@@ -171,6 +182,8 @@ pub fn generate(seed: u64, params: &GenParams) -> FuzzCase {
     // the two elision-focused program families (cluster-disjoint and mixed
     // proven+indirect) must not reshuffle pre-elision seeds.
     let mut elision = Rng(SplitMix64::new(seed ^ 0x6C2E_A417_B99D_E255));
+    // And one for the task grain, which came later still.
+    let mut grain = Rng(SplitMix64::new(seed ^ 0x2545_F491_4F6C_DD1D));
 
     let workers = knobs.range(1, params.max_workers) as usize;
     let checkpoint_every = knobs.range(1, 4) as usize;
@@ -182,6 +195,11 @@ pub fn generate(seed: u64, params: &GenParams) -> FuzzCase {
     let gate_distance = knobs.chance(40);
     let degrade = knobs.chance(50);
     let elide = elision.chance(60);
+    let task_grain_ns = if grain.chance(GRAIN_PERCENT) {
+        WIDE_TASK_NS
+    } else {
+        0
+    };
     let family = match elision.below(5) {
         0 => ElideShape::Cluster,
         1 => ElideShape::Mixed,
@@ -214,6 +232,7 @@ pub fn generate(seed: u64, params: &GenParams) -> FuzzCase {
         gate_distance,
         degrade,
         elide,
+        task_grain_ns,
         program,
         faults,
         note,

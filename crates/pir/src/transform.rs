@@ -29,6 +29,7 @@ use crossinvoc_domore::prelude::*;
 use crossinvoc_domore::runtime::{DomoreConfig, DomoreError, DomoreRuntime, ExecutionReport};
 use crossinvoc_runtime::pool::{RegionExecutor, ScopedExecutor};
 use crossinvoc_runtime::signature::{AccessKind, AccessSignature, RangeSignature};
+use crossinvoc_runtime::spin_for;
 use crossinvoc_speccross::engine::{SpecConfig, SpecCrossEngine, SpecError, SpecReport};
 use crossinvoc_speccross::profile::ProfileReport;
 use crossinvoc_speccross::workload::{AccessRecorder, SpecWorkload};
@@ -499,6 +500,8 @@ pub struct SpecCrossPlan<'p> {
     /// Per-loop static conflict-freedom verdicts (the `pir::elide`
     /// analysis), threaded into the engine as a proven-epoch mask.
     elision: ElisionPlan,
+    /// Busy work added to every engine task, in nanoseconds.
+    grain_ns: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -560,7 +563,18 @@ impl<'p> SpecCrossPlan<'p> {
             loops,
             watched,
             elision,
+            grain_ns: 0,
         })
+    }
+
+    /// Adds `ns` of busy work to every task the engine runs (0, the
+    /// default, adds none). The differential fuzzer gives a share of its
+    /// cases this grain, so that their SPECCROSS passes run wide: a pass
+    /// widens only when its tasks are long enough to pay for the
+    /// cross-core traffic (`speccross::engine::WIDE_CHUNK_NS`).
+    pub fn task_grain(mut self, ns: u64) -> Self {
+        self.grain_ns = ns;
+        self
     }
 
     /// The inner loops forming the region's epochs (per outer iteration).
@@ -869,6 +883,7 @@ impl SpecWorkload for SpecAdapter<'_, '_> {
         // build); cross-epoch conflicts are detected and rolled back by the
         // engine, which re-executes from a quiesced checkpoint.
         unsafe { self.interp.exec_stmts(body, &mut env, self.mem, &mut sink) };
+        spin_for(self.plan.grain_ns);
     }
 
     fn snapshot(&self) -> Vec<i64> {

@@ -108,7 +108,7 @@ pub use telemetry::{
     FlightRecorder, RegionState, RegionTelemetry, RegistrySnapshot, ServerRegistry,
 };
 pub use trace::{Event, Trace, TraceCollector, TraceRecord, TraceReport, TraceSink, WakeEdge};
-pub use wait::{AdaptiveSpin, Parker};
+pub use wait::{spin_for, AdaptiveSpin, Parker};
 
 /// Identifier of a worker thread within a parallel region.
 ///

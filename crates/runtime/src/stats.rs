@@ -134,6 +134,7 @@ counters! {
     sync_conditions: unit add_sync_condition bulk add_sync_conditions, "Synchronization conditions produced by the DOMORE scheduler.";
     misspeculations: unit add_misspeculation, "Misspeculations detected (rollbacks).";
     checkpoints: unit add_checkpoint, "Checkpoints taken.";
+    wide_passes: unit add_wide_pass, "Speculative passes that ran on every gang thread; the rest of a SPECCROSS region's passes ran on one (SPECCROSS).";
     checkpoint_blocks: bulk add_checkpoint_blocks, "State blocks (512 addresses) copied by SPECCROSS checkpoint refreshes and rollbacks of workloads that track dirty blocks, whole-state counts where they fall back to a full copy (0 for workloads that keep full copies).";
     stalls: unit add_stall, "Worker stalls on a synchronization condition or gate.";
     checker_epoch_skips: bulk add_checker_epoch_skips, "Whole-epoch checker log skips taken by the aggregate-signature fast path (SPECCROSS).";
@@ -166,6 +167,7 @@ mod tests {
         s.add_misspeculation();
         s.add_checkpoint();
         s.add_checkpoint_blocks(4);
+        s.add_wide_pass();
         s.add_stall();
         s.add_checker_epoch_skips(3);
         s.add_schedule_cache_hit();
@@ -180,6 +182,7 @@ mod tests {
         assert_eq!(sum.misspeculations, 1);
         assert_eq!(sum.checkpoints, 1);
         assert_eq!(sum.checkpoint_blocks, 4);
+        assert_eq!(sum.wide_passes, 1);
         assert_eq!(sum.stalls, 1);
         assert_eq!(sum.checker_epoch_skips, 3);
         assert_eq!(sum.schedule_cache_hits, 1);

@@ -16,7 +16,7 @@
 //! [`Parker::unpark`] costs at most one slice of latency, never liveness.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use crossbeam::utils::Backoff;
 use parking_lot::{Condvar, Mutex};
@@ -29,6 +29,20 @@ pub const PARK_SLICE: Duration = Duration::from_micros(200);
 /// the first park. Generous because yielding is how a waiter donates its
 /// timeslice to the thread it waits on when cores are oversubscribed.
 const YIELD_ROUNDS: u32 = 16;
+
+/// Busy-spins for `ns` nanoseconds (a no-op for 0): a CPU-bound task body
+/// of known length, for workloads that stand in for real work — the
+/// synthetic grids, the differential fuzzer's task grain, and tests that
+/// need every SPECCROSS pass to run wide.
+pub fn spin_for(ns: u64) {
+    if ns == 0 {
+        return;
+    }
+    let start = Instant::now();
+    while (start.elapsed().as_nanos() as u64) < ns {
+        std::hint::spin_loop();
+    }
+}
 
 /// The spin phase of a spin-then-park wait.
 ///

@@ -19,7 +19,8 @@
 //! requests arrive late).
 //!
 //! The structure is pure — no threads, no channels, no clock — so the
-//! threaded checker (`engine`), the discrete-event simulator
+//! threaded engine's workers (which admit into one shared log under a
+//! lock), the discrete-event simulator
 //! (`crossinvoc_sim::speccross`, which admits every simulated task through
 //! [`CheckerState::admit_parts`] with the position and snapshot read off its
 //! virtual timeline) and the tests all drive the same code: there is one
@@ -213,7 +214,7 @@ impl<S: AccessSignature> CheckerState<S> {
     /// all workers observed at its start (`snapshot[tid]` is ignored), `sig`
     /// what it touched — and tests it against every logged task it may have
     /// raced with. The snapshot is copied into the log, so the caller keeps
-    /// its buffer: the engine passes the inline array of its wire message
+    /// its buffer: an engine worker passes the one it refills per chunk,
     /// and nothing is allocated per task.
     ///
     /// **Contract:** returns the *first* conflict in scan order — workers in
@@ -224,7 +225,7 @@ impl<S: AccessSignature> CheckerState<S> {
     /// **Invariant:** one worker's requests must be admitted in position
     /// order with monotone snapshots (checked in debug builds); the
     /// self-retiring log relies on it. The engine guarantees both: a worker
-    /// retires tasks in order over a FIFO ring, and it fills each snapshot
+    /// admits its own runs in the order it ran them, and it fills each snapshot
     /// from the [`PositionBoard`](crate::position::PositionBoard), whose
     /// slots are atomics their owners only ever move forward — successive
     /// acquire loads of one atomic by one thread never go backwards.

@@ -4,9 +4,10 @@
 //!
 //! A barrier between two parallel loop invocations asserts that *every* pair
 //! of tasks across the boundary might conflict. SPECCROSS bets the opposite:
-//! workers run straight through invocation boundaries, a checker thread
-//! compares per-task memory-access *signatures* across epochs after the
-//! fact, and on the rare conflict the region rolls back to a checkpoint and
+//! workers run straight through invocation boundaries, a checker compares
+//! per-task memory-access *signatures* across epochs after the fact (the
+//! thesis' checker thread; here the workers admit their own signatures
+//! into one shared log), and on the rare conflict the region rolls back to a checkpoint and
 //! re-executes the affected epochs with real barriers. Profiling
 //! ([`SpecCrossEngine::profile`]) bounds how far threads may run ahead so
 //! that dependences seen on a training input never misspeculate.
@@ -37,11 +38,11 @@
 //! | Thesis function | Here |
 //! |-----------------|------|
 //! | `init` | [`SpecCrossEngine::new`] + the initial checkpoint taken at pass start |
-//! | `create_threads` | worker/checker spawning inside [`SpecCrossEngine::execute`] |
+//! | `create_threads` | worker gang spawning inside [`SpecCrossEngine::execute`] (no checker thread: workers admit inline) |
 //! | `enter_barrier` | epoch entry in the worker driver (position epoch bump; checkpoint every Nth epoch) |
 //! | `enter_task` | frontier publish + speculative-range gate + position snapshot |
 //! | `spec_access` | [`workload::AccessRecorder`] passed to every task |
-//! | `exit_task` | signature shipment to the checker |
+//! | `exit_task` | admission of the chunk's exact runs into the pass's log |
 //! | `send_end_token` | worker completion signalling |
 //! | `sync` / `checkpoint` | the rendezvous around irreversible epochs |
 //! | `cleanup` | scope join at pass end |
@@ -66,6 +67,7 @@ pub mod workload;
 pub use check::{CheckRequest, CheckerState, Conflict};
 pub use engine::{
     ContainedFault, DegradePolicy, SpecConfig, SpecCrossEngine, SpecError, SpecReport,
+    WIDE_CHUNK_NS, WIDE_TASK_NS,
 };
 pub use position::{Position, PositionBoard};
 pub use profile::{DistanceProfiler, ProfileReport};

@@ -18,12 +18,18 @@ use crossinvoc_runtime::trace::{Event, Trace, TraceReport, TraceSink, WakeEdge};
 use crossinvoc_runtime::RangeSignature;
 use crossinvoc_sim::prelude::*;
 use crossinvoc_speccross::prelude::*;
-use crossinvoc_speccross::SpecCrossEngine;
+use crossinvoc_speccross::{SpecCrossEngine, WIDE_TASK_NS};
 // `IncGrid` never misspeculates on a clean run — any conflict below is
 // injected.
 use crossinvoc_workloads::kernel::{profile_distance, AccessKernel};
 use crossinvoc_workloads::synthetic::IncGrid;
 use crossinvoc_workloads::{registry, Scale};
+
+/// The grid the engine rows run: tasks heavy enough that every pass runs
+/// wide, so each gang thread leaves records.
+fn grid(units: usize, rounds: usize) -> IncGrid {
+    IncGrid::new(units, rounds).with_spin(WIDE_TASK_NS)
+}
 
 fn traced_engine(plan: FaultPlan) -> SpecCrossEngine {
     SpecCrossEngine::<RangeSignature>::new(
@@ -38,7 +44,7 @@ fn traced_engine(plan: FaultPlan) -> SpecCrossEngine {
 /// the schema is lossless over the wire.
 #[test]
 fn engine_trace_round_trips_through_jsonl() {
-    let w = IncGrid::new(8, 6);
+    let w = grid(8, 6);
     let report = traced_engine(FaultPlan::default()).execute(&w).unwrap();
     let trace = report.trace.expect("tracing was configured");
     assert!(!trace.records().is_empty());
@@ -47,11 +53,12 @@ fn engine_trace_round_trips_through_jsonl() {
 }
 
 /// A seeded `FaultPlan` leaves its firings in the trace at the planned
-/// (epoch, task, thread) coordinates: tasks are assigned round-robin, so
-/// task 3 on 2 workers runs — and fires — on thread `3 % 2`.
+/// (epoch, task, thread) coordinates: a wide epoch's tasks are assigned
+/// round-robin, so task 3 on a gang of three runs — and fires — on thread
+/// `3 % 3`.
 #[test]
 fn injected_faults_appear_at_planned_coordinates() {
-    let w = IncGrid::new(8, 6);
+    let w = grid(8, 6);
     let report = traced_engine(FaultPlan::default().delay_at(2, 3, 50))
         .execute(&w)
         .unwrap();
@@ -69,7 +76,7 @@ fn injected_faults_appear_at_planned_coordinates() {
             task: 3,
         }
     );
-    assert_eq!(firing.tid, 3 % 2, "round-robin assignment places task 3");
+    assert_eq!(firing.tid, 3 % 3, "round-robin assignment places task 3");
 }
 
 /// The acceptance scenario: one injected misspeculation, traced through
@@ -80,7 +87,7 @@ fn injected_faults_appear_at_planned_coordinates() {
 #[test]
 fn engine_and_sim_traces_share_schema_and_reconstruct_the_ledger() {
     // Real engine: force one false-positive conflict at epoch 3.
-    let w = IncGrid::new(8, 6);
+    let w = grid(8, 6);
     let report = traced_engine(FaultPlan::default().false_positive_at(3))
         .execute(&w)
         .unwrap();
@@ -168,14 +175,17 @@ fn what_if_barrier_removal_predicts_sim_ratio_within_ten_percent() {
 
 /// Engine- and sim-emitted traces of the same plan both export to valid
 /// Chrome `trace_event` JSON — parsed with a real JSON parser, every event
-/// carries the required fields, and the flow (`s`/`f`) pairs cover all
-/// four causality-edge classes with matching ids.
+/// carries the required fields, and the flow (`s`/`f`) pairs cover every
+/// causality-edge class each side emits — all four on the simulator, which
+/// bills the thesis' checker thread; `barrier` on the engine — with
+/// matching ids.
 #[test]
 fn chrome_export_is_schema_valid_with_flows_for_all_edge_classes() {
-    // Engine: a forced false positive at epoch 3 exercises every edge —
-    // check-request pickups (queue), the verdict-driven rollback (checker),
-    // the recovery barriers (barrier), and the rendezvous (checkpoint).
-    let w = IncGrid::new(8, 6);
+    // Engine: a forced false positive at epoch 3 exercises its one edge
+    // class — the recovery barriers and the checkpoint rendezvous, both
+    // plain barriers. With no checker thread there is no queue pickup, no
+    // verdict hand-off and no checker drain to wait on.
+    let w = grid(8, 6);
     let report = traced_engine(FaultPlan::default().false_positive_at(3))
         .execute(&w)
         .unwrap();
@@ -192,7 +202,12 @@ fn chrome_export_is_schema_valid_with_flows_for_all_edge_classes() {
     let sim = speccross(&model, &params, &CostModel::default());
     let sim_trace = sim.trace.expect("tracing was requested");
 
-    for (label, trace) in [("engine", &engine_trace), ("sim", &sim_trace)] {
+    let engine_edges: &[&str] = &["barrier"];
+    let sim_edges: &[&str] = &["barrier", "queue", "checkpoint", "checker"];
+    for (label, trace, edges) in [
+        ("engine", &engine_trace, engine_edges),
+        ("sim", &sim_trace, sim_edges),
+    ] {
         let text = trace.to_chrome_json(None);
         let root = json::parse(&text)
             .unwrap_or_else(|e| panic!("{label}: chrome export must be valid JSON: {e}"));
@@ -243,7 +258,7 @@ fn chrome_export_is_schema_valid_with_flows_for_all_edge_classes() {
             "{label}: every flow start has a matching finish"
         );
         let flow_names: BTreeSet<&str> = starts.values().map(String::as_str).collect();
-        for edge in ["barrier", "queue", "checkpoint", "checker"] {
+        for edge in edges {
             assert!(
                 flow_names.contains(edge),
                 "{label}: missing {edge} flows; present: {flow_names:?}"
@@ -259,7 +274,7 @@ fn chrome_export_is_schema_valid_with_flows_for_all_edge_classes() {
 #[test]
 fn region_id_stamps_every_line_and_zero_is_wire_invisible() {
     // Threaded engine, region 7.
-    let w = IncGrid::new(8, 6);
+    let w = grid(8, 6);
     let report = SpecCrossEngine::<RangeSignature>::new(
         SpecConfig::with_workers(2)
             .checkpoint_every(2)
@@ -291,7 +306,7 @@ fn region_id_stamps_every_line_and_zero_is_wire_invisible() {
     }
 
     // Region 0 (the default) never appears on the wire.
-    let w0 = IncGrid::new(8, 6);
+    let w0 = grid(8, 6);
     let report0 = traced_engine(FaultPlan::default()).execute(&w0).unwrap();
     let jsonl0 = report0.trace.expect("tracing was configured").to_jsonl();
     assert!(
