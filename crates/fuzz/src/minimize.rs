@@ -5,7 +5,8 @@
 //!
 //! 1. drop individual fault specs;
 //! 2. collapse engine knobs (workers → 1, checkpoint interval → 1, Bloom →
-//!    Range signatures, distance gating and degradation off);
+//!    Range signatures, distance gating and degradation off, task grain →
+//!    0);
 //! 3. drop individual statements (whole subtrees) anywhere in the program;
 //! 4. bisect constant `for` trip counts toward the loop's lower bound.
 //!
@@ -118,6 +119,11 @@ fn candidates(case: &FuzzCase) -> Vec<FuzzCase> {
     if case.degrade {
         let mut c = case.clone();
         c.degrade = false;
+        out.push(c);
+    }
+    if case.task_grain_ns > 0 {
+        let mut c = case.clone();
+        c.task_grain_ns = 0;
         out.push(c);
     }
 

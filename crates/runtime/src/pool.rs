@@ -75,8 +75,8 @@ pub trait RegionExecutor: Sync {
     fn run_gang<'s>(&self, roles: Vec<Role<'s>>, local: Box<dyn FnOnce() + 's>) -> GangStats;
 
     /// Maximum gang width this executor can run concurrently, or `None` when
-    /// unbounded (a fresh thread per role). Engines validate their
-    /// `workers + checker` demand against this up front so an
+    /// unbounded (a fresh thread per role). Engines validate their gang
+    /// demand (`num_workers + 1` for SPECCROSS) against this up front so an
     /// oversized region fails fast instead of wedging the admission queue.
     fn capacity(&self) -> Option<usize> {
         None

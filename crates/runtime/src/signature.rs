@@ -1,8 +1,8 @@
 //! Memory access signatures for misspeculation detection (§4.2.1).
 //!
 //! SPECCROSS never logs individual accesses; each task instead folds the
-//! addresses it touches into a small *signature*, and the checker thread
-//! declares two tasks conflicting when their signatures overlap. Signatures
+//! addresses it touches into a small *signature*, and the checker declares
+//! two tasks conflicting when their signatures overlap. Signatures
 //! are conservative: overlap may be a false positive (triggering unnecessary
 //! misspeculation recovery, which is safe) but disjoint signatures guarantee
 //! independence.

@@ -2,8 +2,9 @@
 //!
 //! DOMORE forwards synchronization conditions from the scheduler thread to
 //! each worker over a dedicated queue (§3.2.3 cites the lock-free design of
-//! Giacomoni et al.'s FastForward-style queues), and SPECCROSS workers send
-//! checking requests to the checker thread the same way. The queue here is a
+//! Giacomoni et al.'s FastForward-style queues); the thesis' SPECCROSS
+//! workers send checking requests to its checker thread the same way (the
+//! threaded engine here admits them inline instead). The queue here is a
 //! bounded ring buffer with a cached head/tail pair per endpoint, which gives
 //! the same single-writer/single-reader cache behaviour the paper relies on
 //! for low communication latency.
@@ -11,7 +12,7 @@
 //! Blocking `produce`/`consume` wait adaptively — a bounded spin, then timed
 //! parks on the endpoint's [`Parker`] (woken by the opposite endpoint) — so a
 //! long-idle endpoint stops burning its core. Non-blocking `try_*` variants
-//! are provided for the checker thread's polling loop, and
+//! are provided for callers that poll, and
 //! [`Producer::produce_batch`] / [`Consumer::consume_batch`] move runs of
 //! messages with a single atomic publish per chunk to amortize queue traffic.
 
@@ -205,9 +206,8 @@ impl<T: Send> Producer<T> {
     /// Returns how many were moved — zero when the ring is full (or
     /// `values` is empty); never blocks. This is the abortable counterpart
     /// of [`Producer::produce_batch`]: a caller whose consumer may die
-    /// (e.g. a SPECCROSS worker flushing to the checker) alternates this
-    /// with a cancellation check instead of parking on a ring no one will
-    /// ever drain.
+    /// alternates this with a cancellation check instead of parking on a
+    /// ring no one will ever drain.
     pub fn try_produce_batch(&self, values: &mut Vec<T>) -> usize {
         if values.is_empty() {
             return 0;
