@@ -8,9 +8,9 @@
 //! coordinate pattern (wildcards allowed) plus a [`FaultKind`] and a hit
 //! budget. Engines probe the plan at well-defined injection points
 //! ([`FaultPlan::task_start`], [`FaultPlan::check`],
-//! [`FaultPlan::snapshot_fails`], [`FaultPlan::restore_fails`],
-//! [`FaultPlan::barrier_delay`]); the plan consumes one hit per firing, so a
-//! single-shot fault never re-fires during recovery re-execution.
+//! [`FaultPlan::snapshot_fails`], [`FaultPlan::restore_fails`]); the plan
+//! consumes one hit per firing, so a single-shot fault never re-fires
+//! during recovery re-execution.
 //!
 //! Plans are clonable — a clone carries the same schedule with a fresh hit
 //! budget, so the same plan replays identically in the threaded engines and
@@ -41,8 +41,8 @@ pub enum FaultKind {
     SnapshotFail,
     /// Restoring the checkpoint for recovery at the matched epoch fails.
     RestoreFail,
-    /// The matched task (or barrier arrival) is delayed by this many
-    /// microseconds — exercises queue/barrier timing robustness.
+    /// The matched task is delayed by this many microseconds — exercises
+    /// queue/barrier timing robustness.
     Delay(u64),
 }
 
@@ -399,14 +399,6 @@ impl FaultPlan {
             .is_some()
     }
 
-    /// Probed at barrier arrival; returns an injected delay, if any.
-    pub fn barrier_delay(&self, epoch: u32, thread: usize) -> Option<Duration> {
-        match self.fire(epoch, 0, thread, |k| matches!(k, FaultKind::Delay(_)))? {
-            FaultKind::Delay(us) => Some(Duration::from_micros(us)),
-            _ => unreachable!("filtered by accept"),
-        }
-    }
-
     // ---- textual round-trip ---------------------------------------------
 
     /// Renders the schedule in the diffable, hand-editable corpus format:
@@ -581,12 +573,6 @@ mod tests {
             p.task_start(0, 1, 0),
             Some(TaskFault::Delay(Duration::from_micros(250)))
         );
-        let p = FaultPlan::from_specs(vec![FaultSpec {
-            site: FaultSite::epoch(2),
-            kind: FaultKind::Delay(10),
-            max_hits: 1,
-        }]);
-        assert_eq!(p.barrier_delay(2, 0), Some(Duration::from_micros(10)));
     }
 
     #[test]

@@ -177,6 +177,115 @@ fn barrier_baseline_matches_sequential() {
     assert_eq!(report.comparisons, 0);
 }
 
+/// Barrier mode, and the non-speculative re-execution that recovery and
+/// degrade share with it: no rollback can mask a failure there, so the
+/// region ends with the failure's own error.
+mod barrier_mode {
+    use std::time::{Duration, Instant};
+
+    use super::*;
+    use crossinvoc_runtime::fault::{FaultKind, FaultSite, FaultSpec};
+    use crossinvoc_runtime::{Event, RangeSignature};
+
+    fn engine(config: SpecConfig) -> SpecCrossEngine {
+        SpecCrossEngine::<RangeSignature>::new(config)
+    }
+
+    #[test]
+    fn a_task_panic_fails_the_region_and_names_its_task() {
+        for workers in [1, 2, 3] {
+            let err = engine(
+                SpecConfig::with_workers(workers)
+                    .fault_plan(FaultPlan::default().worker_panic_at(3, 17)),
+            )
+            .execute_with_barriers(&PingPong::new(24, 6))
+            .unwrap_err();
+            assert_eq!(
+                err,
+                SpecError::TaskPanicked { epoch: 3, task: 17 },
+                "{workers} workers"
+            );
+        }
+    }
+
+    /// A panic with a second hit left fires in the speculative pass, is
+    /// contained there, and fires again when the range re-executes.
+    #[test]
+    fn a_task_panic_that_recurs_in_the_re_execution_fails_the_region() {
+        for (workers, make) in [
+            (1, PingPong::new as fn(usize, usize) -> PingPong),
+            (2, PingPong::new),
+            (2, PingPong::wide),
+        ] {
+            let plan = FaultPlan::from_specs(vec![FaultSpec {
+                site: FaultSite::task(2, 5),
+                kind: FaultKind::WorkerPanic,
+                max_hits: 2,
+            }]);
+            let err = engine(
+                SpecConfig::with_workers(workers)
+                    .fault_plan(plan)
+                    .watchdog(Duration::from_secs(30)),
+            )
+            .execute(&make(16, 5))
+            .unwrap_err();
+            assert_eq!(
+                err,
+                SpecError::TaskPanicked { epoch: 2, task: 5 },
+                "{workers} workers"
+            );
+        }
+    }
+
+    /// The task that holds epoch 1 up sleeps far past the deadline; the
+    /// other worker, waiting at the barrier, is the watchdog.
+    #[test]
+    fn the_watchdog_fires_while_a_worker_waits_at_the_barrier() {
+        let started = Instant::now();
+        let err = engine(
+            SpecConfig::with_workers(2)
+                .fault_plan(FaultPlan::default().delay_at(1, 5, 400_000))
+                .watchdog(Duration::from_millis(100)),
+        )
+        .execute_with_barriers(&PingPong::new(16, 4))
+        .unwrap_err();
+        assert_eq!(err, SpecError::WatchdogTimeout);
+        assert!(started.elapsed() < Duration::from_secs(10));
+    }
+
+    #[test]
+    fn each_worker_meets_the_others_once_per_epoch() {
+        let (n, epochs) = (24, 7);
+        for workers in [1, 2, 3] {
+            let mut w = PingPong::new(n, epochs);
+            let report = engine(SpecConfig::with_workers(workers).trace(1 << 14))
+                .execute_with_barriers(&w)
+                .unwrap();
+            assert_eq!(w.result(), PingPong::sequential(n, epochs));
+            let trace = report.trace.expect("traced");
+            assert_eq!(trace.dropped(), 0);
+            let mut retired = 0u64;
+            for tid in 0..workers {
+                let mut meetings = Vec::new();
+                for rec in trace.records().iter().filter(|r| r.tid == tid) {
+                    match rec.event {
+                        Event::BarrierEnter { epoch } => meetings.push(("enter", epoch)),
+                        Event::BarrierLeave { epoch, .. } => meetings.push(("leave", epoch)),
+                        Event::TaskRetire { count, .. } => retired += u64::from(count),
+                        _ => {}
+                    }
+                }
+                let expected: Vec<_> = (0..epochs as u32)
+                    .flat_map(|e| [("enter", e), ("leave", e)])
+                    .collect();
+                assert_eq!(meetings, expected, "worker {tid} of {workers}");
+            }
+            assert_eq!(retired, report.stats.tasks, "{workers} workers");
+            assert_eq!(report.stats.tasks, (n * epochs) as u64);
+        }
+    }
+}
+
 #[test]
 fn injected_conflict_triggers_exactly_one_recovery() {
     let mut w = PingPong::wide(16, 9);

@@ -50,6 +50,12 @@ stage_build_test() {
   # once more with nothing else allocating beside it.
   run "$TEST_TIMEOUT" cargo test -q --test alloc_budget -- --test-threads=1
   run "$TEST_TIMEOUT" cargo test -q --workspace
+  # The examples check themselves with assert!: heat_solver runs barrier
+  # mode, fault_tolerance panic recovery, degrade and the watchdog.
+  local example
+  for example in quickstart auto_parallelize heat_solver particle_sim fault_tolerance; do
+    run "$TEST_TIMEOUT" cargo run --release -q --example "$example"
+  done
   # benchmark/ is its own workspace that only the benchmark driver builds;
   # it consumes the crates' public API and must never be edited to follow
   # it, so a break has to fail here rather than in the benchmark run.
