@@ -3,9 +3,9 @@
 //! Generates seeded random PIR regions plus fault schedules
 //! ([`crossinvoc_fuzz::gen`]) and runs each through every applicable
 //! engine path — sequential oracle, production interpreter, barriers,
-//! SPECCROSS with and without epoch summaries, DOMORE with and without
-//! schedule memoization, and the deterministic simulators over a recorded
-//! trace — asserting byte-identical memory against the oracle and clean
+//! SPECCROSS, DOMORE with and without schedule memoization, and the
+//! deterministic simulators with and without their fast paths over a
+//! recorded trace — asserting byte-identical memory against the oracle and clean
 //! typed-error degradation under injected faults.
 //!
 //! On a divergence the case is delta-debugged to a minimal counterexample

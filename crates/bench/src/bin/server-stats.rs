@@ -231,7 +231,7 @@ mod tests {
             metrics: MetricsSummary {
                 stats: StatsSummary {
                     tasks: 64,
-                    elided_admits: 7,
+                    check_requests: 7,
                     ..Default::default()
                 },
                 ..Default::default()
@@ -260,7 +260,7 @@ mod tests {
         let table = render(&snap);
         assert!(table.contains("slots 3/6 busy"), "{table}");
         assert!(table.contains("flight-dumps 1"), "{table}");
-        assert!(table.contains("tasks=64 elided_admits=7"), "{table}");
+        assert!(table.contains("tasks=64 check_requests=7"), "{table}");
         assert!(
             !table.contains("epochs="),
             "zero counters are omitted: {table}"

@@ -112,26 +112,6 @@ fn render_analysis(trace: &Trace) -> String {
         let wi = what_if(trace, &[edge]);
         rows.push(format!("  zero {edge:<10} {wi}"));
     }
-    // Comparison column for static elision: the checker wait the trace
-    // still carries (the zero-checker hypothetical above) next to the
-    // admissions elision already took off the path for free.
-    let (mut elided_tasks, mut elided_accesses) = (0u64, 0u64);
-    for rec in trace.records() {
-        if let Event::CheckElided {
-            tasks, accesses, ..
-        } = rec.event
-        {
-            elided_tasks += tasks;
-            elided_accesses += accesses;
-        }
-    }
-    if elided_tasks > 0 {
-        let residual = what_if(trace, &[WakeEdge::Checker]);
-        rows.push(format!(
-            "  free elided checks: {elided_tasks} admits ({elided_accesses} accesses) already \
-             skipped statically; residual checker wait {residual}"
-        ));
-    }
     if !rows.is_empty() {
         let _ = writeln!(out, "what-if (one edge class removed at a time):");
         for row in rows {

@@ -273,13 +273,9 @@ impl Decision<'_> {
                 })
             }
             Plan::SpecCross { plan, distance } => {
-                // The plan carries `pir::elide`'s per-loop proofs; without
-                // `elide(true)` the engine never consults them.
                 let report = plan.execute(
                     mem,
-                    SpecConfig::with_workers(self.workers)
-                        .spec_distance(*distance)
-                        .elide(true),
+                    SpecConfig::with_workers(self.workers).spec_distance(*distance),
                 )?;
                 Ok(Report {
                     stats: report.stats,

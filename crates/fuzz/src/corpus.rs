@@ -10,7 +10,6 @@
 //! signature range
 //! gate-distance false
 //! degrade false
-//! elide false
 //! task-grain-ns 0
 //! note spec region: ...
 //! [program]
@@ -42,7 +41,9 @@ pub const CASE_EXT: &str = "case";
 ///
 /// * `checker-shards` — `SpecConfig::checker_shards`, the address-sharded
 ///   checker; every SPECCROSS path runs one checker.
-const RETIRED_KEYS: &[&str] = &["checker-shards"];
+/// * `elide` — `SpecConfig::elide`, static check elision; every wide
+///   SPECCROSS task is admitted through the checker.
+const RETIRED_KEYS: &[&str] = &["checker-shards", "elide"];
 
 /// Renders `case` in the corpus format.
 ///
@@ -59,7 +60,6 @@ pub fn case_to_text(case: &FuzzCase) -> Result<String, String> {
     out.push_str(&format!("signature {}\n", case.signature.as_str()));
     out.push_str(&format!("gate-distance {}\n", case.gate_distance));
     out.push_str(&format!("degrade {}\n", case.degrade));
-    out.push_str(&format!("elide {}\n", case.elide));
     out.push_str(&format!("task-grain-ns {}\n", case.task_grain_ns));
     if !case.note.is_empty() {
         out.push_str(&format!("note {}\n", case.note.replace('\n', " ")));
@@ -100,8 +100,6 @@ pub fn case_from_text(input: &str) -> Result<FuzzCase, String> {
     let mut signature = SigKind::Range;
     let mut gate_distance = false;
     let mut degrade = false;
-    // Entries predating static check elision omit the key: off.
-    let mut elide = false;
     let mut task_grain_ns = 0;
     let mut note = String::new();
     let mut program_text = String::new();
@@ -141,7 +139,6 @@ pub fn case_from_text(input: &str) -> Result<FuzzCase, String> {
                         gate_distance = value.parse().map_err(|_| parse_err("gate-distance"))?;
                     }
                     "degrade" => degrade = value.parse().map_err(|_| parse_err("degrade"))?,
-                    "elide" => elide = value.parse().map_err(|_| parse_err("elide"))?,
                     "task-grain-ns" => {
                         task_grain_ns = value.parse().map_err(|_| parse_err("task-grain-ns"))?;
                     }
@@ -192,7 +189,6 @@ pub fn case_from_text(input: &str) -> Result<FuzzCase, String> {
         signature,
         gate_distance,
         degrade,
-        elide,
         task_grain_ns,
         program,
         faults,
@@ -272,7 +268,6 @@ mod tests {
             assert_eq!(back.signature, case.signature, "seed {seed}");
             assert_eq!(back.gate_distance, case.gate_distance, "seed {seed}");
             assert_eq!(back.degrade, case.degrade, "seed {seed}");
-            assert_eq!(back.elide, case.elide, "seed {seed}");
             assert_eq!(back.program, case.program, "seed {seed}");
             assert_eq!(back.faults.specs(), case.faults.specs(), "seed {seed}");
             // Text form is a fixed point as well.
@@ -280,17 +275,28 @@ mod tests {
         }
     }
 
-    #[test]
-    fn retired_shard_count_header_is_ignored() {
+    /// Inserts the retired header `line` before the `before` key of a
+    /// generated case and checks that it parses to the case without it.
+    fn assert_retired_header_is_ignored(line: &str, before: &str) {
         let case = generate(3, &GenParams::default());
         let text = case_to_text(&case).unwrap();
-        assert!(
-            !text.contains("checker-shards"),
-            "the writer emits no retired key"
-        );
-        let old = text.replacen("signature ", "checker-shards 8\nsignature ", 1);
-        let back = case_from_text(&old).expect("a case naming a shard count still parses");
+        let key = line.split_whitespace().next().unwrap();
+        assert!(!text.contains(key), "the writer emits no retired key");
+        let old = text.replacen(before, &format!("{line}\n{before}"), 1);
+        let back = case_from_text(&old).expect("a case naming a retired key still parses");
         assert_eq!(case_to_text(&back).unwrap(), text);
+    }
+
+    #[test]
+    fn retired_shard_count_header_is_ignored() {
+        assert_retired_header_is_ignored("checker-shards 8", "signature ");
+    }
+
+    #[test]
+    fn retired_elide_header_is_ignored() {
+        for line in ["elide true", "elide false"] {
+            assert_retired_header_is_ignored(line, "task-grain-ns ");
+        }
     }
 
     #[test]

@@ -22,14 +22,7 @@
 //! the *engine's* checker: `crossinvoc_sim::speccross` admits every task
 //! through `speccross::check::CheckerState`, so what the lane holds equal
 //! is the real checker with and without its epoch summaries on a
-//! deterministic timeline.
-//!
-//! Static check elision is fuzzed on real threads only. The `spec-elide`
-//! path re-runs the plan with elision forced on and asserts the memory
-//! contract (under faults, checker-targeted faults ride on admissions
-//! elision removes, so which faults fire is legitimately elision-dependent).
-//! Its verdict-stream invariance is pinned where it is exact:
-//! `tests/properties.rs` (`sim_elision_preserves_verdict_streams`).
+//! deterministic timeline. The threaded engine always runs with them.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
@@ -184,7 +177,6 @@ pub fn run_case(case: &FuzzCase) -> DiffReport {
                 .checkpoint_every(case.checkpoint_every)
                 .spec_distance(distance)
                 .fault_plan(case.faults.clone())
-                .elide(case.elide)
                 .watchdog(WATCHDOG);
             if case.degrade {
                 c = c.degrade(DegradePolicy::default());
@@ -192,20 +184,19 @@ pub fn run_case(case: &FuzzCase) -> DiffReport {
             c
         };
 
-        let mut wide = false;
-        let mut spec = |mem: &mut Memory, config: SpecConfig| {
-            let run = match case.signature {
-                SigKind::Range => plan.execute_sig::<RangeSignature>(mem, config),
-                SigKind::Bloom => plan.execute_sig::<BloomSignature>(mem, config),
-            };
-            run.map(|r| wide |= r.stats.wide_passes > 0)
-        };
-        for (path, summaries) in [("spec+summaries", true), ("spec-summaries", false)] {
-            report.paths_run.push(path);
-            let config = base().epoch_summaries(summaries);
-            let out = exec_caught(path, |mem| spec(mem, config), case);
-            check_outcome(&mut report, path, out, &expected, faults_empty);
-        }
+        report.paths_run.push("spec");
+        let out = exec_caught(
+            "spec",
+            |mem| {
+                let run = match case.signature {
+                    SigKind::Range => plan.execute_sig::<RangeSignature>(mem, base()),
+                    SigKind::Bloom => plan.execute_sig::<BloomSignature>(mem, base()),
+                };
+                run.map(|r| report.wide = r.stats.wide_passes > 0)
+            },
+            case,
+        );
+        check_outcome(&mut report, "spec", out, &expected, faults_empty);
 
         report.paths_run.push("barrier");
         let out = exec_caught(
@@ -214,19 +205,6 @@ pub fn run_case(case: &FuzzCase) -> DiffReport {
             case,
         );
         check_outcome(&mut report, "barrier", out, &expected, faults_empty);
-
-        // Static-elision lane, threaded: the same plan with elision forced
-        // on. Loops `pir::elide` proved conflict-free skip signature
-        // generation and checker admission entirely; elision may only
-        // remove work, so the memory contract must hold unchanged (under
-        // faults the standard outcome-class policy binds — checker-
-        // targeted faults ride on admissions elision removes, so which
-        // faults fire is legitimately elision-dependent).
-        report.paths_run.push("spec-elide");
-        let config = base().epoch_summaries(true).elide(true);
-        let out = exec_caught("spec-elide", |mem| spec(mem, config), case);
-        check_outcome(&mut report, "spec-elide", out, &expected, faults_empty);
-        report.wide = wide;
 
         // Deterministic verdict streams: replay the recorded region through
         // the simulators with each fast path on and off.
@@ -406,7 +384,6 @@ fn run_pair_region(
         let mut config = SpecConfig::with_workers(case.workers)
             .checkpoint_every(case.checkpoint_every)
             .fault_plan(case.faults.clone())
-            .elide(case.elide)
             .watchdog(WATCHDOG);
         if case.degrade {
             config = config.degrade(DegradePolicy::default());

@@ -24,12 +24,13 @@
 //!   read-only index array (the `computeAddr` slice pattern).
 //!
 //! A separate elision sub-stream can override a spec-friendly region with
-//! one of two static-elision families: **cluster-disjoint** (every loop
-//! writes per-epoch address clusters of a private array — `pir::elide`
-//! proves the whole region, so elision retires every check) and **mixed**
+//! one of two families shaped for the `pir::elide` analysis:
+//! **cluster-disjoint** (every loop writes per-epoch address clusters of a
+//! private array, so the analysis proves the whole region) and **mixed**
 //! (a proven cluster loop interleaved with a producer and an indirect
-//! consumer the analysis must refuse to prove). The override rides its own
-//! SplitMix64 stream so pre-elision corpus seeds keep their programs.
+//! consumer the analysis must refuse to prove). The engine checks both at
+//! run time like any region. The override rides its own SplitMix64 stream
+//! so older corpus seeds keep their programs.
 //!
 //! Index expressions are kept structurally in-bounds (lengths are computed
 //! from the chosen trip counts and shifts), so any out-of-bounds access
@@ -104,13 +105,6 @@ pub struct FuzzCase {
     pub gate_distance: bool,
     /// Whether SPECCROSS runs with a degradation policy installed.
     pub degrade: bool,
-    /// Whether the threaded SPECCROSS paths run with static check elision
-    /// enabled ([`crossinvoc_speccross::engine::SpecConfig::elide`]). The
-    /// dedicated `spec-elide` diff lane runs regardless; this
-    /// knob additionally turns elision on inside every other SPECCROSS
-    /// path, so elision is exercised under faults, degradation and
-    /// shared-pool pairing too.
-    pub elide: bool,
     /// Busy work per SPECCROSS task, in nanoseconds
     /// ([`crossinvoc_pir::SpecCrossPlan::task_grain`]). Nonzero grains are
     /// long enough for every pass to run wide; zero leaves the generated
@@ -178,9 +172,9 @@ pub fn generate(seed: u64, params: &GenParams) -> FuzzCase {
     // Independent sub-streams: engine knobs, program shape, fault plan.
     let mut knobs = Rng(SplitMix64::new(seed ^ 0x9E37_79B9_7F4A_7C15));
     let mut shape = Rng(SplitMix64::new(seed ^ 0x5851_F42D_4C95_7F2D));
-    // Its own sub-stream for the static-elision epoch: the elide knob and
-    // the two elision-focused program families (cluster-disjoint and mixed
-    // proven+indirect) must not reshuffle pre-elision seeds.
+    // Its own sub-stream for the two elision-focused program families
+    // (cluster-disjoint and mixed proven+indirect), so that they did not
+    // reshuffle older seeds.
     let mut elision = Rng(SplitMix64::new(seed ^ 0x6C2E_A417_B99D_E255));
     // And one for the task grain, which came later still.
     let mut grain = Rng(SplitMix64::new(seed ^ 0x2545_F491_4F6C_DD1D));
@@ -194,7 +188,10 @@ pub fn generate(seed: u64, params: &GenParams) -> FuzzCase {
     };
     let gate_distance = knobs.chance(40);
     let degrade = knobs.chance(50);
-    let elide = elision.chance(60);
+    // The retired `elide` knob's draw. Static check elision is gone, but
+    // the draw stays so that the family draw below, and with it every
+    // seed's program, is unchanged.
+    let _ = elision.chance(60);
     let task_grain_ns = if grain.chance(GRAIN_PERCENT) {
         WIDE_TASK_NS
     } else {
@@ -231,7 +228,6 @@ pub fn generate(seed: u64, params: &GenParams) -> FuzzCase {
         signature,
         gate_distance,
         degrade,
-        elide,
         task_grain_ns,
         program,
         faults,
@@ -246,7 +242,7 @@ enum ElideShape {
     Legacy,
     /// Every loop writes its own per-epoch address cluster
     /// (`E_l[trip*t + i]`): `pir::elide` proves the whole region
-    /// conflict-free, so elision retires every check.
+    /// conflict-free.
     Cluster,
     /// Loop 0 is a provable cluster loop; the remaining loops read loop
     /// 0's array *indirectly* through an index array, which the analysis
@@ -280,16 +276,15 @@ enum SpecPattern {
     WideSpan,
     /// `load x = E[trip*t + i]; store E[trip*t + i] = mix(x)` over a
     /// per-loop array sized `trip * epochs` — every epoch owns a disjoint
-    /// address cluster, so `pir::elide` proves the loop conflict-free and
-    /// elision retires every check it would have filed.
+    /// address cluster, so `pir::elide` proves the loop conflict-free.
     Cluster,
     /// `load v = IDX[i]; load x = A[v]; store D[i] = mix(x + v)` — an
     /// indirect read of the *watched* array `A` a sibling `Producer` loop
     /// writes. The analysis cannot resolve `A[v]`, which poisons every
-    /// access to `A`, so this loop (and the producer) stay on the full
-    /// admission path while the cluster loop (on its private array) still
-    /// elides. Still DOALL within one invocation: the unprovenness is
-    /// purely cross-invocation.
+    /// access to `A`, so this loop (and the producer) stay unproven while
+    /// the cluster loop (on its private array) is still proven. Still
+    /// DOALL within one invocation: the unprovenness is purely
+    /// cross-invocation.
     IndirectWatched,
 }
 
@@ -651,7 +646,7 @@ mod tests {
     fn elision_families_classify_as_designed() {
         // Cluster regions must come out fully proven, mixed regions must
         // interleave a proven cluster loop with unproven indirect loops —
-        // otherwise the elide diff lanes degenerate to no-ops.
+        // otherwise the two families do not cover what they are named for.
         let p = GenParams::default();
         let (mut clusters, mut mixeds) = (0, 0);
         for seed in 0..400 {

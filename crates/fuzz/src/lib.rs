@@ -16,9 +16,9 @@
 //!   evaluator (deliberately *not* the production interpreter, which is
 //!   itself under test).
 //! * [`diff`] — executes one case through every applicable path
-//!   (sequential interpreter, barriers, `SpecCrossEngine` with and without
-//!   epoch summaries, `DomoreRuntime` with and without schedule
-//!   memoization, and the deterministic simulators over a recorded access
+//!   (sequential interpreter, barriers, `SpecCrossEngine`, `DomoreRuntime`
+//!   with and without schedule memoization, and the deterministic
+//!   simulators with and without their fast paths over a recorded access
 //!   trace) and classifies the outcome; [`run_concurrent_pair`] runs two
 //!   cases at once through one shared worker pool (the region-server
 //!   deployment shape) and holds each to the same contract, and

@@ -1,4 +1,11 @@
-//! Static check elision: proving cross-invocation accesses conflict-free.
+//! Static conflict-freedom report: which cross-invocation accesses are
+//! provably conflict-free.
+//!
+//! This is a plan-time report ([`crate::SpecCrossPlan::elision`]); the
+//! frozen benchmark's `elide.proven_share` row is its one consumer. No
+//! engine consumes it: every task of a wide SPECCROSS pass is admitted
+//! through the checker whatever the report says (docs/CHECKER.md, "Why no
+//! static elision").
 //!
 //! The SPECCROSS checker compares the access signatures of tasks that ran
 //! on *different workers* in *different epochs* (docs/CHECKER.md). Both
@@ -7,9 +14,8 @@
 //! `K` (the engine's block-cyclic map; the thesis' `τ mod W` is `K = 1`),
 //! and an epoch is `outer_iter × num_loops + loop_ordinal`. This module
 //! exploits them to prove, per inner loop, that *no compared pair of tasks
-//! can ever touch the same cell* — in which case the loop's tasks need no
-//! signatures and no checker admission at all (the engine's "elided" fast
-//! path).
+//! can ever touch the same cell* — in which case every check of the
+//! loop's tasks could only answer "no conflict".
 //!
 //! For every watched-array access of every region loop we try to resolve
 //! the index to the affine form
@@ -54,12 +60,13 @@
 //! bases (`A[τ]` vs `A[τ+T]`), and producer/consumer loop pairs (`A[τ]`
 //! written by one loop and read by the next: only `Δτ = 0` collides, which
 //! is the same worker again). Everything indirect, non-affine, impure or
-//! overlapping stays on the full runtime admission path.
+//! overlapping stays unproven.
 //!
 //! Soundness does **not** depend on faults, degradation, Bloom false
 //! positives or rollback timing: a proven loop's checks are no-ops on every
-//! schedule (they could only ever report "no conflict"), so removing them
-//! never changes the verdict — only the work.
+//! schedule (they could only ever report "no conflict"). It does depend on
+//! the engine's dealing rule (`speccross::chunk`): the report assumes task
+//! `τ` of every epoch runs on the same worker.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 
@@ -115,7 +122,7 @@ pub struct AccessClass {
     pub array: ArrayId,
     /// Read or write.
     pub kind: AccessKind,
-    /// `None` = proven disjoint; `Some` = kept on the runtime check path.
+    /// `None` = proven disjoint; `Some` = why not.
     pub unproven: Option<UnprovenReason>,
 }
 
@@ -133,14 +140,14 @@ pub struct LoopElision {
     pub loop_stmt: StmtId,
     /// Every watched-array access site of the loop, classified.
     pub accesses: Vec<AccessClass>,
-    /// Whether *every* access is proven: the loop's tasks skip signature
-    /// generation and checker admission entirely.
+    /// Whether *every* access is proven: no check of the loop's tasks
+    /// could report a conflict.
     pub proven: bool,
 }
 
 /// The region-level elision plan: one verdict per inner loop, in loop
 /// (ordinal) order. Produced by [`crate::transform::SpecCrossPlan::build`]
-/// and threaded into the engine/simulator as a per-ordinal mask.
+/// and read back through [`crate::transform::SpecCrossPlan::elision`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct ElisionPlan {
     /// Per-loop verdicts, indexed by loop ordinal.
@@ -153,7 +160,7 @@ impl ElisionPlan {
         self.loops.get(ordinal).is_some_and(|l| l.proven)
     }
 
-    /// Per-ordinal proven mask (`mask[epoch % num_loops]` at runtime).
+    /// Per-ordinal proven mask (epoch `e` runs loop `e % num_loops`).
     pub fn proven_mask(&self) -> Vec<bool> {
         self.loops.iter().map(|l| l.proven).collect()
     }
@@ -617,7 +624,7 @@ mod tests {
     fn indirect_compute_addr_is_unproven_and_poisons_partners() {
         // Loop 0 writes A[i] (affine); loop 1 reads A[IDX[i]] — the
         // indirect read may touch any cell, so the write side cannot be
-        // elided either.
+        // proven either.
         let mut b = ProgramBuilder::new();
         let a = b.array("A", 8);
         let d = b.array("B", 8);

@@ -20,9 +20,9 @@
 //!   memory accesses, including loop-carried and cross-invocation
 //!   classification and constant dependence distances (§4.5.6).
 //! * [`elide`] — static conflict-freedom proofs for speculative regions:
-//!   affine cross-invocation footprints whose compared task pairs provably
-//!   never collide are elided from signature generation and checker
-//!   admission (the runtime consults the per-loop mask).
+//!   which affine cross-invocation footprints provably never collide on a
+//!   compared task pair. A plan-time report; the runtime checks every
+//!   task regardless, and the frozen benchmark is its one consumer.
 //! * [`pdg`] — program dependence graphs over statements: register, memory
 //!   and control edges (Fig. 3.1(b)/(c)).
 //! * [`scc`] — Tarjan SCCs, the DAG-SCC, and the DOMORE scheduler/worker

@@ -498,7 +498,7 @@ pub struct SpecCrossPlan<'p> {
     /// (written somewhere in the region).
     watched: HashSet<ArrayId>,
     /// Per-loop static conflict-freedom verdicts (the `pir::elide`
-    /// analysis), threaded into the engine as a proven-epoch mask.
+    /// analysis): a plan-time report the engine does not consume.
     elision: ElisionPlan,
     /// Busy work added to every engine task, in nanoseconds.
     grain_ns: u64,
@@ -590,9 +590,9 @@ impl<'p> SpecCrossPlan<'p> {
 
     /// The static conflict-freedom analysis of the region's loops: which
     /// accesses (and whole loops) are proven disjoint across all compared
-    /// task pairs. The engine consults this — gated by
-    /// [`SpecConfig::elide`] — to skip signature generation and checker
-    /// admission for proven epochs.
+    /// task pairs. A plan-time report: the engine admits every task of a
+    /// wide pass through the checker regardless, and the frozen
+    /// benchmark's `elide.proven_share` row is its one consumer.
     pub fn elision(&self) -> &ElisionPlan {
         &self.elision
     }
@@ -766,7 +766,6 @@ impl<'p> SpecCrossPlan<'p> {
             outer_iv: outer_iv.0,
             outer_from,
             num_outer: (outer_to - outer_from).max(0) as usize,
-            proven: self.elision.proven_mask(),
         }
     }
 }
@@ -790,8 +789,6 @@ struct SpecAdapter<'a, 'p> {
     outer_iv: usize,
     outer_from: i64,
     num_outer: usize,
-    /// Per-ordinal proven mask from the elision analysis.
-    proven: Vec<bool>,
 }
 
 impl<'a, 'p> SpecAdapter<'a, 'p> {
@@ -894,9 +891,5 @@ impl SpecWorkload for SpecAdapter<'_, '_> {
     fn restore(&self, state: &Vec<i64>) {
         // SAFETY: the engine calls this only during quiesced recovery.
         unsafe { self.mem.restore_quiesced(state) };
-    }
-
-    fn epoch_is_proven(&self, epoch: usize) -> bool {
-        self.proven[epoch % self.plan.loops.len()]
     }
 }

@@ -211,16 +211,6 @@ impl Trace {
                         .push_str(&format!(",\"s\":\"t\",\"args\":{{\"epoch\":{epoch}}}"));
                     w.close();
                 }
-                Event::CheckElided {
-                    epoch,
-                    tasks,
-                    accesses,
-                } => {
-                    w.open("check_elided", 'i', dt, rec.t_ns).push_str(&format!(
-                        ",\"s\":\"t\",\"args\":{{\"epoch\":{epoch},\"tasks\":{tasks},\"accesses\":{accesses}}}"
-                    ));
-                    w.close();
-                }
                 Event::EpochBegin { .. } | Event::EpochEnd { .. } | Event::TaskAssign { .. } => {}
             }
             last_ts.insert(rec.tid, rec.t_ns);

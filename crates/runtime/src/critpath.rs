@@ -311,7 +311,6 @@ impl<'a> Dag<'a> {
             | Event::TaskRetire { epoch, .. }
             | Event::FaultInjected { epoch, .. }
             | Event::CheckerSummary { epoch, .. }
-            | Event::CheckElided { epoch, .. }
             | Event::ScheduleCacheHit { epoch } => Some(epoch),
             Event::Misspeculation { later_epoch, .. } => Some(later_epoch),
             Event::Wake { edge, seq, .. } => match edge {

@@ -139,9 +139,6 @@ counters! {
     stalls: unit add_stall, "Worker stalls on a synchronization condition or gate.";
     checker_epoch_skips: bulk add_checker_epoch_skips, "Whole-epoch checker log skips taken by the aggregate-signature fast path (SPECCROSS).";
     schedule_cache_hits: unit add_schedule_cache_hit, "Invocations whose DOMORE schedule was replayed from the cross-invocation memo.";
-    elided_signatures: unit add_elided_signature, "Tasks whose signature generation was skipped under a static conflict-freedom proof (SPECCROSS elision).";
-    elided_admits: unit add_elided_admit, "Checker admissions skipped for statically-proven tasks (SPECCROSS elision).";
-    proven_accesses: bulk add_proven_accesses, "Speculative accesses executed under a static conflict-freedom proof (SPECCROSS elision).";
 }
 
 impl RegionStats {
@@ -171,9 +168,6 @@ mod tests {
         s.add_stall();
         s.add_checker_epoch_skips(3);
         s.add_schedule_cache_hit();
-        s.add_elided_signature();
-        s.add_elided_admit();
-        s.add_proven_accesses(5);
         let sum = s.summary();
         assert_eq!(sum.tasks, 2);
         assert_eq!(sum.epochs, 1);
@@ -186,16 +180,13 @@ mod tests {
         assert_eq!(sum.stalls, 1);
         assert_eq!(sum.checker_epoch_skips, 3);
         assert_eq!(sum.schedule_cache_hits, 1);
-        assert_eq!(sum.elided_signatures, 1);
-        assert_eq!(sum.elided_admits, 1);
-        assert_eq!(sum.proven_accesses, 5);
     }
 
     #[test]
     fn fields_follow_the_counter_table() {
         let s = RegionStats::new();
         s.add_task();
-        s.add_proven_accesses(5);
+        s.add_schedule_cache_hit();
         let fields = s.summary().fields();
         assert_eq!(fields.len(), COUNTERS.len());
         for ((name, _), def) in fields.iter().zip(&COUNTERS) {
@@ -203,7 +194,7 @@ mod tests {
             assert_eq!(def.family, format!("crossinvoc_region_{name}_total"));
         }
         assert_eq!(fields[0], ("tasks", 1));
-        assert_eq!(fields[COUNTERS.len() - 1], ("proven_accesses", 5));
+        assert_eq!(fields[COUNTERS.len() - 1], ("schedule_cache_hits", 1));
     }
 
     #[test]

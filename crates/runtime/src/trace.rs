@@ -214,20 +214,6 @@ pub enum Event {
         /// summary.
         comparisons: u64,
     },
-    /// A worker ran tasks of a statically-proven epoch without signature
-    /// generation or checker admission (SPECCROSS static elision). Emitted
-    /// once per (worker, epoch) at the epoch boundary rather than per task,
-    /// so the bounded flight-recorder rings are not flooded.
-    CheckElided {
-        /// The proven epoch.
-        epoch: u32,
-        /// Tasks this worker elided in the epoch (those with at least one
-        /// speculative access).
-        tasks: u64,
-        /// Speculative accesses those tasks executed under the proof —
-        /// signature records and admission work that never happened.
-        accesses: u64,
-    },
     /// The DOMORE scheduler replayed this invocation's schedule from the
     /// cross-invocation memo (one event per memoized invocation, on the
     /// manager's timeline) instead of running the scheduling logic.
@@ -301,7 +287,6 @@ impl Event {
             Event::BarrierLeave { .. } => "barrier_leave",
             Event::Checkpoint { .. } => "checkpoint",
             Event::CheckerSummary { .. } => "checker_summary",
-            Event::CheckElided { .. } => "check_elided",
             Event::ScheduleCacheHit { .. } => "schedule_cache_hit",
             Event::Misspeculation { .. } => "misspeculation",
             Event::Degradation { .. } => "degradation",
@@ -940,15 +925,6 @@ fn write_record(out: &mut String, rec: &TraceRecord, region: u64) {
             field(out, "skips", skips);
             field(out, "comparisons", comparisons);
         }
-        Event::CheckElided {
-            epoch,
-            tasks,
-            accesses,
-        } => {
-            field(out, "epoch", epoch as u64);
-            field(out, "tasks", tasks);
-            field(out, "accesses", accesses);
-        }
         Event::BarrierLeave { epoch, wait_ns } => {
             field(out, "epoch", epoch as u64);
             field(out, "wait_ns", wait_ns);
@@ -1026,7 +1002,10 @@ fn wake_edge_parse(name: &str) -> Result<WakeEdge, String> {
 ///
 /// * `checker_shard` — the per-pass census row of the address-sharded
 ///   checker, removed in favour of the single checker thread.
-const RETIRED_EVENTS: &[&str] = &["checker_shard"];
+/// * `check_elided` — a worker's per-epoch tally of tasks run without
+///   admission under a static conflict-freedom proof, removed with static
+///   check elision: every wide task is admitted.
+const RETIRED_EVENTS: &[&str] = &["checker_shard", "check_elided"];
 
 /// Minimal parser for one flat JSON object with unsigned-integer and string
 /// values — exactly the shape [`write_record`] produces. Unknown keys are an
@@ -1153,11 +1132,6 @@ fn parse_record(line: &str) -> Result<Option<(TraceRecord, u64)>, String> {
             skips: num("skips")?,
             comparisons: num("comparisons")?,
         },
-        "check_elided" => Event::CheckElided {
-            epoch: epoch("epoch")?,
-            tasks: num("tasks")?,
-            accesses: num("accesses")?,
-        },
         "schedule_cache_hit" => Event::ScheduleCacheHit {
             epoch: epoch("epoch")?,
         },
@@ -1265,12 +1239,6 @@ pub struct TraceReport {
     /// Invocations replayed from the DOMORE schedule memo
     /// ([`Event::ScheduleCacheHit`] count).
     pub schedule_cache_hits: u64,
-    /// Tasks that ran under a static conflict-freedom proof, summed over
-    /// every [`Event::CheckElided`] in the trace.
-    pub elided_tasks: u64,
-    /// Speculative accesses executed under the proof (signature records and
-    /// admissions that never happened), summed over [`Event::CheckElided`].
-    pub elided_accesses: u64,
     /// Records lost to ring overflow (analysis is approximate if nonzero).
     pub dropped: u64,
 }
@@ -1288,8 +1256,6 @@ impl TraceReport {
         let mut checker_epoch_skips = 0u64;
         let mut checker_comparisons = 0u64;
         let mut schedule_cache_hits = 0u64;
-        let mut elided_tasks = 0u64;
-        let mut elided_accesses = 0u64;
 
         let slot = |threads: &mut Vec<ThreadBreakdown>, tid: ThreadId| -> usize {
             match threads.iter().position(|t| t.tid == tid) {
@@ -1356,12 +1322,6 @@ impl TraceReport {
                     checker_epoch_skips += skips;
                     checker_comparisons += comparisons;
                 }
-                Event::CheckElided {
-                    tasks, accesses, ..
-                } => {
-                    elided_tasks += tasks;
-                    elided_accesses += accesses;
-                }
                 Event::ScheduleCacheHit { .. } => schedule_cache_hits += 1,
                 Event::Degradation { epoch } => degradations.push(epoch),
                 Event::Wake { edge, .. } => wakes[edge.index()] += 1,
@@ -1380,8 +1340,6 @@ impl TraceReport {
             checker_epoch_skips,
             checker_comparisons,
             schedule_cache_hits,
-            elided_tasks,
-            elided_accesses,
             dropped: trace.dropped(),
         }
     }
@@ -1530,19 +1488,6 @@ impl TraceReport {
                 self.checker_epoch_skips, self.checker_comparisons
             );
         }
-        if self.elided_tasks > 0 {
-            let total: u64 = self.threads.iter().map(|t| t.tasks).sum();
-            let pct = if total > 0 {
-                100.0 * self.elided_tasks as f64 / total as f64
-            } else {
-                0.0
-            };
-            let _ = writeln!(
-                out,
-                "static elision: {} proven accesses, {} admits skipped ({pct:.1}% of tasks fully elided)",
-                self.elided_accesses, self.elided_tasks
-            );
-        }
         if self.schedule_cache_hits > 0 {
             let _ = writeln!(
                 out,
@@ -1673,15 +1618,6 @@ mod tests {
                 },
             },
             TraceRecord {
-                t_ns: 77,
-                tid: 0,
-                event: Event::CheckElided {
-                    epoch: 1,
-                    tasks: 3,
-                    accesses: 12,
-                },
-            },
-            TraceRecord {
                 t_ns: 78,
                 tid: MANAGER_TID,
                 event: Event::ScheduleCacheHit { epoch: 1 },
@@ -1807,14 +1743,9 @@ mod tests {
         );
     }
 
-    #[test]
-    fn retired_checker_shard_rows_are_dropped() {
-        // The per-shard census an address-sharded checker wrote at the end
-        // of every pass, on the classic checker tid and on the band below it.
-        let retired = [
-            format!("{{\"t\":77,\"tid\":{CHECKER_TID},\"ev\":\"checker_shard\",\"shard\":0,\"shards\":2,\"requests\":6}}"),
-            format!("{{\"t\":77,\"tid\":{},\"ev\":\"checker_shard\",\"shard\":1,\"shards\":2,\"requests\":3}}", CHECKER_TID - 1),
-        ];
+    /// Splices `retired` rows into the sample trace's JSONL (solo and with
+    /// a region id) and checks that the parse equals the trace without them.
+    fn assert_retired_rows_are_dropped(retired: &[String]) {
         for region in [0, 7] {
             let trace = Trace::from_records(sample_records()).with_region(region);
             let suffix = if region == 0 {
@@ -1825,7 +1756,7 @@ mod tests {
             let mut old = String::new();
             for (i, line) in trace.to_jsonl().lines().enumerate() {
                 if i == 3 {
-                    for row in &retired {
+                    for row in retired {
                         old.push_str(row.strip_suffix('}').unwrap());
                         old.push_str(&suffix);
                         old.push_str("}\n");
@@ -1837,6 +1768,28 @@ mod tests {
             assert_eq!(Trace::from_jsonl(&old).expect("old trace parses"), trace);
             assert_eq!(Trace::from_jsonl_region(&old, region).unwrap(), trace);
         }
+    }
+
+    #[test]
+    fn retired_checker_shard_rows_are_dropped() {
+        // The per-shard census an address-sharded checker wrote at the end
+        // of every pass, on the classic checker tid and on the band below it.
+        assert_retired_rows_are_dropped(&[
+            format!("{{\"t\":77,\"tid\":{CHECKER_TID},\"ev\":\"checker_shard\",\"shard\":0,\"shards\":2,\"requests\":6}}"),
+            format!("{{\"t\":77,\"tid\":{},\"ev\":\"checker_shard\",\"shard\":1,\"shards\":2,\"requests\":3}}", CHECKER_TID - 1),
+        ]);
+    }
+
+    #[test]
+    fn retired_check_elided_rows_are_dropped() {
+        // The per-(worker, epoch) tally a statically proven epoch wrote at
+        // its boundary.
+        assert_retired_rows_are_dropped(&[
+            "{\"t\":77,\"tid\":0,\"ev\":\"check_elided\",\"epoch\":1,\"tasks\":3,\"accesses\":12}"
+                .to_string(),
+            "{\"t\":78,\"tid\":1,\"ev\":\"check_elided\",\"epoch\":1,\"tasks\":2,\"accesses\":8}"
+                .to_string(),
+        ]);
     }
 
     #[test]
@@ -2078,8 +2031,6 @@ mod tests {
         assert_eq!(report.checker_epoch_skips, 4);
         assert_eq!(report.checker_comparisons, 9);
         assert_eq!(report.schedule_cache_hits, 1);
-        assert_eq!(report.elided_tasks, 3);
-        assert_eq!(report.elided_accesses, 12);
         let w0 = report.threads.iter().find(|t| t.tid == 0).unwrap();
         assert_eq!(w0.tasks, 1);
         assert_eq!(w0.busy_ns, 20);

@@ -70,16 +70,6 @@ pub struct SpecSimParams {
     /// comparison count (and with it the checker's service time) changes.
     /// On by default; turn off for the pre-summary baseline.
     pub epoch_summaries: bool,
-    /// Mirror of the threaded engine's `SpecConfig::elide`: invocations the
-    /// workload reports statically proven conflict-free
-    /// ([`crate::workload::SimWorkload::invocation_is_proven`]) skip the
-    /// simulated signature build, conflict scan, and checker billing — the
-    /// virtual-time model of tasks that never touch the check rings.
-    /// Verdicts are unchanged (the proof guarantees the skipped comparisons
-    /// could never conflict); only the checker's service time and the
-    /// counters move. `false` (the default) keeps every invocation on the
-    /// full check path, byte-identical to the pre-elision model.
-    pub elide: bool,
     /// Region-server attribution id stamped onto the trace, mirroring the
     /// threaded engine's `SpecConfig::region`; 0 (the default, solo) keeps
     /// the JSONL wire format byte-identical to the pre-region schema.
@@ -98,7 +88,6 @@ impl SpecSimParams {
             fault_plan: None,
             trace_capacity: None,
             epoch_summaries: true,
-            elide: false,
             region: 0,
         }
     }
@@ -141,13 +130,6 @@ impl SpecSimParams {
     /// Enables or disables the checker's epoch-summary fast path.
     pub fn epoch_summaries(mut self, enabled: bool) -> Self {
         self.epoch_summaries = enabled;
-        self
-    }
-
-    /// Lets statically-proven invocations skip the simulated checker
-    /// entirely (off by default). See [`SpecSimParams::elide`].
-    pub fn elide(mut self, enabled: bool) -> Self {
-        self.elide = enabled;
         self
     }
 
@@ -486,12 +468,6 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                 epoch: epoch as u32,
             },
         );
-        // Static elision (mirror of the threaded engine's `SpecConfig::elide`
-        // path): proven invocations never build a signature, never scan, and
-        // never bill the checker — per-worker (tasks, accesses) tallies feed
-        // the `check_elided` rows at the epoch boundary.
-        let proven = params.elide && workload.invocation_is_proven(epoch);
-        let mut elided = vec![(0u64, 0u64); threads];
         for task in 0..ntasks {
             let tid = task % threads;
             let global = prefix[epoch - start_epoch] + task as u64;
@@ -573,26 +549,6 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                 task: (task / threads) as u32,
             };
             timeline[tid].push((finish, pos));
-
-            if proven {
-                // Elided task: the static proof replaces the admission. The
-                // worker's timeline and epoch tracker still advance (other
-                // tasks' snapshots must keep observing it), but no
-                // signature, admission, or checker billing happens —
-                // including forced conflicts, which ride on admissions that
-                // no longer exist.
-                pairs.clear();
-                workload.accesses(epoch, task, &mut pairs);
-                cur_epoch[tid] = epoch;
-                if !pairs.is_empty() {
-                    stats.add_elided_signature();
-                    stats.add_elided_admit();
-                    stats.add_proven_accesses(pairs.len() as u64);
-                    elided[tid].0 += 1;
-                    elided[tid].1 += pairs.len() as u64;
-                }
-                continue;
-            }
 
             // Build the signature and admit it through the engine's checker
             // with the snapshot the task took at its start.
@@ -689,18 +645,6 @@ fn speculative_pass<W: SimWorkload + ?Sized>(
                     resume_epoch: (max_epoch_started + 1).min(num_epochs),
                     cause: AbortCause::Conflict,
                 };
-            }
-        }
-        for (tid, &(tasks, accesses)) in elided.iter().enumerate() {
-            if tasks > 0 {
-                sinks.workers[tid].emit_at(
-                    clocks[tid],
-                    Event::CheckElided {
-                        epoch: epoch as u32,
-                        tasks,
-                        accesses,
-                    },
-                );
             }
         }
         checker.report(sinks, stats, epoch);
@@ -1006,38 +950,6 @@ mod tests {
         let b = speccross(&w, &p2, &CostModel::default());
         assert_eq!(a, b, "virtual-time traces must replay identically");
         assert!(a.trace.is_some());
-    }
-
-    #[test]
-    fn elide_is_inert_on_unproven_invocations() {
-        // Shifted never reports proven, so elide(true) must be the identity
-        // — trace and all.
-        let w = Shifted {
-            epochs: 40,
-            tasks: 16,
-        };
-        let base = SpecSimParams::with_threads(8).trace(1 << 14);
-        let off = speccross(&w, &base, &CostModel::default());
-        let on = speccross(&w, &base.clone().elide(true), &CostModel::default());
-        assert_eq!(on, off);
-    }
-
-    #[test]
-    fn elision_of_proven_same_cell_chains_preserves_verdicts() {
-        // same_cell: iteration i writes cell i in every epoch — the chain
-        // stays on one worker under round-robin, so it is provably
-        // conflict-free and the full path never misspeculates either.
-        let w = UniformWorkload::same_cell(50, 8, 1_000);
-        let off = speccross(&w, &SpecSimParams::with_threads(4), &CostModel::default());
-        let on = speccross(
-            &w.clone().assume_proven(),
-            &SpecSimParams::with_threads(4).elide(true),
-            &CostModel::default(),
-        );
-        assert_eq!(on.stats.misspeculations, off.stats.misspeculations);
-        assert_eq!(on.stats.tasks, off.stats.tasks);
-        assert_eq!(on.stats.check_requests, 0);
-        assert!(on.total_ns <= off.total_ns);
     }
 
     #[test]

@@ -43,17 +43,6 @@ pub trait SimWorkload {
         50
     }
 
-    /// Whether every access of invocation `inv`'s iterations is statically
-    /// proven conflict-free against all compared tasks (the `pir::elide`
-    /// analysis). When the simulation runs with
-    /// [`crate::speccross::SpecSimParams::elide`], such iterations skip the
-    /// simulated signature build, conflict scan, and checker billing; the
-    /// default keeps every invocation on the full check path.
-    fn invocation_is_proven(&self, inv: usize) -> bool {
-        let _ = inv;
-        false
-    }
-
     /// Exclusive upper bound on reported addresses when dense shadow memory
     /// is profitable.
     fn address_space(&self) -> Option<usize> {
@@ -98,9 +87,6 @@ impl<W: SimWorkload + ?Sized> SimWorkload for Box<W> {
     fn sched_cost(&self, inv: usize, iter: usize) -> u64 {
         (**self).sched_cost(inv, iter)
     }
-    fn invocation_is_proven(&self, inv: usize) -> bool {
-        (**self).invocation_is_proven(inv)
-    }
     fn address_space(&self) -> Option<usize> {
         (**self).address_space()
     }
@@ -117,7 +103,6 @@ pub struct UniformWorkload {
     addr_fn: AddrPattern,
     prologue: u64,
     sched: u64,
-    proven: bool,
 }
 
 /// How iterations of a [`UniformWorkload`] touch shared memory.
@@ -143,7 +128,6 @@ impl UniformWorkload {
             addr_fn: AddrPattern::Independent,
             prologue: 0,
             sched: 50,
-            proven: false,
         }
     }
 
@@ -172,15 +156,6 @@ impl UniformWorkload {
     /// Sets the per-iteration scheduling cost.
     pub fn with_sched_cost(mut self, ns: u64) -> Self {
         self.sched = ns;
-        self
-    }
-
-    /// Marks every invocation statically proven conflict-free (for elision
-    /// experiments). The caller asserts the claim: `independent` and
-    /// `same_cell` patterns qualify (same-index chains stay on one worker
-    /// under round-robin), `rotating` does not.
-    pub fn assume_proven(mut self) -> Self {
-        self.proven = true;
         self
     }
 }
@@ -212,10 +187,6 @@ impl SimWorkload for UniformWorkload {
 
     fn sched_cost(&self, _inv: usize, _iter: usize) -> u64 {
         self.sched
-    }
-
-    fn invocation_is_proven(&self, _inv: usize) -> bool {
-        self.proven
     }
 
     fn address_space(&self) -> Option<usize> {

@@ -1,22 +1,12 @@
 //! The simulated SPECCROSS checker on the clustered-epoch shape the
-//! BENCH_5/10 gates measure (`crossinvoc_workloads::synthetic::Clustered`):
-//! the epoch-summary fast path and static elision each cut checker work
-//! without moving a verdict. (Integration tests rather
+//! BENCH_5 gate measures (`crossinvoc_workloads::synthetic::Clustered`):
+//! the epoch-summary fast path cuts checker work without moving a
+//! verdict. (Integration tests rather
 //! than unit tests because the shape lives in the workloads crate, which
 //! depends on this one.)
 
 use crossinvoc_sim::prelude::*;
 use crossinvoc_workloads::synthetic::Clustered;
-
-/// Epochs touch disjoint address clusters, so cross-epoch overlaps never
-/// conflict and every bucket aggregate is disjoint from every probe.
-fn clustered() -> Clustered {
-    Clustered {
-        epochs: 60,
-        tasks: 32,
-        proven: true,
-    }
-}
 
 #[test]
 fn epoch_summaries_skip_disjoint_buckets_without_changing_verdicts() {
@@ -26,7 +16,6 @@ fn epoch_summaries_skip_disjoint_buckets_without_changing_verdicts() {
     let w = Clustered {
         epochs: 60,
         tasks: 64,
-        proven: false,
     };
     let on = speccross(
         &w,
@@ -58,33 +47,4 @@ fn epoch_summaries_skip_disjoint_buckets_without_changing_verdicts() {
         on.total_ns <= off.total_ns,
         "a faster checker can only help"
     );
-}
-
-#[test]
-fn elision_skips_proven_invocations_without_changing_verdicts() {
-    let w = clustered();
-    let off = speccross(
-        &w,
-        &SpecSimParams::with_threads(32).trace(1 << 17),
-        &CostModel::default(),
-    );
-    let on = speccross(
-        &w,
-        &SpecSimParams::with_threads(32).trace(1 << 17).elide(true),
-        &CostModel::default(),
-    );
-    assert_eq!(on.stats.misspeculations, off.stats.misspeculations);
-    assert_eq!(on.stats.tasks, off.stats.tasks);
-    assert_eq!(on.stats.check_requests, 0, "fully-proven region");
-    assert!(on.stats.elided_signatures > 0);
-    assert_eq!(on.stats.elided_admits, on.stats.elided_signatures);
-    assert!(on.stats.proven_accesses >= on.stats.elided_signatures);
-    assert_eq!(off.stats.elided_signatures, 0, "off by default");
-    assert!(
-        on.total_ns <= off.total_ns,
-        "a checker with no work can only help"
-    );
-    let report = crossinvoc_runtime::trace::TraceReport::from_trace(on.trace.as_ref().unwrap());
-    assert_eq!(report.elided_tasks, on.stats.elided_signatures);
-    assert_eq!(report.elided_accesses, on.stats.proven_accesses);
 }

@@ -93,7 +93,7 @@ use crate::checkpoint::{Checkpoint, DirtyBlocks};
 use crate::chunk::{self, ExactRuns};
 use crate::position::{Position, PositionBoard};
 use crate::profile::{DistanceProfiler, ProfileReport};
-use crate::workload::{AccessRecorder, CountingRecorder, SigRecorder, SpecWorkload};
+use crate::workload::{AccessRecorder, SigRecorder, SpecWorkload};
 
 /// When to give up on speculation and finish a region under plain barriers.
 ///
@@ -153,21 +153,6 @@ pub struct SpecConfig {
     /// (the default) keeps tracing off — workers then pay one predicted
     /// branch per would-be event, nothing more.
     pub trace_capacity: Option<usize>,
-    /// Whether the checker may use per-epoch aggregate signatures to skip
-    /// whole buckets (the PR 5 pruning fast path). `false` forces the
-    /// member-by-member scan; conflict verdicts are identical either way —
-    /// the differential fuzzer runs regions through both settings.
-    pub epoch_summaries: bool,
-    /// Whether statically-proven epochs skip the checker entirely. When set,
-    /// every epoch for which [`SpecWorkload::epoch_is_proven`] returns `true`
-    /// runs its tasks without signature generation and without checker
-    /// admission — the `pir::elide` analysis has already proven the compared
-    /// task pairs conflict-free, so the runtime check is redundant. Unproven
-    /// epochs stay on the full admission path; `false` (the default) checks
-    /// everything, byte-identical to the pre-elision engine.
-    ///
-    /// [`SpecWorkload::epoch_is_proven`]: crate::workload::SpecWorkload::epoch_is_proven
-    pub elide: bool,
     /// Region-server submission id stamped on the region's trace (the
     /// `region_id` JSONL field; see `docs/OBSERVABILITY.md`). `0` (the
     /// default) marks a solo run and keeps trace output byte-identical to
@@ -199,8 +184,6 @@ impl SpecConfig {
             degrade: None,
             watchdog: None,
             trace_capacity: None,
-            epoch_summaries: true,
-            elide: false,
             region_id: 0,
             telemetry: None,
         }
@@ -249,19 +232,6 @@ impl SpecConfig {
     /// without overriding an explicitly configured capacity.
     pub fn trace_default(mut self, capacity: usize) -> Self {
         self.trace_capacity.get_or_insert(capacity);
-        self
-    }
-
-    /// Toggles the checker's per-epoch aggregate fast path (on by default).
-    pub fn epoch_summaries(mut self, enabled: bool) -> Self {
-        self.epoch_summaries = enabled;
-        self
-    }
-
-    /// Lets statically-proven epochs skip signature generation and checker
-    /// admission (off by default). See [`SpecConfig::elide`].
-    pub fn elide(mut self, enabled: bool) -> Self {
-        self.elide = enabled;
         self
     }
 
@@ -937,24 +907,16 @@ impl<St, S: AccessSignature> PassShared<St, S> {
 
 /// A checked epoch's step after each task (exit_task): the task's signature
 /// joins the chunk's open exact run, and a run that cannot grow is admitted
-/// with the chunk-start snapshot. In a statically proven epoch
-/// (`pir::elide`) the proof stands in for all of it: its tasks cannot
-/// conflict with any compared task, so they run with a counting recorder
-/// (metrics only) and are never admitted.
+/// with the chunk-start snapshot.
 struct Checked<'p, St, S> {
     shared: &'p PassShared<St, S>,
-    proven: bool,
     /// The board as the current chunk began …
     snapshot: &'p mut [Position],
     /// … the chunk's position, and the index of its first task.
     chunk_pos: Position,
     chunk_start: usize,
     recorder: SigRecorder<S>,
-    counting: CountingRecorder,
     runs: ExactRuns<S>,
-    /// Tasks of the current proven epoch with speculative accesses, and
-    /// those accesses.
-    elided: (u64, u64),
 }
 
 impl<St, S: AccessSignature> Checked<'_, St, S> {
@@ -975,26 +937,10 @@ impl<St, S: AccessSignature> Checked<'_, St, S> {
 
 impl<St, S: AccessSignature> TaskHook for Checked<'_, St, S> {
     fn recorder<'r>(&'r mut self, _: &'r mut DirtyBlocks) -> &'r mut dyn AccessRecorder {
-        if self.proven {
-            &mut self.counting
-        } else {
-            &mut self.recorder
-        }
+        &mut self.recorder
     }
 
     fn retired(&mut self, worker: &mut Worker<'_>, task: usize) -> bool {
-        if self.proven {
-            let accesses = self.counting.take();
-            if accesses > 0 {
-                let stats = worker.tally.stats;
-                stats.add_elided_signature();
-                stats.add_elided_admit();
-                stats.add_proven_accesses(accesses);
-                self.elided.0 += 1;
-                self.elided.1 += accesses;
-            }
-            return true;
-        }
         // A signature that cannot join the chunk's open run exactly admits
         // it and opens the next.
         let at = self.chunk_pos.task + (task - self.chunk_start) as u32;
@@ -1393,7 +1339,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
             width: CachePadded::new(AtomicUsize::new(0)),
             join_epoch: AtomicUsize::new(0),
             checker: Mutex::new(Admission {
-                log: CheckerState::with_aggregates(gang, self.config.epoch_summaries),
+                log: CheckerState::with_aggregates(gang, true),
                 reported_skips: 0,
                 reported_comparisons: 0,
             }),
@@ -1523,14 +1469,11 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
         let mut fastest: Option<u64> = None;
         let mut checked = Checked {
             shared,
-            proven: false,
             snapshot,
             chunk_pos: Position::ZERO,
             chunk_start: 0,
             recorder: SigRecorder::new(),
-            counting: CountingRecorder::default(),
             runs: ExactRuns::default(),
-            elided: (0, 0),
         };
 
         for epoch in first_epoch..num_epochs {
@@ -1599,16 +1542,6 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                 continue;
             }
 
-            // Static elision (`pir::elide`). Positions and frontiers still
-            // advance exactly as on the full path — unproven tasks'
-            // snapshots must keep observing this worker's progress.
-            checked.proven = self.config.elide && workload.epoch_is_proven(epoch);
-            checked.elided = (0, 0);
-            if checked.proven {
-                // No signature, so no span: the next copies are full.
-                worker.dirty.mark_all();
-            }
-
             // Tasks of this epoch started so far (the position's task number).
             let mut local_counter = 0u32;
             for tasks in chunk::share(workload.num_tasks(epoch), shared.chunk, gang, tid) {
@@ -1660,9 +1593,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                     task: local_counter,
                 };
                 shared.board.set_position(tid, pos);
-                if !checked.proven {
-                    shared.board.snapshot_into(checked.snapshot);
-                }
+                shared.board.snapshot_into(checked.snapshot);
                 (checked.chunk_pos, checked.chunk_start) = (pos, tasks.start);
                 if !crew.run_chunk(workload, worker, epoch, tasks.clone(), &mut checked) {
                     // The open run and a task cut short by a panic were
@@ -1673,7 +1604,7 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                     worker.dirty.mark_sig(&checked.recorder.take());
                     return;
                 }
-                if let (false, Some(run)) = (checked.proven, checked.runs.finish()) {
+                if let Some(run) = checked.runs.finish() {
                     if !checked.ship(worker, run) {
                         return;
                     }
@@ -1692,15 +1623,6 @@ impl<S: AccessSignature> SpecCrossEngine<S> {
                 );
             }
             worker.tally.fold();
-            if let (tasks @ 1.., accesses) = checked.elided {
-                // Once per (worker, epoch): how much admission work the
-                // static proof saved on this worker.
-                worker.sink.emit(Event::CheckElided {
-                    epoch: epoch as u32,
-                    tasks,
-                    accesses,
-                });
-            }
             if tid == 0 {
                 worker.sink.emit(Event::EpochEnd {
                     epoch: epoch as u32,

@@ -72,7 +72,7 @@ pub use engine::{
 pub use position::{Position, PositionBoard};
 pub use profile::{DistanceProfiler, ProfileReport};
 pub use shard::{ShardMap, ShardSet, ShardedChecker, MAX_SHARDS};
-pub use workload::{AccessRecorder, CountingRecorder, NullRecorder, SigRecorder, SpecWorkload};
+pub use workload::{AccessRecorder, NullRecorder, SigRecorder, SpecWorkload};
 
 /// Convenient glob-import surface.
 pub mod prelude {

@@ -57,28 +57,6 @@ impl<S: AccessSignature> AccessRecorder for SigRecorder<S> {
     }
 }
 
-/// Counts accesses without retaining them. Statically-proven (elided) tasks
-/// run with this recorder: no signature is ever checked, but the engine still
-/// reports how much admission work the proof saved (the `check_elided` trace
-/// event and the elision counters).
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CountingRecorder {
-    count: u64,
-}
-
-impl CountingRecorder {
-    /// Returns the accumulated access count, leaving the recorder at zero.
-    pub fn take(&mut self) -> u64 {
-        std::mem::take(&mut self.count)
-    }
-}
-
-impl AccessRecorder for CountingRecorder {
-    fn record(&mut self, _addr: usize, _kind: AccessKind) {
-        self.count += 1;
-    }
-}
-
 /// Discards all accesses (used by non-speculative re-execution, where no
 /// checking happens).
 #[derive(Debug, Default, Clone, Copy)]
@@ -177,17 +155,6 @@ pub trait SpecWorkload: Sync {
     /// synchronizations, and a fresh checkpoint is taken after them
     /// (§4.2.2).
     fn epoch_is_irreversible(&self, epoch: usize) -> bool {
-        let _ = epoch;
-        false
-    }
-
-    /// Whether every access of `epoch`'s tasks is statically proven
-    /// conflict-free against all compared tasks (the `pir::elide`
-    /// analysis). When the engine runs with
-    /// [`crate::engine::SpecConfig::elide`], such tasks skip signature
-    /// generation and checker admission entirely; the default keeps every
-    /// epoch on the full check path.
-    fn epoch_is_proven(&self, epoch: usize) -> bool {
         let _ = epoch;
         false
     }

@@ -458,167 +458,6 @@ fn engine_works_with_bloom_signatures() {
     assert!(report.stats.tasks >= 16 * 6);
 }
 
-/// Per-epoch address clusters with a same-index chain across epochs: epoch e
-/// task t writes cell `e*tasks + t`, reading its own cell from epoch e-1.
-/// The chain stays on one worker — every epoch is dealt by the same map — so the
-/// `pir::elide` analysis would prove every access — modelled here by the
-/// `proven` mask. Its tasks carry `WIDE_TASK_NS` of busy work, so every
-/// pass runs wide: the first epoch runs alone and unchecked, and no
-/// counter of checks, elided or not, includes it.
-struct ClusteredChain {
-    data: SharedSlice<u64>,
-    epochs: usize,
-    tasks: usize,
-    proven: fn(usize) -> bool,
-}
-
-impl ClusteredChain {
-    fn new(epochs: usize, tasks: usize, proven: fn(usize) -> bool) -> Self {
-        Self {
-            data: SharedSlice::from_vec(vec![0; epochs * tasks]),
-            epochs,
-            tasks,
-            proven,
-        }
-    }
-
-    fn expected(&self) -> Vec<u64> {
-        let mut v = vec![0u64; self.epochs * self.tasks];
-        for e in 0..self.epochs {
-            for t in 0..self.tasks {
-                v[e * self.tasks + t] = if e == 0 {
-                    t as u64
-                } else {
-                    v[(e - 1) * self.tasks + t] + 1
-                };
-            }
-        }
-        v
-    }
-}
-
-impl SpecWorkload for ClusteredChain {
-    type State = Vec<u64>;
-
-    fn num_epochs(&self) -> usize {
-        self.epochs
-    }
-    fn num_tasks(&self, _epoch: usize) -> usize {
-        self.tasks
-    }
-    fn execute_task(&self, epoch: usize, task: usize, _tid: usize, rec: &mut dyn AccessRecorder) {
-        spin_for(WIDE_TASK_NS);
-        let dst = epoch * self.tasks + task;
-        rec.write(dst);
-        let value = if epoch == 0 {
-            task as u64
-        } else {
-            let src = (epoch - 1) * self.tasks + task;
-            rec.read(src);
-            // SAFETY: the same-index chain is owned by this worker; the
-            // engine checks (or statically proves) cross-epoch safety.
-            unsafe { self.data.read(src) + 1 }
-        };
-        unsafe { self.data.write(dst, value) };
-    }
-    fn snapshot(&self) -> Self::State {
-        (0..self.data.len())
-            .map(|i| unsafe { self.data.read(i) })
-            .collect()
-    }
-    fn restore(&self, state: &Self::State) {
-        for (i, v) in state.iter().enumerate() {
-            unsafe { self.data.write(i, *v) };
-        }
-    }
-    fn epoch_is_proven(&self, epoch: usize) -> bool {
-        (self.proven)(epoch)
-    }
-}
-
-#[test]
-fn elision_skips_all_checks_on_a_fully_proven_region() {
-    let mut w = ClusteredChain::new(10, 12, |_| true);
-    let expected = w.expected();
-    let report = SpecCrossEngine::<crossinvoc_runtime::RangeSignature>::new(
-        SpecConfig::with_workers(3).elide(true).trace(1 << 14),
-    )
-    .execute(&w)
-    .unwrap();
-    assert_eq!(w.data.snapshot(), expected);
-    assert_eq!(report.stats.misspeculations, 0);
-    assert_eq!(
-        report.stats.check_requests, 0,
-        "nothing reaches the checker"
-    );
-    assert_eq!(report.stats.tasks, 10 * 12);
-    assert_eq!(report.stats.elided_signatures, 9 * 12);
-    assert_eq!(report.stats.elided_admits, 9 * 12);
-    // Epoch 0 ran unchecked; later tasks record two accesses each.
-    assert_eq!(report.stats.proven_accesses, 9 * 12 * 2);
-    let trace = report.trace.expect("tracing was configured");
-    let elided: u64 = trace
-        .records()
-        .iter()
-        .filter_map(|r| match r.event {
-            crossinvoc_runtime::trace::Event::CheckElided { tasks, .. } => Some(tasks),
-            _ => None,
-        })
-        .sum();
-    assert_eq!(
-        elided,
-        9 * 12,
-        "check_elided rows account for every wide task"
-    );
-}
-
-#[test]
-fn elision_keeps_unproven_epochs_on_the_full_path() {
-    let mut w = ClusteredChain::new(10, 12, |e| e.is_multiple_of(2));
-    let expected = w.expected();
-    let report = SpecCrossEngine::<crossinvoc_runtime::RangeSignature>::new(
-        SpecConfig::with_workers(3).elide(true),
-    )
-    .execute(&w)
-    .unwrap();
-    assert_eq!(w.data.snapshot(), expected);
-    assert_eq!(report.stats.misspeculations, 0);
-    // Odd epochs (5 of 10) keep filing one request per task; epoch 0 ran
-    // alone.
-    assert_eq!(report.stats.check_requests, 5 * 12);
-    assert_eq!(report.stats.elided_signatures, 4 * 12);
-}
-
-#[test]
-fn proven_mask_is_inert_without_config_elide() {
-    let mut w = ClusteredChain::new(8, 10, |_| true);
-    let expected = w.expected();
-    let report =
-        SpecCrossEngine::<crossinvoc_runtime::RangeSignature>::new(SpecConfig::with_workers(3))
-            .execute(&w)
-            .unwrap();
-    assert_eq!(w.data.snapshot(), expected);
-    assert_eq!(report.stats.check_requests, 7 * 10, "default stays checked");
-    assert_eq!(report.stats.elided_signatures, 0);
-}
-
-#[test]
-fn elision_composes_with_recovery() {
-    // Unproven epochs + an injected conflict: elision must not disturb
-    // rollback or barrier re-execution.
-    let mut w = ClusteredChain::new(12, 8, |e| e < 6);
-    let expected = w.expected();
-    let report = SpecCrossEngine::<crossinvoc_runtime::RangeSignature>::new(
-        SpecConfig::with_workers(2)
-            .elide(true)
-            .fault_plan(FaultPlan::default().false_positive_at(8)),
-    )
-    .execute(&w)
-    .unwrap();
-    assert_eq!(report.stats.misspeculations, 1);
-    assert_eq!(w.data.snapshot(), expected);
-}
-
 #[test]
 fn single_worker_speculation_is_trivially_sound() {
     let mut w = PingPong::new(8, 5);

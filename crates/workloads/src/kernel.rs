@@ -220,13 +220,6 @@ impl<W: SimWorkload + Sync> SpecWorkload for AccessKernel<W> {
         self.model.num_iterations(epoch)
     }
 
-    fn epoch_is_proven(&self, epoch: usize) -> bool {
-        // Bridge the model's static-analysis verdict to the engine: an
-        // invocation the model declares conflict-free may skip signature
-        // generation and checker admission entirely.
-        self.model.invocation_is_proven(epoch)
-    }
-
     fn execute_task(
         &self,
         epoch: usize,

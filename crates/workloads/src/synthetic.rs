@@ -10,9 +10,8 @@
 //!   DOMORE runtime alike: unit `u` of every round increments cell `u`, so a
 //!   clean run never conflicts, the final image is known in closed form,
 //!   and every misspeculation is an injected one.
-//! * [`Clustered`] / [`MixedElide`] — simulator shapes for the checker-side
-//!   gates (BENCH_5/7/10): epoch-private address clusters with staggered
-//!   task costs, fully or partly provable by static elision.
+//! * [`Clustered`] — the simulator shape of the checker-side gate
+//!   (BENCH_5): epoch-private address clusters with staggered task costs.
 
 use crossinvoc_domore::DomoreWorkload;
 use crossinvoc_runtime::signature::AccessKind;
@@ -151,7 +150,7 @@ fn staggered_cost(iter: usize) -> u64 {
     500 + (iter % 5) as u64 * 1000
 }
 
-/// The clustered-access SPECCROSS shape of the BENCH_5/7/10 checker gates:
+/// The clustered-access SPECCROSS shape of the BENCH_5 checker gate:
 /// task `t` of epoch `e` writes cell `e * tasks + t`, so every epoch's
 /// signature aggregate is disjoint from every other epoch's — the shape the
 /// per-epoch aggregate test prunes best.
@@ -161,11 +160,6 @@ pub struct Clustered {
     pub epochs: usize,
     /// Tasks per epoch.
     pub tasks: usize,
-    /// Whether every invocation carries the static conflict-freedom
-    /// verdict. The cluster shape is exactly the `E[trip·t + i]` family
-    /// `pir::elide` proves, so BENCH_10 runs it proven; BENCH_5/7 keep it on
-    /// the full check path.
-    pub proven: bool,
 }
 
 impl SimWorkload for Clustered {
@@ -183,59 +177,6 @@ impl SimWorkload for Clustered {
     }
     fn address_space(&self) -> Option<usize> {
         Some(self.epochs * self.tasks)
-    }
-    fn invocation_is_proven(&self, _inv: usize) -> bool {
-        self.proven
-    }
-}
-
-/// The mixed proven/unproven shape of the BENCH_10 elision criteria: most
-/// epochs are the [`Clustered`] shape static analysis proves; every
-/// `unproven_every`-th epoch scatters its writes through a coprime
-/// permutation of the same epoch-private block — disjoint in fact, indirect
-/// in form, so a sound static analysis must keep it on the full admission
-/// path.
-#[derive(Debug, Clone, Copy)]
-pub struct MixedElide {
-    /// Invocations (epochs).
-    pub epochs: usize,
-    /// Tasks per epoch.
-    pub tasks: usize,
-    /// Period of the unproven epochs (`inv % unproven_every == 0` stays on
-    /// the full check path; everything else is proven).
-    pub unproven_every: usize,
-}
-
-impl MixedElide {
-    /// Whether invocation `inv` carries the static proof.
-    pub fn proven(&self, inv: usize) -> bool {
-        !inv.is_multiple_of(self.unproven_every)
-    }
-}
-
-impl SimWorkload for MixedElide {
-    fn num_invocations(&self) -> usize {
-        self.epochs
-    }
-    fn num_iterations(&self, _inv: usize) -> usize {
-        self.tasks
-    }
-    fn iteration_cost(&self, _inv: usize, iter: usize) -> u64 {
-        staggered_cost(iter)
-    }
-    fn accesses(&self, inv: usize, iter: usize, out: &mut Vec<(usize, AccessKind)>) {
-        let slot = if self.proven(inv) {
-            iter
-        } else {
-            (iter * 7 + inv) % self.tasks
-        };
-        out.push((inv * self.tasks + slot, AccessKind::Write));
-    }
-    fn address_space(&self) -> Option<usize> {
-        Some(self.epochs * self.tasks)
-    }
-    fn invocation_is_proven(&self, inv: usize) -> bool {
-        self.proven(inv)
     }
 }
 
@@ -261,36 +202,5 @@ mod tests {
             .execute(&dom)
             .unwrap();
         assert_eq!(dom.cells(), dom.expected());
-    }
-
-    #[test]
-    fn sim_shapes_touch_one_private_cell_per_task() {
-        let mixed = MixedElide {
-            epochs: 12,
-            tasks: 8,
-            unproven_every: 6,
-        };
-        let clustered = Clustered {
-            epochs: 12,
-            tasks: 8,
-            proven: true,
-        };
-        let mut out = Vec::new();
-        for inv in 0..12 {
-            // Each epoch's tasks cover its private block exactly once, in
-            // identity order when proven and permuted when not.
-            let mut slots = Vec::new();
-            for iter in 0..8 {
-                out.clear();
-                mixed.accesses(inv, iter, &mut out);
-                slots.push(out[0].0);
-                out.clear();
-                clustered.accesses(inv, iter, &mut out);
-                assert_eq!(out, [(inv * 8 + iter, AccessKind::Write)]);
-            }
-            assert_eq!(mixed.invocation_is_proven(inv), inv % 6 != 0);
-            slots.sort_unstable();
-            assert_eq!(slots, (inv * 8..inv * 8 + 8).collect::<Vec<_>>());
-        }
     }
 }

@@ -6,7 +6,7 @@
 #   lint         fmt, clippy over every workspace crate, rustdoc
 #   docs-check   docs <-> CLI flag / gate consistency
 #   gates        every bench-suite gate at smoke scale, then --validate;
-#                the two checker-side gates again at full scale
+#                the checker-side gate again at full scale
 #   fuzz         differential-fuzzing smoke
 #   trace        traced figure run -> strict report + Chrome export
 #   all          everything above, in that order (the default)
@@ -123,23 +123,20 @@ stage_gates() {
     run "$BENCH_TIMEOUT" cargo run --release -q -p crossinvoc-bench --bin bench-suite -- \
       --validate "target/figures/$file" </dev/null
   done <<<"$gates"
-  # The checker-side gates are quick at figure scale (BENCH_5 is pure
-  # simulation; BENCH_10 also runs the real-thread engine, 4 workers, on
-  # every realised registry kernel at Test scale — well under a second
-  # each) and their criteria compare rows of the same run, so evaluate
-  # them for real on every push; a failed criterion exits nonzero.
-  for flag in --fastpath --elide; do
-    run "$BENCH_TIMEOUT" cargo run --release -q -p crossinvoc-bench --bin bench-suite -- \
-      $flag </dev/null
-  done
+  # The checker-side gate is quick at figure scale (BENCH_5 is pure
+  # simulation, well under a second) and its criteria compare rows of the
+  # same run, so evaluate it for real on every push; a failed criterion
+  # exits nonzero.
+  run "$BENCH_TIMEOUT" cargo run --release -q -p crossinvoc-bench --bin bench-suite -- \
+    --fastpath </dev/null
 }
 
 # Differential-fuzzing smoke: replay the checked-in corpus, then a fixed
 # seed window through every engine path against the sequential oracle
 # (docs/FUZZING.md). Any divergence is minimized into target/fuzz-corpus/
 # (CI uploads it as an artifact) and fails the run. The 2000-case window is
-# the widest one over every lane at the default task bound, spec-elide
-# included. The two --max-tasks 96 windows (one at the default fault mix, one
+# the widest one over every lane at the default task bound. The two
+# --max-tasks 96 windows (one at the default fault mix, one
 # all-faults) are the ones whose epochs are long enough for SPECCROSS to run
 # chunks of several tasks at 2-4 workers: under the default bound of 10 tasks
 # nearly every generated region runs the per-iteration protocol.

@@ -94,21 +94,3 @@ fn seeded_sweep_stays_divergence_free() {
         );
     }
 }
-
-#[test]
-fn elision_anchors_are_pinned() {
-    // The static-elision lane relies on two standing anchors: a fully
-    // provable cluster region and a mixed region interleaving proven and
-    // unproven loops. Keep both pinned so `spec-elide` always has a
-    // non-trivial corpus case to replay.
-    let entries = load_corpus(&corpus_dir()).expect("corpus loads");
-    let has = |pred: &dyn Fn(&str) -> bool| entries.iter().any(|(_, c)| pred(&c.note));
-    assert!(
-        has(&|n| n.contains("Cluster") && !n.contains("IndirectWatched")),
-        "corpus must pin a fully-proven cluster-family anchor"
-    );
-    assert!(
-        has(&|n| n.contains("IndirectWatched")),
-        "corpus must pin a mixed proven+indirect anchor"
-    );
-}

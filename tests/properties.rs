@@ -1135,89 +1135,6 @@ proptest! {
 }
 
 proptest! {
-    /// Static check elision is observationally transparent on real
-    /// threads: over random fault-free regions, executing the accepted
-    /// plan with elision forced off and forced on both succeeds and leaves
-    /// byte-identical memory digests. The off run must never bank an
-    /// elided admission (the config flag, not the analysis, gates the fast
-    /// path), and a fully-proven region that never misspeculates must
-    /// reach the commit point without filing a single check request.
-    #[test]
-    fn elision_on_and_off_agree_on_memory_digests(seed in 0u64..1_000_000) {
-        use crossinvoc_pir::{Memory, SpecCrossPlan};
-        use crossinvoc_speccross::SpecConfig;
-
-        let params = crossinvoc_fuzz::GenParams {
-            fault_percent: 0,
-            ..crossinvoc_fuzz::GenParams::default()
-        };
-        let case = crossinvoc_fuzz::generate(seed, &params);
-        if let Some(outer) = case.outer() {
-            if let Ok(plan) = SpecCrossPlan::build(&case.program, outer) {
-                let config = |elide: bool| {
-                    SpecConfig::with_workers(case.workers)
-                        .checkpoint_every(case.checkpoint_every)
-                        .epoch_summaries(true)
-                        .elide(elide)
-                        .watchdog(std::time::Duration::from_secs(60))
-                };
-                let mut off_mem = Memory::zeroed(&case.program);
-                let off = plan
-                    .execute_sig::<RangeSignature>(&mut off_mem, config(false))
-                    .unwrap_or_else(|e| panic!("seed {seed} ({}): elide-off: {e:?}", case.note));
-                let mut on_mem = Memory::zeroed(&case.program);
-                let on = plan
-                    .execute_sig::<RangeSignature>(&mut on_mem, config(true))
-                    .unwrap_or_else(|e| panic!("seed {seed} ({}): elide-on: {e:?}", case.note));
-                prop_assert_eq!(
-                    off_mem.snapshot(),
-                    on_mem.snapshot(),
-                    "seed {} ({}): elision changed the memory digest",
-                    seed,
-                    case.note
-                );
-                prop_assert_eq!(off.stats.elided_admits, 0, "off run elided");
-                prop_assert_eq!(off.stats.elided_signatures, 0, "off run elided");
-                if plan.elision().fully_proven() && on.stats.misspeculations == 0 {
-                    prop_assert_eq!(
-                        on.stats.check_requests,
-                        0,
-                        "seed {}: fully-proven region still filed checks",
-                        seed
-                    );
-                }
-            }
-        }
-    }
-
-    /// The simulator, where verdict streams *are* deterministic:
-    /// the elide flag alone (nothing proven) is timeline-inert, and with
-    /// every invocation proven — sound for the disjoint workload — the
-    /// verdict stream is unchanged while check traffic and wall-clock only
-    /// ever shrink.
-    #[test]
-    fn sim_elision_preserves_verdict_streams(invs in 1usize..10, iters in 1usize..16,
-                                             cost_ns in 1u64..5_000, threads in 1usize..9) {
-        let model = CostModel::default();
-        let params = |elide: bool| SpecSimParams::with_threads(threads).elide(elide);
-
-        let w = UniformWorkload::rotating(invs, iters, cost_ns);
-        let base = speccross(&w, &params(false), &model);
-        let flag = speccross(&w, &params(true), &model);
-        prop_assert_eq!(base.total_ns, flag.total_ns, "flag alone moved the clock");
-        prop_assert_eq!(base.stats.check_requests, flag.stats.check_requests);
-        prop_assert_eq!(flag.stats.elided_admits, 0, "elided without a proof");
-
-        let w = UniformWorkload::independent(invs, iters, cost_ns);
-        let off = speccross(&w, &params(false), &model);
-        let on = speccross(&w.assume_proven(), &params(true), &model);
-        prop_assert_eq!(off.stats.misspeculations, on.stats.misspeculations);
-        prop_assert_eq!(off.stats.tasks, on.stats.tasks);
-        prop_assert_eq!(off.degraded, on.degraded);
-        prop_assert!(on.stats.check_requests <= off.stats.check_requests);
-        prop_assert!(on.total_ns <= off.total_ns, "elision slowed the sim down");
-    }
-
     /// The flight-recorder substrate: a trace ring of capacity `c` handed
     /// `n` records keeps exactly the newest `min(n, c)` in emission order
     /// and accounts every eviction — `dropped()` is `n - min(n, c)`

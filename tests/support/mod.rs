@@ -54,8 +54,4 @@ impl<W: SpecWorkload> SpecWorkload for Wide<W> {
     fn epoch_is_irreversible(&self, epoch: usize) -> bool {
         self.0.epoch_is_irreversible(epoch)
     }
-
-    fn epoch_is_proven(&self, epoch: usize) -> bool {
-        self.0.epoch_is_proven(epoch)
-    }
 }
