@@ -149,8 +149,9 @@ impl RegionServer {
     ///
     /// `threads` bounds the *sum of concurrently running gangs*, not the
     /// per-region width: a SPECCROSS region needs
-    /// `num_workers + 1` slots (the checker), a DOMORE region `num_workers`
-    /// (its scheduler rides the manager thread). A region demanding more
+    /// `num_workers + 1` slots (its gang runs one task thread more than
+    /// `num_workers`), a DOMORE region `num_workers` (its scheduler rides
+    /// the manager thread). A region demanding more
     /// than `threads` slots is rejected with `InvalidConfig` at submission
     /// execution time rather than deadlocking.
     ///
@@ -432,7 +433,7 @@ mod tests {
     fn oversized_region_is_rejected_not_deadlocked() {
         let server = RegionServer::new(2);
         let spec = Arc::new(IncGrid::new(2, 2));
-        // Demand = 4 workers + the checker = 5 > pool of 2.
+        // Demand = a gang of 4 + 1 = 5 > pool of 2.
         let h = server.submit_spec::<RangeSignature, _>(7, SpecConfig::with_workers(4), spec);
         match h.join() {
             Err(RegionError::Spec(SpecError::InvalidConfig(msg))) => {

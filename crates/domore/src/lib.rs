@@ -27,12 +27,12 @@
 //! * [`workload`] — the [`workload::DomoreWorkload`] trait a loop nest
 //!   implements: the sequential prologue, the iteration space, the
 //!   `computeAddr` address oracle (§3.3.4) and the worker body.
-//! * [`runtime`] — the threaded runtime (§3.2): a scheduler thread and N
-//!   worker threads connected by SPSC queues, with the `latestFinished`
-//!   status array (Alg. 2).
-//! * [`duplicated`] — the duplicated-scheduler variant (§3.4) in which every
-//!   worker redundantly runs the scheduling loop, enabling composition with
-//!   SPECCROSS.
+//! * [`runtime`] — the threaded runtime with its two plans: the separate
+//!   plan (§3.2), a scheduler thread and N worker threads connected by SPSC
+//!   queues, with the `latestFinished` status array (Alg. 2); and the
+//!   replicated plan ([`DomoreRuntime::execute_replicated`], the duplicated
+//!   scheduler of §3.4), in which every thread redundantly runs the
+//!   scheduling loop, enabling composition with SPECCROSS.
 //!
 //! # Example
 //!
@@ -71,7 +71,6 @@
 #![warn(missing_debug_implementations)]
 #![deny(rustdoc::broken_intra_doc_links)]
 
-pub mod duplicated;
 pub mod logic;
 pub mod memo;
 pub mod policy;
@@ -79,7 +78,6 @@ pub mod runtime;
 pub mod schedule;
 pub mod workload;
 
-pub use duplicated::DuplicatedScheduler;
 pub use logic::{SchedulerLogic, SyncCondition};
 pub use memo::ScheduleMemo;
 pub use policy::{Adaptive, Chunked, Dispatch, LocalWrite, ModuloWrite, Policy, RoundRobin};
@@ -89,7 +87,6 @@ pub use workload::DomoreWorkload;
 
 /// Convenient glob-import surface.
 pub mod prelude {
-    pub use crate::duplicated::DuplicatedScheduler;
     pub use crate::logic::{SchedulerLogic, SyncCondition};
     pub use crate::policy::{
         Adaptive, Chunked, Dispatch, LocalWrite, ModuloWrite, Policy, RoundRobin,

@@ -5,10 +5,10 @@
 //! [`SyncCondition`]s the assigned worker must wait on before running the
 //! iteration. The logic is deliberately free of threads and clocks: wrapped
 //! in [`crate::schedule::ScheduleCore`], the real runtime drives it from the
-//! scheduler thread, the duplicated-scheduler variant replicates it on every
-//! worker, and the discrete-event simulator replays it to compute idealized
-//! timelines — all three therefore make *identical* synchronization
-//! decisions.
+//! scheduler thread of its separate plan and on every replica of its
+//! replicated plan, and the discrete-event simulator replays it to compute
+//! idealized timelines — all three therefore make *identical*
+//! synchronization decisions.
 //!
 //! Shadow entries distinguish the last *writer* from the *readers since
 //! that write*: a new write must wait for the previous writer and all of

@@ -219,9 +219,8 @@ impl ScheduleMemo {
     /// be replayed (drive it with [`ScheduleMemo::replay_step`]); `false`
     /// means the caller schedules normally and feeds every iteration to
     /// [`ScheduleMemo::record_step`]. Pass `usable = false` when this
-    /// invocation cannot be memoized or replayed (dead-worker rerouting in
-    /// play, memoization disabled): the memo invalidates and stays out of
-    /// the way.
+    /// invocation must not be memoized or replayed (memoization disabled):
+    /// the memo invalidates and stays out of the way.
     pub(crate) fn begin_invocation(&mut self, iters: usize, base: IterNum, usable: bool) -> bool {
         self.base = base;
         self.iters = iters;
@@ -274,7 +273,7 @@ impl ScheduleMemo {
 
     /// Verifies and replays iteration `iter`: the recorded conditions,
     /// shifted to the current invocation. `assigned` is the policy's live
-    /// decision (after any dead-worker rerouting); a mismatch with the
+    /// decision; a mismatch with the
     /// recording — of assignment or of access stream — returns `None` and
     /// switches the memo to fallback: the caller must rebuild the shadow
     /// for the already-dispatched prefix (using
@@ -642,8 +641,8 @@ mod tests {
             drive(&mut core, &stream);
         }
         assert!(core.memo().is_replayable());
-        // A dead-worker invocation: scheduled normally, memo told to stand
-        // down.
+        // An invocation with memoization off: scheduled normally, memo
+        // told to stand down.
         let (_, hit) = drive_with(&mut core, &stream, false);
         assert!(!hit);
         assert!(
@@ -721,17 +720,17 @@ mod tests {
 
     #[test]
     fn assignment_divergence_falls_back_like_a_fingerprint_mismatch() {
-        // Same access stream, different live policy decision (dead-worker
-        // rerouting): `replay_step` must treat the tid mismatch exactly
-        // like a fingerprint mismatch.
+        // Same access stream, different live policy decision (a stateful
+        // policy such as `Adaptive` may change its mind): `replay_step`
+        // must treat the tid mismatch exactly like a fingerprint mismatch.
         let steady = stencil_stream(8, 2);
         let mut core = ScheduleCore::new(Some(8));
         let mut reference = SchedulerLogic::with_dense_shadow(8);
         warm(&mut core, &mut reference, &steady);
-        let mut rerouted = steady.clone();
-        rerouted[3].0 = (rerouted[3].0 + 1) % 2;
-        let (got, hit) = drive(&mut core, &rerouted);
-        assert_eq!(got, run_reference(&mut reference, &rerouted));
+        let mut moved = steady.clone();
+        moved[3].0 = (moved[3].0 + 1) % 2;
+        let (got, hit) = drive(&mut core, &moved);
+        assert_eq!(got, run_reference(&mut reference, &moved));
         assert!(!hit);
         assert!(!core.memo().is_replayable());
         // Re-warms and replays again afterwards.

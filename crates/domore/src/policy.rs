@@ -7,8 +7,9 @@
 //! iterations run on the owner of the memory they touch.
 //!
 //! Policies must be *deterministic* functions of the iteration stream: the
-//! duplicated-scheduler variant (§3.4) replays the policy independently on
-//! every worker and relies on all replicas agreeing. The locality-aware
+//! runtime's replicated plan (the duplicated scheduler of §3.4) replays the
+//! policy independently on every replica and relies on all of them
+//! agreeing. The locality-aware
 //! [`Adaptive`] policy keeps that property by deriving both its locality map
 //! and its load estimate purely from the assignment stream itself, never
 //! from runtime feedback.

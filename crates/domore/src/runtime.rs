@@ -1,13 +1,15 @@
 //! The threaded DOMORE runtime (§3.2, Fig. 3.4).
 //!
-//! One scheduler (the calling thread) plus `num_workers` worker threads.
-//! The scheduler executes the sequential prologue of each invocation, runs
-//! the `computeAddr` oracle and the pure scheduling logic for every inner
-//! iteration, and forwards messages over per-worker SPSC queues:
-//! synchronization conditions first, then the iteration itself. Workers obey
-//! Alg. 2: stall on each condition until the named predecessor retires (as
-//! observed through the `latestFinished` status array), run the iteration,
-//! and publish their own progress.
+//! The separate plan: one scheduler (the calling thread) plus `num_workers`
+//! worker threads. The scheduler executes the sequential prologue of each
+//! invocation, runs the `computeAddr` oracle and the pure scheduling logic
+//! for every inner iteration, and forwards messages over per-worker SPSC
+//! queues: synchronization conditions first, then the iteration itself.
+//! Workers obey Alg. 2: stall on each condition until the named predecessor
+//! retires (as observed through the `latestFinished` status array), run the
+//! iteration, and publish their own progress. The replicated plan
+//! ([`DomoreRuntime::execute_replicated`], §3.4) shares the region frame,
+//! the condition wait and the iteration runner, but has no scheduler.
 //!
 //! # Hand-off
 //!
@@ -16,33 +18,26 @@
 //! `Sync` closes a run. A buffer is flushed at `SCHED_BATCH` iterations,
 //! before a `Sync` naming its worker (ruling out deadlock) and at region
 //! end or abort — not per invocation. Workers take up to `SCHED_BATCH`
-//! messages per pickup and expand runs locally; abort/drain checks, the
-//! fault probe, `catch_unwind` and the `latestFinished` publish stay per
-//! iteration, since a condition may name any iteration of a run and a dead
-//! worker must release every one it drains. The trace records runs: one
-//! `TaskAssign` per `Run` when the scheduler flushes it, and on the worker
-//! one queue wake, one dispatch and one retire counting the iterations it
-//! executed.
+//! messages per pickup and expand runs locally; the abort check, the fault
+//! probe, `catch_unwind` and the `latestFinished` publish stay per
+//! iteration, since a condition may name any iteration of a run. The trace
+//! records runs: one `TaskAssign` per `Run` when the scheduler flushes it,
+//! and on the worker one queue wake, one dispatch and one retire counting
+//! the iterations it executed. A replica runs each of its iterations as a
+//! run of one.
 //!
 //! # Failure model
 //!
-//! An iteration that panics (organically or via an injected
-//! [`FaultPlan`]) is caught at the `execute_iteration` call site; the worker
-//! records [`DomoreError::IterationPanicked`], marks itself *dead* and —
-//! crucially — still publishes the iteration number, so workers blocked on
-//! a synchronization condition naming it are released. From then on the
-//! dead worker *drains*: it keeps consuming messages (publishing, never
-//! executing) until its `END_TOKEN`, so the scheduler's queues never jam.
-//! The scheduler routes every subsequent assignment around dead workers
-//! (next live worker in thread-id order), so the surviving workers finish
-//! the region instead of stalling behind a corpse; the recorded error is
-//! surfaced exactly once, after the region joins. Only when *every* worker
-//! has died does the scheduler raise the shared abort flag and cut the
-//! region short. A panicking scheduler body is likewise contained
-//! ([`DomoreError::SchedulerPanicked`]) and the end tokens are always sent.
-//! A watchdog deadline ([`DomoreConfig::watchdog`]) bounds every
-//! condition-wait so a lost predecessor becomes
-//! [`DomoreError::WatchdogTimeout`] instead of an unbounded spin.
+//! The first failure — an iteration panic (organic or from an injected
+//! [`FaultPlan`]: [`DomoreError::IterationPanicked`]), a scheduler or
+//! replica panic ([`DomoreError::SchedulerPanicked`]) or a condition wait
+//! past the [`DomoreConfig::watchdog`] deadline
+//! ([`DomoreError::WatchdogTimeout`]) — records its error and raises the
+//! abort flag. Every thread then skips execution but still publishes each
+//! iteration it is handed, waits return at once, and workers drain their
+//! queues to the `END_TOKEN` the scheduler always sends: nothing is left
+//! waiting. The error is surfaced once, after the join; memory holds the
+//! effects of exactly the iterations that ran.
 //!
 //! # Waiting discipline
 //!
@@ -63,8 +58,8 @@ use std::time::{Duration, Instant};
 use crossbeam::utils::CachePadded;
 use crossinvoc_runtime::fault::{FaultPlan, TaskFault};
 use crossinvoc_runtime::metrics::{Metrics, MetricsSummary};
-use crossinvoc_runtime::pool::{RegionExecutor, Role, ScopedExecutor};
-use crossinvoc_runtime::spsc::{Producer, Queue};
+use crossinvoc_runtime::pool::{GangStats, RegionExecutor, Role, ScopedExecutor};
+use crossinvoc_runtime::spsc::Queue;
 use crossinvoc_runtime::stats::{RegionStats, StatsSummary};
 use crossinvoc_runtime::telemetry::RegionTelemetry;
 use crossinvoc_runtime::trace::{Event, Trace, TraceCollector, TraceSink, WakeEdge, MANAGER_TID};
@@ -203,14 +198,14 @@ impl Outbox {
 /// Counts kept off the `RegionStats` line all the region's threads write,
 /// folded per pickup or invocation (an empty fold writes nothing) and on
 /// drop, so every way out — completion, abort, unwind — counts exactly.
-pub(crate) struct Tally<'a> {
+struct Tally<'a> {
     stats: &'a RegionStats,
-    pub(crate) tasks: u64,
-    pub(crate) sync_conditions: u64,
+    tasks: u64,
+    sync_conditions: u64,
 }
 
 impl<'a> Tally<'a> {
-    pub(crate) fn new(stats: &'a RegionStats) -> Self {
+    fn new(stats: &'a RegionStats) -> Self {
         Self {
             stats,
             tasks: 0,
@@ -218,7 +213,7 @@ impl<'a> Tally<'a> {
         }
     }
 
-    pub(crate) fn fold(&mut self) {
+    fn fold(&mut self) {
         if self.tasks > 0 {
             self.stats.add_tasks(std::mem::take(&mut self.tasks));
         }
@@ -241,7 +236,7 @@ impl Drop for Tally<'_> {
 /// has retired (so the zero initial value means "nothing finished", avoiding
 /// a sentinel).
 #[derive(Debug)]
-pub(crate) struct ProgressBoard {
+struct ProgressBoard {
     finished: Box<[CachePadded<AtomicU64>]>,
     /// One parker per worker; a waiter parks on *its own* slot and every
     /// publisher wakes all registered parkers. Parks are timed
@@ -254,7 +249,7 @@ pub(crate) struct ProgressBoard {
 }
 
 impl ProgressBoard {
-    pub(crate) fn new(num_workers: usize) -> Self {
+    fn new(num_workers: usize) -> Self {
         Self {
             finished: (0..num_workers)
                 .map(|_| CachePadded::new(AtomicU64::new(0)))
@@ -266,7 +261,7 @@ impl ProgressBoard {
     }
 
     /// Marks `iter_num` retired by `tid` and wakes any parked waiters.
-    pub(crate) fn publish(&self, tid: ThreadId, iter_num: IterNum) {
+    fn publish(&self, tid: ThreadId, iter_num: IterNum) {
         self.finished[tid].store(iter_num + 1, Ordering::Release);
         if self.waiters.load(Ordering::SeqCst) != 0 {
             for parker in self.parkers.iter() {
@@ -276,13 +271,13 @@ impl ProgressBoard {
     }
 
     /// Whether `cond` is already satisfied.
-    pub(crate) fn satisfied(&self, cond: SyncCondition) -> bool {
+    fn satisfied(&self, cond: SyncCondition) -> bool {
         self.finished[cond.dep_tid].load(Ordering::Acquire) > cond.dep_iter
     }
 
     /// Waits (spin, then timed park on `tid`'s slot) until `cond` is
     /// satisfied, the abort flag rises, or `deadline` passes.
-    pub(crate) fn await_condition_bounded(
+    fn await_condition_bounded(
         &self,
         tid: ThreadId,
         cond: SyncCondition,
@@ -318,7 +313,7 @@ impl ProgressBoard {
 
 /// Outcome of [`ProgressBoard::await_condition_bounded`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AwaitOutcome {
+enum AwaitOutcome {
     Satisfied,
     Aborted,
     TimedOut,
@@ -353,8 +348,9 @@ impl DomoreConfig {
         }
     }
 
-    /// Sets the per-worker SPSC queue capacity (in messages). A zero
-    /// capacity is rejected with [`DomoreError::InvalidConfig`] at run time.
+    /// Sets the per-worker SPSC queue capacity (in messages) of the
+    /// separate plan; replicas pass no messages. A zero capacity is
+    /// rejected with [`DomoreError::InvalidConfig`] at run time.
     pub fn queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
         self
@@ -395,9 +391,10 @@ impl DomoreConfig {
     }
 
     /// Enables or disables cross-invocation schedule memoization
-    /// ([`crate::memo::ScheduleMemo`]). Off by default; turn it on for
-    /// periodic access streams (JACOBI and FDTD replay from it) — elsewhere
-    /// it only adds work. Replayed and recomputed schedules are
+    /// ([`crate::memo::ScheduleMemo`]) in the separate plan's scheduler;
+    /// replicas never memoize. Off by default; turn it on for periodic
+    /// access streams (JACOBI and FDTD replay from it) — elsewhere it only
+    /// adds work. Replayed and recomputed schedules are
     /// decision-for-decision identical: this trades speed, not correctness.
     pub fn schedule_memo(mut self, enabled: bool) -> Self {
         self.schedule_memo = enabled;
@@ -429,8 +426,8 @@ pub enum DomoreError {
     NoWorkers,
     /// The configuration is inconsistent (message says how).
     InvalidConfig(String),
-    /// The workload declared its prologue non-replicable but the duplicated
-    /// scheduler was requested.
+    /// The workload declared its prologue non-replicable but the replicated
+    /// plan was requested.
     PrologueNotReplicable,
     /// An iteration body panicked; the runtime aborted the region after
     /// releasing every worker.
@@ -440,7 +437,8 @@ pub enum DomoreError {
         /// Iteration index within the invocation.
         iter: usize,
     },
-    /// The scheduler body (prologue or scheduling logic) panicked.
+    /// The scheduler body, or a replica's (prologue or scheduling logic),
+    /// panicked.
     SchedulerPanicked,
     /// The watchdog deadline elapsed while a worker waited on a
     /// synchronization condition.
@@ -474,7 +472,7 @@ pub struct ExecutionReport {
     pub stats: StatsSummary,
     /// Wall-clock time of the parallel region.
     pub elapsed: Duration,
-    /// Number of worker threads used.
+    /// The configured worker count (the replicated plan adds the caller).
     pub num_workers: usize,
     /// Counters plus wait-time histograms (exact: snapshotted after the
     /// worker scope joined).
@@ -483,7 +481,288 @@ pub struct ExecutionReport {
     pub trace: Option<Trace>,
 }
 
-/// The scheduler/worker DOMORE engine.
+/// One region's shared state, owned by [`region`] and lent to whichever
+/// plan runs in it.
+struct Frame<'a> {
+    metrics: &'a Metrics,
+    /// One shared fault budget for the whole execution.
+    fault: FaultPlan,
+    deadline: Option<Instant>,
+    collector: TraceCollector,
+    board: ProgressBoard,
+    abort: CachePadded<AtomicBool>,
+    /// First error wins; it is surfaced exactly once, after the join.
+    error: Mutex<Option<DomoreError>>,
+}
+
+impl Frame<'_> {
+    fn aborted(&self) -> bool {
+        self.abort.load(Ordering::Acquire)
+    }
+
+    /// Records the region's first failure and aborts everyone. Cold, so
+    /// that the iteration runner's call stays out of the hot loop.
+    #[cold]
+    #[inline(never)]
+    fn fail(&self, err: DomoreError) {
+        let mut slot = self.error.lock();
+        if slot.is_none() {
+            *slot = Some(err);
+        }
+        drop(slot);
+        self.abort.store(true, Ordering::Release);
+    }
+
+    /// Worker `tid` waits for `cond`, which guards an iteration of
+    /// invocation `inv`. Under abort the wait is skipped: the result is
+    /// already condemned, and the condition may name an iteration that
+    /// will now never execute.
+    fn await_condition(&self, tid: ThreadId, cond: SyncCondition, inv: u32, sink: &mut TraceSink) {
+        if self.aborted() || self.board.satisfied(cond) {
+            return;
+        }
+        self.metrics.stats().add_stall();
+        sink.emit(Event::BarrierEnter { epoch: inv });
+        let entered = Instant::now();
+        let outcome = self
+            .board
+            .await_condition_bounded(tid, cond, &self.abort, self.deadline);
+        if outcome == AwaitOutcome::TimedOut {
+            self.fail(DomoreError::WatchdogTimeout);
+        }
+        let wait_ns = entered.elapsed().as_nanos() as u64;
+        self.metrics.record_stall_wait(wait_ns);
+        sink.emit(Event::BarrierLeave {
+            epoch: inv,
+            wait_ns,
+        });
+        if outcome == AwaitOutcome::Satisfied {
+            // The predecessor's retire released this condition wait.
+            sink.emit(Event::Wake {
+                edge: WakeEdge::Barrier,
+                src_tid: cond.dep_tid,
+                seq: cond.dep_iter,
+            });
+        }
+    }
+
+    /// Worker `tid` executes `run`, with fault injection and panic
+    /// containment per iteration, and publishes every iteration of it —
+    /// also the ones it skipped under abort, so that no dependent is left
+    /// waiting. Returns the iterations executed.
+    #[inline]
+    fn execute_run<W: DomoreWorkload>(
+        &self,
+        workload: &W,
+        tid: ThreadId,
+        run: Run,
+        sink: &mut TraceSink,
+    ) -> u64 {
+        let inv = run.inv as usize;
+        if !self.aborted() {
+            sink.emit(Event::TaskDispatch {
+                epoch: run.inv,
+                task: run.iter as u64,
+                count: run.count,
+            });
+        }
+        // Abort never clears, so the executed iterations are a prefix of
+        // the run.
+        let mut executed = 0u32;
+        for k in 0..run.count as usize {
+            let iter = run.iter + k * run.stride;
+            let iter_num = run.iter_num + (k * run.stride) as u64;
+            if !self.aborted() {
+                let injected = self.fault.task_start(run.inv, iter as u64, tid);
+                if let Some(f) = injected {
+                    sink.emit(Event::FaultInjected {
+                        kind: f.kind(),
+                        epoch: run.inv,
+                        task: iter as u64,
+                    });
+                }
+                if let Some(TaskFault::Delay(d)) = injected {
+                    std::thread::sleep(d);
+                }
+                let inject = injected == Some(TaskFault::Panic);
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    if inject {
+                        panic!(
+                            "injected fault: worker panic at invocation {inv}, iteration {iter}"
+                        );
+                    }
+                    workload.execute_iteration(inv, iter, tid);
+                }));
+                match outcome {
+                    Ok(()) => executed += 1,
+                    Err(_) => self.fail(DomoreError::IterationPanicked { inv, iter }),
+                }
+            }
+            self.board.publish(tid, iter_num);
+        }
+        if executed > 0 {
+            sink.emit(Event::TaskRetire {
+                epoch: run.inv,
+                task: run.iter as u64,
+                count: executed,
+            });
+        }
+        u64::from(executed)
+    }
+
+    /// Replica `tid` of `width`: replays the whole scheduling loop with its
+    /// own `policy` and core, and executes the iterations assigned to it.
+    /// Its body is contained like the scheduler's, so a panicking prologue
+    /// or oracle fails the region instead of unwinding through the gang.
+    fn replica<W: DomoreWorkload>(
+        &self,
+        workload: &W,
+        tid: ThreadId,
+        width: usize,
+        mut policy: Box<dyn Policy>,
+    ) {
+        let stats = self.metrics.stats();
+        let mut tally = Tally::new(stats);
+        let mut sink = self.collector.sink(tid);
+        let mut core = ScheduleCore::new(workload.address_space());
+        let body = catch_unwind(AssertUnwindSafe(|| {
+            for inv in 0..workload.num_invocations() {
+                if self.aborted() {
+                    break;
+                }
+                workload.prologue(inv);
+                if tid == 0 {
+                    stats.add_epoch();
+                }
+                // Replicas never memoize: each pays the full scheduling
+                // stream, as §3.4 describes.
+                let scheduled = core.run_invocation(
+                    workload.num_iterations(inv),
+                    false,
+                    |iter, writes, reads| workload.touched(inv, iter, writes, reads),
+                    |iter_num, addrs| {
+                        (!self.aborted()).then(|| policy.assign(iter_num, addrs, width))
+                    },
+                    |iter, assigned, iter_num, conds, _replayed| {
+                        if assigned != tid {
+                            return;
+                        }
+                        tally.sync_conditions += conds.len() as u64;
+                        for &cond in conds {
+                            self.await_condition(tid, cond, inv as u32, &mut sink);
+                        }
+                        let run = Run {
+                            inv: inv as u32,
+                            count: 1,
+                            iter,
+                            iter_num,
+                            stride: 0,
+                        };
+                        tally.tasks += self.execute_run(workload, tid, run, &mut sink);
+                    },
+                );
+                tally.fold();
+                // `None`: aborted.
+                if scheduled.is_none() {
+                    break;
+                }
+            }
+        }));
+        self.collector.absorb(sink);
+        if body.is_err() {
+            self.fail(DomoreError::SchedulerPanicked);
+        }
+    }
+}
+
+/// The region frame both plans share: validates the configuration, sets up
+/// a [`Frame`] with a progress board of `width` slots, runs `body` (the
+/// gang), and reports — or fails the telemetry cell with the trace that led
+/// to the error.
+fn region(
+    config: &DomoreConfig,
+    exec: &dyn RegionExecutor,
+    width: usize,
+    body: impl FnOnce(&Frame<'_>) -> GangStats,
+) -> Result<ExecutionReport, DomoreError> {
+    let num_workers = config.num_workers;
+    if num_workers == 0 {
+        return Err(DomoreError::NoWorkers);
+    }
+    if config.queue_capacity == 0 {
+        return Err(DomoreError::InvalidConfig(
+            "queue capacity must be positive".to_string(),
+        ));
+    }
+    // The calling thread is the scheduler or a replica, so the gang demand
+    // is the worker count alone in either plan.
+    if let Some(cap) = exec.capacity().filter(|&cap| num_workers > cap) {
+        return Err(DomoreError::InvalidConfig(format!(
+            "region needs a gang of {num_workers} workers but the executor caps gangs at {cap}"
+        )));
+    }
+    let fault = config.fault_plan.clone().unwrap_or_default();
+    let deadline = config.watchdog.map(|w| Instant::now() + w);
+    let telemetry = config.telemetry.as_deref();
+    if let Some(cell) = telemetry {
+        cell.mark_running();
+    }
+    // In region-server mode the metrics live in the telemetry cell, so
+    // live registry snapshots and the final report read the same
+    // counters and cannot disagree.
+    let owned_metrics;
+    let metrics: &Metrics = match telemetry {
+        Some(cell) => cell.metrics(),
+        None => {
+            owned_metrics = Metrics::new();
+            &owned_metrics
+        }
+    };
+    // Started before the trace origin: every stamp lies within `elapsed`.
+    let start = Instant::now();
+    let frame = Frame {
+        metrics,
+        fault,
+        deadline,
+        collector: TraceCollector::with_region(
+            config.trace_capacity.unwrap_or(0),
+            config.region_id,
+        ),
+        board: ProgressBoard::new(width),
+        abort: CachePadded::new(AtomicBool::new(false)),
+        error: Mutex::new(None),
+    };
+    let gang = body(&frame);
+    if let Some(cell) = telemetry {
+        cell.add_queue_wait(gang.queue_wait_ns);
+    }
+    let elapsed = start.elapsed();
+    let trace = frame.collector.finish();
+    if let Some(err) = frame.error.into_inner() {
+        // Hard failure: deposit the trace with the telemetry cell so the
+        // flight recorder can dump the window that led here.
+        if let Some(cell) = telemetry {
+            cell.fail(trace.as_ref());
+        }
+        return Err(err);
+    }
+    // The gang has joined: snapshots are exact per the RegionStats
+    // ordering contract.
+    let metrics = metrics.snapshot();
+    if let Some(cell) = telemetry {
+        cell.complete(0, false, trace.as_ref());
+    }
+    Ok(ExecutionReport {
+        stats: metrics.stats,
+        elapsed,
+        num_workers,
+        metrics,
+        trace,
+    })
+}
+
+/// The DOMORE engine: the separate plan (scheduler and workers) and the
+/// replicated plan (§3.4).
 ///
 /// See the crate-level example for end-to-end usage.
 pub struct DomoreRuntime {
@@ -555,208 +834,45 @@ impl DomoreRuntime {
         workload: &W,
         exec: &dyn RegionExecutor,
     ) -> Result<ExecutionReport, DomoreError> {
-        let num_workers = self.config.num_workers;
-        if num_workers == 0 {
-            return Err(DomoreError::NoWorkers);
-        }
-        if self.config.queue_capacity == 0 {
-            return Err(DomoreError::InvalidConfig(
-                "queue capacity must be positive".to_string(),
-            ));
-        }
-        if let Some(cap) = exec.capacity() {
-            // The scheduler runs on the calling thread, so the gang demand
-            // is the worker count alone.
-            if num_workers > cap {
-                return Err(DomoreError::InvalidConfig(format!(
-                    "region needs a gang of {num_workers} workers but the executor caps gangs at {cap}"
-                )));
-            }
-        }
-        // One shared fault budget for the whole execution (Clone resets it).
-        let fault = self.config.fault_plan.clone().unwrap_or_default();
-        let deadline = self.config.watchdog.map(|w| Instant::now() + w);
-
-        let mut core = ScheduleCore::new(workload.address_space());
-        let board = ProgressBoard::new(num_workers);
-        let telemetry = self.config.telemetry.as_deref();
-        if let Some(cell) = telemetry {
-            cell.mark_running();
-        }
-        // In region-server mode the metrics live in the telemetry cell, so
-        // live registry snapshots and the final report read the same
-        // counters and cannot disagree.
-        let owned_metrics;
-        let metrics: &Metrics = match telemetry {
-            Some(cell) => cell.metrics(),
-            None => {
-                owned_metrics = Metrics::new();
-                &owned_metrics
-            }
-        };
-        // Started before the trace origin: every stamp lies within `elapsed`.
-        let start = Instant::now();
-        let collector = TraceCollector::with_region(
-            self.config.trace_capacity.unwrap_or(0),
-            self.config.region_id,
-        );
-        let abort = AtomicBool::new(false);
-        // Workers that panicked and now only drain; the scheduler routes
-        // new assignments around them.
-        let dead: Box<[AtomicBool]> = (0..num_workers).map(|_| AtomicBool::new(false)).collect();
-        let error: Mutex<Option<DomoreError>> = Mutex::new(None);
-        // First error wins; it is surfaced exactly once, after the join.
-        let record = |err: DomoreError| {
-            let mut slot = error.lock();
-            if slot.is_none() {
-                *slot = Some(err);
-            }
-        };
-        // Fatal failures (scheduler panic, watchdog, last worker dead)
-        // additionally condemn the whole region.
-        let fail = |err: DomoreError| {
-            record(err);
-            abort.store(true, Ordering::Release);
-        };
-
-        let queue_capacity = self.config.queue_capacity;
-        let schedule_memo = self.config.schedule_memo;
-        let policy = self.policy.as_mut();
-        {
+        let (config, policy) = (&self.config, self.policy.as_mut());
+        let num_workers = config.num_workers;
+        region(config, exec, num_workers, |frame| {
+            let mut core = ScheduleCore::new(workload.address_space());
             let mut producers = Vec::with_capacity(num_workers);
             let mut roles: Vec<Role<'_>> = Vec::with_capacity(num_workers);
             for tid in 0..num_workers {
-                let (tx, rx) = Queue::<Msg>::with_capacity(queue_capacity);
+                let (tx, rx) = Queue::<Msg>::with_capacity(config.queue_capacity);
                 producers.push(tx);
-                let board = &board;
-                let collector = &collector;
-                let (abort, fault) = (&abort, &fault);
-                let (dead, record, fail) = (&dead, &record, &fail);
                 roles.push(Box::new(move || {
-                    let stats = metrics.stats();
-                    let mut tally = Tally::new(stats);
-                    let mut sink = collector.sink(tid);
-                    // Set after a local panic: this worker only drains
-                    // (publishes, never executes) from then on.
-                    let mut draining = false;
+                    let mut tally = Tally::new(frame.metrics.stats());
+                    let mut sink = frame.collector.sink(tid);
                     let mut inbox = Vec::with_capacity(SCHED_BATCH);
                     'region: loop {
                         rx.consume_batch_wait(&mut inbox, SCHED_BATCH);
                         for msg in inbox.drain(..) {
-                            let run = match msg {
+                            match msg {
                                 Msg::Sync { cond, inv } => {
-                                    // Under abort or local drain the result
-                                    // is already condemned; skip the wait
-                                    // (the condition may name an iteration
-                                    // that will now never execute).
-                                    if draining
-                                        || abort.load(Ordering::Acquire)
-                                        || board.satisfied(cond)
-                                    {
-                                        continue;
-                                    }
-                                    stats.add_stall();
-                                    sink.emit(Event::BarrierEnter { epoch: inv });
-                                    let entered = Instant::now();
-                                    let outcome =
-                                        board.await_condition_bounded(tid, cond, abort, deadline);
-                                    if outcome == AwaitOutcome::TimedOut {
-                                        fail(DomoreError::WatchdogTimeout);
-                                    }
-                                    let wait_ns = entered.elapsed().as_nanos() as u64;
-                                    metrics.record_stall_wait(wait_ns);
-                                    sink.emit(Event::BarrierLeave {
-                                        epoch: inv,
-                                        wait_ns,
-                                    });
-                                    if outcome == AwaitOutcome::Satisfied {
-                                        // The predecessor's retire released
-                                        // this condition wait.
+                                    frame.await_condition(tid, cond, inv, &mut sink)
+                                }
+                                Msg::Run(run) => {
+                                    if !frame.aborted() {
+                                        // SPSC produce → consume: the
+                                        // scheduler's enqueue is what this
+                                        // run's dispatch picks up.
                                         sink.emit(Event::Wake {
-                                            edge: WakeEdge::Barrier,
-                                            src_tid: cond.dep_tid,
-                                            seq: cond.dep_iter,
+                                            edge: WakeEdge::Queue,
+                                            src_tid: MANAGER_TID,
+                                            seq: run.iter_num,
                                         });
                                     }
-                                    continue;
+                                    tally.tasks += frame.execute_run(workload, tid, run, &mut sink)
                                 }
-                                Msg::Run(run) => run,
                                 Msg::End => break 'region,
-                            };
-                            let inv = run.inv as usize;
-                            if !draining && !abort.load(Ordering::Acquire) {
-                                // SPSC produce → consume: the scheduler's
-                                // enqueue is what this run's dispatch picks up.
-                                sink.emit(Event::Wake {
-                                    edge: WakeEdge::Queue,
-                                    src_tid: MANAGER_TID,
-                                    seq: run.iter_num,
-                                });
-                                sink.emit(Event::TaskDispatch {
-                                    epoch: run.inv,
-                                    task: run.iter as u64,
-                                    count: run.count,
-                                });
-                            }
-                            // Skipping is sticky (abort, local drain), so the
-                            // executed iterations are a prefix of the run.
-                            let mut executed = 0u32;
-                            for k in 0..run.count as usize {
-                                let (iter, iter_num) =
-                                    (run.iter + k * run.stride, run.iter_num + (k * run.stride) as u64);
-                                if !draining && !abort.load(Ordering::Acquire) {
-                                    let injected = fault.task_start(inv as u32, iter as u64, tid);
-                                    if let Some(f) = injected {
-                                        sink.emit(Event::FaultInjected {
-                                            kind: f.kind(),
-                                            epoch: inv as u32,
-                                            task: iter as u64,
-                                        });
-                                    }
-                                    if let Some(TaskFault::Delay(d)) = injected {
-                                        std::thread::sleep(d);
-                                    }
-                                    let inject = injected == Some(TaskFault::Panic);
-                                    let outcome = catch_unwind(AssertUnwindSafe(|| {
-                                        if inject {
-                                            panic!(
-                                                "injected fault: worker panic at invocation {inv}, iteration {iter}"
-                                            );
-                                        }
-                                        workload.execute_iteration(inv, iter, tid);
-                                    }));
-                                    match outcome {
-                                        Ok(()) => executed += 1,
-                                        Err(_) => {
-                                            // Record (don't abort): mark
-                                            // this worker dead and let the
-                                            // scheduler route around it so
-                                            // live workers finish the
-                                            // region.
-                                            record(DomoreError::IterationPanicked { inv, iter });
-                                            dead[tid].store(true, Ordering::Release);
-                                            draining = true;
-                                        }
-                                    }
-                                }
-                                // Publish even when the iteration was skipped
-                                // or panicked: dependents blocked on this
-                                // iteration number must be released so the
-                                // region drains.
-                                board.publish(tid, iter_num);
-                            }
-                            if executed > 0 {
-                                tally.tasks += u64::from(executed);
-                                sink.emit(Event::TaskRetire {
-                                    epoch: run.inv,
-                                    task: run.iter as u64,
-                                    count: executed,
-                                });
                             }
                         }
                         tally.fold();
                     }
-                    collector.absorb(sink);
+                    frame.collector.absorb(sink);
                 }));
             }
 
@@ -765,9 +881,9 @@ impl DomoreRuntime {
             // strand the gang before the end tokens are sent. The sink
             // lives outside the unwind boundary so events emitted before a
             // scheduler panic survive into the trace.
-            let mut scheduler = |producers: Vec<Producer<Msg>>| {
-                let mut sched_sink = collector.sink(MANAGER_TID);
-                let stats = metrics.stats();
+            let scheduler = move || {
+                let mut sched_sink = frame.collector.sink(MANAGER_TID);
+                let stats = frame.metrics.stats();
                 let mut tally = Tally::new(stats);
                 let sched = catch_unwind(AssertUnwindSafe(|| {
                     let mut outbox = Outbox::new(num_workers);
@@ -775,40 +891,19 @@ impl DomoreRuntime {
                         producers[tid].produce_batch(buf);
                     };
                     for inv in 0..workload.num_invocations() {
-                        if abort.load(Ordering::Acquire) {
+                        if frame.aborted() {
                             break;
                         }
                         workload.prologue(inv);
                         stats.add_epoch();
                         sched_sink.emit(Event::EpochBegin { epoch: inv as u32 });
-                        // Memoization stands down while any worker is dead:
-                        // rerouted assignments depend on *when* workers died,
-                        // which the fingerprint cannot see.
-                        let usable =
-                            schedule_memo && !dead.iter().any(|d| d.load(Ordering::Acquire));
                         let scheduled = core.run_invocation(
                             workload.num_iterations(inv),
-                            usable,
+                            config.schedule_memo,
                             |iter, writes, reads| workload.touched(inv, iter, writes, reads),
                             |iter_num, addrs| {
-                                if abort.load(Ordering::Acquire) {
-                                    return None;
-                                }
-                                let tid = policy.assign(iter_num, addrs, num_workers);
-                                if !dead[tid].load(Ordering::Acquire) {
-                                    return Some(tid);
-                                }
-                                // Route around dead workers: next live thread
-                                // in id order. With every worker dead, condemn
-                                // the region (the first panic is already
-                                // recorded) and stop scheduling.
-                                let live = (1..num_workers)
-                                    .map(|k| (tid + k) % num_workers)
-                                    .find(|&t| !dead[t].load(Ordering::Acquire));
-                                if live.is_none() {
-                                    abort.store(true, Ordering::Release);
-                                }
-                                live
+                                (!frame.aborted())
+                                    .then(|| policy.assign(iter_num, addrs, num_workers))
                             },
                             |iter, tid, iter_num, conds, _replayed| {
                                 tally.sync_conditions += conds.len() as u64;
@@ -824,7 +919,7 @@ impl DomoreRuntime {
                             },
                         );
                         tally.fold();
-                        // `None`: aborted, or no live worker left.
+                        // `None`: aborted.
                         let Some(hit) = scheduled else { break };
                         if hit {
                             stats.add_schedule_cache_hit();
@@ -834,9 +929,9 @@ impl DomoreRuntime {
                     }
                     (0..num_workers).for_each(|tid| outbox.flush(tid, &mut sched_sink, &mut flush));
                 }));
-                collector.absorb(sched_sink);
+                frame.collector.absorb(sched_sink);
                 if sched.is_err() {
-                    fail(DomoreError::SchedulerPanicked);
+                    frame.fail(DomoreError::SchedulerPanicked);
                 }
                 // Always send the end tokens — workers drain their queues even
                 // under abort, so this cannot jam and every worker terminates.
@@ -844,34 +939,46 @@ impl DomoreRuntime {
                     tx.produce(Msg::End);
                 }
             };
-            let gang_stats = exec.run_gang(roles, Box::new(move || scheduler(producers)));
-            if let Some(cell) = telemetry {
-                cell.add_queue_wait(gang_stats.queue_wait_ns);
-            }
-        }
+            exec.run_gang(roles, Box::new(scheduler))
+        })
+    }
 
-        let elapsed = start.elapsed();
-        let trace = collector.finish();
-        if let Some(err) = error.into_inner() {
-            // Hard failure: deposit the trace with the telemetry cell so
-            // the flight recorder can dump the window that led here.
-            if let Some(cell) = telemetry {
-                cell.fail(trace.as_ref());
-            }
-            return Err(err);
+    /// Executes `workload` under the replicated plan, the thesis'
+    /// duplicated scheduler (§3.4): `num_workers + 1` replicas — the gang
+    /// plus the calling thread — each run the whole scheduling loop on
+    /// private state with a [`Policy::replicate`] of the policy, and execute
+    /// only the iterations assigned to themselves. Scheduling is
+    /// deterministic, so at `with_workers(n - 1)` it makes the decisions
+    /// [`DomoreRuntime::execute`] makes at `with_workers(n)`. Replicas never
+    /// memoize and pass no messages.
+    ///
+    /// # Errors
+    ///
+    /// As for [`DomoreRuntime::execute`] (a panicking replica is
+    /// [`DomoreError::SchedulerPanicked`]), and
+    /// [`DomoreError::PrologueNotReplicable`] for a workload whose prologue
+    /// may not be re-executed ([`DomoreWorkload::prologue_is_replicable`]).
+    pub fn execute_replicated<W: DomoreWorkload>(
+        &mut self,
+        workload: &W,
+    ) -> Result<ExecutionReport, DomoreError> {
+        if !workload.prologue_is_replicable() {
+            return Err(DomoreError::PrologueNotReplicable);
         }
-        // The worker scope has joined: snapshots are exact per the
-        // RegionStats ordering contract.
-        let metrics = metrics.snapshot();
-        if let Some(cell) = telemetry {
-            cell.complete(0, false, trace.as_ref());
-        }
-        Ok(ExecutionReport {
-            stats: metrics.stats,
-            elapsed,
-            num_workers,
-            metrics,
-            trace,
+        let width = self.config.num_workers + 1;
+        let policy = &*self.policy;
+        region(&self.config, &ScopedExecutor, width, |frame| {
+            let roles: Vec<Role<'_>> = (0..width - 1)
+                .map(|tid| {
+                    let policy = policy.replicate();
+                    Box::new(move || frame.replica(workload, tid, width, policy)) as Role<'_>
+                })
+                .collect();
+            let policy = policy.replicate();
+            ScopedExecutor.run_gang(
+                roles,
+                Box::new(move || frame.replica(workload, width - 1, width, policy)),
+            )
         })
     }
 }
@@ -1098,6 +1205,88 @@ mod tests {
             .unwrap();
         assert_eq!(report.stats.schedule_cache_hits, 0);
         assert_eq!(w.data.snapshot(), expected_rotating(8, 6));
+    }
+
+    #[test]
+    fn replicated_plan_matches_sequential_result() {
+        for workers in [1, 2, 4] {
+            let mut w = Rotating::new(13, 9);
+            let report = DomoreRuntime::new(DomoreConfig::with_workers(workers))
+                .execute_replicated(&w)
+                .unwrap();
+            assert_eq!(w.data.snapshot(), expected_rotating(13, 9));
+            assert_eq!(report.stats.tasks, 13 * 9);
+            assert_eq!(report.stats.epochs, 9);
+        }
+    }
+
+    #[test]
+    fn replicated_plan_composes_with_localwrite() {
+        let mut w = Rotating::new(16, 5);
+        DomoreRuntime::new(DomoreConfig::with_workers(3))
+            .with_policy(Box::new(LocalWrite::new(16)))
+            .execute_replicated(&w)
+            .unwrap();
+        assert_eq!(w.data.snapshot(), expected_rotating(16, 5));
+    }
+
+    #[test]
+    fn replicated_plan_rejects_a_non_replicable_prologue() {
+        struct Bad;
+        impl DomoreWorkload for Bad {
+            fn num_invocations(&self) -> usize {
+                1
+            }
+            fn num_iterations(&self, _inv: usize) -> usize {
+                1
+            }
+            fn touched_addrs(&self, _inv: usize, _iter: usize, _out: &mut Vec<usize>) {}
+            fn execute_iteration(&self, _inv: usize, _iter: usize, _tid: ThreadId) {}
+            fn prologue_is_replicable(&self) -> bool {
+                false
+            }
+        }
+        let mut runtime = DomoreRuntime::new(DomoreConfig::with_workers(1));
+        assert_eq!(
+            runtime.execute_replicated(&Bad).unwrap_err(),
+            DomoreError::PrologueNotReplicable
+        );
+        // The separate plan runs the prologue once, on the scheduler.
+        runtime.execute(&Bad).unwrap();
+    }
+
+    #[test]
+    fn replicated_plan_rejects_zero_workers() {
+        let w = Rotating::new(4, 1);
+        assert_eq!(
+            DomoreRuntime::new(DomoreConfig::with_workers(0))
+                .execute_replicated(&w)
+                .unwrap_err(),
+            DomoreError::NoWorkers
+        );
+    }
+
+    /// The replicated plan at `n - 1` workers runs `n` replicas: the same
+    /// assignment width, hence the same schedule, as the separate plan at
+    /// `n` workers.
+    #[test]
+    fn replicated_plan_agrees_with_the_separate_plan() {
+        let mut a = Rotating::new(11, 7);
+        let mut b = Rotating::new(11, 7);
+        let separate = DomoreRuntime::new(DomoreConfig::with_workers(3))
+            .execute(&a)
+            .unwrap();
+        let replicated = DomoreRuntime::new(DomoreConfig::with_workers(2))
+            .execute_replicated(&b)
+            .unwrap();
+        assert_eq!(a.data.snapshot(), b.data.snapshot());
+        assert_eq!(separate.stats.tasks, replicated.stats.tasks);
+        assert_eq!(separate.stats.epochs, replicated.stats.epochs);
+        assert_eq!(
+            separate.stats.sync_conditions,
+            replicated.stats.sync_conditions
+        );
+        assert!(replicated.stats.sync_conditions > 0);
     }
 
     #[test]
@@ -1342,11 +1531,10 @@ mod tests {
     }
 
     /// An injected panic strictly inside a coalesced run: the error names
-    /// the exact iteration; everything before it ran; what did not run was
-    /// all in flight to the dead worker — had it not published each later
-    /// iteration of the run while draining, a survivor waiting on one would
-    /// have run into the watchdog and abandoned its own share — and memory
-    /// is the sequential image of exactly the iterations that ran.
+    /// the exact iteration, and memory is the sequential image of exactly
+    /// the iterations that ran — the first failure aborts the region, and
+    /// the later iterations of the run are published without running, so a
+    /// worker waiting on one is released rather than left to the watchdog.
     fn panic_inside_a_run(workers: usize, dispatch: Dispatch, at: (usize, usize)) {
         const INVOCATIONS: usize = 6;
         let mut w = Sparse {
@@ -1355,8 +1543,8 @@ mod tests {
             executed: Mutex::new(Vec::new()),
         };
         let at_num = (at.0 * SPARSE_CELLS + at.1) as IterNum;
-        let dead = dispatch.policy().assign(at_num, &[at.1], workers);
-        let inside = dispatched(&w, workers, dispatch)[dead]
+        let owner = dispatch.policy().assign(at_num, &[at.1], workers);
+        let inside = dispatched(&w, workers, dispatch)[owner]
             .iter()
             .any(|m| match *m {
                 Msg::Run(run) => {
@@ -1388,19 +1576,10 @@ mod tests {
 
         let mut ran = std::mem::take(&mut *w.executed.lock());
         ran.sort_unstable();
-        let mut policy = dispatch.policy();
-        for inv in 0..INVOCATIONS {
-            for iter in 0..SPARSE_CELLS {
-                let num = (inv * SPARSE_CELLS + iter) as IterNum;
-                let owner = policy.assign(num, &[iter], workers);
-                if ran.binary_search(&(inv, iter)).is_err() {
-                    assert!(
-                        num >= at_num && owner == dead,
-                        "{dispatch:?}/{workers}: ({inv}, {iter}) on worker {owner} never ran"
-                    );
-                }
-            }
-        }
+        assert!(
+            ran.binary_search(&at).is_err(),
+            "the panicked iteration never ran"
+        );
         let mut image = vec![0; SPARSE_CELLS];
         for &(inv, iter) in &ran {
             sparse_step(&mut image, inv, iter);

@@ -4,9 +4,9 @@
 //!
 //! [`ScheduleCore`] is pure — no threads, clocks, trace sinks or counters.
 //! Every agent that plays the scheduler role drives it: the threaded
-//! runtime wraps it in SPSC batching, the duplicated-scheduler variant
-//! replicates it on every worker, and the simulator bills virtual time
-//! around it. Memo replay, per-iteration verification and divergence
+//! runtime's separate plan wraps it in SPSC batching, its replicated plan
+//! runs it on every replica, and the simulator bills virtual time around
+//! it. Memo replay, per-iteration verification and divergence
 //! catch-up therefore exist exactly once, and replayed and recomputed
 //! invocations are decision-for-decision identical for all three (a
 //! property the suite's proptests pin down on this type directly).
@@ -65,24 +65,21 @@ impl ScheduleCore {
     /// Per iteration: `touched(iter, writes, reads)` appends the access
     /// sets (the `computeAddr` oracle; it must be pure — after a replay
     /// divergence it is asked again for the already-dispatched prefix);
-    /// `assign(iter_num, addrs)` picks the worker — the policy's decision
-    /// *after* any rerouting around dead workers, so every condition names
-    /// the worker its dependence was really dispatched to — and is
-    /// consulted exactly once per iteration, replayed or not, so stateful
-    /// policies stay in step; `emit(iter, tid, iter_num, conds, replayed)`
+    /// `assign(iter_num, addrs)` picks the worker — the policy's decision —
+    /// and is consulted exactly once per iteration, replayed or not, so
+    /// stateful policies stay in step; `emit(iter, tid, iter_num, conds, replayed)`
     /// receives the decision. `replayed` says the shadow walk was skipped
     /// (the conditions came from the memo); the decisions themselves are
     /// identical either way.
     ///
     /// Pass `memo_usable = false` when the invocation must neither be
-    /// recorded nor replayed (memoization disabled, or assignments depend
-    /// on something the fingerprint cannot see, such as when a worker
-    /// died); the memo invalidates and stays out of the way.
+    /// recorded nor replayed (memoization disabled, as in the replicated
+    /// plan); the memo invalidates and stays out of the way.
     ///
     /// Returns `Some(true)` when the whole invocation was replayed from the
     /// memo (a cache hit), `Some(false)` when any of it was recomputed, and
-    /// `None` as soon as `assign` returns `None` (nobody left to run the
-    /// iteration): the region is over and the core must not be used again.
+    /// `None` as soon as `assign` returns `None` (the region aborted): the
+    /// region is over and the core must not be used again.
     pub fn run_invocation(
         &mut self,
         iters: usize,
@@ -156,9 +153,9 @@ mod tests {
 
     #[test]
     fn an_unassignable_iteration_ends_the_invocation() {
-        // All workers dead from iteration 3 on: nothing further is emitted
-        // and the caller is told the region is over, on the recompute path
-        // and in the middle of a replay alike.
+        // The region aborts at iteration 3: nothing further is emitted and
+        // the caller is told the region is over, on the recompute path and
+        // in the middle of a replay alike.
         let mut core = ScheduleCore::new(Some(8));
         let run = |core: &mut ScheduleCore, live_iters: usize| {
             let base = core.next_iter_num();

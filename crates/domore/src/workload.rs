@@ -32,7 +32,8 @@ pub trait DomoreWorkload: Sync {
 
     /// Sequential code at the top of outer-loop iteration `inv`
     /// (statements A–C of the CG example, Fig. 3.1). Runs on the scheduler
-    /// thread, before any iteration of invocation `inv` is dispatched.
+    /// thread (on every replica, in the replicated plan), before any
+    /// iteration of invocation `inv` is dispatched.
     fn prologue(&self, inv: usize) {
         let _ = inv;
     }
@@ -60,14 +61,14 @@ pub trait DomoreWorkload: Sync {
     /// Executes iteration `iter` of invocation `inv` on worker `tid`.
     fn execute_iteration(&self, inv: usize, iter: usize, tid: ThreadId);
 
-    /// Whether the prologue may safely be re-executed by every worker.
+    /// Whether the prologue may safely be re-executed by every replica.
     ///
-    /// The duplicated-scheduler variant (§3.4) runs the scheduling loop —
-    /// including prologues — on all workers; that is sound only when the
-    /// prologue is idempotent and race-free under replication (e.g. it only
-    /// computes loop bounds from read-only state). The thesis notes DOMORE's
-    /// separate scheduler is the general solution precisely because this
-    /// cannot always be guaranteed.
+    /// The replicated plan ([`crate::DomoreRuntime::execute_replicated`],
+    /// §3.4) runs the scheduling loop — including prologues — on every
+    /// replica; that is sound only when the prologue is idempotent and
+    /// race-free under replication (e.g. it only computes loop bounds from
+    /// read-only state). The thesis notes DOMORE's separate scheduler is the
+    /// general solution precisely because this cannot always be guaranteed.
     fn prologue_is_replicable(&self) -> bool {
         true
     }

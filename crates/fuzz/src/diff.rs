@@ -311,8 +311,8 @@ pub fn run_concurrent_pair(a: &FuzzCase, b: &FuzzCase) -> DiffReport {
     }
 
     // Size the pool so both regions' gangs can be in flight at once:
-    // spec demand = workers + the checker, domore demand = workers
-    // (the scheduler rides the submitting thread).
+    // spec demand = workers + 1 (the gang's extra task thread), domore
+    // demand = workers (the scheduler rides the submitting thread).
     let demand = |case: &FuzzCase| case.workers + 1;
     let pool = WorkerPool::new(demand(a) + demand(b));
 

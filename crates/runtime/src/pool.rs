@@ -8,9 +8,9 @@
 //! and concurrent regions share a bounded set of cores.
 //!
 //! The abstraction boundary is [`RegionExecutor`]: a region hands the
-//! executor a *gang* of role closures (workers, the checker) plus a
-//! *local* closure that runs on the submitting thread (the DOMORE scheduler,
-//! or nothing for SPECCROSS), and the call returns only when every role has
+//! executor a *gang* of role closures (workers) plus a *local* closure that
+//! runs on the submitting thread (the DOMORE scheduler or last replica, or
+//! nothing for SPECCROSS), and the call returns only when every role has
 //! finished. Two implementations:
 //!
 //! * [`ScopedExecutor`] — spawns a fresh scoped thread per role, exactly the
@@ -42,9 +42,8 @@ use parking_lot::{Condvar, Mutex};
 use crate::telemetry::ServerRegistry;
 use crate::wait::{AdaptiveSpin, Parker, PARK_SLICE};
 
-/// One member of a region's gang: a worker or checker body. Boxed so
-/// heterogeneous roles (workers and the checker of one pass) travel in one
-/// `Vec`, bounded by the caller's stack lifetime `'s`.
+/// One member of a region's gang: a worker body. Boxed so the roles of one
+/// pass travel in one `Vec`, bounded by the caller's stack lifetime `'s`.
 pub type Role<'s> = Box<dyn FnOnce() + Send + 's>;
 
 /// What one [`RegionExecutor::run_gang`] call observed, for telemetry

@@ -7,8 +7,9 @@
 //! yields a synchronization condition; the entry is then overwritten with the
 //! current `(thread, iteration)` pair.
 //!
-//! The shadow memory is accessed only by the scheduler (or, in the
-//! duplicated-scheduler variant of §3.4, by each worker on a private copy),
+//! The shadow memory is accessed only by the scheduler (or, in DOMORE's
+//! replicated plan — the duplicated scheduler of §3.4 — by each replica on
+//! a private copy),
 //! so no internal synchronization is needed.
 
 use std::collections::HashMap;

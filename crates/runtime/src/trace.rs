@@ -54,7 +54,8 @@ use crate::ThreadId;
 /// top of the id space so they can never collide with a worker.
 pub const MANAGER_TID: ThreadId = usize::MAX;
 
-/// Pseudo thread-id under which the SPECCROSS checker thread emits events.
+/// Pseudo thread-id under which the simulated SPECCROSS checker thread
+/// emits events (`crossinvoc_sim`; the threaded engine has no checker).
 pub const CHECKER_TID: ThreadId = usize::MAX - 1;
 
 /// Whether `tid` is a service thread (manager or checker) rather than a

@@ -65,8 +65,9 @@ impl Conflict {
     /// order, so when several logged tasks conflict with one request this is
     /// **not** necessarily the globally smallest conflicting epoch. That is
     /// fine for recovery: the engine rolls back to the last *checkpoint*,
-    /// and a checkpoint only completes after the checker has drained — so
-    /// every conflict still live involves epochs after that checkpoint and
+    /// and a checkpoint only completes once every worker has reached it,
+    /// each having admitted its own tasks inline — so every conflict still
+    /// live involves epochs after that checkpoint and
     /// the rollback target is the same whichever conflict is reported
     /// first. The value is informational (which pair tripped), not the
     /// recovery bound.
@@ -413,8 +414,8 @@ impl<S: AccessSignature> CheckerState<S> {
     /// "seen past", so only this retires the others' buckets.
     ///
     /// Sound at checkpoint boundaries: a checkpoint fully synchronizes every
-    /// worker and drains the checker, so nothing logged before it can race
-    /// with anything admitted after it.
+    /// worker, and workers admit their own tasks inline, so nothing logged
+    /// before it can race with anything admitted after it.
     pub fn retire_before(&mut self, epoch: u32) {
         for w in 0..self.logs.len() {
             while self.logs[w].front().is_some_and(|b| b.epoch < epoch) {

@@ -122,16 +122,17 @@ fn main() {
         report.stats.tasks, report.stats.epochs, report.stats.sync_conditions, report.stats.stalls,
     );
 
-    // The duplicated-scheduler variant (§3.4): every worker replays the
-    // scheduling loop — the form that composes with SPECCROSS.
+    // The replicated plan, the duplicated scheduler of §3.4: three workers
+    // and this thread each replay the scheduling loop — the form that
+    // composes with SPECCROSS.
     let mut grid2 = ParticleGrid::new();
-    let report = DuplicatedScheduler::new(4)
+    let report = DomoreRuntime::new(DomoreConfig::with_workers(3))
         .with_policy(Box::new(LocalWrite::new(CELLS)))
-        .execute(&grid2)
-        .expect("duplicated-scheduler execution");
+        .execute_replicated(&grid2)
+        .expect("replicated-plan execution");
     assert_eq!(grid2.checksum(), expected, "results verified");
     println!(
-        "duplicated scheduler: {} iterations, {} synchronization conditions",
+        "replicated plan: {} iterations, {} synchronization conditions",
         report.stats.tasks, report.stats.sync_conditions,
     );
 }

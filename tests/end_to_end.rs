@@ -108,18 +108,28 @@ fn injected_misspeculation_recovers_on_benchmark_kernels() {
     assert_eq!(kernel.0.checksum(), expected);
 }
 
-/// The duplicated-scheduler variant matches the separate-scheduler result
-/// on a benchmark kernel (§3.4's transformation is semantics-preserving).
+/// The duplicated scheduler — the runtime's replicated plan — matches the
+/// separate-scheduler result on a benchmark kernel (§3.4's transformation
+/// is semantics-preserving). Two workers plus the calling thread make three
+/// replicas: the same assignment width as three separate-plan workers, so
+/// the two plans schedule identically.
 #[test]
 fn duplicated_scheduler_matches_separate_scheduler_on_benchmarks() {
     let info = crossinvoc_workloads::registry::by_name("CG");
     let a = AccessKernel::from_model(info.model(Scale::Test));
     let b = AccessKernel::from_model(info.model(Scale::Test));
-    DomoreRuntime::new(DomoreConfig::with_workers(3))
+    let separate = DomoreRuntime::new(DomoreConfig::with_workers(3))
         .execute(&a)
         .unwrap();
-    DuplicatedScheduler::new(3).execute(&b).unwrap();
+    let replicated = DomoreRuntime::new(DomoreConfig::with_workers(2))
+        .execute_replicated(&b)
+        .unwrap();
     assert_eq!(a.checksum(), b.checksum());
+    assert_eq!(separate.stats.tasks, replicated.stats.tasks);
+    assert_eq!(
+        separate.stats.sync_conditions,
+        replicated.stats.sync_conditions
+    );
 }
 
 /// The full automatic pipeline (profile → plan → threaded execution →

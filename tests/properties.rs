@@ -192,24 +192,53 @@ proptest! {
 proptest! {
     /// The robustness invariant: a run under *any* seeded fault plan ends,
     /// within the watchdog deadline, in either the sequential reference
-    /// state or a typed error — never a deadlock, never an abort.
+    /// state or a typed error — never a deadlock, never an abort. Both
+    /// DOMORE plans honour the plan's task-site faults too (at the same
+    /// assignment width: the replicated plan's caller is a replica).
     #[test]
     fn any_seeded_fault_plan_ends_sequential_or_typed_error(seed in any::<u64>()) {
+        use crossinvoc_domore::runtime::DomoreError;
         use crossinvoc_runtime::fault::FaultPlan;
         use crossinvoc_speccross::{DegradePolicy, SpecConfig, SpecCrossEngine};
 
         let (epochs, tasks, workers) = (6usize, 6usize, 2usize);
         let plan = FaultPlan::random(seed, epochs as u32, tasks as u64, workers);
+        let watchdog = std::time::Duration::from_secs(60);
         // Conflict-free grid: the sequential reference is `epochs` in
         // every cell, and a clean run never conflicts. Its tasks are heavy
         // enough for every pass to run wide.
-        let w = IncGrid::new(tasks, epochs).with_spin(crossinvoc_speccross::WIDE_TASK_NS);
+        let grid = || IncGrid::new(tasks, epochs).with_spin(crossinvoc_speccross::WIDE_TASK_NS);
+        for replicated in [false, true] {
+            let w = grid();
+            let config = DomoreConfig::with_workers(workers - usize::from(replicated))
+                .fault_plan(plan.clone())
+                .watchdog(watchdog);
+            let mut runtime = DomoreRuntime::new(config);
+            let result = if replicated {
+                runtime.execute_replicated(&w)
+            } else {
+                runtime.execute(&w)
+            };
+            match result {
+                Ok(report) => {
+                    prop_assert_eq!(w.cells(), w.expected());
+                    prop_assert_eq!(report.stats.tasks, (epochs * tasks) as u64);
+                }
+                // Delays only slow DOMORE down, and the other kinds are
+                // not task-site faults: an injected panic is the only way
+                // to fail.
+                Err(e) => {
+                    prop_assert!(matches!(e, DomoreError::IterationPanicked { .. }), "{:?}", e);
+                }
+            }
+        }
+        let w = grid();
         let result = SpecCrossEngine::<RangeSignature>::new(
             SpecConfig::with_workers(workers)
                 .checkpoint_every(2)
                 .fault_plan(plan)
                 .degrade(DegradePolicy::default())
-                .watchdog(std::time::Duration::from_secs(60)),
+                .watchdog(watchdog),
         )
         .execute(&w);
         match result {
@@ -902,16 +931,17 @@ type Stream = Vec<(usize, Vec<usize>, Vec<usize>)>;
 type Emitted = Vec<(usize, u64, Vec<SyncCondition>)>;
 
 /// Schedules one invocation of `stream` through the production core
-/// ([`crossinvoc_domore::ScheduleCore`] — the step the threaded runtime, the
-/// duplicated scheduler and the simulator all drive), collecting what it
-/// emits. `reroute(iter, policy_tid)` is the post-policy stage of `assign`
-/// (identity, or a dead-worker reroute). Returns the emitted decisions,
-/// which of them were replayed, and the cache-hit verdict.
+/// ([`crossinvoc_domore::ScheduleCore`] — the step both threaded plans and
+/// the simulator drive), collecting what it emits. `decide(iter,
+/// placed_tid)` is the policy's decision for the iteration the stream
+/// places on `placed_tid` (that worker, or a changed one). Returns the
+/// emitted decisions, which of them were replayed, and the cache-hit
+/// verdict.
 fn schedule_through_core(
     core: &mut crossinvoc_domore::ScheduleCore,
     stream: &Stream,
     memo_usable: bool,
-    mut reroute: impl FnMut(usize, usize) -> usize,
+    mut decide: impl FnMut(usize, usize) -> usize,
 ) -> (Emitted, Vec<bool>, bool) {
     let base = core.next_iter_num();
     let mut out = Vec::new();
@@ -926,7 +956,7 @@ fn schedule_through_core(
             },
             |iter_num, _| {
                 let iter = (iter_num - base) as usize;
-                Some(reroute(iter, stream[iter].0))
+                Some(decide(iter, stream[iter].0))
             },
             |_, tid, iter_num, conds, was_replayed| {
                 out.push((tid, iter_num, conds.to_vec()));
@@ -1009,28 +1039,28 @@ proptest! {
         prop_assert_eq!(core.memo().hits(), hits);
     }
 
-    /// A worker dies at a random iteration of a random invocation of a
-    /// steady (hence replaying) stream — the path only racy stress tests
-    /// reach on real threads. From that point `assign` reroutes the dead
-    /// worker's iterations to its successor, and from the next invocation
-    /// the memo is declared unusable, exactly as the threaded scheduler
-    /// does. The emitted stream must equal a plain [`SchedulerLogic`]
-    /// driven with the same rerouted workers — so nothing is assigned to
-    /// the worker after its death and every condition names the worker its
-    /// dependence was really dispatched to — and the policy is consulted
-    /// exactly once per iteration, including the one a replay diverged on.
+    /// A policy changes its mind at a random iteration of a random
+    /// invocation of a steady (hence replaying) stream — as a stateful
+    /// policy such as `Adaptive` does when its load estimate tips: from
+    /// that point `assign` moves one worker's iterations to its successor,
+    /// and from the next invocation the memo is declared unusable. The
+    /// emitted stream must equal a plain [`SchedulerLogic`] driven with the
+    /// same decisions — so nothing reaches the vacated worker after the
+    /// change and every condition names the worker its dependence was
+    /// really dispatched to — and the policy is consulted exactly once per
+    /// iteration, including the one a replay diverged on.
     #[test]
-    fn dead_worker_reroute_matches_plain_scheduling(
+    fn mid_stream_decision_change_matches_plain_scheduling(
         workers in 2usize..5,
         raw in raw_stream(),
-        death in any::<u64>(),
+        change in any::<u64>(),
     ) {
         let stream = place(raw, workers);
-        let dead = death as usize % workers;
-        let death_inv = (death >> 8) as usize % 7;
-        let death_iter = (death >> 16) as usize % stream.len();
-        let live_tid = |inv: usize, iter: usize, tid: usize| {
-            if tid == dead && (inv, iter) >= (death_inv, death_iter) {
+        let vacated = change as usize % workers;
+        let change_inv = (change >> 8) as usize % 7;
+        let change_iter = (change >> 16) as usize % stream.len();
+        let decided = |inv: usize, iter: usize, tid: usize| {
+            if tid == vacated && (inv, iter) >= (change_inv, change_iter) {
                 (tid + 1) % workers
             } else {
                 tid
@@ -1041,11 +1071,11 @@ proptest! {
         for inv in 0..7usize {
             let mut consulted = vec![0u32; stream.len()];
             let (got, replayed, hit) =
-                schedule_through_core(&mut core, &stream, inv <= death_inv, |iter, tid| {
+                schedule_through_core(&mut core, &stream, inv <= change_inv, |iter, tid| {
                     consulted[iter] += 1;
-                    live_tid(inv, iter, tid)
+                    decided(inv, iter, tid)
                 });
-            let want = schedule_plainly(&mut reference, &stream, |iter, tid| live_tid(inv, iter, tid));
+            let want = schedule_plainly(&mut reference, &stream, |iter, tid| decided(inv, iter, tid));
             prop_assert_eq!(&got, &want, "invocation {} diverged", inv);
             prop_assert!(
                 consulted.iter().all(|&n| n == 1),
@@ -1055,8 +1085,8 @@ proptest! {
             );
             for (iter, (tid, _, _)) in got.iter().enumerate() {
                 prop_assert!(
-                    *tid != dead || (inv, iter) < (death_inv, death_iter),
-                    "iteration {} of invocation {} went to the dead worker",
+                    *tid != vacated || (inv, iter) < (change_inv, change_iter),
+                    "iteration {} of invocation {} went to the vacated worker",
                     iter,
                     inv
                 );
@@ -1065,7 +1095,7 @@ proptest! {
             // replayed invocation counts as a hit.
             prop_assert!(replayed.windows(2).all(|w| w[0] || !w[1]));
             prop_assert_eq!(hit, replayed.iter().all(|&r| r));
-            prop_assert!(!hit || inv <= death_inv);
+            prop_assert!(!hit || inv <= change_inv);
         }
     }
 }

@@ -398,7 +398,8 @@ fn chunked_speccross_records_account_for_every_task() {
 
 /// Stamps of real threaded regions, decoded at merge: every one lies in
 /// `[0, elapsed]`, each thread's are non-decreasing, and the trace feeds
-/// the critical-path walk and the Chrome export.
+/// the critical-path walk and the Chrome export. DOMORE's replicated plan
+/// retires every iteration it counts in its records.
 #[test]
 fn real_region_stamps_decode_within_the_region() {
     let (spec, distance) = kernel("JACOBI", Scale::Test);
@@ -414,11 +415,25 @@ fn real_region_stamps_decode_within_the_region() {
     let dom_report = DomoreRuntime::new(DomoreConfig::with_workers(2).trace(1 << 14))
         .execute(dom.as_ref())
         .unwrap();
+    let (dom, _) = kernel("CG", Scale::Test);
+    let replicated_report = DomoreRuntime::new(DomoreConfig::with_workers(2).trace(1 << 14))
+        .execute_replicated(dom.as_ref())
+        .unwrap();
+    let replicated_tasks = replicated_report.stats.tasks;
     for (label, trace, elapsed) in [
         ("speccross", spec_report.trace, spec_report.elapsed),
         ("domore", dom_report.trace, dom_report.elapsed),
+        (
+            "domore-replicated",
+            replicated_report.trace,
+            replicated_report.elapsed,
+        ),
     ] {
         let trace = trace.expect("tracing was configured");
+        if label == "domore-replicated" {
+            assert_eq!(trace.dropped(), 0, "{label}");
+            assert_eq!(retired_tasks(&trace), replicated_tasks, "{label}");
+        }
         let elapsed = elapsed.as_nanos() as u64;
         let mut last: BTreeMap<usize, u64> = BTreeMap::new();
         for rec in trace.records() {
